@@ -15,7 +15,6 @@ import random
 import sys
 
 from .abelian import FinAbGroup
-from .chains import homology_group, homology_mod
 from .groupoids import (
     DEFAULT_BUDGET,
     FiniteGroupoid,
@@ -40,8 +39,6 @@ from .sft import (
     sft_matrix_homology,
 )
 from .uct import homology_with_coefficients, uct_assemble, uct_verify
-
-INTEGER_COEFFICIENTS = FinAbGroup.free(1)
 
 
 # -- shared plumbing ---------------------------------------------------------
@@ -201,14 +198,7 @@ def cmd_homology(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     if args.dump_complex:
         with open(args.dump_complex, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(complex_.to_json(), indent=2, sort_keys=True) + "\n")
-    groups = []
-    for n in range(n_max):
-        if coefficients == INTEGER_COEFFICIENTS:
-            groups.append(homology_group(complex_, n))
-        elif coefficients.rank == 0 and len(coefficients.torsion) == 1:
-            groups.append(homology_mod(complex_, coefficients.torsion[0], n).group)
-        else:
-            groups.append(homology_with_coefficients(complex_, coefficients, n))
+    groups = [homology_with_coefficients(complex_, coefficients, n) for n in range(n_max)]
     lines = [
         f"homology of {args.input} with coefficients {coefficients.render()}, "
         f"degrees 0..{n_max - 1}"

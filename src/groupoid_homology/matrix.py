@@ -3,7 +3,9 @@
 Everything here is plain unbounded-integer arithmetic: no floats, no
 machine-word moduli.  Matrices are small enough at desk scale that a dense
 list-of-rows representation with a couple of sparse fast paths is all the
-performance engineering needed.
+performance engineering needed.  `smith_normal_form` is the one pivot loop:
+`invariant_factors` eliminates +-1 pivots sparsely and hands the small dense
+remainder to it.
 """
 
 from __future__ import annotations
@@ -387,91 +389,13 @@ def smith_normal_form(
     )
 
 
-def _dense_diag(a: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith form of a dense row-list matrix; no transforms."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    n = min(rows, cols)
-    t = 0
-    out = []
-    while t < n:
-        piv = None
-        best = 0
-        for i in range(t, rows):
-            ri = a[i]
-            for j in range(t, cols):
-                v = ri[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if piv is None or av < best:
-                        best = av
-                        piv = (i, j)
-                        if av == 1:
-                            break
-            if piv is not None and best == 1:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            dirty = False
-            for i in range(t, rows):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            rt = a[t]
-            for j in range(t, cols):
-                if j != t and rt[j]:
-                    q = rt[j] // rt[t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if rt[j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            p = a[t][t]
-            bad = None
-            for i in range(t + 1, rows):
-                ri = a[i]
-                for j in range(t + 1, cols):
-                    if ri[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        out.append(a[t][t])
-        t += 1
-    return out
-
-
 def invariant_factors(m: IntegerMatrix) -> list[int]:
     """Nonzero diagonal of the Smith form (ascending divisibility chain).
 
     Fast path for the large, very sparse boundary matrices: +-1 pivots are
     eliminated on a sparse structure first (minimal-fill tie-break among the
     smallest-possible-|pivot| candidates), then the small dense remainder goes
-    through the standard reduction.  `len(result)` is the rank of `m`.
+    through `smith_normal_form`.  `len(result)` is the rank of `m`.
 
     >>> invariant_factors(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     [2, 4]
@@ -538,12 +462,11 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
     live_rows = sorted(rows)
     live_cols = sorted({j for r in rows.values() for j in r})
     pos = {j: c for c, j in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
+    dense = IntegerMatrix(len(live_rows), len(live_cols))
     for r, i in enumerate(live_rows):
         for j, v in rows[i].items():
-            dense[r][pos[j]] = v
-    rest = [d for d in _dense_diag(dense) if d != 0]
-    return [1] * ones + rest
+            dense._rows[r][pos[j]] = v
+    return [1] * ones + [d for d in smith_normal_form(dense).diag if d != 0]
 
 
 def rank(m: IntegerMatrix) -> int:

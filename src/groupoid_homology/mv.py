@@ -191,13 +191,17 @@ class MvChainSes:
             alpha, beta = self.to_pieces[n], self.to_total[n]
             dim12 = self.complex12.dims[n]
             dim_total = self.total_complex.dims[n]
-            assert beta.matmul(alpha).is_zero(), f"composite nonzero in degree {n}"
-            assert invariant_factors(alpha) == [1] * dim12, f"inclusion not split in degree {n}"
-            assert invariant_factors(beta) == [1] * dim_total, f"sum not surjective in degree {n}"
+            if not beta.matmul(alpha).is_zero():
+                raise AssertionError(f"composite nonzero in degree {n}")
+            if invariant_factors(alpha) != [1] * dim12:
+                raise AssertionError(f"inclusion not split in degree {n}")
+            if invariant_factors(beta) != [1] * dim_total:
+                raise AssertionError(f"sum not surjective in degree {n}")
             # split injective + rank count + zero composite force ker = im:
             # im(alpha) is a saturated sublattice of ker(beta) of full rank
             kernel_rank = beta.cols - dim_total
-            assert kernel_rank == dim12, f"rank mismatch in degree {n}"
+            if kernel_rank != dim12:
+                raise AssertionError(f"rank mismatch in degree {n}")
         for n in range(1, self.max_degree + 1):
             alpha, beta = self.to_pieces[n], self.to_total[n]
             boundary_pieces = IntegerMatrix.block_diag(
@@ -205,10 +209,12 @@ class MvChainSes:
             )
             left = self.to_pieces[n - 1].matmul(self.complex12.boundaries[n])
             right = boundary_pieces.matmul(alpha)
-            assert left == right, f"intersection map is not a chain map in degree {n}"
+            if left != right:
+                raise AssertionError(f"intersection map is not a chain map in degree {n}")
             left = self.total_complex.boundaries[n].matmul(beta)
             right = self.to_total[n - 1].matmul(boundary_pieces)
-            assert left == right, f"sum map is not a chain map in degree {n}"
+            if left != right:
+                raise AssertionError(f"sum map is not a chain map in degree {n}")
 
     # -- homology and lifts --------------------------------------------------
 
@@ -299,7 +305,8 @@ class MvChainSes:
         filler = solve_columns(
             self.complex12.boundaries[n], IntegerMatrix.column_vector(result.witness)
         )
-        assert filler is not None, "witness declared a boundary but no filler found"
+        if filler is None:
+            raise AssertionError("witness declared a boundary but no filler found")
         correction = self.to_pieces[n].mul_vector(filler.column(0))
         out = [a - b for a, b in zip(lifted, correction)]
         boundary_pieces = IntegerMatrix.block_diag(

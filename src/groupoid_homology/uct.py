@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .abelian import FinAbGroup, direct_sum, group_of, tensor, tor1
-from .chains import FreeChainComplex, HomologyResult, homology_int, homology_mod
+from .chains import FreeChainComplex, HomologyResult, homology_group, homology_int, homology_mod
 from .groupoids import FiniteGroupoid, moore_complex
 from .matrix import IntegerMatrix, column_lattice_basis, solve_columns
 
@@ -74,7 +74,7 @@ def homology_with_coefficients(
     """
     parts: list[FinAbGroup] = []
     if coefficients.rank:
-        integral = homology_int(complex_, n).group
+        integral = homology_group(complex_, n)
         parts.extend([integral] * coefficients.rank)
     for d in coefficients.torsion:
         parts.append(homology_mod(complex_, d, n).group)
@@ -90,7 +90,7 @@ def uct_verify(
     """Universal-coefficient comparison for every trusted degree 0..N-1."""
     kwargs = {} if budget is None else {"budget": budget}
     complex_ = moore_complex(groupoid, max_degree, **kwargs)
-    integral = [homology_int(complex_, n).group for n in range(max_degree)]
+    integral = [homology_group(complex_, n) for n in range(max_degree)]
     reports = []
     for n in range(max_degree):
         below = integral[n - 1] if n >= 1 else FinAbGroup.trivial()
@@ -183,7 +183,7 @@ def mod_reduction_check(
             raise ValueError(f"reduction map image mismatch: mod-q shift moved the class of {z}")
         images.append(list(coords))
     image_group = _subgroup_generated(modular, images)
-    below = homology_int(complex_, n - 1).group if n >= 1 else FinAbGroup.trivial()
+    below = homology_group(complex_, n - 1) if n >= 1 else FinAbGroup.trivial()
     tensor_part, tor_part, _ = uct_assemble(integral.group, below, FinAbGroup.cyclic(q))
     if image_group != tensor_part:
         raise ValueError(

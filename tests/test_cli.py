@@ -221,8 +221,16 @@ def test_homology_mixed_coefficients(tmp_path):
 def test_homology_coeff_z_caret_one_is_integral(tmp_path):
     path = gen_file(tmp_path, "cyclic:4", "c4.json")
     base = run_cli(["homology", "-i", path, "--coeff", "z"])
-    alias = run_cli(["homology", "-i", path, "--coeff", "z^1"])
-    assert base == alias
+    # Z/0 parses to Z as well, so both aliases must print what plain `z` prints
+    for spec in ("z^1", "z/0"):
+        assert run_cli(["homology", "-i", path, "--coeff", spec]) == base
+
+
+def test_homology_coeff_z_mod_one_is_trivial(tmp_path):
+    path = gen_file(tmp_path, "cyclic:4", "c4.json")
+    code, out, _ = run_cli(["homology", "-i", path, "-N", "3", "--coeff", "z/1"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["  H_0 = 0", "  H_1 = 0", "  H_2 = 0"]
 
 
 def test_homology_primary_rendering(tmp_path):

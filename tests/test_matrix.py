@@ -126,6 +126,8 @@ def test_invariant_factors_match_smith(seed):
     m = random_matrix(rng, max_side=8, spread=20)
     fast = invariant_factors(m)
     assert fast == smith_normal_form(m).diag
+    # independent of smith_normal_form, which also reduces the dense remainder
+    assert fast == oracles.smith_diag_by_elimination(raw_rows(m))
     assert len(fast) == rank(m)
 
 

@@ -8,6 +8,8 @@ sequence, cross-checked by element-by-element enumeration on finite nodes).
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +36,7 @@ from groupoid_homology import (
 )
 
 import oracles
+from test_cli import child_env
 
 
 def union(*parts):
@@ -457,3 +460,32 @@ def test_naturality_ladder_under_cover_refinement():
     # both covers produce exact sequences on the same groupoid
     for les in (long_exact_sequence(small, 2), long_exact_sequence(big, 2)):
         assert all(defect.is_trivial() for _, defect in les.verify_exactness())
+
+
+# -- verdicts survive python -O ------------------------------------------------------
+
+
+def test_verify_raises_under_optimize_flag():
+    # `python -O` strips bare asserts; one corrupted entry of the degree-1 sum
+    # map must still be caught.
+    program = "\n".join(
+        [
+            "from groupoid_homology import chain_ses, decompose, disjoint_union,"
+            " one_object_cyclic, orbits, units",
+            "g = disjoint_union(disjoint_union(one_object_cyclic(2), units(1)),"
+            " one_object_cyclic(3))",
+            "o = orbits(g)",
+            "ses = chain_ses(decompose(g, o[0] + o[1], o[1] + o[2]), 2)",
+            "ses.to_total[1]._rows[0][0] += 1",
+            "ses._verify()",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: sum not surjective in degree 1" in proc.stderr

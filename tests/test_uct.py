@@ -16,6 +16,7 @@ from groupoid_homology import (
     cantor_obstruction,
     decompose_step_function,
     disjoint_union,
+    homology_group,
     homology_int,
     homology_with_coefficients,
     mod_reduction_check,
@@ -29,7 +30,24 @@ from groupoid_homology import (
 )
 
 import oracles
+from test_acceptance import corpus
 from test_chains import klein_complex, random_disguised
+
+
+# -- the two integral routes agree ----------------------------------------------------
+
+CORPUS = corpus()
+
+
+@pytest.mark.parametrize("name,g", CORPUS, ids=[c[0] for c in CORPUS])
+def test_integral_routes_agree_on_corpus(name, g):
+    # iso types come from invariant factors alone; the representative route
+    # through full Smith transforms must give the same groups
+    c = moore_complex(g, 3)
+    for n in range(3):
+        group = homology_group(c, n)
+        assert group == homology_int(c, n).group
+        assert group == homology_with_coefficients(c, FinAbGroup.free(1), n)
 
 
 # -- uct_assemble frozen arithmetic ---------------------------------------------------
