@@ -165,20 +165,43 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroupoid":
+        """Strict inverse of `to_json`: every entry must be a plain int.
+
+        Raises ValueError naming the offending key for a non-object, a
+        missing key, a field that is not a list, or an entry that is not an
+        int (bools, floats and strings are rejected, not coerced).
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"groupoid must be a JSON object, got {type(data).__name__}")
+        for key in ("arrows", "units", "source", "range", "inverse", "compose"):
+            if key not in data:
+                raise ValueError(f"groupoid is missing key '{key}'")
+
+        if type(data["arrows"]) is not int:
+            raise ValueError(f"'arrows' must be an integer, got {data['arrows']!r}")
+
+        def listed(key: str) -> list:
+            if not isinstance(data[key], list):
+                raise ValueError(f"'{key}' must be a list, got {type(data[key]).__name__}")
+            return data[key]
+
+        def ints(key: str, values: list) -> list[int]:
+            for x in values:
+                if type(x) is not int:
+                    raise ValueError(f"'{key}' entries must be integers, got {x!r}")
+            return values
+
         compose = {}
-        for triple in data["compose"]:
-            if len(triple) != 3:
+        for triple in listed("compose"):
+            if not isinstance(triple, list) or len(triple) != 3:
                 raise ValueError("composition entries must be [left, right, result] triples")
-            g, h, gh = (int(x) for x in triple)
+            g, h, gh = ints("compose", triple)
             if (g, h) in compose:
                 raise ValueError(f"duplicate composition entry for pair ({g}, {h})")
             compose[(g, h)] = gh
         return cls(
-            int(data["arrows"]),
-            [int(u) for u in data["units"]],
-            [int(s) for s in data["source"]],
-            [int(r) for r in data["range"]],
-            [int(i) for i in data["inverse"]],
+            data["arrows"],
+            *(ints(key, listed(key)) for key in ("units", "source", "range", "inverse")),
             compose,
         )
 

@@ -1,17 +1,17 @@
-"""Exact dense integer matrices and Smith normal form.
+"""Exact integer matrices and Smith normal form.
 
 Everything here is plain unbounded-integer arithmetic: no floats, no
-machine-word moduli.  Matrices are small enough at desk scale that a dense
-list-of-rows representation with a couple of sparse fast paths is all the
-performance engineering needed.  `smith_normal_form` is the one pivot loop:
+machine-word moduli.  Matrices are stored as dense lists of rows, but the two
+hot kernels skip zeros: `matmul` costs O(nonzero pairs) multiply-adds, and
 `invariant_factors` eliminates +-1 pivots sparsely and hands the small dense
-remainder to it.
+remainder to `smith_normal_form`, the one pivot loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Sequence
 
 
 class IntegerMatrix:
@@ -94,12 +94,6 @@ class IntegerMatrix:
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self._rows]
 
-    def columns(self) -> list[list[int]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def copy(self) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows([row[:] for row in self._rows], cols=self.cols)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._rows for x in row)
 
@@ -156,13 +150,29 @@ class IntegerMatrix:
         return NotImplemented
 
     def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        """self @ other in O(nonzero pairs) multiply-adds (Gustavson, row by row).
+
+        The nonzero-column lists of `other` share one range list's ints, so
+        they hold no more memory than a dense transpose would.
+
+        >>> IntegerMatrix.from_rows([[1, 0, 2], [0, 0, 0]]).matmul(
+        ...     IntegerMatrix.from_rows([[3, 0], [5, 0], [-1, 0]])).entries
+        [1, 0, 0, 0]
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bt = [other.column(j) for j in range(other.cols)]
-        out = [
-            [sum(a * b for a, b in zip(row, col)) for col in bt]
-            for row in self._rows
-        ]
+        brows = other._rows
+        cols = list(range(other.cols))
+        nz = [list(compress(cols, b)) for b in brows]
+        out = []
+        for row in self._rows:
+            acc = [0] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    b = brows[k]
+                    for j in nz[k]:
+                        acc[j] += a * b[j]
+            out.append(acc)
         return IntegerMatrix.from_rows(out, cols=other.cols)
 
     def mul_vector(self, v: Sequence[int]) -> list[int]:
@@ -493,18 +503,15 @@ def solve_columns(b: IntegerMatrix, t: IntegerMatrix) -> IntegerMatrix | None:
     snf = smith_normal_form(b)
     s = snf.U.matmul(t)
     r = snf.rank
+    if any(any(row) for row in s._rows[r:]):
+        return None
     y = [[0] * t.cols for _ in range(b.cols)]
-    for i in range(b.rows):
-        if i < r:
-            d = snf.diag[i]
-            for j in range(t.cols):
-                q, rem = divmod(s._rows[i][j], d)
-                if rem:
-                    return None
-                y[i][j] = q
-        else:
-            if any(s._rows[i][j] != 0 for j in range(t.cols)):
+    for i, d in enumerate(snf.diag[:r]):
+        for j, x in enumerate(s._rows[i]):
+            q, rem = divmod(x, d)
+            if rem:
                 return None
+            y[i][j] = q
     return snf.V.matmul(IntegerMatrix.from_rows(y, cols=t.cols))
 
 
@@ -523,13 +530,6 @@ def same_column_lattice(a: IntegerMatrix, b: IntegerMatrix) -> bool:
 def column_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     """A basis (rank many columns) of the lattice generated by m's columns."""
     snf = smith_normal_form(m, want_uinv=True)
-    r = snf.rank
-    cols = []
-    for i in range(r):
-        d = snf.diag[i]
-        cols.append([d * snf.uinv._rows[k][i] for k in range(m.rows)])
-    out = IntegerMatrix(m.rows, r)
-    for j, c in enumerate(cols):
-        for k in range(m.rows):
-            out._rows[k][j] = c[k]
-    return out
+    d = snf.diag[:snf.rank]  # column i of the basis is d_i * (column i of U^-1)
+    rows = [[x * y for x, y in zip(row, d)] for row in snf.uinv._rows]
+    return IntegerMatrix.from_rows(rows, cols=len(d))

@@ -151,7 +151,7 @@ def test_validation_labels():
 
 def test_validation_square_nonzero():
     # d1 = [1], d2 = [1]: the square is [1], nonzero
-    with pytest.raises(ValueError, match="boundary square nonzero at degree 2"):
+    with pytest.raises(ValueError, match="boundary square nonzero at degree 2") as excinfo:
         FreeChainComplex(
             [1, 1, 1],
             [
@@ -160,6 +160,21 @@ def test_validation_square_nonzero():
                 IntegerMatrix.from_rows([[1]]),
             ],
         )
+    assert str(excinfo.value) == "boundary square nonzero at degree 2: column 0 maps to [1]"
+
+
+def test_validation_square_witness_is_first_nonzero_column():
+    # d1 d2 = [[0, 0, 1], [0, 0, -2]]: columns 0 and 1 vanish, column 2 does not
+    with pytest.raises(ValueError) as excinfo:
+        FreeChainComplex(
+            [2, 2, 3],
+            [
+                IntegerMatrix.zeros(0, 2),
+                IntegerMatrix.from_rows([[1, 0], [0, 2]]),
+                IntegerMatrix.from_rows([[0, 0, 1], [0, 0, -1]]),
+            ],
+        )
+    assert str(excinfo.value) == "boundary square nonzero at degree 2: column 2 maps to [1, -2]"
 
 
 def test_validation_negative_modulus():
@@ -175,8 +190,9 @@ def test_modular_complex_square_vanishes_only_mod_q():
         IntegerMatrix.from_rows([[2]]),
         IntegerMatrix.from_rows([[3]]),
     ]
-    with pytest.raises(ValueError, match="boundary square nonzero at degree 2"):
+    with pytest.raises(ValueError, match="boundary square nonzero at degree 2") as excinfo:
         FreeChainComplex(dims, bnds)
+    assert str(excinfo.value) == "boundary square nonzero at degree 2: column 0 maps to [6]"
     c = FreeChainComplex(dims, bnds, modulus=6)
     assert c.modulus == 6
     assert c.max_degree == 2

@@ -347,6 +347,38 @@ def test_invalid_input_json(tmp_path):
     assert err.startswith(f"error: input file {path} is not valid JSON:")
 
 
+def _cyclic2_with(**fields):
+    data = one_object_cyclic(2).to_json()
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ([1, 2], "JSON object"),
+        ({"arrows": 1}, "'units'"),
+        (_cyclic2_with(inverse=1), "'inverse'"),
+        (_cyclic2_with(source=[0.7, 0]), "'source'"),
+        (_cyclic2_with(arrows=True), "'arrows'"),
+    ],
+    ids=["not-object", "missing-key", "not-a-list", "float-entry", "bool-arrows"],
+)
+def test_malformed_groupoid_file_is_an_error(tmp_path, payload, key):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    report_path = str(tmp_path / "report.json")
+    code, out, err = run_cli(["homology", "-i", path, "-N", "2", "--json", report_path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    with open(report_path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report == {"error": err[len("error: "):].rstrip("\n"), "ok": False}
+
+
 @pytest.mark.parametrize(
     "coeff, message",
     [

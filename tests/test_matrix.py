@@ -203,6 +203,81 @@ def test_same_column_lattice_distinguishes(seed):
         assert in_column_lattice(m, doubled.column(0))
 
 
+# -- the product against an independent triple loop --------------------------------
+
+
+def triple_loop_product(a: list[list[int]], b: list[list[int]], inner: int, cols: int) -> list[list[int]]:
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(cols):
+            s = 0
+            for t in range(inner):
+                s += a[i][t] * b[t][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def product_factors(seed: int) -> tuple[list[list[int]], list[list[int]], int, int, int]:
+    """Factor pair (a, b, rows, inner, cols) of a kind picked by seed % 8."""
+    rng = random.Random(seed)
+    kind = seed % 8
+    r, k, m = (rng.randint(1, 7) for _ in range(3))
+    if kind == 0:  # empty shapes: 0 x k . k x m, r x 0 . 0 x m, r x k . k x 0
+        r, k, m = [(0, k, m), (r, 0, m), (r, k, 0)][seed // 8 % 3]
+
+    def fill(nrows: int, ncols: int, entry) -> list[list[int]]:
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+    if kind in (0, 1):  # all-zero factor(s)
+        zero_side = seed // 8 % 3
+        a = fill(r, k, (lambda: 0) if zero_side != 1 else (lambda: rng.randint(-4, 4)))
+        b = fill(k, m, (lambda: 0) if zero_side != 0 else (lambda: rng.randint(-4, 4)))
+    elif kind == 2:  # zero rows and zero columns inside nonzero factors
+        a = fill(r, k, lambda: rng.randint(-4, 4))
+        b = fill(k, m, lambda: rng.randint(-4, 4))
+        a[rng.randrange(r)] = [0] * k
+        b[rng.randrange(k)] = [0] * m
+        for mat, width in ((a, k), (b, m)):
+            j = rng.randrange(width)
+            for row in mat:
+                row[j] = 0
+    elif kind == 3:  # Moore-like: each column holds at most 3 entries of +-1
+        a, b = fill(r, k, lambda: 0), fill(k, m, lambda: 0)
+        for mat, nrows, ncols in ((a, r, k), (b, k, m)):
+            for j in range(ncols):
+                for i in rng.sample(range(nrows), min(nrows, rng.randint(0, 3))):
+                    mat[i][j] = rng.choice((1, -1))
+    elif kind == 4:  # fully dense, no zero entry
+        a = fill(r, k, lambda: rng.choice((-1, 1)) * rng.randint(1, 9))
+        b = fill(k, m, lambda: rng.choice((-1, 1)) * rng.randint(1, 9))
+    elif kind == 5:  # negative entries only
+        a = fill(r, k, lambda: -rng.randint(1, 50))
+        b = fill(k, m, lambda: -rng.randint(0, 50))
+    elif kind == 6:  # entries above 2**64, both signs
+        big = lambda: rng.choice((-1, 1)) * rng.randint(2**64 + 1, 2**90)
+        a = fill(r, k, big)
+        b = fill(k, m, big)
+    else:  # sparse with huge entries
+        a = fill(r, k, lambda: rng.choice((0, 0, 0, 2**70 + rng.randint(0, 9), -3)))
+        b = fill(k, m, lambda: rng.choice((0, 0, -(2**65), 1)))
+    return a, b, r, k, m
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_matmul_matches_triple_loop(seed):
+    a, b, r, k, m = product_factors(seed)
+    left = IntegerMatrix.from_rows(a, cols=k)
+    right = IntegerMatrix.from_rows(b, cols=m)
+    product = left.matmul(right)
+    assert (product.rows, product.cols) == (r, m)
+    assert raw_rows(product) == triple_loop_product(a, b, k, m)
+    assert left * right == product
+    # operands are left as they were
+    assert raw_rows(left) == a and raw_rows(right) == b
+
+
 # -- arithmetic plumbing ------------------------------------------------------------
 
 
