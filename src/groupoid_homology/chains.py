@@ -5,11 +5,13 @@ homology is *trusted* in degrees 0..N-1: H_N would need the missing ∂_{N+1}.
 Degree-(N) queries fail loudly rather than report a group truncation could
 falsify.
 
-Integral homology works through one Smith decomposition of ∂_n (kernel basis
-plus coordinates) and one of the relation matrix.  Homology with Z/q
-coefficients never row-reduces over Z/q (not a field for composite q);
-instead it works with integer lattices: the preimage lattice
-K = {v : ∂v ∈ qZ} and the enlarged image B = im(∂) + qZ, both exact.
+Integral and Z/q homology take one lattice route, never row-reducing over
+Z/q (not a field for composite q): H_n is K/B for the cycle lattice
+K = {v : ∂_n v ∈ qZ} and the enlarged image B = im(∂_{n+1}) + qZ, with
+q = 0 for integral homology.  One Smith decomposition of [∂_n | qI] gives a
+basis of K and, through V⁻¹, the coordinates of B and of any cycle over it;
+one more, of B's coordinate matrix, gives the presentation.  `homology_group`
+is the sparse route to integral iso types alone.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .abelian import FinAbGroup, PresentedGroup
-from .matrix import (
-    IntegerMatrix,
-    invariant_factors,
-    kernel_basis,
-    smith_normal_form,
-    solve_columns,
-)
+from .matrix import IntegerMatrix, invariant_factors, smith_normal_form
 
 
 class FreeChainComplex:
@@ -159,34 +155,71 @@ def shift_sum(complexes: Sequence[FreeChainComplex]) -> FreeChainComplex:
     return FreeChainComplex(dims, boundaries, labels, modulus=modulus)
 
 
-class _Subquotient:
-    """The group K/B for lattices B ⊆ K ⊆ Z^ambient, with class coordinates.
+class HomologyResult:
+    """Homology K/B in one degree: iso type, presentation, and representatives.
 
-    `lattice` holds a basis of K as columns; `relation_coords` expresses the
-    generators of B in that basis.  Smith reduction of the coordinate matrix
-    yields a diagonal presentation whose generators with invariant factor 1
-    are dropped; the rest become the returned cycle representatives.
+    `modulus` is 0 for integral homology and q >= 1 for Z/q coefficients.
+    K = {v : ∂_n v ∈ qZ} and B = im(∂_{n+1}) + qZ^{dims[n]}; q = 0 gives
+    ker(∂_n)/im(∂_{n+1}).  One Smith form U·A·V = D of A = [∂_n | qI]
+    (A = ∂_n when q = 0) does all the lattice work: the last columns of V,
+    from column rank(A) on, are a basis of ker A, and their first dims[n] rows
+    are a basis of K (the lower block of an element of ker A is -∂v/q,
+    determined by v).  A chain w lifts to (w ; -∂_n w/q) (w itself when
+    q = 0), which lies in ker A exactly when the first rank(A) rows of V⁻¹·lift
+    vanish; the remaining rows are its coordinates over that basis.  A Smith
+    reduction of the coordinates of B's generators gives the diagonal
+    presentation, whose generators with invariant factor 1 are dropped.
+
+    `cycle_reps[i]` is an integer chain whose class is the i-th generator of
+    `presentation`; `class_coords` expresses any further cycle over those
+    generators (raising "not a cycle" on chains outside K).
     """
 
-    __slots__ = ("ambient_dim", "lattice", "uw", "kept", "orders", "generators")
+    __slots__ = ("degree", "modulus", "group", "presentation", "cycle_reps",
+                 "_boundary", "_rank", "_vinv", "_uw", "_kept", "_orders")
 
-    def __init__(self, ambient_dim: int, lattice: IntegerMatrix, relation_coords: IntegerMatrix):
-        self.ambient_dim = ambient_dim
-        self.lattice = lattice
-        snf = smith_normal_form(relation_coords, want_uinv=True)
-        k = lattice.cols
-        orders = [snf.diag[i] if i < len(snf.diag) else 0 for i in range(k)]
-        self.uw = snf.U
-        gen_matrix = lattice.matmul(snf.uinv)
-        self.kept = [i for i in range(k) if orders[i] != 1]
-        self.orders = [orders[i] for i in self.kept]
-        self.generators = [gen_matrix.column(i) for i in self.kept]
+    def __init__(self, complex_: FreeChainComplex, n: int, q: int):
+        self.degree = n
+        self.modulus = q
+        boundary = complex_.boundaries[n]
+        relations = complex_.boundaries[n + 1]
+        augmented = boundary
+        if q:
+            augmented = IntegerMatrix.hstack([boundary, IntegerMatrix.identity(boundary.rows) * q])
+            relations = IntegerMatrix.hstack([relations, IntegerMatrix.identity(boundary.cols) * q])
+        snf = smith_normal_form(augmented, want_vinv=True)
+        self._boundary = boundary
+        self._rank = snf.rank
+        self._vinv = snf.vinv
+        coords = self._coords(relations)
+        if coords is None:
+            raise AssertionError("image lattice escapes the cycle lattice")
+        k = coords.rows
+        kernel_rows = snf.V._rows[:boundary.cols]
+        lattice = IntegerMatrix.from_rows([row[self._rank:] for row in kernel_rows], cols=k)
+        rel = smith_normal_form(coords, want_uinv=True)
+        orders = rel.diag + [0] * (k - len(rel.diag))
+        self._uw = rel.U
+        self._kept = [i for i in range(k) if orders[i] != 1]
+        self._orders = [orders[i] for i in self._kept]
+        gen_matrix = lattice.matmul(rel.uinv)
+        self.group = FinAbGroup.from_cyclic_orders(self._orders)
+        self.presentation = PresentedGroup.from_diagonal(self._orders)
+        self.cycle_reps = [gen_matrix.column(i) for i in self._kept]
 
-    def presentation(self) -> PresentedGroup:
-        return PresentedGroup.from_diagonal(self.orders)
-
-    def group(self) -> FinAbGroup:
-        return FinAbGroup.from_cyclic_orders(self.orders)
+    def _coords(self, chains: IntegerMatrix) -> IntegerMatrix | None:
+        """Coordinates over the basis of K of each column, or None if one is not in K."""
+        if self.modulus:
+            # an inexact quotient leaves the lift outside ker A, which the
+            # test on the first rank(A) rows of V⁻¹·lift then catches
+            below = self._boundary.matmul(chains)
+            lower = [[-x // self.modulus for x in row] for row in below._rows]
+            lower = IntegerMatrix.from_rows(lower, cols=chains.cols)
+            chains = IntegerMatrix.vstack([chains, lower])
+        y = self._vinv.matmul(chains)
+        if any(any(row) for row in y._rows[:self._rank]):
+            return None
+        return IntegerMatrix.from_rows(y._rows[self._rank:], cols=chains.cols)
 
     def class_coords(self, chain: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cycle's class over the kept generators.
@@ -194,41 +227,18 @@ class _Subquotient:
         Torsion coordinates come reduced mod their order, free ones exact;
         two cycles are homologous iff their tuples agree.
         """
-        if len(chain) != self.ambient_dim:
+        if len(chain) != self._boundary.cols:
             raise ValueError(
-                f"shape mismatch: chain of length {len(chain)} in ambient dimension {self.ambient_dim}"
+                f"shape mismatch: chain of length {len(chain)} in ambient dimension {self._boundary.cols}"
             )
-        x = solve_columns(self.lattice, IntegerMatrix.column_vector(chain))
+        x = self._coords(IntegerMatrix.column_vector(chain))
         if x is None:
             raise ValueError("not a cycle")
-        y = self.uw.mul_vector(x.column(0))
+        y = self._uw.mul_vector(x.column(0))
         return tuple(
-            y[i] % self.orders[pos] if self.orders[pos] else y[i]
-            for pos, i in enumerate(self.kept)
+            y[i] % self._orders[pos] if self._orders[pos] else y[i]
+            for pos, i in enumerate(self._kept)
         )
-
-
-class HomologyResult:
-    """Homology in one degree: iso type, presentation, and representatives.
-
-    `modulus` is 0 for integral homology and q >= 1 for Z/q coefficients.
-    `cycle_reps[i]` is an integer chain whose class is the i-th generator of
-    `presentation`; `class_coords` expresses any further cycle over those
-    generators (raising "not a cycle" on non-cycles).
-    """
-
-    __slots__ = ("degree", "modulus", "group", "presentation", "cycle_reps", "_sq")
-
-    def __init__(self, degree: int, modulus: int, sq: _Subquotient):
-        self.degree = degree
-        self.modulus = modulus
-        self.group = sq.group()
-        self.presentation = sq.presentation()
-        self.cycle_reps = [list(g) for g in sq.generators]
-        self._sq = sq
-
-    def class_coords(self, chain: Sequence[int]) -> tuple[int, ...]:
-        return self._sq.class_coords(chain)
 
     def same_class(self, chain_a: Sequence[int], chain_b: Sequence[int]) -> bool:
         return self.class_coords(chain_a) == self.class_coords(chain_b)
@@ -253,28 +263,26 @@ def homology_int(complex_: FreeChainComplex, n: int) -> HomologyResult:
     if complex_.modulus != 0:
         raise ValueError("integral homology needs a complex over Z, not Z/q")
     _check_trusted(complex_, n)
-    boundary = complex_.boundaries[n]
-    following = complex_.boundaries[n + 1]
-    snf = smith_normal_form(boundary, want_vinv=True)
-    r = snf.rank
-    kernel = snf.V.submatrix_columns(range(r, boundary.cols))
-    # Cycle coordinates are free: for a cycle w, (V^{-1} w) vanishes in the
-    # first r rows, so im(∂_{n+1}) expressed in the kernel basis is just the
-    # bottom rows of V^{-1} ∂_{n+1}.
-    image_coords = snf.vinv.matmul(following)
-    relation = IntegerMatrix.from_rows(
-        [image_coords._rows[i] for i in range(r, boundary.cols)], cols=following.cols
-    )
-    sq = _Subquotient(complex_.dims[n], kernel, relation)
-    return HomologyResult(n, 0, sq)
+    return HomologyResult(complex_, n, 0)
 
 
 def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
-    """Homology with Z/q coefficients by the integer-lattice method.
+    """Homology with Z/q coefficients, K/B with K = {v : ∂_n v ∈ qZ}.
 
-    K = {v : ∂_n v ∈ qZ} (a full-rank lattice), B = im(∂_{n+1}) + qZ^{dims[n]};
-    the result is K/B, always finite of exponent dividing q.  q = 0 falls back
-    to integral homology; q = 1 yields the trivial group.
+    B = im(∂_{n+1}) + qZ^{dims[n]}, so the result is finite of exponent
+    dividing q.  q = 0 falls back to integral homology; q = 1 yields the
+    trivial group.  With ∂_1 = (2) and ∂_2 = 0, H_1(;Z/4) is Tor(Z/2, Z/4),
+    carried by the chain 2 whose boundary 4 vanishes only mod 4:
+
+    >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix.zeros(0, 1),
+    ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(1, 1)])
+    >>> h = homology_mod(c, 4, 1)
+    >>> str(h.group), h.cycle_reps, h.class_coords([6])
+    ('Z/2', [[2]], (1,))
+    >>> h.class_coords([1])
+    Traceback (most recent call last):
+        ...
+    ValueError: not a cycle
     """
     if q < 0:
         raise ValueError("negative modulus")
@@ -285,28 +293,7 @@ def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
             f"modulus mismatch: complex over Z/{complex_.modulus}, homology over Z/{q}"
         )
     _check_trusted(complex_, n)
-    boundary = complex_.boundaries[n]
-    following = complex_.boundaries[n + 1]
-    d_here = complex_.dims[n]
-    d_below = complex_.dims[n - 1] if n >= 1 else 0
-    augmented = IntegerMatrix.hstack(
-        [boundary, IntegerMatrix.identity(d_below) * q]
-    )
-    full_kernel = kernel_basis(augmented)
-    # The projection to the first d_here coordinates is injective on the
-    # kernel lattice (the companion block is -∂v/q, determined by v), so the
-    # projected columns are already a basis of K.
-    lattice = IntegerMatrix.from_rows(
-        [full_kernel._rows[i] for i in range(d_here)], cols=full_kernel.cols
-    )
-    enlarged_image = IntegerMatrix.hstack(
-        [following, IntegerMatrix.identity(d_here) * q]
-    )
-    relation = solve_columns(lattice, enlarged_image)
-    if relation is None:
-        raise AssertionError("image lattice escapes the cycle lattice")
-    sq = _Subquotient(d_here, lattice, relation)
-    return HomologyResult(n, q, sq)
+    return HomologyResult(complex_, n, q)
 
 
 def homology_group(complex_: FreeChainComplex, n: int) -> FinAbGroup:

@@ -9,6 +9,7 @@ axioms once and everything downstream is table lookups.
 `arrow_labels` tracks where each arrow came from: a reduction keeps the
 ambient labels of the arrows it retains, so reducing twice composes labels
 exactly and piece-to-ambient basis correspondences stay trivial to read off.
+Labels must be distinct, so a label names one arrow of the ambient.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ class FiniteGroupoid:
             raise ValueError("shape mismatch: structure maps must cover every arrow")
         if len(self.arrow_labels) != k:
             raise ValueError("shape mismatch: arrow labels must cover every arrow")
+        if len(set(self.arrow_labels)) != k:
+            raise ValueError("repeated arrow labels")
         unit_set = set(self.units)
         for g in range(k):
             for name, val in (("source", self.source[g]), ("range", self.range_[g]),

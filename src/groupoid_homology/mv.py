@@ -42,9 +42,6 @@ class MvDecomposition:
         "piece1",
         "piece2",
         "piece12",
-        "arrows1",
-        "arrows2",
-        "arrows12",
     )
 
     def __init__(self, ambient: FiniteGroupoid, u1: tuple[int, ...], u2: tuple[int, ...]):
@@ -55,20 +52,12 @@ class MvDecomposition:
         self.piece1 = reduction(ambient, u1)
         self.piece2 = reduction(ambient, u2)
         self.piece12 = reduction(ambient, self.u12)
-        self.arrows1 = _kept_arrows(ambient, u1)
-        self.arrows2 = _kept_arrows(ambient, u2)
-        self.arrows12 = _kept_arrows(ambient, self.u12)
 
     def __repr__(self) -> str:
         return (
             f"MvDecomposition(units={len(self.ambient.units)}, "
             f"|U1|={len(self.u1)}, |U2|={len(self.u2)}, |U12|={len(self.u12)})"
         )
-
-
-def _kept_arrows(g: FiniteGroupoid, members: Sequence[int]) -> list[int]:
-    mem = frozenset(members)
-    return [a for a in range(g.arrows) if g.source[a] in mem and g.range_[a] in mem]
 
 
 def decompose(g: FiniteGroupoid, u1: Sequence[int], u2: Sequence[int]) -> MvDecomposition:
@@ -143,13 +132,17 @@ class MvChainSes:
         d = self.decomposition
         ambient_labels = self.total_complex.basis_labels[n]
         ambient_pos = {t: i for i, t in enumerate(ambient_labels)}
+        # a reduction labels its arrows with the ambient's labels, which are
+        # ambient indices only when the ambient is not itself a reduction
+        arrow_index = {label: a for a, label in enumerate(d.ambient.arrow_labels)}
 
-        def translate(piece_labels, arrow_map):
+        def translate(piece_labels, piece):
+            arrow_map = [arrow_index[label] for label in piece.arrow_labels]
             return [tuple(arrow_map[x] for x in t) for t in piece_labels]
 
-        tuples1 = translate(self.complex1.basis_labels[n], d.arrows1)
-        tuples2 = translate(self.complex2.basis_labels[n], d.arrows2)
-        tuples12 = translate(self.complex12.basis_labels[n], d.arrows12)
+        tuples1 = translate(self.complex1.basis_labels[n], d.piece1)
+        tuples2 = translate(self.complex2.basis_labels[n], d.piece2)
+        tuples12 = translate(self.complex12.basis_labels[n], d.piece12)
         emb1 = [ambient_pos[t] for t in tuples1]
         emb2 = [ambient_pos[t] for t in tuples2]
         pos1 = {t: i for i, t in enumerate(tuples1)}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .abelian import FinAbGroup, group_of
-from .matrix import IntegerMatrix, kernel_basis
+from .matrix import IntegerMatrix, rank
 
 
 @dataclass(frozen=True, order=True)
@@ -82,7 +82,7 @@ def sft_matrix_homology(a: IntegerMatrix | Sequence[Sequence[int]]) -> tuple[Fin
             raise ValueError(f"degenerate matrix: zero column {j}")
     m = IntegerMatrix.identity(a.rows) - a.transpose()
     h0 = group_of(m)
-    h1 = FinAbGroup.free(kernel_basis(m).cols)
+    h1 = FinAbGroup.free(m.cols - rank(m))
     return h0, h1
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .abelian import FinAbGroup, direct_sum, group_of, tensor, tor1
 from .chains import FreeChainComplex, HomologyResult, homology_group, homology_int, homology_mod
-from .groupoids import FiniteGroupoid, moore_complex
+from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, moore_complex
 from .matrix import IntegerMatrix, column_lattice_basis, solve_columns
 
 
@@ -85,11 +85,10 @@ def uct_verify(
     groupoid: FiniteGroupoid,
     coefficients: FinAbGroup,
     max_degree: int,
-    budget: int | None = None,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> list[UctReport]:
     """Universal-coefficient comparison for every trusted degree 0..N-1."""
-    kwargs = {} if budget is None else {"budget": budget}
-    complex_ = moore_complex(groupoid, max_degree, **kwargs)
+    complex_ = moore_complex(groupoid, max_degree, budget=budget)
     integral = [homology_group(complex_, n) for n in range(max_degree)]
     reports = []
     for n in range(max_degree):
@@ -152,7 +151,7 @@ def mod_reduction_check(
     q: int,
     n: int,
     seed: int = 0,
-    budget: int | None = None,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> ModReductionReport:
     """Check the reduction-mod-q map on integral representatives.
 
@@ -163,8 +162,7 @@ def mod_reduction_check(
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    kwargs = {} if budget is None else {"budget": budget}
-    complex_ = moore_complex(groupoid, n + 1, **kwargs)
+    complex_ = moore_complex(groupoid, n + 1, budget=budget)
     integral = homology_int(complex_, n)
     modular = homology_mod(complex_, q, n)
     rng = random.Random(seed)

@@ -346,6 +346,34 @@ def test_class_coords_rejects_non_cycles_and_bad_shapes():
         res.class_coords([1])
     with pytest.raises(ValueError, match="shape mismatch"):
         res.class_coords([1, 2])
+    # mod 4 the cycles are K = {v : 2v ∈ 4Z} = 2Z: the chain 2 has boundary
+    # 4 ∈ 4Z, nonzero, and carries Tor(Z/2, Z/4); the chain 1 is no cycle
+    res = homology_mod(c, 4, 1)
+    assert res.group == FinAbGroup.cyclic(2)
+    assert res.class_coords([2]) == res.class_coords([6]) == (1,)
+    assert res.class_coords([4]) == (0,)
+    with pytest.raises(ValueError, match="not a cycle"):
+        res.class_coords([1])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        res.class_coords([2, 0])
+    # over Z/6 with ∂_2 = (3), ∂∘∂ = 6 vanishes only mod 6, so the chain 3
+    # (boundary 6) lifts to (3; -1), not (3; 0)
+    c6 = FreeChainComplex(
+        [1, 1, 1],
+        [
+            IntegerMatrix.zeros(0, 1),
+            IntegerMatrix.from_rows([[2]]),
+            IntegerMatrix.from_rows([[3]]),
+        ],
+        modulus=6,
+    )
+    res = homology_mod(c6, 6, 1)
+    assert res.group.is_trivial()
+    assert res.class_coords([3]) == ()
+    with pytest.raises(ValueError, match="not a cycle"):
+        res.class_coords([1])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        res.class_coords([])
 
 
 def test_degree_bounds():

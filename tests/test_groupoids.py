@@ -466,6 +466,14 @@ def test_reduction_composes_exactly():
     assert step2.compose == direct.compose
 
 
+def test_repeated_arrow_labels_rejected():
+    # labels map piece arrows back to the ambient, so they must be distinct
+    g = units(2)
+    with pytest.raises(ValueError, match="repeated arrow labels"):
+        FiniteGroupoid(g.arrows, g.units, g.source, g.range_, g.inverse, g.compose,
+                       arrow_labels=[7, 7])
+
+
 def test_reduction_homology_of_non_saturated_subset():
     # cutting one point out of the pair groupoid leaves a single point
     g = pair(2)

@@ -15,6 +15,7 @@ import pytest
 
 from groupoid_homology import (
     FinAbGroup,
+    FiniteGroupoid,
     IntegerMatrix,
     action,
     chain_ses,
@@ -83,9 +84,10 @@ def test_decompose_pieces_and_intersection():
     assert d.piece1 == reduction(g, u1)
     assert d.piece2 == reduction(g, u2)
     assert d.piece12 == reduction(g, d.u12)
-    # kept-arrow lists translate reduced indices back to ambient ones
-    assert [g.source[a] in set(u1) for a in d.arrows1] == [True] * len(d.arrows1)
-    assert len(d.arrows1) == d.piece1.arrows
+    # arrow labels translate reduced indices back to ambient ones
+    labels1 = d.piece1.arrow_labels
+    assert [g.source[a] in set(u1) for a in labels1] == [True] * len(labels1)
+    assert len(labels1) == d.piece1.arrows
 
 
 def test_decompose_accepts_duplicates_and_any_order():
@@ -442,13 +444,16 @@ def test_naturality_ladder_under_cover_refinement():
     ses_big = chain_ses(big, 2)
     for n in range(3):
         j1 = _inclusion_matrix(
-            ses_small.complex1, small.arrows1, ses_big.complex1, big.arrows1, n
+            ses_small.complex1, small.piece1.arrow_labels,
+            ses_big.complex1, big.piece1.arrow_labels, n
         )
         j2 = _inclusion_matrix(
-            ses_small.complex2, small.arrows2, ses_big.complex2, big.arrows2, n
+            ses_small.complex2, small.piece2.arrow_labels,
+            ses_big.complex2, big.piece2.arrow_labels, n
         )
         j12 = _inclusion_matrix(
-            ses_small.complex12, small.arrows12, ses_big.complex12, big.arrows12, n
+            ses_small.complex12, small.piece12.arrow_labels,
+            ses_big.complex12, big.piece12.arrow_labels, n
         )
         j_pieces = IntegerMatrix.block_diag([j1, j2])
         # total maps agree through the piece inclusions (same ambient basis)
@@ -460,6 +465,21 @@ def test_naturality_ladder_under_cover_refinement():
     # both covers produce exact sequences on the same groupoid
     for les in (long_exact_sequence(small, 2), long_exact_sequence(big, 2)):
         assert all(defect.is_trivial() for _, defect in les.verify_exactness())
+
+
+def test_cover_of_a_reduction_matches_fresh_labels():
+    # the ambient is itself a reduction, so its arrow labels are not its
+    # indices; the sequence must equal the one on a relabelled copy
+    g = union(pair(2), one_object_cyclic(2), units(1), one_object_cyclic(3))
+    orbs = orbits(g)
+    ambient = reduction(g, orbs[1] + orbs[2] + orbs[3])
+    assert ambient.arrow_labels != tuple(range(ambient.arrows))
+    fresh = FiniteGroupoid.from_json(ambient.to_json())
+    assert fresh.arrow_labels == tuple(range(fresh.arrows))
+    orbs = orbits(ambient)
+    u1, u2 = orbs[0] + orbs[1], orbs[1] + orbs[2]
+    expected = long_exact_sequence(decompose(fresh, u1, u2), 3).to_json()
+    assert long_exact_sequence(decompose(ambient, u1, u2), 3).to_json() == expected
 
 
 # -- verdicts survive python -O ------------------------------------------------------

@@ -6,12 +6,14 @@ computed directly with coefficients — an independent chain-level route — on
 frozen cases, preset groupoids, and randomized disguised complexes.
 """
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
 from groupoid_homology import (
+    DEFAULT_BUDGET,
     FinAbGroup,
     cantor_obstruction,
     decompose_step_function,
@@ -28,6 +30,7 @@ from groupoid_homology import (
     uct_assemble,
     uct_verify,
 )
+from groupoid_homology import uct
 
 import oracles
 from test_acceptance import corpus
@@ -229,6 +232,29 @@ def test_reduction_seed_independence(seed):
     report = mod_reduction_check(disjoint_union(one_object_cyclic(4), units(1)), 2, 1, seed=seed)
     assert report.image == FinAbGroup.cyclic(2)
     assert report.direct == FinAbGroup.cyclic(2)
+
+
+def test_budget_none_means_no_budget(monkeypatch):
+    # as for moore_complex and the MV entry points: the default is
+    # DEFAULT_BUDGET, and an explicit None lifts the cap
+    seen = []
+    real = uct.moore_complex
+    signature = inspect.signature(real)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["budget"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(uct, "moore_complex", recording)
+    g = one_object_cyclic(2)
+    uct_verify(g, FinAbGroup.cyclic(2), 2)
+    mod_reduction_check(g, 2, 1)
+    assert seen == [DEFAULT_BUDGET, DEFAULT_BUDGET]
+    uct_verify(g, FinAbGroup.cyclic(2), 2, budget=None)
+    mod_reduction_check(g, 2, 1, budget=None)
+    assert seen[2:] == [None, None]
 
 
 # -- the discrete-coefficient obstruction --------------------------------------------
