@@ -329,7 +329,7 @@ class PresentedGroup:
 
     def _smith(self):
         if self._snf is None:
-            self._snf = smith_normal_form(self.relations, want_uinv=True)
+            self._snf = smith_normal_form(self.relations, transforms=("U", "uinv"))
         return self._snf
 
     def group(self) -> FinAbGroup:

@@ -187,7 +187,7 @@ class HomologyResult:
         if q:
             augmented = IntegerMatrix.hstack([boundary, IntegerMatrix.identity(boundary.rows) * q])
             relations = IntegerMatrix.hstack([relations, IntegerMatrix.identity(boundary.cols) * q])
-        snf = smith_normal_form(augmented, want_vinv=True)
+        snf = smith_normal_form(augmented, transforms=("V", "vinv"))
         self._boundary = boundary
         self._rank = snf.rank
         self._vinv = snf.vinv
@@ -197,7 +197,7 @@ class HomologyResult:
         k = coords.rows
         kernel_rows = snf.V._rows[:boundary.cols]
         lattice = IntegerMatrix.from_rows([row[self._rank:] for row in kernel_rows], cols=k)
-        rel = smith_normal_form(coords, want_uinv=True)
+        rel = smith_normal_form(coords, transforms=("U", "uinv"))
         orders = rel.diag + [0] * (k - len(rel.diag))
         self._uw = rel.U
         self._kept = [i for i in range(k) if orders[i] != 1]

@@ -245,12 +245,13 @@ class SmithDecomposition:
 
     `diag` is the full diagonal of D (length min(rows, cols)): a divisibility
     chain d_1 | d_2 | ... with any zeros trailing.  `uinv`/`vinv` are the exact
-    inverses of U/V, tracked on request.
+    inverses of U/V.  Each of U, V, uinv and vinv is None unless the
+    `smith_normal_form` call asked to track it.
     """
 
-    U: IntegerMatrix
+    U: IntegerMatrix | None
     D: IntegerMatrix
-    V: IntegerMatrix
+    V: IntegerMatrix | None
     diag: list[int]
     uinv: IntegerMatrix | None = None
     vinv: IntegerMatrix | None = None
@@ -260,65 +261,74 @@ class SmithDecomposition:
         return sum(1 for d in self.diag if d != 0)
 
 
+_TRANSFORMS = ("U", "V", "uinv", "vinv")
+
+
 def smith_normal_form(
-    m: IntegerMatrix, *, want_uinv: bool = False, want_vinv: bool = False
+    m: IntegerMatrix, *, transforms: Sequence[str] = ("U", "V")
 ) -> SmithDecomposition:
     """Smith normal form by smallest-|pivot| selection with full reduction.
 
-    Always returns U, D, V; inverses are tracked only when requested (they
-    roughly double the bookkeeping cost).
+    `transforms` names the fields of the result to track, out of U, V,
+    uinv and vinv; the others come back None and cost nothing.  D and the
+    diagonal do not depend on which are tracked.
     """
+    wanted = set(transforms)
+    if not wanted <= set(_TRANSFORMS):
+        raise ValueError(
+            f"unknown Smith transforms {sorted(wanted - set(_TRANSFORMS))}; choose from {_TRANSFORMS}"
+        )
     rows, cols = m.rows, m.cols
     a = [row[:] for row in m._rows]
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    Ui = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_uinv else None
-    Vi = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if want_vinv else None
+
+    def eye(n: int, name: str) -> list[list[int]] | None:
+        if name not in wanted:
+            return None
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    U, V, Ui, Vi = eye(rows, "U"), eye(cols, "V"), eye(rows, "uinv"), eye(cols, "vinv")
 
     def row_sub(i: int, p: int, q: int) -> None:  # row i -= q * row p
         a[i] = [x - q * y for x, y in zip(a[i], a[p])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[p])]
+        if U is not None:
+            U[i] = [x - q * y for x, y in zip(U[i], U[p])]
         if Ui is not None:
-            for k in range(rows):
-                Ui[k][p] += q * Ui[k][i]
+            for r in Ui:
+                r[p] += q * r[i]
 
     def row_swap(i: int, p: int) -> None:
         a[i], a[p] = a[p], a[i]
-        U[i], U[p] = U[p], U[i]
+        if U is not None:
+            U[i], U[p] = U[p], U[i]
         if Ui is not None:
-            for k in range(rows):
-                Ui[k][i], Ui[k][p] = Ui[k][p], Ui[k][i]
+            for r in Ui:
+                r[i], r[p] = r[p], r[i]
 
     def row_neg(i: int) -> None:
         a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
+        if U is not None:
+            U[i] = [-x for x in U[i]]
         if Ui is not None:
-            for k in range(rows):
-                Ui[k][i] = -Ui[k][i]
+            for r in Ui:
+                r[i] = -r[i]
 
     def col_sub(j: int, p: int, q: int) -> None:  # col j -= q * col p
         for row in a:
             row[j] -= q * row[p]
-        for row in V:
-            row[j] -= q * row[p]
+        if V is not None:
+            for row in V:
+                row[j] -= q * row[p]
         if Vi is not None:
             Vi[p] = [x + q * y for x, y in zip(Vi[p], Vi[j])]
 
     def col_swap(j: int, p: int) -> None:
         for row in a:
             row[j], row[p] = row[p], row[j]
-        for row in V:
-            row[j], row[p] = row[p], row[j]
+        if V is not None:
+            for row in V:
+                row[j], row[p] = row[p], row[j]
         if Vi is not None:
             Vi[j], Vi[p] = Vi[p], Vi[j]
-
-    def col_neg(j: int) -> None:
-        for row in a:
-            row[j] = -row[j]
-        for row in V:
-            row[j] = -row[j]
-        if Vi is not None:
-            Vi[j] = [-x for x in Vi[j]]
 
     n = min(rows, cols)
     t = 0
@@ -388,14 +398,12 @@ def smith_normal_form(
             row_neg(t)
         t += 1
 
-    diag = [a[i][i] for i in range(n)]
+    def wrap(t: list[list[int]] | None, n: int) -> IntegerMatrix | None:
+        return IntegerMatrix.from_rows(t, cols=n) if t is not None else None
+
     return SmithDecomposition(
-        U=IntegerMatrix.from_rows(U, cols=rows),
-        D=IntegerMatrix.from_rows(a, cols=cols),
-        V=IntegerMatrix.from_rows(V, cols=cols),
-        diag=diag,
-        uinv=IntegerMatrix.from_rows(Ui, cols=rows) if Ui is not None else None,
-        vinv=IntegerMatrix.from_rows(Vi, cols=cols) if Vi is not None else None,
+        U=wrap(U, rows), D=IntegerMatrix.from_rows(a, cols=cols), V=wrap(V, cols),
+        diag=[a[i][i] for i in range(n)], uinv=wrap(Ui, rows), vinv=wrap(Vi, cols),
     )
 
 
@@ -476,7 +484,7 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
     for r, i in enumerate(live_rows):
         for j, v in rows[i].items():
             dense._rows[r][pos[j]] = v
-    return [1] * ones + [d for d in smith_normal_form(dense).diag if d != 0]
+    return [1] * ones + [d for d in smith_normal_form(dense, transforms=()).diag if d != 0]
 
 
 def rank(m: IntegerMatrix) -> int:
@@ -491,7 +499,7 @@ def kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
     >>> kernel_basis(IntegerMatrix.identity(3)).cols
     0
     """
-    snf = smith_normal_form(m)
+    snf = smith_normal_form(m, transforms=("V",))
     r = snf.rank
     return snf.V.submatrix_columns(range(r, m.cols))
 
@@ -529,7 +537,7 @@ def same_column_lattice(a: IntegerMatrix, b: IntegerMatrix) -> bool:
 
 def column_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     """A basis (rank many columns) of the lattice generated by m's columns."""
-    snf = smith_normal_form(m, want_uinv=True)
+    snf = smith_normal_form(m, transforms=("uinv",))
     d = snf.diag[:snf.rank]  # column i of the basis is d_i * (column i of U^-1)
     rows = [[x * y for x, y in zip(row, d)] for row in snf.uinv._rows]
     return IntegerMatrix.from_rows(rows, cols=len(d))

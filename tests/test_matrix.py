@@ -1,5 +1,6 @@
 """Exact integer matrix layer: Smith forms, kernels, solving, lattices."""
 
+import itertools
 import random
 
 import pytest
@@ -96,7 +97,7 @@ def test_smith_frozen_example():
 def test_smith_properties(seed):
     rng = random.Random(1000 + seed)
     m = random_matrix(rng)
-    snf = smith_normal_form(m, want_uinv=True, want_vinv=True)
+    snf = smith_normal_form(m, transforms=("U", "V", "uinv", "vinv"))
     # the defining identity, exactly
     assert snf.U.matmul(m).matmul(snf.V) == snf.D
     # transforms are unimodular
@@ -118,6 +119,33 @@ def test_smith_properties(seed):
     # and the diagonal is the one the independent oracles compute
     if m.rows and m.cols:
         assert diag == oracles.smith_diag_by_minors(raw_rows(m))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_smith_tracks_exactly_the_requested_transforms(seed):
+    rng = random.Random(1000 + seed)
+    m = random_matrix(rng)
+    names = ("U", "V", "uinv", "vinv")
+    full = smith_normal_form(m, transforms=names)
+    for size in range(len(names) + 1):
+        for subset in itertools.combinations(names, size):
+            snf = smith_normal_form(m, transforms=subset)
+            assert snf.diag == full.diag
+            assert snf.D == full.D
+            for name in names:
+                if name in subset:
+                    assert getattr(snf, name) == getattr(full, name)
+                else:
+                    assert getattr(snf, name) is None
+
+
+def test_smith_default_transforms_and_unknown_name():
+    m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
+    snf = smith_normal_form(m)
+    assert snf.U is not None and snf.V is not None
+    assert snf.uinv is None and snf.vinv is None
+    with pytest.raises(ValueError, match="unknown Smith transforms"):
+        smith_normal_form(m, transforms=("W",))
 
 
 @pytest.mark.parametrize("seed", range(60))
