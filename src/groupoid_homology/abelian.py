@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .matrix import (
     IntegerMatrix,
-    in_column_lattice,
+    SmithDecomposition,
     invariant_factors,
     kernel_basis,
     column_lattice_basis,
@@ -327,9 +327,11 @@ class PresentedGroup:
             rel._rows[j][c] = orders[j]
         return cls(n, rel)
 
-    def _smith(self):
+    def _smith(self) -> tuple[SmithDecomposition, list[int]]:
+        """The relations' Smith form and the order of each generator (0: free)."""
         if self._snf is None:
-            self._snf = smith_normal_form(self.relations, transforms=("U", "uinv"))
+            snf = smith_normal_form(self.relations, transforms=("U", "uinv"))
+            self._snf = snf, snf.diag + [0] * (self.generators - len(snf.diag))
         return self._snf
 
     def group(self) -> FinAbGroup:
@@ -348,16 +350,9 @@ class PresentedGroup:
             raise ValueError(
                 f"shape mismatch: {self.generators} generators, element of length {len(x)}"
             )
-        snf = self._smith()
+        snf, orders = self._smith()
         y = snf.U.mul_vector(list(x))
-        diag = snf.diag
-        out = []
-        for i in range(self.generators):
-            d = diag[i] if i < len(diag) else 0
-            if d == 1:
-                continue
-            out.append(y[i] % d if d else y[i])
-        return tuple(out)
+        return tuple(v % d if d else v for v, d in zip(y, orders) if d != 1)
 
     def is_zero_element(self, x: Sequence[int]) -> bool:
         return all(c == 0 for c in self.canonical_form(x))
@@ -373,22 +368,10 @@ class PresentedGroup:
             raise ValueError("infinite group has no element enumeration")
         if order > limit:
             raise ValueError(f"group order {order} exceeds enumeration limit {limit}")
-        snf = self._smith()
-        diag = snf.diag
-        dims = []
-        for i in range(self.generators):
-            d = diag[i] if i < len(diag) else 0
-            dims.append(d)
-        # x = Uinv @ y would need uinv; instead enumerate y directly and map
-        # back through V-free coordinates: classes correspond to y mod diag.
-        ranges = [range(d) if d > 1 else range(1) for d in dims]
-        uinv = snf.uinv
-
-        def _iterate():
-            for combo in itertools.product(*ranges):
-                yield uinv.mul_vector(list(combo))
-
-        return _iterate()
+        snf, orders = self._smith()
+        # classes correspond to y = U x mod orders: enumerate y, map back by U⁻¹
+        ranges = [range(d) for d in orders]  # a finite group has no order 0
+        return (snf.uinv.mul_vector(list(y)) for y in itertools.product(*ranges))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PresentedGroup):

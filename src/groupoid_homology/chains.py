@@ -10,8 +10,8 @@ Z/q (not a field for composite q): H_n is K/B for the cycle lattice
 K = {v : ∂_n v ∈ qZ} and the enlarged image B = im(∂_{n+1}) + qZ, with
 q = 0 for integral homology.  One Smith decomposition of [∂_n | qI] gives a
 basis of K and, through V⁻¹, the coordinates of B and of any cycle over it;
-one more, of B's coordinate matrix, gives the presentation.  `homology_group`
-is the sparse route to integral iso types alone.
+one more, of a column-reduced basis of B's coordinates, gives the
+presentation.  `homology_group` is the sparse route to integral iso types alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .abelian import FinAbGroup, PresentedGroup
-from .matrix import IntegerMatrix, invariant_factors, smith_normal_form
+from .matrix import IntegerMatrix, column_lattice_basis, invariant_factors, smith_normal_form
 
 
 class FreeChainComplex:
@@ -111,19 +111,49 @@ class FreeChainComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "FreeChainComplex":
-        dims = [int(d) for d in data["dims"]]
-        raw = data["boundaries"]
+        """Strict inverse of `to_json`: a non-object, a missing key, a
+        non-list or a non-int entry raises ValueError naming the key."""
+        _json_object("chain complex", data, ("dims", "boundaries"))
+        dims = _json_ints("dims", data["dims"])
+        raw = _json_list("boundaries", data["boundaries"])
         if len(raw) != len(dims):
             raise ValueError("shape mismatch: boundary count does not match dims")
-        boundaries = [IntegerMatrix(0, dims[0], [int(x) for x in raw[0]])]
-        for n in range(1, len(dims)):
-            boundaries.append(
-                IntegerMatrix(dims[n - 1], dims[n], [int(x) for x in raw[n]])
-            )
-        return cls(dims, boundaries, modulus=int(data.get("modulus", 0)))
+        modulus = data.get("modulus", 0)
+        if type(modulus) is not int:
+            raise ValueError(f"'modulus' must be an integer, got {modulus!r}")
+        boundaries = [
+            IntegerMatrix(dims[n - 1] if n else 0, dims[n], _json_ints("boundaries", flat))
+            for n, flat in enumerate(raw)
+        ]
+        return cls(dims, boundaries, modulus=modulus)
 
     def __repr__(self) -> str:
         return f"FreeChainComplex(dims={self.dims})"
+
+
+# Strict JSON reading, shared with `FiniteGroupoid.from_json`: each check
+# raises ValueError naming the key, and nothing (bool, float, str) is coerced.
+
+
+def _json_object(name: str, data, keys: Sequence[str]) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{name} is missing key '{key}'")
+
+
+def _json_list(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"'{key}' must be a list, got {type(value).__name__}")
+    return value
+
+
+def _json_ints(key: str, values) -> list[int]:
+    for x in _json_list(key, values):
+        if type(x) is not int:
+            raise ValueError(f"'{key}' entries must be integers, got {x!r}")
+    return values
 
 
 def shift_sum(complexes: Sequence[FreeChainComplex]) -> FreeChainComplex:
@@ -166,9 +196,10 @@ class HomologyResult:
     are a basis of K (the lower block of an element of ker A is -∂v/q,
     determined by v).  A chain w lifts to (w ; -∂_n w/q) (w itself when
     q = 0), which lies in ker A exactly when the first rank(A) rows of V⁻¹·lift
-    vanish; the remaining rows are its coordinates over that basis.  A Smith
-    reduction of the coordinates of B's generators gives the diagonal
-    presentation, whose generators with invariant factor 1 are dropped.
+    vanish; the remaining rows are its coordinates over that basis.  Those of
+    B's generators, k x r with r >> k, are column-reduced to a basis of their
+    lattice (keeping Z^k/B), whose Smith form, with U and U⁻¹ only, gives the
+    diagonal presentation; generators with invariant factor 1 are dropped.
 
     `cycle_reps[i]` is an integer chain whose class is the i-th generator of
     `presentation`; `class_coords` expresses any further cycle over those
@@ -197,7 +228,7 @@ class HomologyResult:
         k = coords.rows
         kernel_rows = snf.V._rows[:boundary.cols]
         lattice = IntegerMatrix.from_rows([row[self._rank:] for row in kernel_rows], cols=k)
-        rel = smith_normal_form(coords, transforms=("U", "uinv"))
+        rel = smith_normal_form(column_lattice_basis(coords), transforms=("U", "uinv"))
         orders = rel.diag + [0] * (k - len(rel.diag))
         self._uw = rel.U
         self._kept = [i for i in range(k) if orders[i] != 1]

@@ -25,7 +25,7 @@ from .groupoids import (
     pair,
     units,
 )
-from .mv import chain_ses, decompose, long_exact_sequence
+from .mv import decompose, long_exact_sequence
 from .sft import (
     FamilySpec,
     GcdTable,

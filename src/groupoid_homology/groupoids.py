@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .chains import FreeChainComplex
+from .chains import FreeChainComplex, _json_ints, _json_list, _json_object
 from .matrix import IntegerMatrix
 
 DEFAULT_BUDGET = 10**6
@@ -168,43 +168,23 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroupoid":
-        """Strict inverse of `to_json`: every entry must be a plain int.
-
-        Raises ValueError naming the offending key for a non-object, a
-        missing key, a field that is not a list, or an entry that is not an
-        int (bools, floats and strings are rejected, not coerced).
-        """
-        if not isinstance(data, dict):
-            raise ValueError(f"groupoid must be a JSON object, got {type(data).__name__}")
-        for key in ("arrows", "units", "source", "range", "inverse", "compose"):
-            if key not in data:
-                raise ValueError(f"groupoid is missing key '{key}'")
-
+        """Strict inverse of `to_json`: a non-object, a missing key, a
+        non-list or a non-int entry raises ValueError naming the key."""
+        keys = ("arrows", "units", "source", "range", "inverse", "compose")
+        _json_object("groupoid", data, keys)
         if type(data["arrows"]) is not int:
             raise ValueError(f"'arrows' must be an integer, got {data['arrows']!r}")
-
-        def listed(key: str) -> list:
-            if not isinstance(data[key], list):
-                raise ValueError(f"'{key}' must be a list, got {type(data[key]).__name__}")
-            return data[key]
-
-        def ints(key: str, values: list) -> list[int]:
-            for x in values:
-                if type(x) is not int:
-                    raise ValueError(f"'{key}' entries must be integers, got {x!r}")
-            return values
-
         compose = {}
-        for triple in listed("compose"):
+        for triple in _json_list("compose", data["compose"]):
             if not isinstance(triple, list) or len(triple) != 3:
                 raise ValueError("composition entries must be [left, right, result] triples")
-            g, h, gh = ints("compose", triple)
+            g, h, gh = _json_ints("compose", triple)
             if (g, h) in compose:
                 raise ValueError(f"duplicate composition entry for pair ({g}, {h})")
             compose[(g, h)] = gh
         return cls(
             data["arrows"],
-            *(ints(key, listed(key)) for key in ("units", "source", "range", "inverse")),
+            *(_json_ints(key, data[key]) for key in keys[1:5]),
             compose,
         )
 

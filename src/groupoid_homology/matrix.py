@@ -4,7 +4,8 @@ Everything here is plain unbounded-integer arithmetic: no floats, no
 machine-word moduli.  Matrices are stored as dense lists of rows, but the two
 hot kernels skip zeros: `matmul` costs O(nonzero pairs) multiply-adds, and
 `invariant_factors` eliminates +-1 pivots sparsely and hands the small dense
-remainder to `smith_normal_form`, the one pivot loop.
+remainder to `smith_normal_form`, the one pivot loop.  `column_lattice_basis`,
+an integer column echelon, shrinks a wide generating set to rank many columns.
 """
 
 from __future__ import annotations
@@ -65,13 +66,6 @@ class IntegerMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
         return cls(rows, cols)
-
-    @classmethod
-    def diagonal(cls, rows: int, cols: int, diag: Sequence[int]) -> "IntegerMatrix":
-        m = cls(rows, cols)
-        for i, d in enumerate(diag):
-            m._rows[i][i] = d
-        return m
 
     @classmethod
     def column_vector(cls, v: Sequence[int]) -> "IntegerMatrix":
@@ -261,72 +255,55 @@ class SmithDecomposition:
         return sum(1 for d in self.diag if d != 0)
 
 
-_TRANSFORMS = ("U", "V", "uinv", "vinv")
-
-
 def smith_normal_form(
     m: IntegerMatrix, *, transforms: Sequence[str] = ("U", "V")
 ) -> SmithDecomposition:
     """Smith normal form by smallest-|pivot| selection with full reduction.
 
-    `transforms` names the fields of the result to track, out of U, V,
-    uinv and vinv; the others come back None and cost nothing.  D and the
-    diagonal do not depend on which are tracked.
+    `transforms` names the fields of the result to track, out of U, V, uinv
+    and vinv; the others come back None and cost nothing.  D and the diagonal
+    do not depend on the choice.
     """
     wanted = set(transforms)
-    if not wanted <= set(_TRANSFORMS):
-        raise ValueError(
-            f"unknown Smith transforms {sorted(wanted - set(_TRANSFORMS))}; choose from {_TRANSFORMS}"
-        )
+    unknown = wanted - {"U", "V", "uinv", "vinv"}
+    if unknown:
+        raise ValueError(f"unknown Smith transforms {sorted(unknown)}")
     rows, cols = m.rows, m.cols
-    a = [row[:] for row in m._rows]
 
     def eye(n: int, name: str) -> list[list[int]] | None:
-        if name not in wanted:
-            return None
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        return [[int(i == j) for j in range(n)] for i in range(n)] if name in wanted else None
 
-    U, V, Ui, Vi = eye(rows, "U"), eye(cols, "V"), eye(rows, "uinv"), eye(cols, "vinv")
+    # U⁻¹ is kept transposed, so that, like V⁻¹, it changes by row operations
+    U, V, Uit, Vi = eye(rows, "U"), eye(cols, "V"), eye(rows, "uinv"), eye(cols, "vinv")
+    # row operations act on [M | U] and column operations on [M ; V] in one go;
+    # every loop below stays inside the rows x cols block M
+    a = [row + u for row, u in zip(m._rows, U)] if U is not None else [row[:] for row in m._rows]
+    a += V or []
 
     def row_sub(i: int, p: int, q: int) -> None:  # row i -= q * row p
         a[i] = [x - q * y for x, y in zip(a[i], a[p])]
-        if U is not None:
-            U[i] = [x - q * y for x, y in zip(U[i], U[p])]
-        if Ui is not None:
-            for r in Ui:
-                r[p] += q * r[i]
+        if Uit is not None:
+            Uit[p] = [x + q * y for x, y in zip(Uit[p], Uit[i])]
 
     def row_swap(i: int, p: int) -> None:
         a[i], a[p] = a[p], a[i]
-        if U is not None:
-            U[i], U[p] = U[p], U[i]
-        if Ui is not None:
-            for r in Ui:
-                r[i], r[p] = r[p], r[i]
+        if Uit is not None:
+            Uit[i], Uit[p] = Uit[p], Uit[i]
 
     def row_neg(i: int) -> None:
         a[i] = [-x for x in a[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-        if Ui is not None:
-            for r in Ui:
-                r[i] = -r[i]
+        if Uit is not None:
+            Uit[i] = [-x for x in Uit[i]]
 
     def col_sub(j: int, p: int, q: int) -> None:  # col j -= q * col p
         for row in a:
             row[j] -= q * row[p]
-        if V is not None:
-            for row in V:
-                row[j] -= q * row[p]
         if Vi is not None:
             Vi[p] = [x + q * y for x, y in zip(Vi[p], Vi[j])]
 
     def col_swap(j: int, p: int) -> None:
         for row in a:
             row[j], row[p] = row[p], row[j]
-        if V is not None:
-            for row in V:
-                row[j], row[p] = row[p], row[j]
         if Vi is not None:
             Vi[j], Vi[p] = Vi[p], Vi[j]
 
@@ -398,12 +375,13 @@ def smith_normal_form(
             row_neg(t)
         t += 1
 
-    def wrap(t: list[list[int]] | None, n: int) -> IntegerMatrix | None:
-        return IntegerMatrix.from_rows(t, cols=n) if t is not None else None
-
     return SmithDecomposition(
-        U=wrap(U, rows), D=IntegerMatrix.from_rows(a, cols=cols), V=wrap(V, cols),
-        diag=[a[i][i] for i in range(n)], uinv=wrap(Ui, rows), vinv=wrap(Vi, cols),
+        U=None if U is None else IntegerMatrix.from_rows([r[cols:] for r in a[:rows]], cols=rows),
+        D=IntegerMatrix.from_rows([r[:cols] for r in a[:rows]], cols=cols),
+        V=None if V is None else IntegerMatrix.from_rows(a[rows:], cols=cols),
+        diag=[a[i][i] for i in range(n)],
+        uinv=None if Uit is None else IntegerMatrix.from_rows(Uit, cols=rows).transpose(),
+        vinv=None if Vi is None else IntegerMatrix.from_rows(Vi, cols=cols),
     )
 
 
@@ -536,8 +514,32 @@ def same_column_lattice(a: IntegerMatrix, b: IntegerMatrix) -> bool:
 
 
 def column_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """A basis (rank many columns) of the lattice generated by m's columns."""
-    snf = smith_normal_form(m, transforms=("uinv",))
-    d = snf.diag[:snf.rank]  # column i of the basis is d_i * (column i of U^-1)
-    rows = [[x * y for x, y in zip(row, d)] for row in snf.uinv._rows]
-    return IntegerMatrix.from_rows(rows, cols=len(d))
+    """A basis (rank many columns) of the lattice generated by m's columns.
+
+    An untracked integer column echelon on sparse columns: for each row in
+    turn, Euclid on that row's entries leaves one live column nonzero there,
+    which becomes a basis column; the rest carry on, zero columns dropped.
+
+    >>> column_lattice_basis(IntegerMatrix.from_rows([[4, 6, 0], [1, 0, 0]])).entries
+    [2, 0, -1, 3]
+    """
+    live = [{i: row[j] for i, row in enumerate(m._rows) if row[j]} for j in range(m.cols)]
+    live = [c for c in live if c]
+    basis = []
+    for i in range(m.rows):
+        hit = [c for c in live if i in c]
+        live = [c for c in live if i not in c]
+        while len(hit) > 1:
+            p = min(hit, key=lambda c: (abs(c[i]), len(c)))  # smallest pivot, least fill
+            for c in hit:
+                if c is not p:
+                    q = c[i] // p[i]
+                    for r, v in p.items():
+                        c[r] = c.get(r, 0) - q * v
+                        if not c[r]:
+                            del c[r]
+            live += [c for c in hit if c and i not in c]
+            hit = [c for c in hit if i in c]
+        basis += hit
+    rows = [[c.get(i, 0) for c in basis] for i in range(m.rows)]
+    return IntegerMatrix.from_rows(rows, cols=len(basis))

@@ -20,7 +20,7 @@ import random
 from typing import Sequence
 
 from .abelian import FinAbGroup, GroupHom, PresentedGroup, middle_homology
-from .chains import FreeChainComplex, HomologyResult, homology_int
+from .chains import HomologyResult, homology_int
 from .groupoids import (
     DEFAULT_BUDGET,
     FiniteGroupoid,
@@ -392,6 +392,12 @@ def _direct_sum_presentation(a: PresentedGroup, b: PresentedGroup) -> PresentedG
     return PresentedGroup(a.generators + b.generators, relations)
 
 
+def _from_columns(cols: list[list[int]], target: PresentedGroup) -> IntegerMatrix:
+    """The matrix whose columns, one per source generator, lie in `target`."""
+    rows = [[col[i] for col in cols] for i in range(target.generators)]
+    return IntegerMatrix.from_rows(rows, cols=len(cols))
+
+
 def long_exact_sequence(
     decomposition: MvDecomposition, max_degree: int, budget: int | None = DEFAULT_BUDGET
 ) -> LongExactSequence:
@@ -416,11 +422,8 @@ def long_exact_sequence(
             c1 = h1[n].class_coords(image[:dim1])
             c2 = h2[n].class_coords(image[dim1:])
             cols.append(list(c1) + list(c2))
-        alpha_matrix = IntegerMatrix.from_rows(
-            [[col[i] for col in cols] for i in range(pair_nodes[n].generators)],
-            cols=len(cols),
-        )
-        alpha_hom = GroupHom(h12[n].presentation, pair_nodes[n], alpha_matrix)
+        alpha_hom = GroupHom(h12[n].presentation, pair_nodes[n],
+                             _from_columns(cols, pair_nodes[n]))
         # to_total on homology
         cols = []
         for z in h1[n].cycle_reps:
@@ -429,19 +432,12 @@ def long_exact_sequence(
         for z in h2[n].cycle_reps:
             padded = [0] * dim1 + list(z)
             cols.append(list(ht[n].class_coords(ses.to_total[n].mul_vector(padded))))
-        beta_matrix = IntegerMatrix.from_rows(
-            [[col[i] for col in cols] for i in range(ht[n].presentation.generators)],
-            cols=len(cols),
-        )
-        beta_hom = GroupHom(pair_nodes[n], ht[n].presentation, beta_matrix)
+        beta_hom = GroupHom(pair_nodes[n], ht[n].presentation,
+                            _from_columns(cols, ht[n].presentation))
         # connecting on homology
         target = h12[n - 1].presentation if n >= 1 else trivial_node
         cols = [list(ses.connecting(n, z).coords) for z in ht[n].cycle_reps]
-        delta_matrix = IntegerMatrix.from_rows(
-            [[col[i] for col in cols] for i in range(target.generators)],
-            cols=len(cols),
-        )
-        delta_hom = GroupHom(ht[n].presentation, target, delta_matrix)
+        delta_hom = GroupHom(ht[n].presentation, target, _from_columns(cols, target))
 
         nodes.append((f"H_{n}(G|U12)", h12[n].presentation, h12[n].group))
         nodes.append(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .abelian import FinAbGroup, direct_sum, group_of, tensor, tor1
 from .chains import FreeChainComplex, HomologyResult, homology_group, homology_int, homology_mod

@@ -21,10 +21,12 @@ from groupoid_homology import (
     homology_group,
     homology_int,
     homology_mod,
+    moore_complex,
     shift_sum,
 )
 
 import oracles
+from test_acceptance import corpus
 
 
 # -- fixture machinery ---------------------------------------------------------------
@@ -466,6 +468,29 @@ def test_mod_q_representative_properties():
             )
 
 
+@pytest.mark.parametrize("name_and_groupoid", corpus(), ids=lambda item: item[0])
+def test_representatives_on_the_corpus(name_and_groupoid):
+    # the relation Smith form runs on a column-reduced basis of B's
+    # coordinates, so its U, and with it the representatives, differ from a
+    # Smith form of the coordinates themselves; they must stay valid
+    name, g = name_and_groupoid
+    c = moore_complex(g, 3)
+    rng = random.Random(name)
+    for q in (0, 2, 4, 6):
+        for n in range(3):
+            res = homology_int(c, n) if q == 0 else homology_mod(c, q, n)
+            k = len(res.cycle_reps)
+            following = c.boundaries[n + 1]
+            for i, rep in enumerate(res.cycle_reps):
+                assert all(x % q == 0 if q else x == 0 for x in c.boundaries[n].mul_vector(rep))
+                unit = tuple(int(i == j) for j in range(k))
+                assert res.class_coords(rep) == unit
+                noise = following.mul_vector(
+                    [rng.randint(-3, 3) for _ in range(following.cols)]
+                )
+                assert res.class_coords([a + b for a, b in zip(rep, noise)]) == unit
+
+
 def test_homology_errors_on_modulus_mismatch():
     c = FreeChainComplex(
         [1, 1],
@@ -568,3 +593,27 @@ def test_json_roundtrip_modulus():
 def test_from_json_shape_error():
     with pytest.raises(ValueError, match="boundary count does not match dims"):
         FreeChainComplex.from_json({"dims": [1, 1], "boundaries": [[]]})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1, 2], "must be a JSON object"),
+        ({"boundaries": [[]]}, "missing key 'dims'"),
+        ({"dims": [1]}, "missing key 'boundaries'"),
+        ({"dims": 1, "boundaries": [[]]}, "'dims' must be a list"),
+        ({"dims": [1], "boundaries": {"0": []}}, "'boundaries' must be a list"),
+        ({"dims": [1, 1], "boundaries": [[], 2]}, "'boundaries' must be a list"),
+        ({"dims": [1.7], "boundaries": [[]]}, "'dims' entries must be integers, got 1.7"),
+        ({"dims": ["1"], "boundaries": [[]]}, "'dims' entries must be integers"),
+        ({"dims": [True], "boundaries": [[]]}, "'dims' entries must be integers"),
+        ({"dims": [1, 1], "boundaries": [[], ["2"]]}, "'boundaries' entries must be integers"),
+        ({"dims": [1, 1], "boundaries": [[], [1.0]]}, "'boundaries' entries must be integers"),
+        ({"dims": [1], "boundaries": [[]], "modulus": "2"}, "'modulus' must be an integer"),
+        ({"dims": [1], "boundaries": [[]], "modulus": 2.0}, "'modulus' must be an integer"),
+        ({"dims": [1], "boundaries": [[]], "modulus": None}, "'modulus' must be an integer"),
+    ],
+)
+def test_from_json_rejects_without_coercing(data, message):
+    with pytest.raises(ValueError, match=message):
+        FreeChainComplex.from_json(data)

@@ -207,10 +207,32 @@ def test_solve_columns_unsolvable():
     assert in_column_lattice(m, [4, -8])
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_column_lattice_basis_spans_the_same_lattice(seed):
+def lattice_test_matrix(seed: int) -> IntegerMatrix:
+    """Seeds 0-29 are generic; 30-39 get zero columns and rows; 40-49 are
+    wide k x 6k sparse +-1 matrices shaped like B's coordinates over K."""
     rng = random.Random(5000 + seed)
-    m = random_matrix(rng)
+    if seed < 30:
+        return random_matrix(rng)
+    if seed < 40:
+        rows = raw_rows(random_matrix(rng))
+        ncols = len(rows[0]) if rows else 0
+        for j in rng.sample(range(ncols), ncols // 2):
+            for row in rows:
+                row[j] = 0
+        for row in rng.sample(rows, len(rows) // 2):
+            row[:] = [0] * ncols
+        return IntegerMatrix.from_rows(rows, cols=ncols)
+    k = rng.randint(1, 8)
+    return IntegerMatrix.from_rows(
+        [[rng.choice([1, -1]) if rng.random() < 0.15 else 0 for _ in range(6 * k)]
+         for _ in range(k)],
+        cols=6 * k,
+    )
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_column_lattice_basis_spans_the_same_lattice(seed):
+    m = lattice_test_matrix(seed)
     basis = column_lattice_basis(m)
     assert basis.cols == rank(m)
     assert same_column_lattice(basis, m)
@@ -218,6 +240,16 @@ def test_column_lattice_basis_spans_the_same_lattice(seed):
         assert in_column_lattice(basis, m.column(j))
     for j in range(basis.cols):
         assert in_column_lattice(m, basis.column(j))
+    # the same by package-free oracles: a lattice L contains L' iff [L | L'] has
+    # the invariant factors of L, so equal diagonals mean inclusion both ways
+    def factors(rows):
+        return [d for d in oracles.smith_diag_by_elimination(rows) if d]
+
+    whole = factors(raw_rows(m))
+    assert factors(raw_rows(basis)) == whole
+    assert factors([r + b for r, b in zip(raw_rows(m), raw_rows(basis))]) == whole
+    # and the basis columns are independent
+    assert basis.cols == len(whole)
 
 
 @pytest.mark.parametrize("seed", range(20))
