@@ -369,9 +369,8 @@ class PresentedGroup:
         if order > limit:
             raise ValueError(f"group order {order} exceeds enumeration limit {limit}")
         snf, orders = self._smith()
-        # classes correspond to y = U x mod orders: enumerate y, map back by U⁻¹
-        ranges = [range(d) for d in orders]  # a finite group has no order 0
-        return (snf.uinv.mul_vector(list(y)) for y in itertools.product(*ranges))
+        # the classes are y = U x mod orders (no order is 0 in a finite group); x = U⁻¹ y
+        return (snf.uinv.mul_vector(list(y)) for y in itertools.product(*map(range, orders)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PresentedGroup):

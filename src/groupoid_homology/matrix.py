@@ -265,9 +265,8 @@ def smith_normal_form(
     do not depend on the choice.
     """
     wanted = set(transforms)
-    unknown = wanted - {"U", "V", "uinv", "vinv"}
-    if unknown:
-        raise ValueError(f"unknown Smith transforms {sorted(unknown)}")
+    if not wanted <= {"U", "V", "uinv", "vinv"}:
+        raise ValueError(f"unknown Smith transforms in {sorted(wanted)}: use U, V, uinv, vinv")
     rows, cols = m.rows, m.cols
 
     def eye(n: int, name: str) -> list[list[int]] | None:
@@ -359,6 +358,8 @@ def smith_normal_form(
                 continue
             # row t and column t are clear; enforce the divisibility chain
             p = a[t][t]
+            if p in (1, -1):  # a unit divides every entry
+                break
             bad = None
             for i in range(t + 1, rows):
                 ri = a[i]

@@ -214,8 +214,8 @@ def lattice_test_matrix(seed: int) -> IntegerMatrix:
     if seed < 30:
         return random_matrix(rng)
     if seed < 40:
-        rows = raw_rows(random_matrix(rng))
-        ncols = len(rows[0]) if rows else 0
+        m = random_matrix(rng)
+        rows, ncols = raw_rows(m), m.cols
         for j in rng.sample(range(ncols), ncols // 2):
             for row in rows:
                 row[j] = 0
