@@ -184,7 +184,7 @@ class FiniteGroupoid:
             compose[(g, h)] = gh
         return cls(
             data["arrows"],
-            *(_json_ints(key, data[key]) for key in keys[1:5]),
+            *(_json_ints(key, data[key]) for key in ("units", "source", "range", "inverse")),
             compose,
         )
 
