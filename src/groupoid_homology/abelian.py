@@ -2,7 +2,7 @@
 
 Iso types live in :class:`FinAbGroup` (invariant-factor normal form, so
 structural equality is isomorphism).  Actual groups-with-elements live in
-:class:`PresentedGroup` (a cokernel presentation Z^g / col-span(relations)),
+:class:`PresentedGroup` (a diagonal presentation ⊕ Z/orders[i], 0 meaning Z),
 with :class:`GroupHom` carrying maps between presentations.  The split matters:
 homology *classes* and exactness questions need presentations, while reports
 and tables only need iso types.
@@ -14,15 +14,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .matrix import (
-    IntegerMatrix,
-    SmithDecomposition,
-    invariant_factors,
-    kernel_basis,
-    column_lattice_basis,
-    smith_normal_form,
-    solve_columns,
-)
+from .matrix import IntegerMatrix, invariant_factors
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -73,6 +65,31 @@ def _normalize_torsion(coefficients: Iterable[int]) -> tuple[int, ...]:
         factors.append(d)
     factors.reverse()  # ascending divisibility chain
     return tuple(factors)
+
+
+# Strict JSON reading, shared by every `from_json`: each check raises
+# ValueError naming the key, and nothing (bool, float, str) is coerced.
+
+
+def _json_object(name: str, data, keys: Sequence[str]) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{name} is missing key '{key}'")
+
+
+def _json_list(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"'{key}' must be a list, got {type(value).__name__}")
+    return value
+
+
+def _json_ints(key: str, values) -> list[int]:
+    for x in _json_list(key, values):
+        if type(x) is not int:
+            raise ValueError(f"'{key}' entries must be integers, got {x!r}")
+    return values
 
 
 class FinAbGroup:
@@ -140,7 +157,13 @@ class FinAbGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FinAbGroup":
-        return cls(int(data["rank"]), [int(t) for t in data["torsion"]])
+        """Strict inverse of `to_json`: a non-object, a missing key, a
+        non-list or a non-int entry raises ValueError naming the key."""
+        _json_object("group", data, ("rank", "torsion"))
+        rank = data["rank"]
+        if type(rank) is not int:
+            raise ValueError(f"'rank' must be an integer, got {rank!r}")
+        return cls(rank, _json_ints("torsion", data["torsion"]))
 
     # -- structure ---------------------------------------------------------
 
@@ -281,78 +304,78 @@ def direct_sum(groups: Sequence[FinAbGroup]) -> FinAbGroup:
     return FinAbGroup(rank, torsion)
 
 
-class PresentedGroup:
-    """Cokernel presentation: Z^generators / column-span(relations).
+def _in_relations(order: int, x: int) -> bool:
+    """Is x zero in Z/order (Z itself for order 0)?"""
+    return x % order == 0 if order else x == 0
 
-    `relations` is generators x r; its columns generate the relation subgroup.
+
+class PresentedGroup:
+    """Diagonal presentation: the direct sum of Z/orders[i], one per generator.
+
+    Order 0 is a free generator and order 1 a generator equal to zero.
     Unlike :class:`FinAbGroup` this carries actual elements (integer vectors
     of length `generators`), so homology classes and maps can live here.
+
+    >>> p = PresentedGroup.from_diagonal([2, 0, 3])
+    >>> p.group(), p.canonical_form([3, -1, 7])
+    (FinAbGroup(rank=1, torsion=(6,)), (1, -1, 1))
+    >>> p.relations.entries  # read-only: one column per nonzero order
+    [2, 0, 0, 0, 0, 3]
     """
 
-    __slots__ = ("generators", "relations", "_snf", "_group")
+    __slots__ = ("orders",)
 
-    def __init__(self, generators: int, relations: IntegerMatrix | None = None):
-        if relations is None:
-            relations = IntegerMatrix.zeros(generators, 0)
-        if relations.rows != generators:
-            raise ValueError(
-                f"shape mismatch: {generators} generators, relations have {relations.rows} rows"
-            )
-        self.generators = generators
-        self.relations = relations
-        self._snf = None
-        self._group = None
+    def __init__(self, orders: Sequence[int] = ()):
+        orders = tuple(orders)
+        if any(q < 0 for q in orders):
+            raise ValueError("negative cyclic order")
+        self.orders = orders
 
     @classmethod
     def free(cls, rank: int) -> "PresentedGroup":
-        return cls(rank)
+        return cls((0,) * rank)
 
     @classmethod
     def trivial(cls) -> "PresentedGroup":
-        return cls(0)
+        return cls()
 
     @classmethod
     def cyclic(cls, q: int) -> "PresentedGroup":
-        if q == 0:
-            return cls(1)
-        return cls(1, IntegerMatrix.from_rows([[q]]))
+        return cls((q,))
 
     @classmethod
     def from_diagonal(cls, orders: Sequence[int]) -> "PresentedGroup":
         """One generator per listed order q (0 meaning a free generator)."""
-        n = len(orders)
-        cols = [j for j, q in enumerate(orders) if q != 0]
-        rel = IntegerMatrix(n, len(cols))
-        for c, j in enumerate(cols):
-            rel._rows[j][c] = orders[j]
-        return cls(n, rel)
+        return cls(orders)
 
-    def _smith(self) -> tuple[SmithDecomposition, list[int]]:
-        """The relations' Smith form and the order of each generator (0: free)."""
-        if self._snf is None:
-            snf = smith_normal_form(self.relations, transforms=("U", "uinv"))
-            self._snf = snf, snf.diag + [0] * (self.generators - len(snf.diag))
-        return self._snf
+    @property
+    def generators(self) -> int:
+        return len(self.orders)
+
+    @property
+    def relations(self) -> IntegerMatrix:
+        """The generators x r relation matrix, one column q·e_i per order q != 0."""
+        cols = [j for j, q in enumerate(self.orders) if q]
+        rel = IntegerMatrix(self.generators, len(cols))
+        for c, j in enumerate(cols):
+            rel._rows[j][c] = self.orders[j]
+        return rel
 
     def group(self) -> FinAbGroup:
         """Iso type of the presented group."""
-        if self._group is None:
-            self._group = group_of(self.relations)
-        return self._group
+        return FinAbGroup.from_cyclic_orders(self.orders)
 
     def canonical_form(self, x: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of the class of x; equal tuples iff equal classes.
 
-        Coordinates with invariant factor 1 are dropped, torsion coordinates
-        are reduced mod their factor, free coordinates pass through exactly.
+        Coordinates of order 1 are dropped, torsion coordinates are reduced
+        mod their order, free coordinates pass through exactly.
         """
         if len(x) != self.generators:
             raise ValueError(
                 f"shape mismatch: {self.generators} generators, element of length {len(x)}"
             )
-        snf, orders = self._smith()
-        y = snf.U.mul_vector(list(x))
-        return tuple(v % d if d else v for v, d in zip(y, orders) if d != 1)
+        return tuple(v % q if q else v for v, q in zip(x, self.orders) if q != 1)
 
     def is_zero_element(self, x: Sequence[int]) -> bool:
         return all(c == 0 for c in self.canonical_form(x))
@@ -363,31 +386,30 @@ class PresentedGroup:
         Raises ValueError immediately on infinite groups or when the order
         exceeds `limit`; otherwise returns a deterministic iterator.
         """
-        order = self.group().order()
-        if order is None:
+        if 0 in self.orders:
             raise ValueError("infinite group has no element enumeration")
+        order = math.prod(self.orders)
         if order > limit:
             raise ValueError(f"group order {order} exceeds enumeration limit {limit}")
-        snf, orders = self._smith()
-        # the classes are y = U x mod orders (no order is 0 in a finite group); x = U⁻¹ y
-        return (snf.uinv.mul_vector(list(y)) for y in itertools.product(*map(range, orders)))
+        return (list(y) for y in itertools.product(*map(range, self.orders)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PresentedGroup):
             return NotImplemented
-        return self.generators == other.generators and self.relations == other.relations
+        return self.orders == other.orders
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"PresentedGroup(generators={self.generators}, relations={self.relations.rows}x{self.relations.cols})"
+        return f"PresentedGroup(orders={self.orders})"
 
 
 class GroupHom:
     """Homomorphism between presented groups, given on generators.
 
     `matrix` is target.generators x source.generators; compatibility (relations
-    map into relations) is checked on construction.
+    map into relations) is checked on construction, entry by entry: s·m[i][j]
+    must vanish in Z/t for source order s and target order t.
     """
 
     __slots__ = ("source", "target", "matrix")
@@ -398,10 +420,12 @@ class GroupHom:
                 f"shape mismatch: hom matrix {matrix.rows}x{matrix.cols} for "
                 f"{source.generators} -> {target.generators} generators"
             )
-        if source.relations.cols:
-            image_of_relations = matrix.matmul(source.relations)
-            if solve_columns(target.relations, image_of_relations) is None:
-                raise ValueError("homomorphism does not respect relations")
+        if not all(
+            _in_relations(t, s * x)
+            for t, row in zip(target.orders, matrix._rows)
+            for s, x in zip(source.orders, row)
+        ):
+            raise ValueError("homomorphism does not respect relations")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -415,9 +439,9 @@ class GroupHom:
 
     def is_zero(self) -> bool:
         """Is this the zero map of presented groups (not just the zero matrix)?"""
-        if self.matrix.cols == 0:
-            return True
-        return solve_columns(self.target.relations, self.matrix) is not None
+        return all(
+            _in_relations(t, x) for t, row in zip(self.target.orders, self.matrix._rows) for x in row
+        )
 
     def compose(self, first: "GroupHom") -> "GroupHom":
         """self after first."""
@@ -432,32 +456,34 @@ class GroupHom:
 def middle_homology(f: GroupHom, g: GroupHom) -> FinAbGroup:
     """Iso type of ker(g)/im(f) at the node f.target = g.source.
 
-    Works uniformly for infinite presented groups by lifting everything to
-    lattices in Z^generators: the kernel of g is the preimage lattice
-    {x : g(x) in relation span of g.target}, the image of f is spanned by
-    f's generator images together with the node's own relations.
+    With T and M the relation matrices of g.target and of the node, this is
+    H_1 of the free complex with d1 = [g | -T] and d2 = [f | M ; T⁻¹·g·(f | M)].
+    T has full column rank, so ker d1 projects isomorphically onto
+    ker g = {x : g·x in col-span T}, and d2's columns are the lifts of im f
+    and of the node's relations.  H_1 is read off invariant factors as in
+    `chains.homology_group`.  A column of g·f outside col-span T (an inexact
+    quotient, or a nonzero entry in a free row) means g·f is not zero.
 
-    >>> Z = PresentedGroup.free(1)
+    >>> Z, Z4 = PresentedGroup.free(1), PresentedGroup.cyclic(4)
     >>> two = GroupHom(Z, Z, IntegerMatrix.from_rows([[2]]))
     >>> quot = GroupHom(Z, PresentedGroup.cyclic(2), IntegerMatrix.from_rows([[1]]))
     >>> middle_homology(two, quot).is_trivial()
     True
+    >>> middle_homology(GroupHom(Z, Z4, IntegerMatrix.from_rows([[2]])),
+    ...                 GroupHom.zero(Z4, PresentedGroup.trivial()))  # (Z/4)/(2)
+    FinAbGroup(rank=0, torsion=(2,))
     """
     if f.target != g.source:
         raise ValueError("mismatched node")
-    composite = g.matrix.matmul(f.matrix)
-    if composite.cols and solve_columns(g.target.relations, composite) is None:
-        raise ValueError("composite nonzero")
-    node = g.source
-    # Preimage lattice of g.target's relation span: project ker[G | R3] to x.
-    augmented = IntegerMatrix.hstack([g.matrix, g.target.relations])
-    full_kernel = kernel_basis(augmented)
-    projection = IntegerMatrix.from_rows(
-        [full_kernel._rows[i] for i in range(node.generators)], cols=full_kernel.cols
-    )
-    lattice = column_lattice_basis(projection)
-    image_generators = IntegerMatrix.hstack([f.matrix, node.relations])
-    coords = solve_columns(lattice, image_generators)
-    if coords is None:  # impossible once the composite check passed
-        raise AssertionError("image escapes the kernel lattice")
-    return group_of(coords)
+    image = IntegerMatrix.hstack([f.matrix, g.source.relations])
+    lower = []
+    for t, row in zip(g.target.orders, g.matrix.matmul(image)._rows):
+        if not all(_in_relations(t, x) for x in row):
+            raise ValueError("composite nonzero")
+        if t:
+            lower.append([x // t for x in row])
+    d1 = IntegerMatrix.hstack([g.matrix, -g.target.relations])
+    d2 = IntegerMatrix.vstack([image, IntegerMatrix.from_rows(lower, cols=image.cols)])
+    factors = invariant_factors(d2)
+    free = d1.cols - len(invariant_factors(d1)) - len(factors)
+    return FinAbGroup(free, [d for d in factors if d >= 2])

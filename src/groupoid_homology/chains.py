@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .abelian import FinAbGroup, PresentedGroup
+from .abelian import FinAbGroup, PresentedGroup, _json_ints, _json_list, _json_object
 from .matrix import IntegerMatrix, column_lattice_basis, invariant_factors, smith_normal_form
 
 
@@ -129,31 +129,6 @@ class FreeChainComplex:
 
     def __repr__(self) -> str:
         return f"FreeChainComplex(dims={self.dims})"
-
-
-# Strict JSON reading, shared with `FiniteGroupoid.from_json`: each check
-# raises ValueError naming the key, and nothing (bool, float, str) is coerced.
-
-
-def _json_object(name: str, data, keys: Sequence[str]) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(f"{name} must be a JSON object, got {type(data).__name__}")
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{name} is missing key '{key}'")
-
-
-def _json_list(key: str, value) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"'{key}' must be a list, got {type(value).__name__}")
-    return value
-
-
-def _json_ints(key: str, values) -> list[int]:
-    for x in _json_list(key, values):
-        if type(x) is not int:
-            raise ValueError(f"'{key}' entries must be integers, got {x!r}")
-    return values
 
 
 def shift_sum(complexes: Sequence[FreeChainComplex]) -> FreeChainComplex:

@@ -293,7 +293,7 @@ def cmd_mv(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     ]
     records = les.to_json()
     for i, record in enumerate(records):
-        lines.append(f"  node {record['label']} = {FinAbGroup.from_json(record['group']).render()}")
+        lines.append(f"  node {record['label']} = {les.nodes[i][2].render()}")
         if record["map_matrix"] or i < len(records) - 1:
             lines.append(f"    map matrix: {record['map_matrix']}")
         if i in verdict_by_label:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .chains import FreeChainComplex, _json_ints, _json_list, _json_object
+from .abelian import _json_ints, _json_list, _json_object
+from .chains import FreeChainComplex
 from .matrix import IntegerMatrix
 
 DEFAULT_BUDGET = 10**6

@@ -470,19 +470,6 @@ def rank(m: IntegerMatrix) -> int:
     return len(invariant_factors(m))
 
 
-def kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """Columns form a basis of ker(m) as a (saturated) sublattice of Z^cols.
-
-    >>> kernel_basis(IntegerMatrix.from_rows([[1, 1, 1]])).cols
-    2
-    >>> kernel_basis(IntegerMatrix.identity(3)).cols
-    0
-    """
-    snf = smith_normal_form(m, transforms=("V",))
-    r = snf.rank
-    return snf.V.submatrix_columns(range(r, m.cols))
-
-
 def solve_columns(b: IntegerMatrix, t: IntegerMatrix) -> IntegerMatrix | None:
     """Exact X with b @ X = t, or None when no integer solution exists."""
     if b.rows != t.rows:
@@ -500,18 +487,6 @@ def solve_columns(b: IntegerMatrix, t: IntegerMatrix) -> IntegerMatrix | None:
                 return None
             y[i][j] = q
     return snf.V.matmul(IntegerMatrix.from_rows(y, cols=t.cols))
-
-
-def in_column_lattice(b: IntegerMatrix, v: Sequence[int]) -> bool:
-    """Is v an integer combination of the columns of b?"""
-    return solve_columns(b, IntegerMatrix.column_vector(v)) is not None
-
-
-def same_column_lattice(a: IntegerMatrix, b: IntegerMatrix) -> bool:
-    """Do the columns of a and b generate the same sublattice of Z^rows?"""
-    if a.rows != b.rows:
-        return False
-    return solve_columns(a, b) is not None and solve_columns(b, a) is not None
 
 
 def column_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:

@@ -11,7 +11,8 @@ is extension by zero followed by summing.  The connecting map is the explicit
 zig-zag: lift a cycle, take its boundary, read the unique preimage off the
 intersection block, and return that class.  Everything here is verified by
 exact matrix identities — chain-map squares, injectivity/surjectivity through
-invariant factors, and lattice membership for boundary claims.
+invariant factors, and class coordinates in the intersection's homology for
+boundary claims.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .groupoids import (
     reduction,
     saturation_witness,
 )
-from .matrix import IntegerMatrix, in_column_lattice, invariant_factors, solve_columns
+from .matrix import IntegerMatrix, invariant_factors, solve_columns
 
 
 class MvDecomposition:
@@ -280,7 +281,8 @@ class MvChainSes:
             raise AssertionError("boundary of the lift is not an intersection chain")
         h_below = self.homology("piece12", n - 1)
         coords = h_below.class_coords(witness)
-        is_boundary = in_column_lattice(self.complex12.boundaries[n], witness)
+        # the class is zero exactly when the witness lies in im ∂_n
+        is_boundary = not any(coords)
         return ConnectingResult(degree=n, witness=witness, coords=coords, is_boundary=is_boundary)
 
     def cycle_lift(self, n: int, cycle: Sequence[int]) -> list[int]:
@@ -387,11 +389,6 @@ class LongExactSequence:
         return records
 
 
-def _direct_sum_presentation(a: PresentedGroup, b: PresentedGroup) -> PresentedGroup:
-    relations = IntegerMatrix.block_diag([a.relations, b.relations])
-    return PresentedGroup(a.generators + b.generators, relations)
-
-
 def _from_columns(cols: list[list[int]], target: PresentedGroup) -> IntegerMatrix:
     """The matrix whose columns, one per source generator, lie in `target`."""
     rows = [[col[i] for col in cols] for i in range(target.generators)]
@@ -408,7 +405,8 @@ def long_exact_sequence(
     h1 = [ses.homology("piece1", n) for n in range(top + 1)]
     h2 = [ses.homology("piece2", n) for n in range(top + 1)]
     ht = [ses.homology("total", n) for n in range(top + 1)]
-    pair_nodes = [_direct_sum_presentation(h1[n].presentation, h2[n].presentation) for n in range(top + 1)]
+    pair_nodes = [PresentedGroup.from_diagonal(h1[n].presentation.orders + h2[n].presentation.orders)
+                  for n in range(top + 1)]
     trivial_node = PresentedGroup.trivial()
 
     nodes = []

@@ -2,7 +2,8 @@
 
 Everything here is deliberately redundant with the package under test and
 implemented by different methods: determinants by fraction-free elimination,
-invariant factors by minor gcds or naive elimination, mod-q homology by
+invariant factors by minor gcds or naive elimination, lattice membership and
+saturated kernels through a row-tracked Smith form, mod-q homology by
 exhaustive enumeration of chains, exactness by enumerating finite groups
 element by element, and cyclic-group homology by its closed form.  Tests
 compare package output against these, never the package against itself.
@@ -270,6 +271,44 @@ def smith_with_row_transform(rows: list[list[int]]):
                 break
     diag = [m[i][i] for i in range(min(nrows, ncols)) if m[i][i] != 0]
     return diag, u, uinv
+
+
+# -- lattices ------------------------------------------------------------------
+
+
+def columns(rows: list[list[int]]) -> list[list[int]]:
+    return [list(c) for c in zip(*rows)]
+
+
+def lattice_contains(rows: list[list[int]], vectors: list[list[int]]) -> bool:
+    """Is every vector an integer combination of the columns of `rows`?
+
+    With U·M·V = D from `smith_with_row_transform`, M·x = v is solvable
+    exactly when (U·v)_i is divisible by d_i for i < rank and zero after.
+    """
+    diag, u, _uinv = smith_with_row_transform(rows)
+    for v in vectors:
+        uv = [sum(a * b for a, b in zip(row, v)) for row in u]
+        if any(x % d for x, d in zip(uv, diag)) or any(uv[len(diag):]):
+            return False
+    return True
+
+
+def same_lattice(a: list[list[int]], b: list[list[int]]) -> bool:
+    """Do the columns of a and b (same row count) generate the same lattice?"""
+    return lattice_contains(a, columns(b)) and lattice_contains(b, columns(a))
+
+
+def saturated_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """An ncols x k matrix whose columns are a basis of ker M in Z^ncols.
+
+    With U·Mᵀ·V = D, the rows of U from rank on are killed by M.  U is
+    unimodular, so they are part of a basis of Z^ncols: they span a
+    saturated lattice of rank ncols - rank, which is all of ker M.
+    """
+    transpose = [[row[j] for row in rows] for j in range(ncols)]
+    diag, u, _uinv = smith_with_row_transform(transpose)
+    return [[u[i][j] for i in range(len(diag), ncols)] for j in range(ncols)]
 
 
 # -- closed forms -------------------------------------------------------------

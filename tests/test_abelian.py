@@ -1,6 +1,7 @@
 """Finitely generated abelian groups, presentations, homs, middle homology."""
 
 import doctest
+import itertools
 import math
 import random
 
@@ -21,6 +22,7 @@ from groupoid_homology.abelian import (
 from groupoid_homology.matrix import IntegerMatrix
 
 import oracles
+from test_matrix import raw_rows
 
 
 def test_doctests_pass():
@@ -113,6 +115,27 @@ def test_json_roundtrip():
     g = FinAbGroup(2, [2, 6, 12])
     assert FinAbGroup.from_json(g.to_json()) == g
     assert g.to_json() == {"rank": 2, "torsion": [2, 6, 12]}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ([0, [2]], "group must be a JSON object"),
+        ({"torsion": []}, "missing key 'rank'"),
+        ({"rank": 1}, "missing key 'torsion'"),
+        ({"rank": True, "torsion": []}, "'rank' must be an integer"),
+        ({"rank": 1.0, "torsion": []}, "'rank' must be an integer"),
+        ({"rank": "1", "torsion": []}, "'rank' must be an integer"),
+        ({"rank": 0, "torsion": "2"}, "'torsion' must be a list"),
+        ({"rank": 0, "torsion": {"2": 2}}, "'torsion' must be a list"),
+        ({"rank": 0, "torsion": [2.0]}, "'torsion' entries must be integers"),
+        ({"rank": 0, "torsion": [True]}, "'torsion' entries must be integers"),
+        ({"rank": 0, "torsion": ["6"]}, "'torsion' entries must be integers"),
+    ],
+)
+def test_from_json_rejects_without_coercing(data, message):
+    with pytest.raises(ValueError, match=message):
+        FinAbGroup.from_json(data)
 
 
 def test_validation_errors():
@@ -218,11 +241,8 @@ def test_presented_group_basics():
 def test_canonical_form_properties(seed):
     rng = random.Random(300 + seed)
     gens = rng.randint(1, 4)
-    ncols = rng.randint(0, 4)
-    rel = IntegerMatrix.from_rows(
-        [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(gens)], cols=ncols
-    )
-    p = PresentedGroup(gens, rel)
+    p = PresentedGroup.from_diagonal([rng.choice([0, 1, 2, 3, 4, 6]) for _ in range(gens)])
+    rel = p.relations
     for _ in range(10):
         x = [rng.randint(-9, 9) for _ in range(gens)]
         y = [rng.randint(-9, 9) for _ in range(gens)]
@@ -233,10 +253,18 @@ def test_canonical_form_properties(seed):
         # canonical form is constant on cosets of the relation lattice ...
         assert p.canonical_form(x_shifted) == p.canonical_form(x)
         assert p.is_zero_element(shift)
+        assert p.is_zero_element(x) == oracles.lattice_contains(raw_rows(rel), [x])
         # ... and therefore addition descends to canonical forms
         lhs = p.canonical_form([a + b for a, b in zip(x, y)])
         rhs = p.canonical_form([a + b for a, b in zip(x_shifted, y)])
         assert lhs == rhs
+
+
+def test_negative_order_is_rejected():
+    with pytest.raises(ValueError, match="negative cyclic order"):
+        PresentedGroup.from_diagonal([2, -3])
+    with pytest.raises(ValueError, match="negative cyclic order"):
+        PresentedGroup.cyclic(-4)
 
 
 def test_elements_enumeration():
@@ -269,6 +297,51 @@ def test_group_hom_validation():
         GroupHom(z, z, IntegerMatrix.identity(1)).compose(
             GroupHom(z2, z2, IntegerMatrix.identity(1))
         )
+
+
+def test_group_hom_entrywise_checks():
+    # a free, an order-1 and an order-6 source generator into Z/4 ⊕ Z
+    source = PresentedGroup.from_diagonal([0, 1, 6])
+    target = PresentedGroup.from_diagonal([4, 0])
+    hom = GroupHom(source, target, IntegerMatrix.from_rows([[3, 4, 2], [5, 0, 0]]))
+    assert not hom.is_zero()
+    for bad in (
+        [[0, 1, 0], [0, 0, 0]],  # the order-1 generator hits 1 in Z/4
+        [[0, 0, 0], [0, -1, 0]],  # ... or a nonzero element of the free row
+        [[0, 0, 1], [0, 0, 0]],  # 6·1 is not 0 in Z/4
+        [[0, 0, 0], [0, 0, 2]],  # torsion into the free row
+    ):
+        with pytest.raises(ValueError, match="homomorphism does not respect relations"):
+            GroupHom(source, target, IntegerMatrix.from_rows(bad))
+    assert GroupHom(source, target, IntegerMatrix.from_rows([[4, -8, 0], [0, 0, 0]])).is_zero()
+    assert not GroupHom(source, target, IntegerMatrix.from_rows([[0, 0, 0], [1, 0, 0]])).is_zero()
+    assert not GroupHom(source, target, IntegerMatrix.from_rows([[2, 0, 0], [0, 0, 0]])).is_zero()
+    assert GroupHom.zero(PresentedGroup.trivial(), target).is_zero()
+    assert GroupHom.zero(source, PresentedGroup.trivial()).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_group_hom_checks_against_lattice_membership(seed):
+    # respects relations iff each source relation maps into the target's
+    # relation lattice; zero iff every generator image does
+    rng = random.Random(500 + seed)
+    source = PresentedGroup.from_diagonal([rng.choice([0, 1, 2, 4, 6]) for _ in range(rng.randint(0, 3))])
+    target = PresentedGroup.from_diagonal([rng.choice([0, 1, 2, 3, 4]) for _ in range(rng.randint(0, 3))])
+    matrix = IntegerMatrix.from_rows(
+        [[rng.choice([0, 0, 1, 2, 3, 4, -6]) for _ in range(source.generators)]
+         for _ in range(target.generators)],
+        cols=source.generators,
+    )
+    lattice = raw_rows(target.relations)
+    images = [matrix.column(j) for j in range(matrix.cols)]
+    respects = oracles.lattice_contains(
+        lattice, [[s * x for x in col] for s, col in zip(source.orders, images)]
+    )
+    if not respects:
+        with pytest.raises(ValueError, match="homomorphism does not respect relations"):
+            GroupHom(source, target, matrix)
+        return
+    assert GroupHom(source, target, matrix).is_zero() == oracles.lattice_contains(lattice, images)
 
 
 # -- middle homology ------------------------------------------------------------------
@@ -342,3 +415,63 @@ def test_middle_homology_against_enumeration(seed):
         [[d3]],
     )
     assert exact_says == defect.is_trivial()
+
+
+def test_middle_homology_mixed_node_with_free_target_rows():
+    node = PresentedGroup.from_diagonal([0, 4])  # Z ⊕ Z/4
+    target = PresentedGroup.from_diagonal([0, 2])  # Z ⊕ Z/2
+    z = PresentedGroup.free(1)
+    zero_in = GroupHom.zero(PresentedGroup.trivial(), node)
+    # (x, y) -> (x, y mod 2): the kernel is 0 ⊕ {0, 2}
+    g = GroupHom(node, target, IntegerMatrix.identity(2))
+    assert middle_homology(zero_in, g) == FinAbGroup.cyclic(2)
+    assert middle_homology(GroupHom(z, node, IntegerMatrix.from_rows([[0], [2]])), g).is_trivial()
+    # (x, y) -> (0, y mod 2): the kernel is Z ⊕ {0, 2}
+    g = GroupHom(node, target, IntegerMatrix.from_rows([[0, 0], [0, 1]]))
+    assert middle_homology(zero_in, g) == FinAbGroup(1, [2])
+    assert middle_homology(GroupHom(z, node, IntegerMatrix.from_rows([[3], [0]])), g) == FinAbGroup(0, [6])
+    # (x, y) -> 2x in Z: the kernel is the Z/4
+    g = GroupHom(node, z, IntegerMatrix.from_rows([[2, 0]]))
+    assert middle_homology(zero_in, g) == FinAbGroup.cyclic(4)
+    assert middle_homology(GroupHom(z, node, IntegerMatrix.from_rows([[0], [1]])), g).is_trivial()
+    # a composite that is nonzero in the free row, then in the Z/2 row
+    with pytest.raises(ValueError, match="composite nonzero"):
+        middle_homology(GroupHom(z, node, IntegerMatrix.from_rows([[1], [0]])), g)
+    g = GroupHom(node, target, IntegerMatrix.from_rows([[0, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="composite nonzero"):
+        middle_homology(GroupHom(z, node, IntegerMatrix.from_rows([[0], [1]])), g)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_middle_homology_three_generators_against_enumeration(seed):
+    # a random finite node with 3 generators, a valid g out of it, and f
+    # sending each source generator to a random element of ker g
+    rng = random.Random(900 + seed)
+    m_orders = [rng.choice([1, 2, 3, 4, 6]) for _ in range(3)]
+    t_orders = [rng.choice([1, 2, 4, 6]) for _ in range(2)]
+    g_rows = [[rng.randint(0, 3) * (t // math.gcd(t, s)) for s in m_orders] for t in t_orders]
+    elements = list(itertools.product(*map(range, m_orders)))
+    kernel = [
+        x for x in elements
+        if all(sum(a * b for a, b in zip(row, x)) % t == 0 for row, t in zip(g_rows, t_orders))
+    ]
+    images = [rng.choice(kernel) for _ in range(rng.randint(1, 2))]
+
+    def order(x):
+        return next(k for k in itertools.count(1) if all(k * v % q == 0 for v, q in zip(x, m_orders)))
+
+    span = {
+        tuple(sum(c * x[i] for c, x in zip(coeffs, images)) % q for i, q in enumerate(m_orders))
+        for coeffs in itertools.product(*(range(order(x)) for x in images))
+    }
+    a_node = PresentedGroup.from_diagonal([order(x) for x in images])
+    m_node = PresentedGroup.from_diagonal(m_orders)
+    t_node = PresentedGroup.from_diagonal(t_orders)
+    f = GroupHom(a_node, m_node, IntegerMatrix.from_rows([list(c) for c in zip(*images)]))
+    g = GroupHom(m_node, t_node, IntegerMatrix.from_rows(g_rows))
+    defect = middle_homology(f, g)
+    assert defect.order() == len(kernel) // len(span)
+    assert defect.is_trivial() == oracles.exactness_by_enumeration(
+        raw_rows(a_node.relations), raw_rows(f.matrix), raw_rows(m_node.relations),
+        raw_rows(g.matrix), raw_rows(t_node.relations),
+    )

@@ -1,0 +1,21 @@
+"""The package's public surface: `__all__`, star import, and removed names."""
+
+import groupoid_homology
+import groupoid_homology.matrix
+
+REMOVED = ("kernel_basis", "in_column_lattice", "same_column_lattice")
+
+
+def test_public_names_resolve_and_removed_helpers_are_gone():
+    names = groupoid_homology.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(groupoid_homology, name)  # AttributeError if a listed name is missing
+    namespace = {}
+    exec("from groupoid_homology import *", namespace)
+    assert set(names) <= set(namespace)
+    for name in REMOVED:
+        assert name not in names
+        assert name not in namespace
+        assert not hasattr(groupoid_homology, name)
+        assert not hasattr(groupoid_homology.matrix, name)
