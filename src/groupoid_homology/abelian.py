@@ -434,9 +434,6 @@ class GroupHom:
     def zero(cls, source: PresentedGroup, target: PresentedGroup) -> "GroupHom":
         return cls(source, target, IntegerMatrix.zeros(target.generators, source.generators))
 
-    def apply(self, x: Sequence[int]) -> list[int]:
-        return self.matrix.mul_vector(list(x))
-
     def is_zero(self) -> bool:
         """Is this the zero map of presented groups (not just the zero matrix)?"""
         return all(

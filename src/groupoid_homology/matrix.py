@@ -3,14 +3,17 @@
 Everything here is plain unbounded-integer arithmetic: no floats, no
 machine-word moduli.  Matrices are stored as dense lists of rows, but the two
 hot kernels skip zeros: `matmul` costs O(nonzero pairs) multiply-adds, and
-`invariant_factors` eliminates +-1 pivots sparsely and hands the small dense
-remainder to `smith_normal_form`, the one pivot loop.  `column_lattice_basis`,
+`invariant_factors` eliminates +-1 pivots on sparse rows and hands the small
+dense remainder to `smith_normal_form`, the one pivot loop.  Its pivots come
+from a heap of the live rows keyed by length: the shortest row holding a +-1,
+at its +-1 whose column is shortest.  `column_lattice_basis`,
 an integer column echelon, shrinks a wide generating set to rank many columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Sequence
 
@@ -89,7 +92,7 @@ class IntegerMatrix:
         return [row[j] for row in self._rows]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
+        return not any(map(any, self._rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -390,79 +393,71 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
     """Nonzero diagonal of the Smith form (ascending divisibility chain).
 
     Fast path for the large, very sparse boundary matrices: +-1 pivots are
-    eliminated on a sparse structure first (minimal-fill tie-break among the
-    smallest-possible-|pivot| candidates), then the small dense remainder goes
-    through `smith_normal_form`.  `len(result)` is the rank of `m`.
+    eliminated on sparse rows first, then the small dense remainder goes
+    through `smith_normal_form`.  The live rows wait in a heap keyed by their
+    length.  The shortest row with a +-1 entry is the pivot row, and among its
+    +-1 entries the one whose column has the fewest live entries is the pivot.
+    A row with no +-1 entry leaves the heap; every row an elimination changes
+    goes back in with its new length, so a row that gains a unit is found, and
+    an entry whose row is gone or has another length now is skipped.  The
+    factors are unique, so the pivot order only decides the fill.
+    `len(result)` is the rank of `m`.
 
     >>> invariant_factors(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     [2, 4]
     >>> invariant_factors(IntegerMatrix.from_rows([[1, 0], [0, 0]]))
     [1]
+    >>> invariant_factors(IntegerMatrix.from_rows([[2, 3], [1, 1]]))  # row 0 gains a unit
+    [1, 1]
     """
+    cols = list(range(m.cols))
     rows = {}
-    colidx: dict[int, set[int]] = {}
+    colidx = [set() for _ in cols]  # the live rows with an entry in each column
     for i, row in enumerate(m._rows):
-        r = {j: v for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
-            for j in r:
-                colidx.setdefault(j, set()).add(i)
+        js = list(compress(cols, row))
+        if js:
+            rows[i] = dict(zip(js, compress(row, row)))
+            for j in js:
+                colidx[j].add(i)
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapify(heap)
     ones = 0
-    while True:
-        best = None
-        best_score = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                if v == 1 or v == -1:
-                    score = (len(r) - 1) * (len(colidx[j]) - 1)
-                    if best_score is None or score < best_score:
-                        best = (i, j, v)
-                        best_score = score
-                        if score == 0:
-                            break
-            if best_score == 0:
-                break
-        if best is None:
-            break
-        pi, pj, pv = best
-        prow = rows.pop(pi)
+    while heap:
+        length, pi = heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != length:
+            continue  # stale: the row is gone or waits under its new length
+        units = [j for j, v in prow.items() if v == 1 or v == -1]
+        if not units:
+            continue  # back in the heap once an elimination changes the row
+        pj = min(units, key=lambda j: len(colidx[j]))
+        del rows[pi]
         for j in prow:
-            s = colidx[j]
-            s.discard(pi)
-            if not s:
-                del colidx[j]
-        for i in list(colidx.get(pj, ())):
+            colidx[j].discard(pi)
+        pv = prow.pop(pj)  # so the loop below never changes colidx[pj], which it walks
+        for i in colidx[pj]:
             ri = rows[i]
-            mult = ri[pj] * pv  # pv is +-1, so this clears entry (i, pj)
+            mult = ri.pop(pj) * pv  # pv is +-1, so this clears entry (i, pj)
             for j, v in prow.items():
-                if j == pj:
-                    continue
-                nv = ri.get(j, 0) - mult * v
-                if nv:
-                    if j not in ri:
-                        colidx.setdefault(j, set()).add(i)
-                    ri[j] = nv
+                old = ri.get(j)
+                if old is None:
+                    ri[j] = -mult * v
+                    colidx[j].add(i)
+                elif old == mult * v:
+                    del ri[j]
+                    colidx[j].discard(i)
                 else:
-                    if j in ri:
-                        del ri[j]
-                        s = colidx[j]
-                        s.discard(i)
-                        if not s:
-                            del colidx[j]
-            del ri[pj]
-            if not ri:
+                    ri[j] = old - mult * v
+            if ri:
+                heappush(heap, (len(ri), i))
+            else:
                 del rows[i]
-        colidx.pop(pj, None)
+        colidx[pj].clear()
         ones += 1
     if not rows:
         return [1] * ones
-    live_rows = sorted(rows)
-    live_cols = sorted({j for r in rows.values() for j in r})
-    pos = {j: c for c, j in enumerate(live_cols)}
-    dense = IntegerMatrix(len(live_rows), len(live_cols))
-    for r, i in enumerate(live_rows):
-        for j, v in rows[i].items():
-            dense._rows[r][pos[j]] = v
+    live_cols = [j for j in cols if colidx[j]]
+    dense = IntegerMatrix.from_rows([[r.get(j, 0) for j in live_cols] for r in rows.values()])
     return [1] * ones + [d for d in smith_normal_form(dense, transforms=()).diag if d != 0]
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import groupoid_homology.matrix as matrix_module
 from groupoid_homology.matrix import (
     IntegerMatrix,
     column_lattice_basis,
@@ -156,14 +157,95 @@ def test_invariant_factors_match_smith(seed):
     assert len(fast) == rank(m)
 
 
-def test_invariant_factors_sparse_path_on_unit_heavy_matrix():
+def unit_heavy_rows() -> list[list[int]]:
     # mostly +-1 entries exercise the sparse elimination path
     rng = random.Random(99)
     rows = [[rng.choice([-1, 1, 0, 0, 1]) for _ in range(30)] for _ in range(24)]
     rows[3][7] = 6
     rows[11][2] = 15
-    m = IntegerMatrix.from_rows(rows)
-    assert invariant_factors(m) == oracles.smith_diag_by_elimination(rows)
+    return rows
+
+
+def seeded_sparse_rows(seed: int) -> list[list[int]]:
+    rng = random.Random(3000 + seed)
+    nrows, ncols = rng.randint(1, 30), rng.randint(1, 90)
+    density = rng.choice([0.03, 0.1, 0.3])
+    return [
+        [rng.choice([-2, -1, 1, 2]) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def dependent_rows(seed: int) -> list[list[int]]:
+    # sums and differences of seeded rows: the eliminations must cancel them to zero
+    rng = random.Random(4000 + seed)
+    rows = seeded_sparse_rows(seed)
+    for _ in range(rng.randint(1, 10)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        sign = rng.choice([-1, 1])
+        rows.append([x + sign * y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows
+
+
+def signed_permutation_rows(n: int) -> list[list[int]]:
+    rng = random.Random(n)
+    perm = rng.sample(range(n), n)
+    return [[rng.choice([-1, 1]) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+
+
+def unitriangular_rows(n: int) -> list[list[int]]:
+    rng = random.Random(n)
+    return [[1 if j == i else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+
+
+SPARSE_PATH_CASES = {
+    "unit-heavy": IntegerMatrix.from_rows(unit_heavy_rows()),
+    **{f"seeded-{s}": IntegerMatrix.from_rows(seeded_sparse_rows(s)) for s in range(12)},
+    **{f"dependent-{s}": IntegerMatrix.from_rows(dependent_rows(s)) for s in range(12, 24)},
+    # row 0 holds no unit until the pivot on row 1 turns its 3 into a 1
+    "gains-unit": IntegerMatrix.from_rows([[2, 3, 0, 0], [1, 1, 0, 0], [0, 0, 2, 4]]),
+    # the pivot on row 0 leaves row 1 at length 2, so row 1 is queued twice
+    "same-length": IntegerMatrix.from_rows([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 2]]),
+    **{f"permutation-{n}": IntegerMatrix.from_rows(signed_permutation_rows(n)) for n in (1, 7, 20)},
+    "unitriangular": IntegerMatrix.from_rows(unitriangular_rows(12)),
+    "identity-over-zero": IntegerMatrix.from_rows(
+        [[int(i == j) for j in range(8)] for i in range(5)] + [[0] * 8]
+    ),
+    "no-units": IntegerMatrix.from_rows([[2, 4, 0, 6], [0, 6, -2, 0], [4, 0, 0, 8], [0, 0, 2, -2]]),
+    "zero-3x5": IntegerMatrix.zeros(3, 5),
+    "empty-0x4": IntegerMatrix.zeros(0, 4),
+    "empty-4x0": IntegerMatrix.zeros(4, 0),
+}
+# shape of the dense remainder handed to smith_normal_form, None if none is
+DENSE_REMAINDER = {
+    "gains-unit": (1, 2),
+    "same-length": None,
+    "permutation-1": None,
+    "permutation-7": None,
+    "permutation-20": None,
+    "identity-over-zero": None,
+    "no-units": (4, 4),
+    "zero-3x5": None,
+    "empty-0x4": None,
+    "empty-4x0": None,
+}
+
+
+@pytest.mark.parametrize("name", SPARSE_PATH_CASES)
+def test_invariant_factors_sparse_path(name, monkeypatch):
+    m = SPARSE_PATH_CASES[name]
+    remainders = []
+
+    def recording_smith(dense, **kwargs):
+        remainders.append((dense.rows, dense.cols))
+        return smith_normal_form(dense, **kwargs)
+
+    monkeypatch.setattr(matrix_module, "smith_normal_form", recording_smith)
+    assert invariant_factors(m) == oracles.smith_diag_by_elimination(raw_rows(m))
+    if name in DENSE_REMAINDER:
+        shape = DENSE_REMAINDER[name]
+        assert remainders == ([] if shape is None else [shape])
 
 
 # -- kernels, solving, lattices ---------------------------------------------------
