@@ -19,14 +19,23 @@ from __future__ import annotations
 from typing import Sequence
 
 from .abelian import FinAbGroup, PresentedGroup, _json_ints, _json_list, _json_object
-from .matrix import IntegerMatrix, column_lattice_basis, invariant_factors, smith_normal_form
+from .matrix import (
+    IntegerMatrix,
+    SparseMatrix,
+    column_lattice_basis,
+    invariant_factors,
+    smith_normal_form,
+)
 
 
 class FreeChainComplex:
     """Chain complex of free modules in degrees 0..max_degree.
 
     `boundaries[n]` maps degree n to degree n-1 and has shape
-    dims[n-1] x dims[n]; `boundaries[0]` is the 0 x dims[0] zero map.
+    dims[n-1] x dims[n]; `boundaries[0]` is the 0 x dims[0] zero map.  Every
+    boundary is stored as a `SparseMatrix`: an `IntegerMatrix` handed to the
+    constructor is converted once, and code that needs dense arithmetic calls
+    `to_dense()`.  ∂∘∂ = 0 is checked on construction by a sparse product.
     `basis_labels`, when present, names the basis of each degree (used by
     groupoid nerves to tag tuples); labels are opaque to this module.
 
@@ -39,14 +48,16 @@ class FreeChainComplex:
     def __init__(
         self,
         dims: Sequence[int],
-        boundaries: Sequence[IntegerMatrix],
+        boundaries: Sequence[SparseMatrix | IntegerMatrix],
         basis_labels: Sequence[Sequence[object]] | None = None,
         modulus: int = 0,
     ):
         if modulus < 0:
             raise ValueError("negative modulus")
         self.dims = list(dims)
-        self.boundaries = list(boundaries)
+        self.boundaries = [
+            b if isinstance(b, SparseMatrix) else SparseMatrix.from_dense(b) for b in boundaries
+        ]
         self.basis_labels = [list(l) for l in basis_labels] if basis_labels is not None else None
         self.modulus = modulus
         self.validate()
@@ -84,9 +95,7 @@ class FreeChainComplex:
             if self.modulus >= 1:
                 square = square.mod(self.modulus)
             if not square.is_zero():
-                witness = next(
-                    j for j in range(square.cols) if any(square[i, j] for i in range(square.rows))
-                )
+                witness = min(j for row in square._dicts for j in row)
                 raise ValueError(
                     f"boundary square nonzero at degree {n}: column {witness} "
                     f"maps to {square.column(witness)}"
@@ -96,8 +105,7 @@ class FreeChainComplex:
     def zero_boundaries(cls, dims: Sequence[int]) -> "FreeChainComplex":
         """Complex with the given dims and all-zero boundary maps."""
         dims = list(dims)
-        boundaries = [IntegerMatrix.zeros(0, dims[0])]
-        boundaries += [IntegerMatrix.zeros(dims[n - 1], dims[n]) for n in range(1, len(dims))]
+        boundaries = [SparseMatrix(dims[n - 1] if n else 0, dims[n]) for n in range(len(dims))]
         return cls(dims, boundaries)
 
     def to_json(self) -> dict:
@@ -148,7 +156,7 @@ def shift_sum(complexes: Sequence[FreeChainComplex]) -> FreeChainComplex:
         raise ValueError("modulus mismatch in direct sum")
     dims = [sum(c.dims[n] for c in complexes) for n in range(depth + 1)]
     boundaries = [
-        IntegerMatrix.block_diag([c.boundaries[n] for c in complexes])
+        IntegerMatrix.block_diag([c.boundaries[n].to_dense() for c in complexes])
         for n in range(depth + 1)
     ]
     labels = None
@@ -187,8 +195,8 @@ class HomologyResult:
     def __init__(self, complex_: FreeChainComplex, n: int, q: int):
         self.degree = n
         self.modulus = q
-        boundary = complex_.boundaries[n]
-        relations = complex_.boundaries[n + 1]
+        boundary = complex_.boundaries[n].to_dense()
+        relations = complex_.boundaries[n + 1].to_dense()
         augmented = boundary
         if q:
             augmented = IntegerMatrix.hstack([boundary, IntegerMatrix.identity(boundary.rows) * q])

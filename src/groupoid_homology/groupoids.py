@@ -19,8 +19,13 @@ from typing import Iterable, Sequence
 
 from .abelian import _json_ints, _json_list, _json_object
 from .chains import FreeChainComplex
-from .matrix import IntegerMatrix
+from .matrix import IntegerMatrix, SparseMatrix
 
+# The nerve budget: basis elements over all degrees.  Boundaries are stored
+# sparse, with at most n+1 entries per degree-n basis element, so it also
+# bounds the boundary entries (sum of (n+1) * dims[n]) and their memory.  The
+# routes that densify a boundary for a Smith form with transforms
+# (`HomologyResult`: representatives, Z/q coefficients) are not bounded by it.
 DEFAULT_BUDGET = 10**6
 
 
@@ -381,13 +386,16 @@ def face(g: FiniteGroupoid, n: int, i: int, t: tuple[int, ...]) -> tuple[int, ..
         raise ValueError("face needs a composable tuple of positive length")
     if not 0 <= i <= n:
         raise ValueError(f"index out of range: face {i} of an {n}-tuple")
+    return _faces(g, n, t)[i]
+
+
+def _faces(g: FiniteGroupoid, n: int, t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All n+1 faces of a composable n-tuple, face 0 first, unchecked (see `face`)."""
     if n == 1:
-        return (g.source[t[0]],) if i == 0 else (g.range_[t[0]],)
-    if i == 0:
-        return t[1:]
-    if i == n:
-        return t[:-1]
-    return t[: i - 1] + (g.compose[(t[i - 1], t[i])],) + t[i + 1 :]
+        return (g.source[t[0]],), (g.range_[t[0]],)
+    compose = g.compose
+    inner = (t[: i - 1] + (compose[(t[i - 1], t[i])],) + t[i + 1 :] for i in range(1, n))
+    return (t[1:], *inner, t[:-1])
 
 
 def pushforward_matrix(g: FiniteGroupoid, n: int, i: int) -> IntegerMatrix:
@@ -415,8 +423,12 @@ def moore_complex(
     """The Moore complex of the nerve up to the given degree.
 
     Boundary n is the alternating sum of the n+1 face pushforwards; with a
-    modulus q >= 1 the same matrices are reduced entrywise mod q.  The total
-    number of basis elements across degrees is capped by `budget`.
+    modulus q >= 1 the same matrices are reduced entrywise mod q.  Each
+    boundary is a `SparseMatrix` filled straight from the faces: a column
+    holds at most n+1 entries, and an entry that cancels or is zero mod q is
+    never stored.  The total number of basis elements across degrees is
+    capped by `budget`, so the boundaries hold at most sum((n+1) * dims[n])
+    entries and the budget bounds their memory as well as the nerve's.
     """
     if max_degree < 1:
         raise ValueError("max degree must be >= 1")
@@ -424,19 +436,25 @@ def moore_complex(
         raise ValueError("negative modulus")
     levels = _nerve_levels(g, max_degree, budget)
     dims = [len(lvl) for lvl in levels]
-    boundaries = [IntegerMatrix.zeros(0, dims[0])]
+    boundaries = [SparseMatrix(0, dims[0])]
     for n in range(1, max_degree + 1):
         below, here = levels[n - 1], levels[n]
-        b = IntegerMatrix.zeros(dims[n - 1], dims[n])
+        b = SparseMatrix(dims[n - 1], dims[n])
+        rows, positions = b._dicts, below._positions
         for x, t in enumerate(here.tuples):
             sign = 1
-            for i in range(n + 1):
-                row = below.index(face(g, n, i, t))
-                b._rows[row][x] += sign
+            for f in _faces(g, n, t):
+                r = rows[positions[f]]
+                v = r.get(x, 0) + sign
+                if modulus:
+                    v %= modulus
+                if v:
+                    r[x] = v
+                else:  # cancelled faces and zero residues are not stored
+                    r.pop(x, None)
                 sign = -sign
-        boundaries.append(b.mod(modulus) if modulus >= 1 else b)
-    labels = [list(lvl.tuples) for lvl in levels]
-    return FreeChainComplex(dims, boundaries, labels, modulus=modulus)
+        boundaries.append(b)
+    return FreeChainComplex(dims, boundaries, [lvl.tuples for lvl in levels], modulus=modulus)
 
 
 # -- orbits, saturation, reduction -------------------------------------------

@@ -1,13 +1,16 @@
 """Exact integer matrices and Smith normal form.
 
 Everything here is plain unbounded-integer arithmetic: no floats, no
-machine-word moduli.  Matrices are stored as dense lists of rows, but the two
-hot kernels skip zeros: `matmul` costs O(nonzero pairs) multiply-adds, and
-`invariant_factors` eliminates +-1 pivots on sparse rows and hands the small
+machine-word moduli.  Two storages share one read interface: `IntegerMatrix`
+keeps dense lists of rows for the transforms, products and lattice work, and
+`SparseMatrix` keeps one {column: value} dict per row, with no zero stored,
+for the chain-complex boundaries.  `invariant_factors` eliminates +-1 pivots
+on those row dicts (a dense argument is converted once) and hands the small
 dense remainder to `smith_normal_form`, the one pivot loop.  Its pivots come
 from a heap of the live rows keyed by length: the shortest row holding a +-1,
-at its +-1 whose column is shortest.  `column_lattice_basis`,
-an integer column echelon, shrinks a wide generating set to rank many columns.
+at its +-1 whose column is shortest.  Both `matmul`s cost O(nonzero pairs)
+multiply-adds.  `column_lattice_basis`, an integer column echelon, shrinks a
+wide generating set to rank many columns.
 """
 
 from __future__ import annotations
@@ -53,9 +56,14 @@ class IntegerMatrix:
                 raise ValueError("shape mismatch: ragged rows")
         else:
             c = 0 if cols is None else cols
+        return cls._wrap(rows_list, c)
+
+    @classmethod
+    def _wrap(cls, rows_list: list[list[int]], cols: int) -> "IntegerMatrix":
+        """Adopt freshly built row lists of length `cols`, without a copy or a check."""
         m = cls.__new__(cls)
         m.rows = len(rows_list)
-        m.cols = c
+        m.cols = cols
         m._rows = rows_list
         return m
 
@@ -117,26 +125,22 @@ class IntegerMatrix:
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
-        return IntegerMatrix.from_rows(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            cols=self.cols,
+        return IntegerMatrix._wrap(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)], self.cols
         )
 
     def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
-        return IntegerMatrix.from_rows(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            cols=self.cols,
+        return IntegerMatrix._wrap(
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)], self.cols
         )
 
     def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows([[-x for x in row] for row in self._rows], cols=self.cols)
+        return IntegerMatrix._wrap([[-x for x in row] for row in self._rows], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntegerMatrix.from_rows(
-                [[x * other for x in row] for row in self._rows], cols=self.cols
-            )
+            return IntegerMatrix._wrap([[x * other for x in row] for row in self._rows], self.cols)
         if isinstance(other, IntegerMatrix):
             return self.matmul(other)
         return NotImplemented
@@ -170,7 +174,7 @@ class IntegerMatrix:
                     for j in nz[k]:
                         acc[j] += a * b[j]
             out.append(acc)
-        return IntegerMatrix.from_rows(out, cols=other.cols)
+        return IntegerMatrix._wrap(out, other.cols)
 
     def mul_vector(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
@@ -178,9 +182,8 @@ class IntegerMatrix:
         return [sum(a * b for a, b in zip(row, v)) for row in self._rows]
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows(
-            [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
+        return IntegerMatrix._wrap(
+            [[row[j] for row in self._rows] for j in range(self.cols)], self.rows
         )
 
     def mod(self, q: int) -> "IntegerMatrix":
@@ -200,7 +203,7 @@ class IntegerMatrix:
         if any(b.rows != r for b in blocks):
             raise ValueError("shape mismatch: hstack row counts differ")
         rows = [[x for b in blocks for x in b._rows[i]] for i in range(r)]
-        return IntegerMatrix.from_rows(rows, cols=sum(b.cols for b in blocks))
+        return IntegerMatrix._wrap(rows, sum(b.cols for b in blocks))
 
     @staticmethod
     def vstack(blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
@@ -211,7 +214,7 @@ class IntegerMatrix:
         if any(b.cols != c for b in blocks):
             raise ValueError("shape mismatch: vstack column counts differ")
         rows = [row[:] for b in blocks for row in b._rows]
-        return IntegerMatrix.from_rows(rows, cols=c)
+        return IntegerMatrix._wrap(rows, c)
 
     @staticmethod
     def block_diag(blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
@@ -229,11 +232,127 @@ class IntegerMatrix:
 
     def submatrix_columns(self, col_indices: Sequence[int]) -> "IntegerMatrix":
         idx = list(col_indices)
-        return IntegerMatrix.from_rows([[row[j] for j in idx] for row in self._rows], cols=len(idx))
+        return IntegerMatrix._wrap([[row[j] for j in idx] for row in self._rows], len(idx))
 
     def _check_same_shape(self, other: "IntegerMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+
+class SparseMatrix:
+    """A rows x cols integer matrix stored as one {column: value} dict per row.
+
+    The storage of every chain-complex boundary.  Zeros are never stored, so a
+    Moore boundary costs at most n+1 entries per column, and `is_zero`, `==`
+    and `nnz` read the dicts alone.  The read side matches `IntegerMatrix`
+    (`row` and `column` as dense lists, `entries`, `[i, j]`, `mul_vector`,
+    `mod`, `is_zero`, `==`); `matmul` multiplies two sparse matrices in
+    O(nonzero pairs), and `to_dense()` hands dense arithmetic an
+    `IntegerMatrix`.  Treated as immutable by convention, like `IntegerMatrix`.
+
+    >>> s = SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]]))
+    >>> s.nnz, s[1, 2], s.row(0), s.column(2)
+    (3, 2, [1, 0, -1], [-1, 2])
+    >>> s.mod(2).entries, s.mod(2).nnz
+    ([1, 0, 1, 0, 0, 0], 2)
+    >>> s.matmul(SparseMatrix.from_dense(IntegerMatrix.from_rows([[1], [0], [1]]))).column(0)
+    [0, 2]
+    >>> s.to_dense() == IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]])
+    True
+    """
+
+    __slots__ = ("rows", "cols", "_dicts")
+
+    def __init__(self, rows: int, cols: int):
+        """The zero matrix."""
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        self.rows = rows
+        self.cols = cols
+        self._dicts: list[dict[int, int]] = [{} for _ in range(rows)]
+
+    @classmethod
+    def _wrap(cls, rows: int, cols: int, row_dicts: list[dict[int, int]]) -> "SparseMatrix":
+        """Adopt freshly built row dicts that hold no zero, without a copy or a check."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._dicts = row_dicts
+        return m
+
+    @classmethod
+    def from_dense(cls, m: IntegerMatrix) -> "SparseMatrix":
+        cols = range(m.cols)
+        row_dicts = [dict(zip(compress(cols, r), compress(r, r))) for r in m._rows]
+        return cls._wrap(m.rows, m.cols, row_dicts)
+
+    def to_dense(self) -> IntegerMatrix:
+        return IntegerMatrix._wrap([self.row(i) for i in range(self.rows)], self.cols)
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored (nonzero) entries."""
+        return sum(map(len, self._dicts))
+
+    @property
+    def entries(self) -> list[int]:
+        """Entries in row-major order (the serialization format)."""
+        return [x for i in range(self.rows) for x in self.row(i)]
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        i, j = key
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.cols} columns")
+        return self._dicts[i].get(j, 0)
+
+    def row(self, i: int) -> list[int]:
+        out = [0] * self.cols
+        for j, v in self._dicts[i].items():
+            out[j] = v
+        return out
+
+    def column(self, j: int) -> list[int]:
+        return [r.get(j, 0) for r in self._dicts]
+
+    def is_zero(self) -> bool:
+        return not any(self._dicts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self._dicts == other._dicts
+
+    __hash__ = None  # mutable internals; equality is structural
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+    def mul_vector(self, v: Sequence[int]) -> list[int]:
+        if len(v) != self.cols:
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} applied to length-{len(v)} vector")
+        return [sum(a * v[j] for j, a in r.items()) for r in self._dicts]
+
+    def mod(self, q: int) -> "SparseMatrix":
+        """Entries reduced into the canonical residues 0..q-1 (q >= 1); zero residues dropped."""
+        if q < 1:
+            raise ValueError("modulus must be >= 1")
+        return SparseMatrix._wrap(
+            self.rows, self.cols, [{j: x for j, v in r.items() if (x := v % q)} for r in self._dicts]
+        )
+
+    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
+        """self @ other in O(nonzero pairs) multiply-adds (Gustavson, row by row)."""
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        brows = other._dicts
+        out = []
+        for r in self._dicts:
+            acc: dict[int, int] = {}
+            for k, a in r.items():
+                for j, b in brows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return SparseMatrix._wrap(self.rows, other.cols, out)
 
 
 @dataclass
@@ -380,21 +499,22 @@ def smith_normal_form(
         t += 1
 
     return SmithDecomposition(
-        U=None if U is None else IntegerMatrix.from_rows([r[cols:] for r in a[:rows]], cols=rows),
-        D=IntegerMatrix.from_rows([r[:cols] for r in a[:rows]], cols=cols),
-        V=None if V is None else IntegerMatrix.from_rows(a[rows:], cols=cols),
+        U=None if U is None else IntegerMatrix._wrap([r[cols:] for r in a[:rows]], rows),
+        D=IntegerMatrix._wrap([r[:cols] for r in a[:rows]], cols),
+        V=None if V is None else IntegerMatrix._wrap(a[rows:], cols),
         diag=[a[i][i] for i in range(n)],
-        uinv=None if Uit is None else IntegerMatrix.from_rows(Uit, cols=rows).transpose(),
-        vinv=None if Vi is None else IntegerMatrix.from_rows(Vi, cols=cols),
+        uinv=None if Uit is None else IntegerMatrix._wrap(Uit, rows).transpose(),
+        vinv=None if Vi is None else IntegerMatrix._wrap(Vi, cols),
     )
 
 
-def invariant_factors(m: IntegerMatrix) -> list[int]:
+def invariant_factors(m: IntegerMatrix | SparseMatrix) -> list[int]:
     """Nonzero diagonal of the Smith form (ascending divisibility chain).
 
     Fast path for the large, very sparse boundary matrices: +-1 pivots are
-    eliminated on sparse rows first, then the small dense remainder goes
-    through `smith_normal_form`.  The live rows wait in a heap keyed by their
+    eliminated on copies of a `SparseMatrix`'s row dicts (an `IntegerMatrix`
+    is converted first), then the small dense remainder goes through
+    `smith_normal_form`.  The live rows wait in a heap keyed by their
     length.  The shortest row with a +-1 entry is the pivot row, and among its
     +-1 entries the one whose column has the fewest live entries is the pivot.
     A row with no +-1 entry leaves the heap; every row an elimination changes
@@ -410,15 +530,13 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
     >>> invariant_factors(IntegerMatrix.from_rows([[2, 3], [1, 1]]))  # row 0 gains a unit
     [1, 1]
     """
-    cols = list(range(m.cols))
-    rows = {}
-    colidx = [set() for _ in cols]  # the live rows with an entry in each column
-    for i, row in enumerate(m._rows):
-        js = list(compress(cols, row))
-        if js:
-            rows[i] = dict(zip(js, compress(row, row)))
-            for j in js:
-                colidx[j].add(i)
+    if isinstance(m, IntegerMatrix):
+        m = SparseMatrix.from_dense(m)
+    rows = {i: dict(r) for i, r in enumerate(m._dicts) if r}  # copies: elimination edits them
+    colidx = [set() for _ in range(m.cols)]  # the live rows with an entry in each column
+    for i, r in rows.items():
+        for j in r:
+            colidx[j].add(i)
     heap = [(len(r), i) for i, r in rows.items()]
     heapify(heap)
     ones = 0
@@ -430,7 +548,8 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
         units = [j for j, v in prow.items() if v == 1 or v == -1]
         if not units:
             continue  # back in the heap once an elimination changes the row
-        pj = min(units, key=lambda j: len(colidx[j]))
+        lengths = [len(colidx[j]) for j in units]
+        pj = units[lengths.index(min(lengths))]  # the first shortest column
         del rows[pi]
         for j in prow:
             colidx[j].discard(pi)
@@ -456,12 +575,13 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
         ones += 1
     if not rows:
         return [1] * ones
-    live_cols = [j for j in cols if colidx[j]]
-    dense = IntegerMatrix.from_rows([[r.get(j, 0) for j in live_cols] for r in rows.values()])
+    live_cols = [j for j in range(m.cols) if colidx[j]]
+    remainder = [[r.get(j, 0) for j in live_cols] for r in rows.values()]
+    dense = IntegerMatrix._wrap(remainder, len(live_cols))
     return [1] * ones + [d for d in smith_normal_form(dense, transforms=()).diag if d != 0]
 
 
-def rank(m: IntegerMatrix) -> int:
+def rank(m: IntegerMatrix | SparseMatrix) -> int:
     return len(invariant_factors(m))
 
 
@@ -481,7 +601,7 @@ def solve_columns(b: IntegerMatrix, t: IntegerMatrix) -> IntegerMatrix | None:
             if rem:
                 return None
             y[i][j] = q
-    return snf.V.matmul(IntegerMatrix.from_rows(y, cols=t.cols))
+    return snf.V.matmul(IntegerMatrix._wrap(y, t.cols))
 
 
 def column_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
@@ -513,4 +633,4 @@ def column_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
             hit = [c for c in hit if i in c]
         basis += hit
     rows = [[c.get(i, 0) for c in basis] for i in range(m.rows)]
-    return IntegerMatrix.from_rows(rows, cols=len(basis))
+    return IntegerMatrix._wrap(rows, len(basis))

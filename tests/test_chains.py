@@ -10,6 +10,8 @@ brute-force enumeration oracle.
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +29,7 @@ from groupoid_homology import (
 
 import oracles
 from test_acceptance import corpus
+from test_cli import child_env
 
 
 # -- fixture machinery ---------------------------------------------------------------
@@ -101,7 +104,7 @@ def scramble(rng, complex_):
     boundaries = [IntegerMatrix.zeros(0, complex_.dims[0]).matmul(pairs[0][0])]
     for n in range(1, len(complex_.dims)):
         boundaries.append(
-            pairs[n - 1][1].matmul(complex_.boundaries[n]).matmul(pairs[n][0])
+            pairs[n - 1][1].matmul(complex_.boundaries[n].to_dense()).matmul(pairs[n][0])
         )
     return FreeChainComplex(complex_.dims, boundaries, modulus=complex_.modulus)
 
@@ -198,6 +201,47 @@ def test_modular_complex_square_vanishes_only_mod_q():
     c = FreeChainComplex(dims, bnds, modulus=6)
     assert c.modulus == 6
     assert c.max_degree == 2
+
+
+def test_modular_witness_reports_residues():
+    # d1 = [2], d2 = [3] over Z/4: the square 6 is the residue 2
+    bnds = [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.from_rows([[3]])]
+    with pytest.raises(ValueError) as excinfo:
+        FreeChainComplex([1, 1, 1], bnds, modulus=4)
+    assert str(excinfo.value) == "boundary square nonzero at degree 2: column 0 maps to [2]"
+
+
+def test_corrupted_sparse_boundary_raises_under_optimize_flag():
+    # `python -O` strips bare asserts; one corrupted entry of a sparse Moore
+    # boundary must still fail the ∂∘∂ check, with the dense product's witness
+    program = "\n".join(
+        [
+            "import sys",
+            "from groupoid_homology import FreeChainComplex, IntegerMatrix, SparseMatrix,"
+            " moore_complex, one_object_cyclic",
+            "if not sys.flags.optimize:",
+            "    raise SystemExit('child is not optimized')",
+            "c = moore_complex(one_object_cyclic(3), 3)",
+            "rows = [c.boundaries[2].row(i) for i in range(c.boundaries[2].rows)]",
+            "rows[0][1] += 1",
+            "dense = IntegerMatrix.from_rows(rows).matmul(c.boundaries[3].to_dense())",
+            "j = next(j for j in range(dense.cols) if any(dense.column(j)))",
+            "print(f'boundary square nonzero at degree 3: column {j} maps to {dense.column(j)}')",
+            "bad = SparseMatrix.from_dense(IntegerMatrix.from_rows(rows))",
+            "FreeChainComplex(c.dims, c.boundaries[:2] + [bad] + c.boundaries[3:])",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode != 0
+    expected = proc.stdout.strip()
+    assert expected.startswith("boundary square nonzero at degree 3: column ")
+    assert f"ValueError: {expected}" in proc.stderr
 
 
 def test_zero_boundaries_constructor():

@@ -13,6 +13,7 @@ independent oracles; here they pin the exact rendered text.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -262,6 +263,22 @@ def test_homology_dump_complex(tmp_path):
     assert loaded.dims == reference.dims
     assert loaded.boundaries == reference.boundaries
     assert homology_group(loaded, 1) == FinAbGroup.cyclic(3)
+
+
+def test_dump_complex_bytes_are_pinned(tmp_path):
+    # the dense-storage version of the package wrote exactly these bytes
+    path = gen_file(tmp_path, "cyclic:4", "c4.json")
+    dump_path = tmp_path / "complex.json"
+    code, _, _ = run_cli(["homology", "-i", path, "-N", "3", "--dump-complex", str(dump_path)])
+    assert code == 0
+    raw = dump_path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == (
+        "e5dc59a957e0fd4ab9decc90f302788297976a3d2a6f41d37a266f45704e1630"
+    )
+    # and a round trip through from_json writes them again
+    loaded = FreeChainComplex.from_json(json.loads(raw))
+    again = json.dumps(loaded.to_json(), indent=2, sort_keys=True) + "\n"
+    assert again.encode("utf-8") == raw
 
 
 def test_homology_union_input(tmp_path):

@@ -15,6 +15,7 @@ from groupoid_homology import (
     FinAbGroup,
     FiniteGroupoid,
     IntegerMatrix,
+    SparseMatrix,
     action,
     disjoint_union,
     face,
@@ -292,7 +293,29 @@ def test_boundary_is_alternating_face_sum(g):
             term = pushforward_matrix(g, n, i)
             total = total + (term if sign == 1 else -term)
             sign = -sign
-        assert total == c.boundaries[n]
+        assert total == c.boundaries[n].to_dense()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("g", [one_object_cyclic(4), pair(2), action(2, [1, 0])])
+def test_boundary_mod_q_is_reduced_alternating_face_sum(g, q):
+    c = moore_complex(g, 3, modulus=q)
+    for n in (1, 2, 3):
+        total = IntegerMatrix.zeros(c.dims[n - 1], c.dims[n])
+        for i in range(n + 1):
+            total = total + pushforward_matrix(g, n, i) * (-1) ** i
+        assert total.mod(q) == c.boundaries[n].to_dense()
+
+
+@pytest.mark.parametrize("g", [one_object_cyclic(4), one_object_cyclic(6), pair(3)])
+def test_mod_two_complex_stores_no_zero_residue(g):
+    plain = moore_complex(g, 3)
+    reduced = moore_complex(g, 3, modulus=2)
+    for n in range(4):
+        b = reduced.boundaries[n]
+        assert isinstance(b, SparseMatrix)
+        assert b.entries == plain.boundaries[n].to_dense().mod(2).entries
+        assert b.nnz == sum(x != 0 for x in b.entries)
 
 
 # -- Moore complex -------------------------------------------------------------------

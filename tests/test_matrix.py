@@ -8,6 +8,7 @@ import pytest
 import groupoid_homology.matrix as matrix_module
 from groupoid_homology.matrix import (
     IntegerMatrix,
+    SparseMatrix,
     column_lattice_basis,
     invariant_factors,
     rank,
@@ -248,6 +249,18 @@ def test_invariant_factors_sparse_path(name, monkeypatch):
         assert remainders == ([] if shape is None else [shape])
 
 
+@pytest.mark.parametrize("name", SPARSE_PATH_CASES)
+def test_invariant_factors_sparse_twin(name):
+    # a dense input is converted once; its sparse twin is read directly and
+    # left as it was
+    m = SPARSE_PATH_CASES[name]
+    twin = SparseMatrix.from_dense(m)
+    assert twin.to_dense() == m
+    expected = oracles.smith_diag_by_elimination(raw_rows(m))
+    assert invariant_factors(twin) == invariant_factors(m) == expected
+    assert twin == SparseMatrix.from_dense(m)
+
+
 # -- kernels, solving, lattices ---------------------------------------------------
 
 
@@ -416,6 +429,70 @@ def test_matmul_matches_triple_loop(seed):
     assert left * right == product
     # operands are left as they were
     assert raw_rows(left) == a and raw_rows(right) == b
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_sparse_matmul_and_mod_match_dense(seed):
+    a, b, r, k, m = product_factors(seed)
+    left = SparseMatrix.from_dense(IntegerMatrix.from_rows(a, cols=k))
+    right = SparseMatrix.from_dense(IntegerMatrix.from_rows(b, cols=m))
+    product = left.matmul(right)
+    assert (product.rows, product.cols) == (r, m)
+    assert raw_rows(product) == triple_loop_product(a, b, k, m)
+    assert product.nnz == sum(x != 0 for x in product.entries)  # no zero is stored
+    for q in (1, 2, 3):
+        reduced = product.mod(q)
+        assert reduced.to_dense() == product.to_dense().mod(q)
+        assert reduced.nnz == sum(x != 0 for x in reduced.entries)
+    assert raw_rows(left) == a and raw_rows(right) == b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_read_interface_matches_dense(seed):
+    rng = random.Random(4000 + seed)
+    dense = random_matrix(rng)
+    dense = IntegerMatrix.from_rows(
+        [[x if rng.random() < 0.4 else 0 for x in dense.row(i)] for i in range(dense.rows)],
+        cols=dense.cols,
+    )
+    s = SparseMatrix.from_dense(dense)
+    assert (s.rows, s.cols) == (dense.rows, dense.cols)
+    assert s.entries == dense.entries
+    assert s.nnz == sum(x != 0 for x in dense.entries)
+    assert all(s.row(i) == dense.row(i) for i in range(s.rows))
+    assert all(s.column(j) == dense.column(j) for j in range(s.cols))
+    assert all(s[i, j] == dense[i, j] for i in range(s.rows) for j in range(s.cols))
+    v = [rng.randint(-5, 5) for _ in range(s.cols)]
+    assert s.mul_vector(v) == dense.mul_vector(v)
+    assert s.is_zero() == dense.is_zero()
+    assert s.to_dense() == dense
+    assert s == SparseMatrix.from_dense(dense)
+    assert SparseMatrix(s.rows, s.cols).is_zero()
+    assert SparseMatrix(s.rows, s.cols) == SparseMatrix.from_dense(IntegerMatrix.zeros(s.rows, s.cols))
+
+
+def test_sparse_errors_and_equality():
+    s = SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, 2]]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        s.matmul(s)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        s.mul_vector([1, 2])
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        s.mod(0)
+    with pytest.raises(IndexError):
+        s[0, 3]
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        SparseMatrix(-1, 2)
+    # equality is structural and never across the two storage types
+    assert s != SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, 3]]))
+    assert s != SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, 2, 0]]))
+    assert s != s.to_dense()
+    # dense arithmetic on a sparse operand fails loudly: call to_dense() first
+    with pytest.raises(AttributeError):
+        IntegerMatrix.from_rows([[1], [1], [1]]).matmul(s)
+    with pytest.raises(AttributeError):
+        IntegerMatrix.block_diag([s])
+    assert repr(s) == "SparseMatrix(1x3, nnz=2)"
 
 
 # -- arithmetic plumbing ------------------------------------------------------------

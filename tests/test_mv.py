@@ -17,6 +17,7 @@ import pytest
 from groupoid_homology import (
     FinAbGroup,
     FiniteGroupoid,
+    FreeChainComplex,
     IntegerMatrix,
     action,
     chain_ses,
@@ -33,6 +34,7 @@ from groupoid_homology import (
     reduction,
     units,
 )
+from groupoid_homology.mv import MvChainSes
 
 import oracles
 from test_cli import child_env
@@ -157,12 +159,12 @@ def test_chain_maps_commute_with_boundaries(name, g, u1, u2):
     ses = chain_ses(d, 3)
     for n in range(1, 4):
         d_pieces_n = IntegerMatrix.block_diag(
-            [ses.complex1.boundaries[n], ses.complex2.boundaries[n]]
+            [ses.complex1.boundaries[n].to_dense(), ses.complex2.boundaries[n].to_dense()]
         )
         left = d_pieces_n.matmul(ses.to_pieces[n])
-        right = ses.to_pieces[n - 1].matmul(ses.complex12.boundaries[n])
+        right = ses.to_pieces[n - 1].matmul(ses.complex12.boundaries[n].to_dense())
         assert left == right
-        left = ses.total_complex.boundaries[n].matmul(ses.to_total[n])
+        left = ses.total_complex.boundaries[n].to_dense().matmul(ses.to_total[n])
         right = ses.to_total[n - 1].matmul(d_pieces_n)
         assert left == right
 
@@ -321,6 +323,90 @@ def test_cycle_lift(name, g, u1, u2):
             dim1 = ses.complex1.dims[n]
             assert not any(ses.complex1.boundaries[n].mul_vector(lifted[:dim1]))
             assert not any(ses.complex2.boundaries[n].mul_vector(lifted[dim1:]))
+
+
+def _all_units_covers():
+    g = union(one_object_cyclic(2), units(1))
+    h = union(one_object_cyclic(3), units(1))
+    return [
+        ("whole-overlap", g, tuple(g.units), tuple(g.units)),
+        ("empty-second", h, tuple(h.units), ()),
+    ]
+
+
+MV_CORPUS = COVERS + _all_units_covers()
+
+
+@pytest.mark.parametrize("name,g,u1,u2", MV_CORPUS, ids=[c[0] for c in MV_CORPUS])
+def test_connecting_map_vanishes_on_saturated_covers(name, g, u1, u2):
+    # U2 minus U1 is saturated, so G splits over the cover: the canonical lift
+    # of a cycle is a cycle and every connecting class is zero
+    d = decompose(g, u1, u2)
+    ses = chain_ses(d, 3)
+    for n in range(1, 3):
+        for z in ses.homology("total", n).cycle_reps:
+            assert ses.connecting(n, z).witness == [0] * ses.complex12.dims[n - 1]
+            for seed in (5, 6):
+                result = ses.connecting(n, z, rng=random.Random(seed))
+                assert result.is_zero_class and result.is_boundary
+    les = long_exact_sequence(d, 3)
+    assert [les.nodes[i][0] for i in (2, 5, 8)] == ["H_2(G)", "H_1(G)", "H_0(G)"]
+    assert all(delta.is_zero() for delta in les.arrows[2::3])
+
+
+def _zero_intersection_homology(ses):
+    """Fault injection: the intersection's cached homology, swapped for that of
+    a complex with the same dims and zero boundaries, where no nonzero chain
+    bounds."""
+    zeroed = FreeChainComplex.zero_boundaries(ses.complex12.dims)
+    for n in range(ses.max_degree):
+        ses._homology[("piece12", n)] = homology_int(zeroed, n)
+    return zeroed
+
+
+def test_connecting_reports_a_nonboundary_witness():
+    # a randomized lift leaves a nonzero witness that bounds in the true
+    # intersection complex; under the fault it must be reported as no boundary
+    verdicts = []
+    for name, g, u1, u2 in COVERS:
+        ses = chain_ses(decompose(g, u1, u2), 3)
+        zeroed = _zero_intersection_homology(ses)
+        for n in range(1, 3):
+            for z in ses.homology("total", n).cycle_reps:
+                for seed in range(4):
+                    result = ses.connecting(n, z, rng=random.Random(seed))
+                    assert result.coords == ses.homology("piece12", n - 1).class_coords(
+                        result.witness
+                    )
+                    assert result.is_boundary == oracles.lattice_contains(
+                        raw_rows(zeroed.boundaries[n]), [result.witness]
+                    )
+                    assert result.is_boundary == result.is_zero_class
+                    verdicts.append(result.is_boundary)
+    assert False in verdicts and True in verdicts
+
+
+def test_cycle_lift_refuses_a_nonzero_connecting_class(monkeypatch):
+    # with the intersection homology zeroed and every lift randomized, the
+    # connecting class is nonzero, so no cycle lift may be returned
+    original = MvChainSes.lift
+
+    def randomized_lift(self, n, chain, rng=None):
+        return original(self, n, chain, rng=rng or random.Random(7))
+
+    monkeypatch.setattr(MvChainSes, "lift", randomized_lift)
+    refused = 0
+    for name, g, u1, u2 in COVERS:
+        ses = chain_ses(decompose(g, u1, u2), 3)
+        _zero_intersection_homology(ses)
+        for n in range(1, 3):
+            for z in ses.homology("total", n).cycle_reps:
+                if ses.connecting(n, z).is_boundary:
+                    continue
+                with pytest.raises(ValueError, match="cycle admits no cycle lift"):
+                    ses.cycle_lift(n, z)
+                refused += 1
+    assert refused
 
 
 # -- the long exact sequence -----------------------------------------------------------
