@@ -11,7 +11,9 @@ K = {v : ∂_n v ∈ qZ} and the enlarged image B = im(∂_{n+1}) + qZ, with
 q = 0 for integral homology.  One Smith decomposition of [∂_n | qI] gives a
 basis of K and, through V⁻¹, the coordinates of B and of any cycle over it;
 one more, of a column-reduced basis of B's coordinates, gives the
-presentation.  `homology_group` is the sparse route to integral iso types alone.
+presentation.  That route is for representatives; `homology_group` is the
+sparse route to iso types alone, integral or Z/q: the invariant factors of
+∂_{n+1}, or of the mapping cone of q on C.
 """
 
 from __future__ import annotations
@@ -310,17 +312,57 @@ def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
     return HomologyResult(complex_, n, q)
 
 
-def homology_group(complex_: FreeChainComplex, n: int) -> FinAbGroup:
-    """Iso type of integral H_n without representatives (sparse fast path).
+def homology_group(complex_: FreeChainComplex, n: int, q: int = 0) -> FinAbGroup:
+    """Iso type of H_n with Z (q = 0) or Z/q coefficients, sparse, no transforms.
 
-    rank = dims[n] - rank ∂_n - rank ∂_{n+1}; torsion comes from the nonunit
-    invariant factors of ∂_{n+1} (integer kernels are saturated, so the
-    quotient's torsion is exactly the image's).
+    q = 0: rank = dims[n] - rank ∂_n - rank ∂_{n+1}, torsion the nonunit
+    invariant factors of ∂_{n+1} (integer kernels are saturated).  q >= 1:
+    H_n(;Z/q) is ker A / im F for A = [∂_n | qI] and the mapping cone of q,
+    F = [[∂_{n+1}, qI], [-∂_n∂_{n+1}/q, -∂_n]] : C_{n+1}⊕C_n → C_n⊕C_{n-1};
+    A·F = 0 even over Z/q, where ∂∘∂ vanishes only mod q.  A has full row rank
+    and ker A is saturated, so the group is the nonunit invariant factors of F,
+    whose rank must be dims[n].  This is chain level: no tensor/Tor formula.
+
+    >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix.zeros(0, 1),
+    ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(1, 1)])
+    >>> str(homology_group(c, 1, 4))  # ∂_1 = (2): Tor(Z/2, Z/4)
+    'Z/2'
     """
-    if complex_.modulus != 0:
+    if q < 0:
+        raise ValueError("negative modulus")
+    if q == 0 and complex_.modulus != 0:
         raise ValueError("integral homology needs a complex over Z, not Z/q")
+    if complex_.modulus not in (0, q):
+        raise ValueError(
+            f"modulus mismatch: complex over Z/{complex_.modulus}, homology over Z/{q}"
+        )
     _check_trusted(complex_, n)
-    factors_next = invariant_factors(complex_.boundaries[n + 1])
-    rank_here = len(invariant_factors(complex_.boundaries[n]))
-    free = complex_.dims[n] - rank_here - len(factors_next)
-    return FinAbGroup(free, [d for d in factors_next if d >= 2])
+    if q:  # rank ker A = dims[n] + dims[n-1] - rank A = dims[n]
+        relations, rank_here = _cone_of_q(complex_, n, q), 0
+    else:
+        relations = complex_.boundaries[n + 1]
+        rank_here = len(invariant_factors(complex_.boundaries[n]))
+    factors = invariant_factors(relations)
+    free = complex_.dims[n] - rank_here - len(factors)
+    if q and free:
+        raise ValueError(
+            f"boundary square nonzero: the cone of {q} in degree {n} has rank "
+            f"{len(factors)}, not dims[{n}] = {complex_.dims[n]}"
+        )
+    return FinAbGroup(free, [d for d in factors if d >= 2])
+
+
+def _cone_of_q(complex_: FreeChainComplex, n: int, q: int) -> SparseMatrix:
+    """F = [[∂_{n+1}, qI], [-∂_n∂_{n+1}/q, -∂_n]], the relations of H_n(;Z/q)."""
+    above, here = complex_.boundaries[n + 1], complex_.boundaries[n]
+    shift = above.cols
+    top = [{**r, shift + i: q} for i, r in enumerate(above._dicts)]
+    # over Z, ∂∘∂ = 0 was checked on construction; over Z/q it vanishes only mod q
+    square = here.matmul(above)._dicts if complex_.modulus else [{}] * here.rows
+    if any(v % q for r in square for v in r.values()):
+        raise ValueError(f"boundary square nonzero mod {q} at degree {n + 1}")
+    bottom = [
+        {**{j: -v // q for j, v in s.items()}, **{shift + j: -v for j, v in r.items()}}
+        for s, r in zip(square, here._dicts)
+    ]
+    return SparseMatrix._wrap(here.cols + here.rows, shift + here.cols, top + bottom)

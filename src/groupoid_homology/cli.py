@@ -9,6 +9,7 @@ passed, 1 on any failure or input error, and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -452,6 +453,9 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 # -- entry point ------------------------------------------------------------------------
 
 
+# built once per process: parsing leaves the parser unchanged, handlers are
+# module functions and `GH_BUDGET` is read when a command runs
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupoid-homology",

@@ -24,8 +24,11 @@ from .matrix import IntegerMatrix, SparseMatrix
 # The nerve budget: basis elements over all degrees.  Boundaries are stored
 # sparse, with at most n+1 entries per degree-n basis element, so it also
 # bounds the boundary entries (sum of (n+1) * dims[n]) and their memory.  The
-# routes that densify a boundary for a Smith form with transforms
-# (`HomologyResult`: representatives, Z/q coefficients) are not bounded by it.
+# iso-type route (`homology_group`, integral and Z/q, so `homology` with any
+# coefficients and `uct`) eliminates on those sparse rows with no transform,
+# so it bounds that route's memory too, up to the fill of the elimination.
+# The routes that densify a boundary for a Smith form with transforms
+# (`HomologyResult`: representatives, MV) are not bounded by it.
 DEFAULT_BUDGET = 10**6
 
 

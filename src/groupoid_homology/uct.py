@@ -6,7 +6,10 @@ the coefficients matters (the Cantor-function obstruction).
 The short exact sequence 0 → H_n⊗A → H_n(;A) → Tor(H_{n-1},A) → 0 splits, so
 iso types can be compared by assembling the two outer terms.  The splitting
 itself is never constructed — only the assembled iso type, the order equation,
-and the image of the reduction map are observable here.
+and the image of the reduction map are observable here.  The direct side never
+uses the tensor/Tor formula: each H_n(;Z/d) is read at the chain level off the
+invariant factors of the mapping cone of d (`chains.homology_group`), so a
+match compares two independent routes.
 """
 
 from __future__ import annotations
@@ -68,16 +71,17 @@ def homology_with_coefficients(
 ) -> FinAbGroup:
     """H_n of the complex with a finitely generated coefficient group.
 
-    Decomposes A = Z^r ⊕ ⊕ Z/d and sums H_n(;Z)^r with the mod-d homologies;
-    this is a chain-level splitting, not the universal-coefficient formula,
-    so it is fair to cross-validate the latter against it.
+    Decomposes A = Z^r ⊕ ⊕ Z/d and sums H_n(;Z)^r with the mod-d homologies,
+    each the invariant factors of the mapping cone of d on the complex; this
+    is a chain-level computation, not the universal-coefficient formula, so
+    it is fair to cross-validate the latter against it.
     """
     parts: list[FinAbGroup] = []
     if coefficients.rank:
         integral = homology_group(complex_, n)
         parts.extend([integral] * coefficients.rank)
     for d in coefficients.torsion:
-        parts.append(homology_mod(complex_, d, n).group)
+        parts.append(homology_group(complex_, n, d))
     return direct_sum(parts)
 
 

@@ -196,6 +196,7 @@ def test_criterion_04_mod_q_enumeration(capsys):
                     assert result.group.rank == 0, (name, q, n)
                     assert result.group.order() == order, (name, q, n)
                     assert sorted(result.group.primary_decomposition()) == powers
+                    assert homology_group(complex_, n, q) == result.group, (name, q, n)
                     checked += 1
         assert checked >= 300, f"enumeration sweep looks vacuous: {checked} instances"
         info["note"] = f"{checked} instances"

@@ -19,6 +19,7 @@ from groupoid_homology import (
     FinAbGroup,
     FreeChainComplex,
     IntegerMatrix,
+    SparseMatrix,
     direct_sum,
     homology_group,
     homology_int,
@@ -456,6 +457,7 @@ def _oracle_check(c, q, n):
     assert res.group.rank == 0
     assert res.group.order() == order
     assert sorted(res.group.primary_decomposition()) == powers
+    assert homology_group(c, n, q) == res.group
     return res
 
 
@@ -549,6 +551,96 @@ def test_homology_errors_on_modulus_mismatch():
         homology_mod(c, 2, 0)
     with pytest.raises(ValueError, match="negative modulus"):
         homology_mod(klein_complex(), -1, 0)
+
+
+# -- Z/q iso types from the mapping cone of q -----------------------------------------
+
+
+@pytest.mark.parametrize("name_and_groupoid", corpus(), ids=lambda item: item[0])
+def test_cone_route_matches_homology_mod_on_the_corpus(name_and_groupoid):
+    # complexes over Z and over Z/q; the latter's ∂∘∂ is nonzero over Z on
+    # most of the corpus, which the lower-left block of the cone must absorb
+    name, g = name_and_groupoid
+    plain = moore_complex(g, 3)
+    square_nonzero = 0
+    for q in range(1, 13):
+        reduced = moore_complex(g, 3, modulus=q)
+        square_nonzero += any(
+            not reduced.boundaries[n].matmul(reduced.boundaries[n + 1]).is_zero()
+            for n in range(1, 3)
+        )
+        for c in (plain, reduced):
+            for n in range(3):
+                assert homology_group(c, n, q) == homology_mod(c, q, n).group, (name, q, n)
+    assert homology_group(plain, 1, 0) == homology_int(plain, 1).group
+    if name in ("cyclic(3)", "pair(3)", "action(4, swap)"):
+        assert square_nonzero >= 6, name
+
+
+def test_cone_route_errors():
+    c = klein_complex()
+    with pytest.raises(ValueError, match="negative modulus"):
+        homology_group(c, 0, -1)
+    with pytest.raises(ValueError, match="negative degree"):
+        homology_group(c, -1, 2)
+    with pytest.raises(ValueError, match="degree exceeds trusted truncation"):
+        homology_group(c, 2, 2)
+    over_z6 = FreeChainComplex(
+        [1, 1, 1],
+        [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.from_rows([[3]])],
+        modulus=6,
+    )
+    assert homology_group(over_z6, 0, 6) == FinAbGroup(0, (2,))
+    assert homology_group(over_z6, 1, 6).is_trivial()
+    with pytest.raises(ValueError, match="modulus mismatch: complex over Z/6, homology over Z/4"):
+        homology_group(over_z6, 1, 4)
+    with pytest.raises(ValueError, match="integral homology needs a complex over Z"):
+        homology_group(over_z6, 1, 0)
+    # boundaries corrupted after validation: 2 * 4 = 8 is not zero mod 6 ...
+    over_z6.boundaries[2] = SparseMatrix.from_dense(IntegerMatrix.from_rows([[4]]))
+    with pytest.raises(ValueError, match="boundary square nonzero mod 6 at degree 2"):
+        homology_group(over_z6, 1, 6)
+    # ... and over Z, 2 * 3 = 6 != 0 gives the cone an extra rank
+    over_z = FreeChainComplex(
+        [1, 1, 1],
+        [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(1, 1)],
+    )
+    over_z.boundaries[2] = SparseMatrix.from_dense(IntegerMatrix.from_rows([[3]]))
+    with pytest.raises(ValueError) as excinfo:
+        homology_group(over_z, 1, 4)
+    assert str(excinfo.value) == (
+        "boundary square nonzero: the cone of 4 in degree 1 has rank 2, not dims[1] = 1"
+    )
+
+
+def test_cone_free_rank_check_raises_under_optimize_flag():
+    # `python -O` strips bare asserts; a Moore boundary corrupted after
+    # validation must still make the Z/q route raise, not return a group
+    program = "\n".join(
+        [
+            "import sys",
+            "from groupoid_homology import IntegerMatrix, SparseMatrix, homology_group,"
+            " moore_complex, one_object_cyclic",
+            "if not sys.flags.optimize:",
+            "    raise SystemExit('child is not optimized')",
+            "c = moore_complex(one_object_cyclic(3), 3)",
+            "print(homology_group(c, 2, 4))",
+            "rows = [c.boundaries[3].row(i) for i in range(c.boundaries[3].rows)]",
+            "rows[0][0] += 1",
+            "c.boundaries[3] = SparseMatrix.from_dense(IntegerMatrix.from_rows(rows))",
+            "print(homology_group(c, 2, 4))",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == "0\n"  # H_2(Z/3; Z/4) before the corruption
+    assert "ValueError: boundary square nonzero: the cone of 4 in degree 2 has rank " in proc.stderr
 
 
 # -- direct sums ---------------------------------------------------------------------

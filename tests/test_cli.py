@@ -26,7 +26,7 @@ import pytest
 import groupoid_homology
 from groupoid_homology.abelian import FinAbGroup
 from groupoid_homology.chains import FreeChainComplex, homology_group
-from groupoid_homology.cli import main
+from groupoid_homology.cli import build_parser, main
 from groupoid_homology.groupoids import (
     FiniteGroupoid,
     action,
@@ -434,6 +434,29 @@ def test_help_exits_zero():
     code, out, _ = run_cli(["--help"])
     assert code == 0
     assert "groupoid-homology" in out
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path):
+    # main reuses one parser per process: error calls, then calls to other
+    # subcommands (one relying on its own --coeff default), must print and
+    # exit exactly as they do on a freshly built parser
+    path = gen_file(tmp_path, "cyclic:4", "c4.json")
+    calls = [
+        ["sft", "--full-shift", "2", "--family", "2", "3"],
+        ["homology", "-i", path, "--coeff", "z/x"],
+        ["homology", "-i", path, "-N", "3", "--coeff", "z/4", "--primary"],
+        ["uct", "-i", path, "-N", "3"],
+        ["sft", "--full-shift", "3", "-N", "1"],
+    ]
+    assert build_parser() is build_parser()
+    reused = [run_cli(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 1, 0, 0, 0]
+    assert "with Z/2, degrees 0..2" in reused[3][1]
 
 
 # -- uct -------------------------------------------------------------------------

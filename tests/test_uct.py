@@ -53,6 +53,25 @@ def test_integral_routes_agree_on_corpus(name, g):
         assert group == homology_with_coefficients(c, FinAbGroup.free(1), n)
 
 
+def test_coefficient_homology_builds_no_homology_result(monkeypatch):
+    # Z/d iso types come from the cone route alone: no representatives, no
+    # Smith transforms; the closed form per orbit with isotropy Z/k is Z/d in
+    # degree 0 and Z/gcd(k, d) above
+    def refuse(*args, **kwargs):
+        raise AssertionError("HomologyResult built for an iso type")
+
+    monkeypatch.setattr(uct.HomologyResult, "__init__", refuse)
+    c = moore_complex(one_object_cyclic(6), 3)
+    coefficients = FinAbGroup.from_cyclic_orders([0, 4, 6])
+    groups = [homology_with_coefficients(c, coefficients, n) for n in range(3)]
+    assert groups == [
+        FinAbGroup.from_cyclic_orders([0, 4, 6]),
+        FinAbGroup.from_cyclic_orders([6, 2, 6]),
+        FinAbGroup.from_cyclic_orders([2, 6]),
+    ]
+    assert all(r.match for r in uct_verify(one_object_cyclic(4), FinAbGroup.cyclic(6), 3))
+
+
 # -- uct_assemble frozen arithmetic ---------------------------------------------------
 
 
