@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .matrix import IntegerMatrix, invariant_factors
+from .matrix import IntegerMatrix, invariant_factors, sweep_invariant_factors
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -481,6 +481,6 @@ def middle_homology(f: GroupHom, g: GroupHom) -> FinAbGroup:
             lower.append([x // t for x in row])
     d1 = IntegerMatrix.hstack([g.matrix, -g.target.relations])
     d2 = IntegerMatrix.vstack([image, IntegerMatrix.from_rows(lower, cols=image.cols)])
-    factors = invariant_factors(d2)
-    free = d1.cols - len(invariant_factors(d1)) - len(factors)
+    image_factors, factors = sweep_invariant_factors([d1, d2])  # d1·d2 = 0, checked above
+    free = d1.cols - len(image_factors) - len(factors)
     return FinAbGroup(free, [d for d in factors if d >= 2])

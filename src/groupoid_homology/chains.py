@@ -11,9 +11,11 @@ K = {v : ∂_n v ∈ qZ} and the enlarged image B = im(∂_{n+1}) + qZ, with
 q = 0 for integral homology.  One Smith decomposition of [∂_n | qI] gives a
 basis of K and, through V⁻¹, the coordinates of B and of any cycle over it;
 one more, of a column-reduced basis of B's coordinates, gives the
-presentation.  That route is for representatives; `homology_group` is the
-sparse route to iso types alone, integral or Z/q: the invariant factors of
-∂_{n+1}, or of the mapping cone of q on C.
+presentation.  That route is for representatives; `homology_groups` is the
+sparse route to iso types alone, integral or Z/q: one cochain-order sweep
+with clearing (`sweep_invariant_factors`) over ∂_1, ∂_2, ... or over the
+mapping cone of q on C, which factors each matrix once.  `homology_group`
+reads one degree off a sweep that stops there.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .matrix import (
     IntegerMatrix,
     SparseMatrix,
     column_lattice_basis,
-    invariant_factors,
     smith_normal_form,
+    sweep_invariant_factors,
 )
 
 
@@ -264,6 +266,14 @@ class HomologyResult:
         return f"HomologyResult(degree={self.degree}, coefficients={coeff}, group={self.group})"
 
 
+def _check_coefficients(complex_: FreeChainComplex, q: int) -> None:
+    if q < 0:
+        raise ValueError("negative modulus")
+    if complex_.modulus not in (0, q):
+        raise ValueError("integral homology needs a complex over Z, not Z/q" if q == 0 else
+                         f"modulus mismatch: complex over Z/{complex_.modulus}, homology over Z/{q}")
+
+
 def _check_trusted(complex_: FreeChainComplex, n: int) -> None:
     if n < 0:
         raise ValueError("negative degree")
@@ -276,8 +286,7 @@ def _check_trusted(complex_: FreeChainComplex, n: int) -> None:
 
 def homology_int(complex_: FreeChainComplex, n: int) -> HomologyResult:
     """Integral homology ker(∂_n)/im(∂_{n+1}) with generating representatives."""
-    if complex_.modulus != 0:
-        raise ValueError("integral homology needs a complex over Z, not Z/q")
+    _check_coefficients(complex_, 0)
     _check_trusted(complex_, n)
     return HomologyResult(complex_, n, 0)
 
@@ -300,69 +309,96 @@ def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
         ...
     ValueError: not a cycle
     """
-    if q < 0:
-        raise ValueError("negative modulus")
+    _check_coefficients(complex_, q)
     if q == 0:
         return homology_int(complex_, n)
-    if complex_.modulus not in (0, q):
-        raise ValueError(
-            f"modulus mismatch: complex over Z/{complex_.modulus}, homology over Z/{q}"
-        )
     _check_trusted(complex_, n)
     return HomologyResult(complex_, n, q)
 
 
 def homology_group(complex_: FreeChainComplex, n: int, q: int = 0) -> FinAbGroup:
-    """Iso type of H_n with Z (q = 0) or Z/q coefficients, sparse, no transforms.
+    """Iso type of H_n with Z (q = 0) or Z/q coefficients: `homology_groups` up to n.
 
-    q = 0: rank = dims[n] - rank ∂_n - rank ∂_{n+1}, torsion the nonunit
-    invariant factors of ∂_{n+1} (integer kernels are saturated).  q >= 1:
-    H_n(;Z/q) is ker A / im F for A = [∂_n | qI] and the mapping cone of q,
-    F = [[∂_{n+1}, qI], [-∂_n∂_{n+1}/q, -∂_n]] : C_{n+1}⊕C_n → C_n⊕C_{n-1};
-    A·F = 0 even over Z/q, where ∂∘∂ vanishes only mod q.  A has full row rank
-    and ker A is saturated, so the group is the nonunit invariant factors of F,
-    whose rank must be dims[n].  This is chain level: no tensor/Tor formula.
+    The sweep pivots each row at its largest column index: equal +-1 lows
+    cancel, and equal non-unit lows run Euclid, the remainder taking the
+    pivot.  Rows of the next matrix at unit lows are cleared, which is valid
+    only across a product that is exactly zero (checked here for the cone).
+    The few non-unit rows, reduced by the unit rows, leave a small Schur
+    remainder for `smith_normal_form`.
 
     >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix.zeros(0, 1),
     ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(1, 1)])
     >>> str(homology_group(c, 1, 4))  # ∂_1 = (2): Tor(Z/2, Z/4)
     'Z/2'
     """
-    if q < 0:
-        raise ValueError("negative modulus")
-    if q == 0 and complex_.modulus != 0:
-        raise ValueError("integral homology needs a complex over Z, not Z/q")
-    if complex_.modulus not in (0, q):
-        raise ValueError(
-            f"modulus mismatch: complex over Z/{complex_.modulus}, homology over Z/{q}"
-        )
-    _check_trusted(complex_, n)
-    if q:  # rank ker A = dims[n] + dims[n-1] - rank A = dims[n]
-        relations, rank_here = _cone_of_q(complex_, n, q), 0
+    return homology_groups(complex_, q, n)[n]
+
+
+def homology_groups(complex_: FreeChainComplex, q: int = 0, top: int | None = None) -> list[FinAbGroup]:
+    """Iso types of H_0..H_top (default: every trusted degree), Z or Z/q coefficients.
+
+    One `sweep_invariant_factors` factors each matrix once.  q = 0 sweeps
+    ∂_1..∂_{top+1}: H_n has rank dims[n] - rank ∂_n - rank ∂_{n+1} and the
+    nonunit factors of ∂_{n+1} as torsion.  q >= 1 sweeps the mapping cone
+    of q, a complex over Z with D_n = C_{n-1} ⊕ C_n and boundaries
+    F_n = [[-∂_n, -∂_n∂_{n+1}/q], [qI, ∂_{n+1}]] (rows C_{n-1} then C_n,
+    columns C_n then C_{n+1}), so F_{n-1}·F_n = 0 exactly, also over Z/q
+    where ∂∘∂ vanishes only mod q.  For C free H_n(D) = H_n(C;Z/q), and as
+    rank F_{n-1} = dims[n-1] it is the nonunit factors of F_n, whose rank
+    must be dims[n]: chain level, no tensor/Tor formula.  Each F_{n-1}·F_n
+    is checked here: a nonzero one raises over Z/q (an inexact quotient)
+    and, over Z, stops the clearing there, so the rank check sees the fault.
+    """
+    _check_coefficients(complex_, q)
+    if top is None:
+        top = complex_.max_degree - 1
     else:
-        relations = complex_.boundaries[n + 1]
-        rank_here = len(invariant_factors(complex_.boundaries[n]))
-    factors = invariant_factors(relations)
-    free = complex_.dims[n] - rank_here - len(factors)
-    if q and free:
-        raise ValueError(
-            f"boundary square nonzero: the cone of {q} in degree {n} has rank "
-            f"{len(factors)}, not dims[{n}] = {complex_.dims[n]}"
-        )
-    return FinAbGroup(free, [d for d in factors if d >= 2])
+        _check_trusted(complex_, top)
+    dims = complex_.dims
+    if not q:
+        factors = sweep_invariant_factors(complex_.boundaries[1:top + 2])
+        ranks = [0] + [len(f) for f in factors]
+        return [
+            FinAbGroup(dims[n] - ranks[n] - ranks[n + 1], [d for d in factors[n] if d >= 2])
+            for n in range(top + 1)
+        ]
+    cones = _cones(complex_, q, top)
+    runs: list[list[SparseMatrix]] = [[]]
+    for n, cone in enumerate(cones):
+        if n and not cones[n - 1].matmul(cone).is_zero():
+            if complex_.modulus:
+                raise ValueError(f"boundary square nonzero mod {q} at degree {n + 1}")
+            runs.append([])
+        runs[-1].append(cone)
+    factors = [f for run in runs for f in sweep_invariant_factors(run)]
+    for n, f in enumerate(factors):
+        if len(f) != dims[n]:
+            raise ValueError(
+                f"boundary square nonzero: the cone of {q} in degree {n} has rank "
+                f"{len(f)}, not dims[{n}] = {dims[n]}"
+            )
+    return [FinAbGroup(0, [d for d in f if d >= 2]) for f in factors]
 
 
-def _cone_of_q(complex_: FreeChainComplex, n: int, q: int) -> SparseMatrix:
-    """F = [[∂_{n+1}, qI], [-∂_n∂_{n+1}/q, -∂_n]], the relations of H_n(;Z/q)."""
-    above, here = complex_.boundaries[n + 1], complex_.boundaries[n]
-    shift = above.cols
-    top = [{**r, shift + i: q} for i, r in enumerate(above._dicts)]
-    # over Z, ∂∘∂ = 0 was checked on construction; over Z/q it vanishes only mod q
-    square = here.matmul(above)._dicts if complex_.modulus else [{}] * here.rows
-    if any(v % q for r in square for v in r.values()):
-        raise ValueError(f"boundary square nonzero mod {q} at degree {n + 1}")
-    bottom = [
-        {**{j: -v // q for j, v in s.items()}, **{shift + j: -v for j, v in r.items()}}
-        for s, r in zip(square, here._dicts)
+def _cones(complex_: FreeChainComplex, q: int, top: int) -> list[SparseMatrix]:
+    """The cone's F_0..F_top.  Over Z the quotient block is zero (∂∘∂ = 0 on
+    construction); over Z/q any integer lift will do, and the symmetric one
+    keeps -1 a unit pivot; the floor quotient is exact unless F_{n-1}·F_n != 0.
+    """
+    lifts = [
+        SparseMatrix._wrap(b.rows, b.cols, [{j: v - q if 2 * v > q else v for j, v in r.items()}
+                                            for r in b._dicts])
+        if complex_.modulus else b
+        for b in complex_.boundaries[:top + 2]
     ]
-    return SparseMatrix._wrap(here.cols + here.rows, shift + here.cols, top + bottom)
+    cones = []
+    for here, above in zip(lifts, lifts[1:]):
+        square = here.matmul(above)._dicts if complex_.modulus else [{}] * here.rows
+        shift = here.cols
+        top_rows = [
+            {**{j: -v for j, v in r.items()}, **{shift + j: x for j, v in s.items() if (x := -v // q)}}
+            for r, s in zip(here._dicts, square)
+        ]
+        bottom = [{i: q, **{shift + j: v for j, v in r.items()}} for i, r in enumerate(above._dicts)]
+        cones.append(SparseMatrix._wrap(here.rows + here.cols, shift + above.cols, top_rows + bottom))
+    return cones

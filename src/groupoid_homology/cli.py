@@ -39,7 +39,7 @@ from .sft import (
     probe_schedule,
     sft_matrix_homology,
 )
-from .uct import homology_with_coefficients, uct_assemble, uct_verify
+from .uct import coefficient_homology, uct_assemble, uct_verify
 
 
 # -- shared plumbing ---------------------------------------------------------
@@ -199,7 +199,7 @@ def cmd_homology(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     if args.dump_complex:
         with open(args.dump_complex, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(complex_.to_json(), indent=2, sort_keys=True) + "\n")
-    groups = [homology_with_coefficients(complex_, coefficients, n) for n in range(n_max)]
+    groups = coefficient_homology(complex_, coefficients)
     lines = [
         f"homology of {args.input} with coefficients {coefficients.render()}, "
         f"degrees 0..{n_max - 1}"

@@ -4,11 +4,14 @@ Everything here is plain unbounded-integer arithmetic: no floats, no
 machine-word moduli.  Two storages share one read interface: `IntegerMatrix`
 keeps dense lists of rows for the transforms, products and lattice work, and
 `SparseMatrix` keeps one {column: value} dict per row, with no zero stored,
-for the chain-complex boundaries.  `invariant_factors` eliminates +-1 pivots
-on those row dicts (a dense argument is converted once) and hands the small
-dense remainder to `smith_normal_form`, the one pivot loop.  Its pivots come
-from a heap of the live rows keyed by length: the shortest row holding a +-1,
-at its +-1 whose column is shortest.  Both `matmul`s cost O(nonzero pairs)
+for the chain-complex boundaries.  `sweep_invariant_factors` factors a
+chain of matrices with zero products (a complex's boundaries, a mapping
+cone) in one row reduction in cochain order, on copies of those row dicts: a
+row's low is its largest column index, equal +-1 lows cancel, equal non-unit
+lows run Euclid, and the rows of the next matrix indexed by unit lows are
+cleared (skipped).  Only the Schur remainder of the few non-unit rows goes to
+`smith_normal_form`, the one pivot loop; `invariant_factors` is the
+one-matrix case.  Both `matmul`s cost O(nonzero pairs)
 multiply-adds.  `column_lattice_basis`, an integer column echelon, shrinks a
 wide generating set to rank many columns.
 """
@@ -16,7 +19,6 @@ wide generating set to rank many columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Sequence
 
@@ -392,7 +394,7 @@ def smith_normal_form(
     rows, cols = m.rows, m.cols
 
     def eye(n: int, name: str) -> list[list[int]] | None:
-        return [[int(i == j) for j in range(n)] for i in range(n)] if name in wanted else None
+        return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)] if name in wanted else None
 
     # U⁻¹ is kept transposed, so that, like V⁻¹, it changes by row operations
     U, V, Uit, Vi = eye(rows, "U"), eye(cols, "V"), eye(rows, "uinv"), eye(cols, "vinv")
@@ -511,74 +513,108 @@ def smith_normal_form(
 def invariant_factors(m: IntegerMatrix | SparseMatrix) -> list[int]:
     """Nonzero diagonal of the Smith form (ascending divisibility chain).
 
-    Fast path for the large, very sparse boundary matrices: +-1 pivots are
-    eliminated on copies of a `SparseMatrix`'s row dicts (an `IntegerMatrix`
-    is converted first), then the small dense remainder goes through
-    `smith_normal_form`.  The live rows wait in a heap keyed by their
-    length.  The shortest row with a +-1 entry is the pivot row, and among its
-    +-1 entries the one whose column has the fewest live entries is the pivot.
-    A row with no +-1 entry leaves the heap; every row an elimination changes
-    goes back in with its new length, so a row that gains a unit is found, and
-    an entry whose row is gone or has another length now is skipped.  The
-    factors are unique, so the pivot order only decides the fill.
-    `len(result)` is the rank of `m`.
+    The one-matrix case of `sweep_invariant_factors`: each row pivots at its
+    largest column index, equal +-1 lows cancel, equal non-unit lows run
+    Euclid, and only the Schur remainder of the non-unit rows goes to
+    `smith_normal_form`.  `len(result)` is the rank of `m`.
 
     >>> invariant_factors(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     [2, 4]
-    >>> invariant_factors(IntegerMatrix.from_rows([[1, 0], [0, 0]]))
-    [1]
-    >>> invariant_factors(IntegerMatrix.from_rows([[2, 3], [1, 1]]))  # row 0 gains a unit
+    >>> invariant_factors(IntegerMatrix.from_rows([[2, 3], [1, 1]]))  # Euclid at low 1
     [1, 1]
     """
-    if isinstance(m, IntegerMatrix):
-        m = SparseMatrix.from_dense(m)
-    rows = {i: dict(r) for i, r in enumerate(m._dicts) if r}  # copies: elimination edits them
-    colidx = [set() for _ in range(m.cols)]  # the live rows with an entry in each column
-    for i, r in rows.items():
-        for j in r:
-            colidx[j].add(i)
-    heap = [(len(r), i) for i, r in rows.items()]
-    heapify(heap)
-    ones = 0
-    while heap:
-        length, pi = heappop(heap)
-        prow = rows.get(pi)
-        if prow is None or len(prow) != length:
-            continue  # stale: the row is gone or waits under its new length
-        units = [j for j, v in prow.items() if v == 1 or v == -1]
-        if not units:
-            continue  # back in the heap once an elimination changes the row
-        lengths = [len(colidx[j]) for j in units]
-        pj = units[lengths.index(min(lengths))]  # the first shortest column
-        del rows[pi]
-        for j in prow:
-            colidx[j].discard(pi)
-        pv = prow.pop(pj)  # so the loop below never changes colidx[pj], which it walks
-        for i in colidx[pj]:
-            ri = rows[i]
-            mult = ri.pop(pj) * pv  # pv is +-1, so this clears entry (i, pj)
-            for j, v in prow.items():
-                old = ri.get(j)
-                if old is None:
-                    ri[j] = -mult * v
-                    colidx[j].add(i)
-                elif old == mult * v:
-                    del ri[j]
-                    colidx[j].discard(i)
-                else:
-                    ri[j] = old - mult * v
-            if ri:
-                heappush(heap, (len(ri), i))
-            else:
-                del rows[i]
-        colidx[pj].clear()
-        ones += 1
-    if not rows:
-        return [1] * ones
-    live_cols = [j for j in range(m.cols) if colidx[j]]
-    remainder = [[r.get(j, 0) for j in live_cols] for r in rows.values()]
-    dense = IntegerMatrix._wrap(remainder, len(live_cols))
-    return [1] * ones + [d for d in smith_normal_form(dense, transforms=()).diag if d != 0]
+    return sweep_invariant_factors([m])[0]
+
+
+def sweep_invariant_factors(ms: Sequence[IntegerMatrix | SparseMatrix]) -> list[list[int]]:
+    """`invariant_factors` of each of m_0, m_1, ..., whose products m_k @ m_{k+1} are 0.
+
+    One row reduction in cochain order, on copies of the sparse row dicts.  A
+    row's low is its largest column index.  A row at a +-1 pivot's low is
+    reduced by it; at a non-unit pivot's low a it takes b - (b // a)·a
+    (Euclid), and a nonzero remainder takes the pivot while the old pivot row
+    goes on.  That leaves an echelon basis: unit-low rows A and a few others,
+    which are reduced by A on A's lows, largest first.  [[A, B], [0, C]] with
+    A unimodular is equivalent to I ⊕ C, so only the Schur remainder C goes
+    to `smith_normal_form`.
+
+    Clearing: a reduced row R = x·m_k with unit low j may replace row j of
+    m_{k+1} by R·m_{k+1} = 0, a row operation unitriangular in the order of
+    the lows, so the rows of m_{k+1} at m_k's unit lows are skipped.  It is
+    valid only because the product is exactly zero: the caller vouches for
+    it.  At a non-unit low a the operation has determinant a, so that row
+    stays; a times it lies in the span of the others, so instead of walking
+    the whole echelon it joins the Schur step, one pass over the unit lows.
+
+    >>> d1 = IntegerMatrix.from_rows([[-1, -1, 0], [1, 1, 0]])
+    >>> sweep_invariant_factors([d1, IntegerMatrix.from_rows([[2], [-2], [0]])])
+    [[1], [2]]
+    """
+    out: list[list[int]] = []
+    units: set[int] = set()
+    others: set[int] = set()
+    for k, m in enumerate(ms):
+        m = SparseMatrix.from_dense(m) if isinstance(m, IntegerMatrix) else m
+        if k and m.rows != ms[k - 1].cols:
+            raise ValueError(f"shape mismatch: matrix {k} has {m.rows} rows, not {ms[k - 1].cols}")
+        units, others, factors = _reduce(m, units, others)
+        out.append(factors)
+    return out
+
+
+def _reduce(m: SparseMatrix, cleared: set[int], deferred: set[int]) -> tuple[set, set, list[int]]:
+    """Unit lows, non-unit lows and invariant factors of m; `deferred` rows go to the Schur step."""
+    units: dict[int, dict[int, int]] = {}
+    others: dict[int, dict[int, int]] = {}  # the rows with a non-unit low
+    late = []
+    for i, row in enumerate(m._dicts):
+        if not row or i in cleared:
+            continue
+        r = dict(row)
+        if i in deferred:
+            late.append(r)
+            continue
+        while r:
+            j = max(r)
+            p = units.get(j)
+            if p is not None:
+                _sub(r, p, r[j] * p[j])
+                continue
+            p = others.get(j)
+            if p is None:
+                (units if r[j] in (1, -1) else others)[j] = r
+                break
+            c = r[j] // p[j]
+            if c:
+                _sub(r, p, c)
+            if j in r:  # |remainder| < |pivot|: it takes low j, the old pivot row goes on
+                del others[j]
+                (units if r[j] in (1, -1) else others)[j] = r
+                r = p
+    factors = [1] * len(units)
+    rest = [*others.values(), *late]
+    if rest:
+        # a unit row only holds columns up to its low, so largest first clears them all
+        order = sorted(units, reverse=True)
+        for r in rest:
+            for j in order:
+                if j in r:
+                    p = units[j]
+                    _sub(r, p, r[j] * p[j])
+        live = sorted({j for r in rest for j in r})
+        dense = IntegerMatrix._wrap([[r.get(j, 0) for j in live] for r in rest], len(live))
+        factors += [d for d in smith_normal_form(dense, transforms=()).diag if d]
+    return set(units), set(others), factors
+
+
+def _sub(r: dict[int, int], p: dict[int, int], c: int) -> None:
+    """r -= c * p on sparse rows, dropping the zeros."""
+    for k, v in p.items():
+        x = r.get(k, 0) - c * v
+        if x:
+            r[k] = x
+        else:
+            del r[k]
 
 
 def rank(m: IntegerMatrix | SparseMatrix) -> int:

@@ -8,7 +8,7 @@ iso types can be compared by assembling the two outer terms.  The splitting
 itself is never constructed — only the assembled iso type, the order equation,
 and the image of the reduction map are observable here.  The direct side never
 uses the tensor/Tor formula: each H_n(;Z/d) is read at the chain level off the
-invariant factors of the mapping cone of d (`chains.homology_group`), so a
+invariant factors of the mapping cone of d (`chains.homology_groups`), so a
 match compares two independent routes.
 """
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .abelian import FinAbGroup, direct_sum, group_of, tensor, tor1
-from .chains import FreeChainComplex, HomologyResult, homology_group, homology_int, homology_mod
+from .chains import FreeChainComplex, HomologyResult, homology_groups, homology_int, homology_mod
 from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, moore_complex
 from .matrix import IntegerMatrix, column_lattice_basis, solve_columns
 
@@ -76,13 +76,23 @@ def homology_with_coefficients(
     is a chain-level computation, not the universal-coefficient formula, so
     it is fair to cross-validate the latter against it.
     """
-    parts: list[FinAbGroup] = []
-    if coefficients.rank:
-        integral = homology_group(complex_, n)
-        parts.extend([integral] * coefficients.rank)
-    for d in coefficients.torsion:
-        parts.append(homology_group(complex_, n, d))
-    return direct_sum(parts)
+    return coefficient_homology(complex_, coefficients, n)[n]
+
+
+def coefficient_homology(
+    complex_: FreeChainComplex, coefficients: FinAbGroup, top: int | None = None,
+    integral: list[FinAbGroup] | None = None,
+) -> list[FinAbGroup]:
+    """H_0..H_top (default: every trusted degree) with coefficients, one
+    `homology_groups` sweep per summand; `integral`, when the caller has it,
+    stands in for the free summands' sweep."""
+    if top is not None and top < 0:
+        raise ValueError("negative degree")
+    if coefficients.rank and integral is None:
+        integral = homology_groups(complex_, 0, top)
+    sweeps = [integral] * coefficients.rank + [homology_groups(complex_, d, top) for d in coefficients.torsion]
+    degrees = complex_.max_degree if top is None else top + 1
+    return [direct_sum([s[n] for s in sweeps]) for n in range(degrees)]
 
 
 def uct_verify(
@@ -93,12 +103,12 @@ def uct_verify(
 ) -> list[UctReport]:
     """Universal-coefficient comparison for every trusted degree 0..N-1."""
     complex_ = moore_complex(groupoid, max_degree, budget=budget)
-    integral = [homology_group(complex_, n) for n in range(max_degree)]
+    integral = homology_groups(complex_)
+    direct = coefficient_homology(complex_, coefficients, integral=integral)
     reports = []
     for n in range(max_degree):
         below = integral[n - 1] if n >= 1 else FinAbGroup.trivial()
         tensor_part, tor_part, assembled = uct_assemble(integral[n], below, coefficients)
-        direct = homology_with_coefficients(complex_, coefficients, n)
         reports.append(
             UctReport(
                 degree=n,
@@ -108,8 +118,8 @@ def uct_verify(
                 tensor_part=tensor_part,
                 tor_part=tor_part,
                 assembled=assembled,
-                direct=direct,
-                match=assembled == direct,
+                direct=direct[n],
+                match=assembled == direct[n],
             )
         )
     return reports
@@ -185,7 +195,7 @@ def mod_reduction_check(
             raise ValueError(f"reduction map image mismatch: mod-q shift moved the class of {z}")
         images.append(list(coords))
     image_group = _subgroup_generated(modular, images)
-    below = homology_group(complex_, n - 1) if n >= 1 else FinAbGroup.trivial()
+    below = homology_groups(complex_, 0, n - 1)[n - 1] if n >= 1 else FinAbGroup.trivial()
     tensor_part, tor_part, _ = uct_assemble(integral.group, below, FinAbGroup.cyclic(q))
     if image_group != tensor_part:
         raise ValueError(

@@ -67,6 +67,23 @@ def smith_diag_by_minors(rows: list[list[int]]) -> list[int]:
     return out
 
 
+def rank_over_q(rows: list[list[int]]) -> int:
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for j in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][j]:
+                f = m[i][j] / m[rank][j]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def smith_diag_by_elimination(rows: list[list[int]]) -> list[int]:
     """Invariant factors by naive textbook elimination (no transform tracking)."""
     m = [list(r) for r in rows]

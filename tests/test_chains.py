@@ -15,18 +15,24 @@ import sys
 
 import pytest
 
+import groupoid_homology.matrix as matrix_module
 from groupoid_homology import (
     FinAbGroup,
+    FiniteGroupoid,
     FreeChainComplex,
     IntegerMatrix,
     SparseMatrix,
     direct_sum,
     homology_group,
+    homology_groups,
     homology_int,
     homology_mod,
     moore_complex,
+    one_object_cyclic,
     shift_sum,
+    sweep_invariant_factors,
 )
+from groupoid_homology.chains import _cones
 
 import oracles
 from test_acceptance import corpus
@@ -641,6 +647,98 @@ def test_cone_free_rank_check_raises_under_optimize_flag():
     assert proc.returncode != 0
     assert proc.stdout == "0\n"  # H_2(Z/3; Z/4) before the corruption
     assert "ValueError: boundary square nonzero: the cone of 4 in degree 2 has rank " in proc.stderr
+
+
+def test_cone_clearing_does_not_mask_a_corrupted_cleared_row(monkeypatch):
+    # a row of ∂_3 that clearing skips in the cone F_2 (where it is row
+    # dims[1] + i, at a unit low of F_1), corrupted after validation under
+    # `python -O`, must still make the Z/q route raise, over Z and over Z/4
+    cleared = []
+    real_reduce = matrix_module._reduce
+    monkeypatch.setattr(
+        matrix_module, "_reduce", lambda m, skip, defer: cleared.append(skip) or real_reduce(m, skip, defer)
+    )
+    for modulus in (0, 4):
+        c = moore_complex(one_object_cyclic(3), 3, modulus=modulus)
+        homology_group(c, 2, 4)
+    skipped = {i - c.dims[1] for i in cleared[2] & cleared[5] if i >= c.dims[1]}
+    assert skipped
+    program = "\n".join(
+        [
+            "import sys",
+            "from groupoid_homology import homology_group, moore_complex, one_object_cyclic",
+            "if not sys.flags.optimize:",
+            "    raise SystemExit('child is not optimized')",
+            "for modulus in (0, 4):",
+            "    c = moore_complex(one_object_cyclic(3), 3, modulus=modulus)",
+            "    print(homology_group(c, 2, 4))",
+            f"    row = c.boundaries[3]._dicts[{min(skipped)}]",
+            "    row[min(row)] += 1",
+            "    try:",
+            "        homology_group(c, 2, 4)",
+            "    except ValueError as e:",
+            "        print(e)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[2] == "0"  # H_2(Z/3; Z/4) before the corruption
+    assert lines[1].startswith("boundary square nonzero: the cone of 4 in degree 2 has rank ")
+    assert lines[3] == "boundary square nonzero mod 4 at degree 3"
+
+
+def relabelled(g, seed: int) -> FiniteGroupoid:
+    """The groupoid with its arrows renumbered by a seeded permutation."""
+    data = g.to_json()
+    new = list(range(data["arrows"]))
+    random.Random(seed).shuffle(new)
+    out = {"arrows": data["arrows"], "units": sorted(new[u] for u in data["units"])}
+    for key in ("source", "range", "inverse"):
+        values = [0] * data["arrows"]
+        for a, b in enumerate(data[key]):
+            values[new[a]] = new[b]
+        out[key] = values
+    out["compose"] = sorted([new[x] for x in t] for t in data["compose"])
+    return FiniteGroupoid.from_json(out)
+
+
+def _oracle_factors(m) -> list[int]:
+    rows = [m.row(i) for i in range(m.rows)]
+    factors = oracles.smith_diag_by_elimination(rows)
+    assert len(factors) == oracles.rank_over_q(rows)
+    return factors
+
+
+@pytest.mark.parametrize("name_and_groupoid", corpus(), ids=[n for n, _ in corpus()])
+def test_sweep_matches_oracles_on_relabelled_corpus(name_and_groupoid):
+    name, g = name_and_groupoid
+    for seed in (1, 2):
+        c = moore_complex(relabelled(g, seed), 3)
+        swept = sweep_invariant_factors(c.boundaries[1:])
+        assert swept == [_oracle_factors(b) for b in c.boundaries[1:]], (name, seed)
+        assert homology_groups(c) == [homology_int(c, n).group for n in range(3)], (name, seed)
+
+
+@pytest.mark.parametrize("name_and_groupoid", corpus(), ids=[n for n, _ in corpus()])
+def test_sweep_matches_oracles_on_cones(name_and_groupoid):
+    # the cones F_0..F_2 of q = 1..12, over Z and over Z/q: consecutive
+    # products vanish, and rank F_n = dims[n]
+    name, g = name_and_groupoid
+    plain = moore_complex(g, 3)
+    for q in range(1, 13):
+        for c in (plain, moore_complex(g, 3, modulus=q)):
+            cones = _cones(c, q, 2)
+            assert all(a.matmul(b).is_zero() for a, b in zip(cones, cones[1:])), (name, q)
+            swept = sweep_invariant_factors(cones)
+            assert swept == [_oracle_factors(f) for f in cones], (name, q, c.modulus)
+            assert [len(f) for f in swept] == c.dims[:3], (name, q, c.modulus)
 
 
 # -- direct sums ---------------------------------------------------------------------

@@ -14,6 +14,7 @@ from groupoid_homology.matrix import (
     rank,
     smith_normal_form,
     solve_columns,
+    sweep_invariant_factors,
 )
 
 import oracles
@@ -206,7 +207,8 @@ SPARSE_PATH_CASES = {
     **{f"dependent-{s}": IntegerMatrix.from_rows(dependent_rows(s)) for s in range(12, 24)},
     # row 0 holds no unit until the pivot on row 1 turns its 3 into a 1
     "gains-unit": IntegerMatrix.from_rows([[2, 3, 0, 0], [1, 1, 0, 0], [0, 0, 2, 4]]),
-    # the pivot on row 0 leaves row 1 at length 2, so row 1 is queued twice
+    # row 2's low holds a 2; the Schur step by the unit rows 0 and 1 leaves
+    # (-1, 2) on columns 0 and 3, so a unit reaches the dense remainder
     "same-length": IntegerMatrix.from_rows([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 2]]),
     **{f"permutation-{n}": IntegerMatrix.from_rows(signed_permutation_rows(n)) for n in (1, 7, 20)},
     "unitriangular": IntegerMatrix.from_rows(unitriangular_rows(12)),
@@ -214,6 +216,18 @@ SPARSE_PATH_CASES = {
         [[int(i == j) for j in range(8)] for i in range(5)] + [[0] * 8]
     ),
     "no-units": IntegerMatrix.from_rows([[2, 4, 0, 6], [0, 6, -2, 0], [4, 0, 0, 8], [0, 0, 2, -2]]),
+    # equal non-unit lows 4 and 6: Euclid leaves 2, which takes the low
+    "equal-nonunit-lows": IntegerMatrix.from_rows([[1, 4], [0, 6]]),
+    # lows 3 then 2 (and their negatives): the quotient 2 // 3 is 0, so the
+    # row is unchanged and takes the low as it is
+    "quotient-zero": IntegerMatrix.from_rows([[5, 3], [7, 2]]),
+    "quotient-zero-negative": IntegerMatrix.from_rows([[5, -3], [7, -2]]),
+    "quotient-zero-mixed": IntegerMatrix.from_rows([[0, 0, 3], [1, 0, 2], [0, 1, 3]]),
+    # row 1's low holds a 2, but the unit row 0 turns its 1 into the remainder
+    # (-1, 2): factors (1, 1), where the non-unit rows alone would give 2
+    "schur-step": IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 2]]),
+    # the same through a chain of unit lows 2 then 1
+    "schur-chain": IntegerMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2]]),
     "zero-3x5": IntegerMatrix.zeros(3, 5),
     "empty-0x4": IntegerMatrix.zeros(0, 4),
     "empty-4x0": IntegerMatrix.zeros(4, 0),
@@ -221,12 +235,15 @@ SPARSE_PATH_CASES = {
 # shape of the dense remainder handed to smith_normal_form, None if none is
 DENSE_REMAINDER = {
     "gains-unit": (1, 2),
-    "same-length": None,
+    "same-length": (1, 2),
     "permutation-1": None,
     "permutation-7": None,
     "permutation-20": None,
     "identity-over-zero": None,
     "no-units": (4, 4),
+    "equal-nonunit-lows": (2, 2),
+    "schur-step": (1, 2),
+    "schur-chain": (1, 2),
     "zero-3x5": None,
     "empty-0x4": None,
     "empty-4x0": None,
@@ -259,6 +276,47 @@ def test_invariant_factors_sparse_twin(name):
     expected = oracles.smith_diag_by_elimination(raw_rows(m))
     assert invariant_factors(twin) == invariant_factors(m) == expected
     assert twin == SparseMatrix.from_dense(m)
+
+
+# -- the cochain-order sweep ----------------------------------------------------------
+
+
+def test_sweep_clears_and_defers(monkeypatch):
+    # d1·d2 = d2·d3 = 0; d1's unit low 1 clears row 1 of d2, d2's unit low 0
+    # clears row 0 of d3, and d2's non-unit low 2 sends row 2 of d3, which
+    # reduces to zero, to the Schur step: a 1 x 0 remainder
+    d1 = IntegerMatrix.from_rows([[-1, -1, 0], [1, 1, 0]])
+    d2 = IntegerMatrix.from_rows([[1, 0, 0], [-1, 0, 0], [0, 2, 2]])
+    d3 = IntegerMatrix.from_rows([[0], [1], [-1]])
+    remainders = []
+
+    def recording_smith(dense, **kwargs):
+        remainders.append((dense.rows, dense.cols))
+        return smith_normal_form(dense, **kwargs)
+
+    monkeypatch.setattr(matrix_module, "smith_normal_form", recording_smith)
+    assert sweep_invariant_factors([d1, d2, d3]) == [[1], [1, 2], [1]]
+    assert remainders == [(1, 2), (1, 0)]
+    assert sweep_invariant_factors([]) == []
+    with pytest.raises(ValueError, match="shape mismatch: matrix 1 has 2 rows, not 3"):
+        sweep_invariant_factors([d1, IntegerMatrix.zeros(2, 2)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sweep_on_random_zero_product_pairs(seed):
+    # B = (saturated kernel of A) @ (random mix), so A @ B = 0 exactly and
+    # clearing applies; every factor list must match the oracles
+    rng = random.Random(5000 + seed)
+    a = random_matrix(rng, max_side=7, spread=3)
+    kernel = IntegerMatrix.from_rows(oracles.saturated_kernel_basis(raw_rows(a), a.cols), cols=0)
+    width = rng.randint(1, 6)
+    mix = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(kernel.cols)]
+    b = kernel.matmul(IntegerMatrix.from_rows(mix, cols=width))
+    assert b.rows == a.cols and a.matmul(b).is_zero()
+    swept = sweep_invariant_factors([a, b])
+    for m, factors in zip((a, b), swept):
+        assert factors == oracles.smith_diag_by_elimination(raw_rows(m)) == invariant_factors(m)
+        assert len(factors) == oracles.rank_over_q(raw_rows(m))
 
 
 # -- kernels, solving, lattices ---------------------------------------------------

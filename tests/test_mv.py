@@ -34,6 +34,7 @@ from groupoid_homology import (
     reduction,
     units,
 )
+import groupoid_homology.abelian as abelian_module
 from groupoid_homology.mv import MvChainSes
 
 import oracles
@@ -151,6 +152,31 @@ def test_chain_ses_exactness(name, g, u1, u2):
         assert invariant_factors(beta) == [1] * dim_total
         # the exactness statement itself: ker(beta) = im(alpha) as lattices
         assert kernel_equals_image(beta, alpha)
+
+
+@pytest.mark.parametrize("name,g,u1,u2", COVERS, ids=[c[0] for c in COVERS])
+def test_invariant_factors_of_mv_matrices_match_oracles(name, g, u1, u2, monkeypatch):
+    # α, β and every middle_homology pair (d1, d2) of the long exact sequence
+    d = decompose(g, u1, u2)
+    ses = chain_ses(d, 3)
+    matrices = [m for n in range(4) for m in (ses.to_pieces[n], ses.to_total[n])]
+    pairs = []
+    real_sweep = abelian_module.sweep_invariant_factors
+    monkeypatch.setattr(
+        abelian_module, "sweep_invariant_factors", lambda ms: pairs.append(ms) or real_sweep(ms)
+    )
+    long_exact_sequence(d, 3).verify_exactness()
+    assert pairs
+    for d1, d2 in pairs:
+        assert d1.matmul(d2).is_zero()
+        assert real_sweep([d1, d2]) == [
+            oracles.smith_diag_by_elimination(raw_rows(d1)),
+            oracles.smith_diag_by_elimination(raw_rows(d2)),
+        ]
+    for m in matrices:
+        factors = invariant_factors(m)
+        assert factors == oracles.smith_diag_by_elimination(raw_rows(m))
+        assert len(factors) == oracles.rank_over_q(raw_rows(m))
 
 
 @pytest.mark.parametrize("name,g,u1,u2", COVERS[:3], ids=[c[0] for c in COVERS[:3]])
