@@ -12,10 +12,8 @@ q = 0 for integral homology.  One Smith decomposition of [∂_n | qI] gives a
 basis of K and, through V⁻¹, the coordinates of B and of any cycle over it;
 one more, of a column-reduced basis of B's coordinates, gives the
 presentation.  That route is for representatives; `homology_groups` is the
-sparse route to iso types alone, integral or Z/q: one cochain-order sweep
-with clearing (`sweep_invariant_factors`) over ∂_1, ∂_2, ... or over the
-mapping cone of q on C, which factors each matrix once.  `homology_group`
-reads one degree off a sweep that stops there.
+sparse route to iso types alone, integral or Z/q: one
+`sweep_invariant_factors` over ∂_1, ∂_2, ... or over the mapping cone of q.
 """
 
 from __future__ import annotations
@@ -319,12 +317,10 @@ def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
 def homology_group(complex_: FreeChainComplex, n: int, q: int = 0) -> FinAbGroup:
     """Iso type of H_n with Z (q = 0) or Z/q coefficients: `homology_groups` up to n.
 
-    The sweep pivots each row at its largest column index: equal +-1 lows
-    cancel, and equal non-unit lows run Euclid, the remainder taking the
-    pivot.  Rows of the next matrix at unit lows are cleared, which is valid
-    only across a product that is exactly zero (checked here for the cone).
-    The few non-unit rows, reduced by the unit rows, leave a small Schur
-    remainder for `smith_normal_form`.
+    `matrix.sweep_invariant_factors` gives the pivot rule and the condition
+    for clearing.  The sweep covers every degree up to n (for q >= 1, n + 1
+    cones and their n products), so a low degree costs a little more than
+    factoring its own two matrices would, and the top degree much less.
 
     >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix.zeros(0, 1),
     ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(1, 1)])
@@ -340,14 +336,12 @@ def homology_groups(complex_: FreeChainComplex, q: int = 0, top: int | None = No
     One `sweep_invariant_factors` factors each matrix once.  q = 0 sweeps
     ∂_1..∂_{top+1}: H_n has rank dims[n] - rank ∂_n - rank ∂_{n+1} and the
     nonunit factors of ∂_{n+1} as torsion.  q >= 1 sweeps the mapping cone
-    of q, a complex over Z with D_n = C_{n-1} ⊕ C_n and boundaries
-    F_n = [[-∂_n, -∂_n∂_{n+1}/q], [qI, ∂_{n+1}]] (rows C_{n-1} then C_n,
-    columns C_n then C_{n+1}), so F_{n-1}·F_n = 0 exactly, also over Z/q
-    where ∂∘∂ vanishes only mod q.  For C free H_n(D) = H_n(C;Z/q), and as
-    rank F_{n-1} = dims[n-1] it is the nonunit factors of F_n, whose rank
-    must be dims[n]: chain level, no tensor/Tor formula.  Each F_{n-1}·F_n
-    is checked here: a nonzero one raises over Z/q (an inexact quotient)
-    and, over Z, stops the clearing there, so the rank check sees the fault.
+    of q, a complex over Z with boundaries F_n = [[-∂_n, -∂_n∂_{n+1}/q],
+    [qI, ∂_{n+1}]] (rows C_{n-1} then C_n, columns C_n then C_{n+1}), so
+    F_{n-1}·F_n = 0 exactly, also over Z/q.  H_n(C;Z/q) is then the nonunit
+    factors of F_n, whose rank must be dims[n]: chain level, no Tor formula.
+    Clearing needs each F_{n-1}·F_n = 0, so it is checked here: a nonzero one
+    raises over Z/q and, over Z, stops the clearing so the rank check fails.
     """
     _check_coefficients(complex_, q)
     if top is None:

@@ -5,15 +5,12 @@ machine-word moduli.  Two storages share one read interface: `IntegerMatrix`
 keeps dense lists of rows for the transforms, products and lattice work, and
 `SparseMatrix` keeps one {column: value} dict per row, with no zero stored,
 for the chain-complex boundaries.  `sweep_invariant_factors` factors a
-chain of matrices with zero products (a complex's boundaries, a mapping
-cone) in one row reduction in cochain order, on copies of those row dicts: a
-row's low is its largest column index, equal +-1 lows cancel, equal non-unit
-lows run Euclid, and the rows of the next matrix indexed by unit lows are
-cleared (skipped).  Only the Schur remainder of the few non-unit rows goes to
-`smith_normal_form`, the one pivot loop; `invariant_factors` is the
-one-matrix case.  Both `matmul`s cost O(nonzero pairs)
-multiply-adds.  `column_lattice_basis`, an integer column echelon, shrinks a
-wide generating set to rank many columns.
+chain of matrices with zero products in one row reduction of those row dicts
+with clearing (its docstring gives the pivot rule, the Euclid step, the
+clearing condition and the Schur remainder), and hands only a small
+remainder to `smith_normal_form`, the one pivot loop.  Both `matmul`s cost
+O(nonzero pairs) multiply-adds.  `column_lattice_basis`, an integer column
+echelon, shrinks a wide generating set to rank many columns.
 """
 
 from __future__ import annotations
@@ -513,13 +510,13 @@ def smith_normal_form(
 def invariant_factors(m: IntegerMatrix | SparseMatrix) -> list[int]:
     """Nonzero diagonal of the Smith form (ascending divisibility chain).
 
-    The one-matrix case of `sweep_invariant_factors`: each row pivots at its
-    largest column index, equal +-1 lows cancel, equal non-unit lows run
-    Euclid, and only the Schur remainder of the non-unit rows goes to
-    `smith_normal_form`.  `len(result)` is the rank of `m`.
+    The one-matrix case of `sweep_invariant_factors`, which gives the pivot
+    rule.  `len(result)` is the rank of `m`.
 
     >>> invariant_factors(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     [2, 4]
+    >>> invariant_factors(IntegerMatrix.from_rows([[1, 0], [0, 0]]))
+    [1]
     >>> invariant_factors(IntegerMatrix.from_rows([[2, 3], [1, 1]]))  # Euclid at low 1
     [1, 1]
     """
@@ -533,26 +530,25 @@ def sweep_invariant_factors(ms: Sequence[IntegerMatrix | SparseMatrix]) -> list[
     row's low is its largest column index.  A row at a +-1 pivot's low is
     reduced by it; at a non-unit pivot's low a it takes b - (b // a)·a
     (Euclid), and a nonzero remainder takes the pivot while the old pivot row
-    goes on.  That leaves an echelon basis: unit-low rows A and a few others,
-    which are reduced by A on A's lows, largest first.  [[A, B], [0, C]] with
-    A unimodular is equivalent to I ⊕ C, so only the Schur remainder C goes
-    to `smith_normal_form`.
+    goes on.  The non-unit rows are then reduced by the unit-low rows A on A's
+    lows, largest first: [[A, B], [0, C]] with A unimodular is equivalent to
+    I ⊕ C.  A +-1 left in C is pivoted on the sparse rows too, so only the
+    rest of C goes to `smith_normal_form`.
 
     Clearing: a reduced row R = x·m_k with unit low j may replace row j of
     m_{k+1} by R·m_{k+1} = 0, a row operation unitriangular in the order of
     the lows, so the rows of m_{k+1} at m_k's unit lows are skipped.  It is
     valid only because the product is exactly zero: the caller vouches for
     it.  At a non-unit low a the operation has determinant a, so that row
-    stays; a times it lies in the span of the others, so instead of walking
-    the whole echelon it joins the Schur step, one pass over the unit lows.
+    stays; a times it lies in the span of the others, so it goes straight to
+    the Schur step instead of walking the whole echelon.
 
     >>> d1 = IntegerMatrix.from_rows([[-1, -1, 0], [1, 1, 0]])
     >>> sweep_invariant_factors([d1, IntegerMatrix.from_rows([[2], [-2], [0]])])
     [[1], [2]]
     """
     out: list[list[int]] = []
-    units: set[int] = set()
-    others: set[int] = set()
+    units, others = set(), set()  # the previous matrix's unit and non-unit lows
     for k, m in enumerate(ms):
         m = SparseMatrix.from_dense(m) if isinstance(m, IntegerMatrix) else m
         if k and m.rows != ms[k - 1].cols:
@@ -601,6 +597,16 @@ def _reduce(m: SparseMatrix, cleared: set[int], deferred: set[int]) -> tuple[set
                 if j in r:
                     p = units[j]
                     _sub(r, p, r[j] * p[j])
+        while True:  # a +-1 left in the remainder is one more unit pivot, taken on the sparse rows
+            hit = next(((k, j) for k, r in enumerate(rest) for j, v in r.items() if v in (1, -1)), None)
+            if hit is None:
+                break
+            p, j = rest.pop(hit[0]), hit[1]
+            for r in rest:
+                if j in r:
+                    _sub(r, p, r[j] * p[j])
+            factors.append(1)
+    if rest:
         live = sorted({j for r in rest for j in r})
         dense = IntegerMatrix._wrap([[r.get(j, 0) for j in live] for r in rest], len(live))
         factors += [d for d in smith_normal_form(dense, transforms=()).diag if d]

@@ -20,7 +20,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .abelian import FinAbGroup, direct_sum, group_of, tensor, tor1
-from .chains import FreeChainComplex, HomologyResult, homology_groups, homology_int, homology_mod
+from .chains import (
+    FreeChainComplex, HomologyResult, homology_group, homology_groups, homology_int, homology_mod,
+)
 from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, moore_complex
 from .matrix import IntegerMatrix, column_lattice_basis, solve_columns
 
@@ -76,23 +78,20 @@ def homology_with_coefficients(
     is a chain-level computation, not the universal-coefficient formula, so
     it is fair to cross-validate the latter against it.
     """
-    return coefficient_homology(complex_, coefficients, n)[n]
+    parts: list[FinAbGroup] = []
+    if coefficients.rank:
+        integral = homology_group(complex_, n)
+        parts.extend([integral] * coefficients.rank)
+    for d in coefficients.torsion:
+        parts.append(homology_group(complex_, n, d))
+    return direct_sum(parts)
 
 
-def coefficient_homology(
-    complex_: FreeChainComplex, coefficients: FinAbGroup, top: int | None = None,
-    integral: list[FinAbGroup] | None = None,
-) -> list[FinAbGroup]:
-    """H_0..H_top (default: every trusted degree) with coefficients, one
-    `homology_groups` sweep per summand; `integral`, when the caller has it,
-    stands in for the free summands' sweep."""
-    if top is not None and top < 0:
-        raise ValueError("negative degree")
-    if coefficients.rank and integral is None:
-        integral = homology_groups(complex_, 0, top)
-    sweeps = [integral] * coefficients.rank + [homology_groups(complex_, d, top) for d in coefficients.torsion]
-    degrees = complex_.max_degree if top is None else top + 1
-    return [direct_sum([s[n] for s in sweeps]) for n in range(degrees)]
+def coefficient_homology(complex_: FreeChainComplex, coefficients: FinAbGroup) -> list[FinAbGroup]:
+    """`homology_with_coefficients` in every trusted degree, one sweep per summand."""
+    integral = [homology_groups(complex_)] if coefficients.rank else []
+    sweeps = integral * coefficients.rank + [homology_groups(complex_, d) for d in coefficients.torsion]
+    return [direct_sum([s[n] for s in sweeps]) for n in range(complex_.max_degree)]
 
 
 def uct_verify(
@@ -104,7 +103,7 @@ def uct_verify(
     """Universal-coefficient comparison for every trusted degree 0..N-1."""
     complex_ = moore_complex(groupoid, max_degree, budget=budget)
     integral = homology_groups(complex_)
-    direct = coefficient_homology(complex_, coefficients, integral=integral)
+    direct = coefficient_homology(complex_, coefficients)
     reports = []
     for n in range(max_degree):
         below = integral[n - 1] if n >= 1 else FinAbGroup.trivial()
@@ -195,7 +194,7 @@ def mod_reduction_check(
             raise ValueError(f"reduction map image mismatch: mod-q shift moved the class of {z}")
         images.append(list(coords))
     image_group = _subgroup_generated(modular, images)
-    below = homology_groups(complex_, 0, n - 1)[n - 1] if n >= 1 else FinAbGroup.trivial()
+    below = homology_group(complex_, n - 1) if n >= 1 else FinAbGroup.trivial()
     tensor_part, tor_part, _ = uct_assemble(integral.group, below, FinAbGroup.cyclic(q))
     if image_group != tensor_part:
         raise ValueError(

@@ -208,7 +208,7 @@ SPARSE_PATH_CASES = {
     # row 0 holds no unit until the pivot on row 1 turns its 3 into a 1
     "gains-unit": IntegerMatrix.from_rows([[2, 3, 0, 0], [1, 1, 0, 0], [0, 0, 2, 4]]),
     # row 2's low holds a 2; the Schur step by the unit rows 0 and 1 leaves
-    # (-1, 2) on columns 0 and 3, so a unit reaches the dense remainder
+    # (-1, 2) on columns 0 and 3, whose unit is pivoted on the sparse rows
     "same-length": IntegerMatrix.from_rows([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 2]]),
     **{f"permutation-{n}": IntegerMatrix.from_rows(signed_permutation_rows(n)) for n in (1, 7, 20)},
     "unitriangular": IntegerMatrix.from_rows(unitriangular_rows(12)),
@@ -216,7 +216,9 @@ SPARSE_PATH_CASES = {
         [[int(i == j) for j in range(8)] for i in range(5)] + [[0] * 8]
     ),
     "no-units": IntegerMatrix.from_rows([[2, 4, 0, 6], [0, 6, -2, 0], [4, 0, 0, 8], [0, 0, 2, -2]]),
-    # equal non-unit lows 4 and 6: Euclid leaves 2, which takes the low
+    # equal non-unit lows 4 and 6: Euclid leaves 2, which takes the low, and
+    # the old pivot row reduces to (3, 0); the unit pivot pass on the
+    # remainder takes the -1 of (-1, 2) and leaves (6)
     "equal-nonunit-lows": IntegerMatrix.from_rows([[1, 4], [0, 6]]),
     # lows 3 then 2 (and their negatives): the quotient 2 // 3 is 0, so the
     # row is unchanged and takes the low as it is
@@ -224,8 +226,11 @@ SPARSE_PATH_CASES = {
     "quotient-zero-negative": IntegerMatrix.from_rows([[5, -3], [7, -2]]),
     "quotient-zero-mixed": IntegerMatrix.from_rows([[0, 0, 3], [1, 0, 2], [0, 1, 3]]),
     # row 1's low holds a 2, but the unit row 0 turns its 1 into the remainder
-    # (-1, 2): factors (1, 1), where the non-unit rows alone would give 2
+    # (-1, 2), whose unit the pivot pass on the remainder takes
     "schur-step": IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 2]]),
+    # the unit row 0 turns row 1 into (0, 0, 4): factors (1, 4), where the
+    # gcd of row 1 as given would give 2
+    "schur-needed": IntegerMatrix.from_rows([[0, 1, 0], [0, 2, 4]]),
     # the same through a chain of unit lows 2 then 1
     "schur-chain": IntegerMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2]]),
     "zero-3x5": IntegerMatrix.zeros(3, 5),
@@ -235,15 +240,16 @@ SPARSE_PATH_CASES = {
 # shape of the dense remainder handed to smith_normal_form, None if none is
 DENSE_REMAINDER = {
     "gains-unit": (1, 2),
-    "same-length": (1, 2),
+    "same-length": None,
     "permutation-1": None,
     "permutation-7": None,
     "permutation-20": None,
     "identity-over-zero": None,
     "no-units": (4, 4),
-    "equal-nonunit-lows": (2, 2),
-    "schur-step": (1, 2),
-    "schur-chain": (1, 2),
+    "equal-nonunit-lows": (1, 1),
+    "schur-step": None,
+    "schur-needed": (1, 1),
+    "schur-chain": None,
     "zero-3x5": None,
     "empty-0x4": None,
     "empty-4x0": None,

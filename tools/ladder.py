@@ -7,12 +7,14 @@ Run from the root of a checkout, naming each checkout to measure:
 Each rung runs `python -m groupoid_homology ...` with the named checkout's
 src/ on PYTHONPATH, in a child process limited to 2 GiB of address space
 (RLIMIT_AS), one side after the other.  For each side it records the wall
-time, the child's own peak RSS (from os.wait4), the exit code and the sha256
-of stdout.  The inputs are written once, by the first side's
+time, the child's own peak RSS (from os.wait4), the exit code, the sha256
+of stdout and of stderr, and the first line of stderr.  The inputs are written once, by the first side's
 `groupoid-homology gen`, into a temporary directory that is every child's
 working directory, so every side reads the same files by the same name.
 The last rung is over the default nerve budget and must be refused with
-exit 1.  A rung whose exit code is not the expected one, or whose stdout
+exit 1 and the CLI's budget message, so a crash (say a MemoryError under
+the limit, also exit 1) does not pass for a refusal.  A rung whose exit
+code or stderr start is not the expected one, or whose stdout or stderr
 differs between sides, is flagged in the report and makes the tool exit 1.
 """
 
@@ -32,14 +34,15 @@ from pathlib import Path
 
 LIMIT_AS = 2 << 30
 PRESETS = ("cyclic:8", "cyclic:30", "cyclic:60")
-# (name, CLI arguments after `-i <input>`, input preset, expected exit code)
+REFUSED = "error: nerve budget exceeded at degree"
+# (name, CLI arguments after `-i <input>`, input preset, expected exit code, expected stderr start)
 RUNGS = [
-    ("homology cyclic:30 -N 3", ["homology", "-N", "3"], "cyclic:30", 0),
-    ("homology cyclic:60 -N 3", ["homology", "-N", "3"], "cyclic:60", 0),
-    ("homology cyclic:8 -N 4", ["homology", "-N", "4"], "cyclic:8", 0),
-    ("homology cyclic:8 -N 4 --coeff z/4", ["homology", "-N", "4", "--coeff", "z/4"], "cyclic:8", 0),
-    ("uct cyclic:30 -N 3 --coeff z/4", ["uct", "-N", "3", "--coeff", "z/4"], "cyclic:30", 0),
-    ("homology cyclic:60 -N 4 (over budget)", ["homology", "-N", "4"], "cyclic:60", 1),
+    ("homology cyclic:30 -N 3", ["homology", "-N", "3"], "cyclic:30", 0, ""),
+    ("homology cyclic:60 -N 3", ["homology", "-N", "3"], "cyclic:60", 0, ""),
+    ("homology cyclic:8 -N 4", ["homology", "-N", "4"], "cyclic:8", 0, ""),
+    ("homology cyclic:8 -N 4 --coeff z/4", ["homology", "-N", "4", "--coeff", "z/4"], "cyclic:8", 0, ""),
+    ("uct cyclic:30 -N 3 --coeff z/4", ["uct", "-N", "3", "--coeff", "z/4"], "cyclic:30", 0, ""),
+    ("homology cyclic:60 -N 4 (over budget)", ["homology", "-N", "4"], "cyclic:60", 1, REFUSED),
 ]
 
 
@@ -48,28 +51,33 @@ def _limit() -> None:
 
 
 def run(src: Path, args: list[str], cwd: str) -> dict:
-    """One CLI call in a limited child: wall time, peak RSS, exit code, stdout hash."""
+    """One CLI call in a limited child: wall time, peak RSS, exit code, output hashes."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
     env.pop("GH_BUDGET", None)
-    start = time.perf_counter()
-    child = subprocess.Popen(
-        [sys.executable, "-m", "groupoid_homology", *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        env=env,
-        cwd=cwd,
-        preexec_fn=_limit,
-    )
-    stdout = child.stdout.read()
-    child.stdout.close()
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
+    with tempfile.TemporaryFile() as err:  # a file, so a full pipe cannot block the child
+        start = time.perf_counter()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "groupoid_homology", *args],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=env,
+            cwd=cwd,
+            preexec_fn=_limit,
+        )
+        stdout = child.stdout.read()
+        child.stdout.close()
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read()
     return {
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
         "exit": child.returncode,
         "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+        "stderr_sha256": hashlib.sha256(stderr).hexdigest(),
+        "stderr_head": stderr.decode(errors="replace").partition("\n")[0][:200],
     }
 
 
@@ -96,14 +104,15 @@ def main(argv: list[str] | None = None) -> int:
         for preset in PRESETS:  # relative paths, so stdout does not name the directory
             if run(first, ["gen", preset, "-o", f"{preset.replace(':', '-')}.json"], tmp)["exit"]:
                 parser.error(f"gen {preset} failed")
-        for name, cli_args, preset, expect in RUNGS:
+        for name, cli_args, preset, expect, expect_err in RUNGS:
             argv_ = [cli_args[0], "-i", f"{preset.replace(':', '-')}.json", *cli_args[1:]]
             results = {side: run(src, argv_, tmp) for side, src in sides.items()}
-            same = len({r["stdout_sha256"] for r in results.values()}) == 1
-            exits = all(r["exit"] == expect for r in results.values())
+            same = len({(r["stdout_sha256"], r["stderr_sha256"]) for r in results.values()}) == 1
+            exits = all(r["exit"] == expect and r["stderr_head"].startswith(expect_err)
+                        for r in results.values())
             ok = ok and same and exits
-            report["rungs"].append({"name": name, "expect_exit": expect, "stdout_match": same,
-                                    "sides": results})
+            report["rungs"].append({"name": name, "expect_exit": expect, "expect_stderr": expect_err,
+                                    "output_match": same, "sides": results})
             cells = "  ".join(f"{s}: {r['wall_s']} s {r['peak_rss_mb']} MB exit {r['exit']}"
                               for s, r in results.items())
             print(f"{name}: {cells}{'' if same and exits else '  MISMATCH'}", flush=True)
