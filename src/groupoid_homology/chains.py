@@ -157,10 +157,7 @@ def shift_sum(complexes: Sequence[FreeChainComplex]) -> FreeChainComplex:
     if any(c.modulus != modulus for c in complexes):
         raise ValueError("modulus mismatch in direct sum")
     dims = [sum(c.dims[n] for c in complexes) for n in range(depth + 1)]
-    boundaries = [
-        IntegerMatrix.block_diag([c.boundaries[n].to_dense() for c in complexes])
-        for n in range(depth + 1)
-    ]
+    boundaries = [SparseMatrix.block_diag([c.boundaries[n] for c in complexes]) for n in range(depth + 1)]
     labels = None
     if all(c.basis_labels is not None for c in complexes):
         labels = [

@@ -215,24 +215,6 @@ class IntegerMatrix:
         rows = [row[:] for b in blocks for row in b._rows]
         return IntegerMatrix._wrap(rows, c)
 
-    @staticmethod
-    def block_diag(blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
-        blocks = list(blocks)
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        m = IntegerMatrix(rows, cols)
-        i0 = j0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                m._rows[i0 + i][j0:j0 + b.cols] = b._rows[i]
-            i0 += b.rows
-            j0 += b.cols
-        return m
-
-    def submatrix_columns(self, col_indices: Sequence[int]) -> "IntegerMatrix":
-        idx = list(col_indices)
-        return IntegerMatrix._wrap([[row[j] for j in idx] for row in self._rows], len(idx))
-
     def _check_same_shape(self, other: "IntegerMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
@@ -246,8 +228,9 @@ class SparseMatrix:
     and `nnz` read the dicts alone.  The read side matches `IntegerMatrix`
     (`row` and `column` as dense lists, `entries`, `[i, j]`, `mul_vector`,
     `mod`, `is_zero`, `==`); `matmul` multiplies two sparse matrices in
-    O(nonzero pairs), and `to_dense()` hands dense arithmetic an
-    `IntegerMatrix`.  Treated as immutable by convention, like `IntegerMatrix`.
+    O(nonzero pairs), `block_diag` lays sparse blocks down the diagonal, and
+    `to_dense()` hands dense arithmetic an `IntegerMatrix`.  Treated as
+    immutable by convention, like `IntegerMatrix`.
 
     >>> s = SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]]))
     >>> s.nnz, s[1, 2], s.row(0), s.column(2)
@@ -258,6 +241,8 @@ class SparseMatrix:
     [0, 2]
     >>> s.to_dense() == IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]])
     True
+    >>> SparseMatrix.block_diag([s, s]).row(3)
+    [0, 0, 0, 0, 0, 2]
     """
 
     __slots__ = ("rows", "cols", "_dicts")
@@ -287,6 +272,16 @@ class SparseMatrix:
 
     def to_dense(self) -> IntegerMatrix:
         return IntegerMatrix._wrap([self.row(i) for i in range(self.rows)], self.cols)
+
+    @staticmethod
+    def block_diag(blocks: Sequence["SparseMatrix"]) -> "SparseMatrix":
+        """The blocks down the diagonal, each row dict shifted by the columns before it."""
+        row_dicts: list[dict[int, int]] = []
+        cols = 0
+        for b in blocks:
+            row_dicts += [{cols + j: v for j, v in r.items()} for r in b._dicts]
+            cols += b.cols
+        return SparseMatrix._wrap(len(row_dicts), cols, row_dicts)
 
     @property
     def nnz(self) -> int:

@@ -9,10 +9,11 @@ exact sequence of Moore complexes
 where to_pieces sends an intersection tuple to (itself, -itself) and to_total
 is extension by zero followed by summing.  The connecting map is the explicit
 zig-zag: lift a cycle, take its boundary, read the unique preimage off the
-intersection block, and return that class.  Everything here is verified by
-exact matrix identities — chain-map squares, injectivity/surjectivity through
-invariant factors, and class coordinates in the intersection's homology for
-boundary claims.
+intersection block, and return that class.  Both maps are `SparseMatrix`
+built from the tuple correspondences, with one or two entries per column.
+Everything here is verified by exact sparse matrix identities — chain-map
+squares, injectivity/surjectivity through invariant factors, and class
+coordinates in the intersection's homology for boundary claims.
 
 For the clopen saturated covers accepted here every connecting class is zero.
 U2 ∖ U1 is the complement of the saturated set U1 (the two sets cover the
@@ -38,7 +39,7 @@ from .groupoids import (
     reduction,
     saturation_witness,
 )
-from .matrix import IntegerMatrix, invariant_factors, solve_columns
+from .matrix import IntegerMatrix, SparseMatrix, invariant_factors, solve_columns
 
 
 class MvDecomposition:
@@ -93,10 +94,12 @@ class MvChainSes:
     """The short exact sequence of Moore complexes for a decomposition.
 
     `to_pieces[n]` is the intersection-to-pieces map (second block negated),
-    `to_total[n]` the pieces-to-ambient sum; both are verified chain maps and
-    the sequence is verified exact degreewise on construction.  Basis
-    correspondences (`piece1_to_ambient` etc.) give, per degree, the ambient
-    column index of each piece basis tuple.
+    `to_total[n]` the pieces-to-ambient sum, both `SparseMatrix`; both are
+    verified chain maps and the sequence is verified exact degreewise on
+    construction.  Row p of `to_total[n]` lists the piece columns of ambient
+    tuple p, so it is also the table that `lift` reads.
+    `intersection_to_piece1[n][j]` is the piece-1 index of intersection
+    tuple j, the block that `connecting` reads its witness off.
     """
 
     __slots__ = (
@@ -108,11 +111,7 @@ class MvChainSes:
         "complex12",
         "to_pieces",
         "to_total",
-        "piece1_to_ambient",
-        "piece2_to_ambient",
         "intersection_to_piece1",
-        "intersection_to_piece2",
-        "_ambient_owners",
         "_homology",
     )
 
@@ -126,11 +125,7 @@ class MvChainSes:
         self.complex12 = moore_complex(d.piece12, max_degree, budget=budget)
         self.to_pieces = []
         self.to_total = []
-        self.piece1_to_ambient = []
-        self.piece2_to_ambient = []
         self.intersection_to_piece1 = []
-        self.intersection_to_piece2 = []
-        self._ambient_owners = []
         self._homology: dict[tuple[str, int], HomologyResult] = {}
         for n in range(max_degree + 1):
             self._build_degree(n)
@@ -153,40 +148,23 @@ class MvChainSes:
         tuples1 = translate(self.complex1.basis_labels[n], d.piece1)
         tuples2 = translate(self.complex2.basis_labels[n], d.piece2)
         tuples12 = translate(self.complex12.basis_labels[n], d.piece12)
-        emb1 = [ambient_pos[t] for t in tuples1]
-        emb2 = [ambient_pos[t] for t in tuples2]
+        dim1 = len(tuples1)
         pos1 = {t: i for i, t in enumerate(tuples1)}
-        pos2 = {t: i for i, t in enumerate(tuples2)}
+        pos2 = {t: i for i, t in enumerate(tuples2, start=dim1)}
         in1 = [pos1[t] for t in tuples12]
-        in2 = [pos2[t] for t in tuples12]
-        dim1, dim2, dim12 = len(tuples1), len(tuples2), len(tuples12)
-        dim_total = len(ambient_labels)
 
-        alpha = IntegerMatrix.zeros(dim1 + dim2, dim12)
-        for j in range(dim12):
-            alpha._rows[in1[j]][j] = 1
-            alpha._rows[dim1 + in2[j]][j] = -1
-        beta = IntegerMatrix.zeros(dim_total, dim1 + dim2)
-        for i, p in enumerate(emb1):
-            beta._rows[p][i] = 1
-        for i, p in enumerate(emb2):
-            beta._rows[p][dim1 + i] = 1
-
-        owners: list[tuple[int | None, int | None]] = [(None, None)] * dim_total
-        for i, p in enumerate(emb1):
-            owners[p] = (i, None)
-        for i, p in enumerate(emb2):
-            owners[p] = (owners[p][0], i)
-        if any(a is None and b is None for a, b in owners):
-            raise AssertionError("ambient tuple not covered by either piece")
+        alpha = SparseMatrix(dim1 + len(tuples2), len(tuples12))
+        for j, t in enumerate(tuples12):
+            alpha._dicts[in1[j]][j] = 1
+            alpha._dicts[pos2[t]][j] = -1
+        # an ambient tuple no piece owns leaves an empty row: "sum not surjective"
+        beta = SparseMatrix(len(ambient_labels), alpha.rows)
+        for i, t in enumerate(tuples1 + tuples2):
+            beta._dicts[ambient_pos[t]][i] = 1
 
         self.to_pieces.append(alpha)
         self.to_total.append(beta)
-        self.piece1_to_ambient.append(emb1)
-        self.piece2_to_ambient.append(emb2)
         self.intersection_to_piece1.append(in1)
-        self.intersection_to_piece2.append(in2)
-        self._ambient_owners.append(owners)
 
     def _verify(self) -> None:
         """Exactness and chain-map identities; failure is an implementation bug."""
@@ -207,14 +185,14 @@ class MvChainSes:
                 raise AssertionError(f"rank mismatch in degree {n}")
         for n in range(1, self.max_degree + 1):
             alpha, beta = self.to_pieces[n], self.to_total[n]
-            boundary_pieces = IntegerMatrix.block_diag(
-                [self.complex1.boundaries[n].to_dense(), self.complex2.boundaries[n].to_dense()]
+            boundary_pieces = SparseMatrix.block_diag(
+                [self.complex1.boundaries[n], self.complex2.boundaries[n]]
             )
-            left = self.to_pieces[n - 1].matmul(self.complex12.boundaries[n].to_dense())
+            left = self.to_pieces[n - 1].matmul(self.complex12.boundaries[n])
             right = boundary_pieces.matmul(alpha)
             if left != right:
                 raise AssertionError(f"intersection map is not a chain map in degree {n}")
-            left = self.total_complex.boundaries[n].to_dense().matmul(beta)
+            left = self.total_complex.boundaries[n].matmul(beta)
             right = self.to_total[n - 1].matmul(boundary_pieces)
             if left != right:
                 raise AssertionError(f"sum map is not a chain map in degree {n}")
@@ -241,24 +219,20 @@ class MvChainSes:
         the U2 piece; with an rng, coefficients of intersection tuples are
         split randomly instead (still an exact preimage).
         """
-        dim1 = self.complex1.dims[n]
-        dim2 = self.complex2.dims[n]
-        if len(chain) != self.total_complex.dims[n]:
+        beta = self.to_total[n]
+        if len(chain) != beta.rows:
             raise ValueError("shape mismatch: chain length does not match ambient dimension")
-        out = [0] * (dim1 + dim2)
-        for p, x in enumerate(chain):
-            own1, own2 = self._ambient_owners[n][p]
-            if own1 is not None and own2 is not None and rng is not None:
+        out = [0] * beta.cols
+        for owners, x in zip(beta._dicts, chain):
+            # the row holds the piece-1 column, the piece-2 column, or both
+            if len(owners) == 2 and rng is not None:
                 first = rng.randint(-3, 3)
+                own1, own2 = sorted(owners)
                 out[own1] += first
-                out[dim1 + own2] += x - first
-            elif x == 0:
-                continue
-            elif own1 is not None:
-                out[own1] += x
-            else:
-                out[dim1 + own2] += x
-        check = self.to_total[n].mul_vector(out)
+                out[own2] += x - first
+            elif x:
+                out[min(owners)] += x
+        check = beta.mul_vector(out)
         if check != list(chain):
             raise AssertionError("lift failed to project back to the chain")
         return out

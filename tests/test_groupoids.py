@@ -35,6 +35,8 @@ from groupoid_homology import (
     validate_groupoid,
 )
 
+from groupoid_homology.groupoids import _level_sizes
+
 import oracles
 
 
@@ -209,9 +211,11 @@ def test_disjoint_union_structure():
         (one_object_cyclic(3), [1, 3, 9, 27]),
         (pair(2), [2, 4, 8, 16]),
         (action(2, [1, 0]), [2, 4, 8, 16]),
+        (disjoint_union(pair(2), one_object_cyclic(3)), [3, 7, 17, 43]),
     ],
 )
 def test_nerve_sizes(g, expected_dims):
+    assert _level_sizes(g, 3) == expected_dims[1:]
     assert [len(nerve(g, n)) for n in range(4)] == expected_dims
 
 
@@ -350,6 +354,19 @@ def test_moore_complex_budget_uses_fresh_counts():
     moore_complex(g, 1)
     with pytest.raises(ValueError, match="nerve budget exceeded"):
         moore_complex(g, 3, budget=20)
+
+
+def test_over_budget_nerve_builds_no_level():
+    # pair(3): level sizes 3, 9, 27, 81; the budget is checked on counted
+    # sizes, so a refusal caches no level, not even one that fits
+    g = pair(3)
+    with pytest.raises(ValueError, match="nerve budget exceeded at degree 2"):
+        moore_complex(g, 3, budget=20)
+    assert g._nerve_cache is None
+    moore_complex(g, 1)
+    with pytest.raises(ValueError, match="nerve budget exceeded at degree 3"):
+        moore_complex(g, 3, budget=50)
+    assert len(g._nerve_cache) == 2
 
 
 def test_moore_complex_modulus_reduces_entries():

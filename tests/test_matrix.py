@@ -555,7 +555,7 @@ def test_sparse_errors_and_equality():
     with pytest.raises(AttributeError):
         IntegerMatrix.from_rows([[1], [1], [1]]).matmul(s)
     with pytest.raises(AttributeError):
-        IntegerMatrix.block_diag([s])
+        IntegerMatrix.hstack([s])
     assert repr(s) == "SparseMatrix(1x3, nnz=2)"
 
 
@@ -580,9 +580,12 @@ def test_basic_arithmetic_identities():
     assert stacked.cols == 2 * a.cols and stacked.rows == a.rows
     tall = IntegerMatrix.vstack([a, b])
     assert tall.rows == 2 * a.rows and tall.cols == a.cols
-    blocks = IntegerMatrix.block_diag([a, c])
+    blocks = SparseMatrix.block_diag([SparseMatrix.from_dense(a), SparseMatrix.from_dense(c)])
     assert blocks.rows == a.rows + c.rows and blocks.cols == a.cols + c.cols
-    assert blocks.submatrix_columns(range(a.cols)).rows == a.rows + c.rows
+    assert blocks.to_dense() == IntegerMatrix.vstack(
+        [IntegerMatrix.hstack([a, IntegerMatrix.zeros(a.rows, c.cols)]),
+         IntegerMatrix.hstack([IntegerMatrix.zeros(c.rows, a.cols), c])]
+    )
 
 
 def test_shape_mismatch_errors():

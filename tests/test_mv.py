@@ -19,6 +19,7 @@ from groupoid_homology import (
     FiniteGroupoid,
     FreeChainComplex,
     IntegerMatrix,
+    SparseMatrix,
     action,
     chain_ses,
     connecting,
@@ -184,13 +185,13 @@ def test_chain_maps_commute_with_boundaries(name, g, u1, u2):
     d = decompose(g, u1, u2)
     ses = chain_ses(d, 3)
     for n in range(1, 4):
-        d_pieces_n = IntegerMatrix.block_diag(
-            [ses.complex1.boundaries[n].to_dense(), ses.complex2.boundaries[n].to_dense()]
+        d_pieces_n = SparseMatrix.block_diag(
+            [ses.complex1.boundaries[n], ses.complex2.boundaries[n]]
         )
         left = d_pieces_n.matmul(ses.to_pieces[n])
-        right = ses.to_pieces[n - 1].matmul(ses.complex12.boundaries[n].to_dense())
+        right = ses.to_pieces[n - 1].matmul(ses.complex12.boundaries[n])
         assert left == right
-        left = ses.total_complex.boundaries[n].to_dense().matmul(ses.to_total[n])
+        left = ses.total_complex.boundaries[n].matmul(ses.to_total[n])
         right = ses.to_total[n - 1].matmul(d_pieces_n)
         assert left == right
 
@@ -550,7 +551,7 @@ def _inclusion_matrix(sub_complex, sub_arrows, big_complex, big_arrows, n):
     rows = [[0] * sub_complex.dims[n] for _ in range(big_complex.dims[n])]
     for j, t in enumerate(sub_complex.basis_labels[n]):
         rows[big_pos[tuple(sub_arrows[a] for a in t)]][j] = 1
-    return IntegerMatrix.from_rows(rows, cols=sub_complex.dims[n])
+    return SparseMatrix.from_dense(IntegerMatrix.from_rows(rows, cols=sub_complex.dims[n]))
 
 
 def test_naturality_ladder_under_cover_refinement():
@@ -573,7 +574,7 @@ def test_naturality_ladder_under_cover_refinement():
             ses_small.complex12, small.piece12.arrow_labels,
             ses_big.complex12, big.piece12.arrow_labels, n
         )
-        j_pieces = IntegerMatrix.block_diag([j1, j2])
+        j_pieces = SparseMatrix.block_diag([j1, j2])
         # total maps agree through the piece inclusions (same ambient basis)
         assert ses_big.to_total[n].matmul(j_pieces) == ses_small.to_total[n]
         # intersection maps ladder up through the inclusions
@@ -603,9 +604,9 @@ def test_cover_of_a_reduction_matches_fresh_labels():
 # -- verdicts survive python -O ------------------------------------------------------
 
 
-def test_verify_raises_under_optimize_flag():
-    # `python -O` strips bare asserts; one corrupted entry of the degree-1 sum
-    # map must still be caught.
+def _verify_after(*corruption: str) -> subprocess.CompletedProcess:
+    """Run `_verify` under `python -O` once the statements `corruption` have
+    edited the degree 0..2 sequence `ses` of a three-orbit cover."""
     program = "\n".join(
         [
             "from groupoid_homology import chain_ses, decompose, disjoint_union,"
@@ -614,16 +615,61 @@ def test_verify_raises_under_optimize_flag():
             " one_object_cyclic(3))",
             "o = orbits(g)",
             "ses = chain_ses(decompose(g, o[0] + o[1], o[1] + o[2]), 2)",
-            "ses.to_total[1]._rows[0][0] += 1",
+            *corruption,
             "ses._verify()",
         ]
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", program],
         capture_output=True,
         text=True,
         timeout=120,
         env=child_env(),
     )
+
+
+def test_verify_raises_under_optimize_flag():
+    # `python -O` strips bare asserts; one corrupted entry of the degree-1 sum
+    # map must still be caught.
+    proc = _verify_after("ses.to_total[1]._dicts[0][0] += 1")
     assert proc.returncode != 0
     assert "AssertionError: sum not surjective in degree 1" in proc.stderr
+
+
+# Each corruption keeps the earlier checks passing, so it reaches one given raise.
+# The intersection U12 is one unit, whose degree-2 tuple has a nonzero boundary.
+VERIFY_FAULTS = [
+    pytest.param(
+        ["r = next(r for r in ses.to_pieces[1]._dicts if r)", "r[next(iter(r))] *= 2"],
+        "composite nonzero in degree 1",
+        id="composite",
+    ),
+    pytest.param(
+        ["for r in ses.to_pieces[1]._dicts: r.update({j: 2 * v for j, v in r.items()})"],
+        "inclusion not split in degree 1",
+        id="split",
+    ),
+    pytest.param(
+        ["a, b = ses.to_pieces[1], ses.to_total[1]", "a._dicts.append({})", "a.rows += 1",
+         "b.cols += 1"],
+        "rank mismatch in degree 1",
+        id="rank",
+    ),
+    pytest.param(
+        ["for r in ses.to_pieces[2]._dicts: r.update({j: -v for j, v in r.items()})"],
+        "intersection map is not a chain map in degree 2",
+        id="intersection-square",
+    ),
+    pytest.param(
+        ["for r in ses.to_total[2]._dicts: r.update({j: -v for j, v in r.items()})"],
+        "sum map is not a chain map in degree 2",
+        id="sum-square",
+    ),
+]
+
+
+@pytest.mark.parametrize("corruption,message", VERIFY_FAULTS)
+def test_verify_fault_reaches_its_raise_under_optimize_flag(corruption, message):
+    proc = _verify_after(*corruption)
+    assert proc.returncode != 0
+    assert f"AssertionError: {message}" in proc.stderr

@@ -11,6 +11,8 @@ time, the child's own peak RSS (from os.wait4), the exit code, the sha256
 of stdout and of stderr, and the first line of stderr.  The inputs are written once, by the first side's
 `groupoid-homology gen`, into a temporary directory that is every child's
 working directory, so every side reads the same files by the same name.
+The `mv` rung covers a three-orbit union, cyclic:12 ⊔ pair:3 ⊔ cyclic:8,
+by its first two and its last two orbits.
 The last rung is over the default nerve budget and must be refused with
 exit 1 and the CLI's budget message, so a crash (say a MemoryError under
 the limit, also exit 1) does not pass for a refusal.  A rung whose exit
@@ -33,16 +35,23 @@ import time
 from pathlib import Path
 
 LIMIT_AS = 2 << 30
-PRESETS = ("cyclic:8", "cyclic:30", "cyclic:60")
+# input file stem -> `gen` preset, in order: a union reads files written before it
+INPUTS = {
+    "cyclic-8": "cyclic:8", "cyclic-12": "cyclic:12", "cyclic-30": "cyclic:30",
+    "cyclic-60": "cyclic:60", "pair-3": "pair:3",
+    "mv-union": "union:cyclic-12.json,pair-3.json,cyclic-8.json",
+}
 REFUSED = "error: nerve budget exceeded at degree"
-# (name, CLI arguments after `-i <input>`, input preset, expected exit code, expected stderr start)
+MV_COVER = ["--u1", "0,1,2,3", "--u2", "1,2,3,4"]  # unit positions: cyclic:12 is 0, cyclic:8 is 4
+# (name, CLI arguments after `-i <input>`, input stem, expected exit code, expected stderr start)
 RUNGS = [
-    ("homology cyclic:30 -N 3", ["homology", "-N", "3"], "cyclic:30", 0, ""),
-    ("homology cyclic:60 -N 3", ["homology", "-N", "3"], "cyclic:60", 0, ""),
-    ("homology cyclic:8 -N 4", ["homology", "-N", "4"], "cyclic:8", 0, ""),
-    ("homology cyclic:8 -N 4 --coeff z/4", ["homology", "-N", "4", "--coeff", "z/4"], "cyclic:8", 0, ""),
-    ("uct cyclic:30 -N 3 --coeff z/4", ["uct", "-N", "3", "--coeff", "z/4"], "cyclic:30", 0, ""),
-    ("homology cyclic:60 -N 4 (over budget)", ["homology", "-N", "4"], "cyclic:60", 1, REFUSED),
+    ("homology cyclic:30 -N 3", ["homology", "-N", "3"], "cyclic-30", 0, ""),
+    ("homology cyclic:60 -N 3", ["homology", "-N", "3"], "cyclic-60", 0, ""),
+    ("homology cyclic:8 -N 4", ["homology", "-N", "4"], "cyclic-8", 0, ""),
+    ("homology cyclic:8 -N 4 --coeff z/4", ["homology", "-N", "4", "--coeff", "z/4"], "cyclic-8", 0, ""),
+    ("uct cyclic:30 -N 3 --coeff z/4", ["uct", "-N", "3", "--coeff", "z/4"], "cyclic-30", 0, ""),
+    ("mv cyclic:12 + pair:3 + cyclic:8 -N 3", ["mv", "-N", "3", *MV_COVER], "mv-union", 0, ""),
+    ("homology cyclic:60 -N 4 (over budget)", ["homology", "-N", "4"], "cyclic-60", 1, REFUSED),
 ]
 
 
@@ -101,11 +110,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         first = next(iter(sides.values()))
-        for preset in PRESETS:  # relative paths, so stdout does not name the directory
-            if run(first, ["gen", preset, "-o", f"{preset.replace(':', '-')}.json"], tmp)["exit"]:
+        for stem, preset in INPUTS.items():  # relative paths, so stdout does not name the directory
+            if run(first, ["gen", preset, "-o", f"{stem}.json"], tmp)["exit"]:
                 parser.error(f"gen {preset} failed")
-        for name, cli_args, preset, expect, expect_err in RUNGS:
-            argv_ = [cli_args[0], "-i", f"{preset.replace(':', '-')}.json", *cli_args[1:]]
+        for name, cli_args, stem, expect, expect_err in RUNGS:
+            argv_ = [cli_args[0], "-i", f"{stem}.json", *cli_args[1:]]
             results = {side: run(src, argv_, tmp) for side, src in sides.items()}
             same = len({(r["stdout_sha256"], r["stderr_sha256"]) for r in results.values()}) == 1
             exits = all(r["exit"] == expect and r["stderr_head"].startswith(expect_err)
