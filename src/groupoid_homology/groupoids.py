@@ -15,23 +15,23 @@ Labels must be distinct, so a label names one arrow of the ambient.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .abelian import _json_ints, _json_list, _json_object
 from .chains import FreeChainComplex
 from .matrix import IntegerMatrix, SparseMatrix
 
 # The nerve budget: basis elements over all degrees, checked on level sizes
-# counted from the arrow tables before any tuple is allocated (`_level_sizes`).
-# Boundaries are stored sparse, with at most n+1 entries per degree-n basis
-# element, so it also bounds the boundary entries (sum of (n+1) * dims[n]) and
-# their memory.  The
-# iso-type route (`homology_groups`, integral and Z/q, so `homology` with any
-# coefficients and `uct`) reduces copies of the sparse rows that clearing does
-# not skip, with no transform.  On the nerves measured those copies hold no
-# more entries than the boundaries (`homology cyclic:60 -N 3`: 1.8-3.1 s and
-# 132 MB peak, of which the nerve takes 91 MB; tools/ladder.py), so the budget
-# bounds that route's memory too; a reduced row can still fill in principle.
+# counted from the arrow tables, up to the first degree over it, before any
+# tuple is allocated (`_level_sizes`).  Boundaries are stored sparse, with at
+# most n+1 entries per degree-n basis element, so it also bounds the boundary
+# entries (sum of (n+1) * dims[n]) and their memory.  The iso-type route
+# (`homology_groups`, integral and Z/q, so `homology` with any coefficients and
+# `uct`) reduces copies of the sparse rows that clearing does not skip, with no
+# transform.  On the nerves measured those copies hold no more entries than
+# the boundaries (`homology cyclic:60 -N 3`: 1.8-3.1 s and 132 MB peak, of
+# which the nerve takes 91 MB; tools/ladder.py), so the budget bounds that
+# route's memory too; a reduced row can still fill in principle.
 # The Mayer-Vietoris short exact sequence is sparse as well: its maps hold one
 # or two entries per column and are checked by sparse products.  Only the
 # dense Smith forms with transforms of `HomologyResult` (representatives, for
@@ -352,32 +352,33 @@ class NerveLevel:
         return f"NerveLevel(degree={self.degree}, size={len(self.tuples)})"
 
 
-def _level_sizes(g: FiniteGroupoid, n: int) -> list[int]:
+def _level_sizes(g: FiniteGroupoid, n: int) -> Iterator[int]:
     """Sizes of nerve levels 1..n, counted from the arrow tables without building a tuple.
 
     c_d[v] counts the composable d-tuples whose last arrow has source v: a
     tuple grows by an arrow a whose range is that source, so with c_0[v] = 1,
-    c_{d+1}[v] = sum over source(a) = v of c_d[range(a)].
+    c_{d+1}[v] = sum over source(a) = v of c_d[range(a)].  Sizes are yielded
+    one degree at a time, so a budget check stops counting (and the counts
+    stop growing) at the first degree over it.
 
-    >>> _level_sizes(pair(3), 3)
+    >>> list(_level_sizes(pair(3), 3))
     [9, 27, 81]
     """
     counts = dict.fromkeys(g.units, 1)
-    sizes = []
     for _ in range(n):
         grown = dict.fromkeys(g.units, 0)
         for a in range(g.arrows):
             grown[g.source[a]] += counts[g.range_[a]]
         counts = grown
-        sizes.append(sum(counts.values()))
-    return sizes
+        yield sum(counts.values())
 
 
 def _nerve_levels(g: FiniteGroupoid, n: int, budget: int | None = None) -> list[NerveLevel]:
     """Nerve levels 0..n, cached on the groupoid; optional total-size budget.
 
-    The budget is checked on counted sizes before any level is built, cached
-    or not, so a refused call allocates no tuple.
+    The budget is checked on counted sizes, degree by degree up to the first
+    one over it, before any level is built, cached or not, so a refused call
+    allocates no tuple.
     """
     if budget is not None:
         total = len(g.units)

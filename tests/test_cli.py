@@ -309,6 +309,16 @@ def test_budget_flag_exceeded(tmp_path):
     assert report == {"error": "nerve budget exceeded at degree 2", "ok": False}
 
 
+def test_budget_refuses_huge_max_degree(tmp_path):
+    # the default budget is reached at degree 7 (8**7 > 10**6); a far larger
+    # -N must give the same refusal, not count every level it names first
+    path = gen_file(tmp_path, "cyclic:8", "c8.json")
+    code, out, err = run_cli(["homology", "-i", path, "-N", "200000"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: nerve budget exceeded at degree 7\n"
+
+
 def test_budget_env_var(tmp_path, monkeypatch):
     path = gen_file(tmp_path, "pair:3", "p3.json")
     monkeypatch.setenv("GH_BUDGET", "20")

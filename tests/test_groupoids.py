@@ -35,6 +35,7 @@ from groupoid_homology import (
     validate_groupoid,
 )
 
+from groupoid_homology import groupoids
 from groupoid_homology.groupoids import _level_sizes
 
 import oracles
@@ -215,7 +216,7 @@ def test_disjoint_union_structure():
     ],
 )
 def test_nerve_sizes(g, expected_dims):
-    assert _level_sizes(g, 3) == expected_dims[1:]
+    assert list(_level_sizes(g, 3)) == expected_dims[1:]
     assert [len(nerve(g, n)) for n in range(4)] == expected_dims
 
 
@@ -367,6 +368,25 @@ def test_over_budget_nerve_builds_no_level():
     with pytest.raises(ValueError, match="nerve budget exceeded at degree 3"):
         moore_complex(g, 3, budget=50)
     assert len(g._nerve_cache) == 2
+
+
+def test_budget_stops_counting_at_first_degree_over_it(monkeypatch):
+    # pair(2): totals 2, 6, 14, 30, 62, 126 over degrees 0..5 exceed 100 at
+    # degree 5; counting stops there whatever n asks for, so a huge n is
+    # refused at once
+    drawn = []
+
+    def counted(g, n):
+        for size in _level_sizes(g, n):
+            drawn.append(size)
+            yield size
+
+    monkeypatch.setattr(groupoids, "_level_sizes", counted)
+    g = pair(2)
+    with pytest.raises(ValueError, match="nerve budget exceeded at degree 5"):
+        moore_complex(g, 10**5, budget=100)
+    assert drawn == [4, 8, 16, 32, 64]
+    assert g._nerve_cache is None
 
 
 def test_moore_complex_modulus_reduces_entries():
