@@ -8,11 +8,11 @@ falsify.
 Integral and Z/q homology take one lattice route, never row-reducing over
 Z/q (not a field for composite q): H_n is K/B for the cycle lattice
 K = {v : ∂_n v ∈ qZ} and the enlarged image B = im(∂_{n+1}) + qZ, with
-q = 0 for integral homology.  One Smith decomposition of [∂_n | qI] gives a
-basis of K and, through V⁻¹, the coordinates of B and of any cycle over it;
-one more, of a column-reduced basis of B's coordinates, gives the
-presentation.  That route is for representatives; `homology_groups` is the
-sparse route to iso types alone, integral or Z/q: one
+q = 0 for integral homology.  `homology_results` gives representatives: one
+recorded column reduction of each [∂_n | qI] with clearing yields echelon
+bases of K and B, so coordinates come by back-substitution, and one small
+Smith form of B's coordinates gives the presentation.  `homology_groups` is
+the sparse route to iso types alone, integral or Z/q: one
 `sweep_invariant_factors` over ∂_1, ∂_2, ... or over the mapping cone of q.
 """
 
@@ -24,7 +24,8 @@ from .abelian import FinAbGroup, PresentedGroup, _json_ints, _json_list, _json_o
 from .matrix import (
     IntegerMatrix,
     SparseMatrix,
-    column_lattice_basis,
+    echelon_coordinates,
+    reduce_columns,
     smith_normal_form,
     sweep_invariant_factors,
 )
@@ -172,67 +173,57 @@ class HomologyResult:
 
     `modulus` is 0 for integral homology and q >= 1 for Z/q coefficients.
     K = {v : ∂_n v ∈ qZ} and B = im(∂_{n+1}) + qZ^{dims[n]}; q = 0 gives
-    ker(∂_n)/im(∂_{n+1}).  One Smith form U·A·V = D of A = [∂_n | qI]
-    (A = ∂_n when q = 0) does all the lattice work: the last columns of V,
-    from column rank(A) on, are a basis of ker A, and their first dims[n] rows
-    are a basis of K (the lower block of an element of ker A is -∂v/q,
-    determined by v).  A chain w lifts to (w ; -∂_n w/q) (w itself when
-    q = 0), which lies in ker A exactly when the first rank(A) rows of V⁻¹·lift
-    vanish; the remaining rows are its coordinates over that basis.  Those of
-    B's generators, k x r with r >> k, are column-reduced to a basis of their
-    lattice (keeping Z^k/B), whose Smith form, with U and U⁻¹ only, gives the
-    diagonal presentation; generators with invariant factor 1 are dropped.
+    ker(∂_n)/im(∂_{n+1}).  Built by `homology_results` from a basis of K and
+    an echelon basis of B.  K's basis is put in echelon form too, so a chain's
+    coordinates come by back-substitution, and a chain that does not reduce
+    to zero is not a cycle.  B's coordinates that are a unit vector only
+    delete a generator; the rest go to one small Smith form with U and U⁻¹,
+    which gives the diagonal presentation (invariant factors 1 dropped).
 
     `cycle_reps[i]` is an integer chain whose class is the i-th generator of
     `presentation`; `class_coords` expresses any further cycle over those
     generators (raising "not a cycle" on chains outside K).
+    `bounding_chain` fills a chain of B from the reduction's records.
     """
 
     __slots__ = ("degree", "modulus", "group", "presentation", "cycle_reps",
-                 "_boundary", "_rank", "_vinv", "_uw", "_kept", "_orders")
+                 "_dims", "_basis", "_image", "_fillers", "_uw", "_orders")
 
-    def __init__(self, complex_: FreeChainComplex, n: int, q: int):
+    def __init__(self, n: int, q: int, dims: Sequence[int], cycles: list[dict[int, int]],
+                 image: dict[int, dict[int, int]], fillers: dict[int, dict[int, int]] | None):
         self.degree = n
         self.modulus = q
-        boundary = complex_.boundaries[n].to_dense()
-        relations = complex_.boundaries[n + 1].to_dense()
-        augmented = boundary
-        if q:
-            augmented = IntegerMatrix.hstack([boundary, IntegerMatrix.identity(boundary.rows) * q])
-            relations = IntegerMatrix.hstack([relations, IntegerMatrix.identity(boundary.cols) * q])
-        snf = smith_normal_form(augmented, transforms=("V", "vinv"))
-        self._boundary = boundary
-        self._rank = snf.rank
-        self._vinv = snf.vinv
-        coords = self._coords(relations)
-        if coords is None:
+        self._dims = (dims[n], dims[n + 1])
+        self._image = image
+        self._fillers = fillers
+        pivots, _ = reduce_columns(cycles)
+        self._basis = {low: cycles[k] for low, k in pivots.items()}
+        coords = [echelon_coordinates(self._basis, dict(col)) for col in image.values()]
+        if None in coords:
             raise AssertionError("image lattice escapes the cycle lattice")
-        k = coords.rows
-        kernel_rows = snf.V._rows[:boundary.cols]
-        lattice = IntegerMatrix.from_rows([row[self._rank:] for row in kernel_rows], cols=k)
-        rel = smith_normal_form(column_lattice_basis(coords), transforms=("U", "uinv"))
-        orders = rel.diag + [0] * (k - len(rel.diag))
-        self._uw = rel.U
-        self._kept = [i for i in range(k) if orders[i] != 1]
-        self._orders = [orders[i] for i in self._kept]
-        gen_matrix = lattice.matmul(rel.uinv)
+        units = {low for x in coords if len(x) == 1 for low, v in x.items() if v in (1, -1)}
+        rest = [low for low in sorted(self._basis) if low not in units]
+        others = [x for x in coords if not x.keys() <= units]
+        rel = smith_normal_form(
+            IntegerMatrix._wrap([[x.get(low, 0) for x in others] for low in rest], len(others)),
+            transforms=("U", "uinv"),
+        )
+        orders = rel.diag + [0] * (len(rest) - len(rel.diag))
+        kept = [i for i, d in enumerate(orders) if d != 1]
+        self._uw = [dict(zip(rest, rel.U.row(i))) for i in kept]
+        self._orders = [orders[i] for i in kept]
         self.group = FinAbGroup.from_cyclic_orders(self._orders)
         self.presentation = PresentedGroup.from_diagonal(self._orders)
-        self.cycle_reps = [gen_matrix.column(i) for i in self._kept]
+        lattice = [[self._basis[low].get(j, 0) for low in rest] for j in range(dims[n])]
+        gens = IntegerMatrix._wrap(lattice, len(rest)).matmul(rel.uinv)
+        self.cycle_reps = [gens.column(i) for i in kept]
 
-    def _coords(self, chains: IntegerMatrix) -> IntegerMatrix | None:
-        """Coordinates over the basis of K of each column, or None if one is not in K."""
-        if self.modulus:
-            # an inexact quotient leaves the lift outside ker A, which the
-            # test on the first rank(A) rows of V⁻¹·lift then catches
-            below = self._boundary.matmul(chains)
-            lower = [[-x // self.modulus for x in row] for row in below._rows]
-            lower = IntegerMatrix.from_rows(lower, cols=chains.cols)
-            chains = IntegerMatrix.vstack([chains, lower])
-        y = self._vinv.matmul(chains)
-        if any(any(row) for row in y._rows[:self._rank]):
-            return None
-        return IntegerMatrix.from_rows(y._rows[self._rank:], cols=chains.cols)
+    def _sparse(self, chain: Sequence[int]) -> dict[int, int]:
+        if len(chain) != self._dims[0]:
+            raise ValueError(
+                f"shape mismatch: chain of length {len(chain)} in ambient dimension {self._dims[0]}"
+            )
+        return {j: v for j, v in enumerate(chain) if v}
 
     def class_coords(self, chain: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cycle's class over the kept generators.
@@ -240,21 +231,30 @@ class HomologyResult:
         Torsion coordinates come reduced mod their order, free ones exact;
         two cycles are homologous iff their tuples agree.
         """
-        if len(chain) != self._boundary.cols:
-            raise ValueError(
-                f"shape mismatch: chain of length {len(chain)} in ambient dimension {self._boundary.cols}"
-            )
-        x = self._coords(IntegerMatrix.column_vector(chain))
+        x = echelon_coordinates(self._basis, self._sparse(chain))
         if x is None:
             raise ValueError("not a cycle")
-        y = self._uw.mul_vector(x.column(0))
-        return tuple(
-            y[i] % self._orders[pos] if self._orders[pos] else y[i]
-            for pos, i in enumerate(self._kept)
-        )
+        y = (sum(u * x.get(low, 0) for low, u in uw.items()) for uw in self._uw)
+        return tuple(c % d if d else c for c, d in zip(y, self._orders))
 
     def same_class(self, chain_a: Sequence[int], chain_b: Sequence[int]) -> bool:
         return self.class_coords(chain_a) == self.class_coords(chain_b)
+
+    def bounding_chain(self, chain: Sequence[int]) -> list[int] | None:
+        """x with ∂_{n+1} x = chain (mod q), or None when chain is not in B: the
+        records of B's basis, summed with chain's coefficients over it.  The
+        reduction records them below its top degree only."""
+        if self._fillers is None:
+            raise ValueError(f"no fillers recorded in degree {self.degree + 1}, above the top degree")
+        x = echelon_coordinates(self._image, self._sparse(chain))
+        if x is None:
+            return None
+        out = [0] * self._dims[1]
+        for low, c in x.items():
+            for j, v in self._fillers[low].items():
+                if j < self._dims[1]:  # the block of qI columns is dropped
+                    out[j] += c * v
+        return out
 
     def __repr__(self) -> str:
         coeff = "Z" if self.modulus == 0 else f"Z/{self.modulus}"
@@ -281,9 +281,7 @@ def _check_trusted(complex_: FreeChainComplex, n: int) -> None:
 
 def homology_int(complex_: FreeChainComplex, n: int) -> HomologyResult:
     """Integral homology ker(∂_n)/im(∂_{n+1}) with generating representatives."""
-    _check_coefficients(complex_, 0)
-    _check_trusted(complex_, n)
-    return HomologyResult(complex_, n, 0)
+    return homology_results(complex_, 0, n)[n]
 
 
 def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
@@ -304,11 +302,58 @@ def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
         ...
     ValueError: not a cycle
     """
+    return homology_results(complex_, q, n)[n]
+
+
+def homology_results(complex_: FreeChainComplex, q: int = 0, top: int | None = None) -> list[HomologyResult]:
+    """H_0..H_top (default: every trusted degree) with representatives, Z or Z/q coefficients.
+
+    The twin of `homology_groups`.  Each A_m = [∂_m | qI] (∂_m when q = 0)
+    is reduced once by `reduce_columns`, from m = top+1 down to 0, recording
+    the column operations for m <= top: the zero columns' records give a basis
+    of K_m = {v : ∂_m v ∈ qZ}, the pivots an echelon basis of B_{m-1}.
+    Clearing: a pivot of A_{m+1} with a +-1 low j is a cycle, so putting it in
+    place of column j of ∂_m's domain is a change of basis, unitriangular in
+    the lows; column j is skipped and the pivot joins K_m's basis.  At a
+    non-unit low that is no change of basis, so the column stays.  Each cleared
+    cycle is checked, since nothing else reads the skipped columns.
+    """
     _check_coefficients(complex_, q)
-    if q == 0:
-        return homology_int(complex_, n)
-    _check_trusted(complex_, n)
-    return HomologyResult(complex_, n, q)
+    if top is None:
+        top = complex_.max_degree - 1
+    else:
+        _check_trusted(complex_, top)
+    dims = complex_.dims
+    results = []
+    image: dict[int, dict[int, int]] = {}  # B_m's echelon basis, by low
+    fillers = None  # the records of that basis
+    for m in range(top + 1, -1, -1):
+        b = complex_.boundaries[m]
+        cols: list[dict[int, int]] = [{} for _ in range(b.cols)]
+        for i, row in enumerate(b._dicts):
+            for j, v in row.items():
+                cols[j][i] = v
+        cleared = {j: p for j, p in image.items() if p[j] in (1, -1)}
+        for j, p in cleared.items():
+            below: dict[int, int] = {}
+            for k, c in p.items():
+                for i, v in cols[k].items():
+                    below[i] = below.get(i, 0) + c * v
+            if any(v % q for v in below.values()) if q else any(below.values()):
+                raise ValueError(
+                    f"boundary square nonzero at degree {m + 1}: cleared cycle {j} is not a cycle"
+                )
+        if q:
+            cols += [{i: q} for i in range(b.rows)]
+        records = [{k: 1} for k in range(len(cols))] if m <= top else None
+        pivots, zeros = reduce_columns(cols, records, skip=cleared)
+        if records is not None:
+            cycles = [*cleared.values(), *({k: v for k, v in records[z].items() if k < b.cols}
+                                           for z in zeros)]
+            results.append(HomologyResult(m, q, dims, cycles, image, fillers))
+            fillers = {low: records[k] for low, k in pivots.items()}
+        image = {low: cols[k] for low, k in pivots.items()}
+    return results[::-1]
 
 
 def homology_group(complex_: FreeChainComplex, n: int, q: int = 0) -> FinAbGroup:

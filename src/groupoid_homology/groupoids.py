@@ -33,9 +33,11 @@ from .matrix import IntegerMatrix, SparseMatrix
 # which the nerve takes 91 MB; tools/ladder.py), so the budget bounds that
 # route's memory too; a reduced row can still fill in principle.
 # The Mayer-Vietoris short exact sequence is sparse as well: its maps hold one
-# or two entries per column and are checked by sparse products.  Only the
-# dense Smith forms with transforms of `HomologyResult` (representatives, for
-# MV and the mod-q reduction check) are not bounded by it.
+# or two entries per column and are checked by sparse products.  The
+# representatives of `homology_results` (for MV and the mod-q reduction check)
+# come from a column reduction of the sparse boundaries that records its column
+# operations; its columns and records can fill, which the budget does not
+# bound, and only a small Smith form of B's coordinates is dense.
 DEFAULT_BUDGET = 10**6
 
 

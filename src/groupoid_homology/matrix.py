@@ -9,15 +9,17 @@ chain of matrices with zero products in one row reduction of those row dicts
 with clearing (its docstring gives the pivot rule, the Euclid step, the
 clearing condition and the Schur remainder), and hands only a small
 remainder to `smith_normal_form`, the one pivot loop.  Both `matmul`s cost
-O(nonzero pairs) multiply-adds.  `column_lattice_basis`, an integer column
-echelon, shrinks a wide generating set to rank many columns.
+O(nonzero pairs) multiply-adds.  `reduce_columns` is the one integer column
+echelon (Euclid at equal lows, optionally recording the column operations);
+`column_lattice_basis` shrinks a wide generating set to its pivots, and
+`echelon_coordinates` back-substitutes a vector over such a basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import Container, Sequence
 
 
 class IntegerMatrix:
@@ -521,14 +523,12 @@ def invariant_factors(m: IntegerMatrix | SparseMatrix) -> list[int]:
 def sweep_invariant_factors(ms: Sequence[IntegerMatrix | SparseMatrix]) -> list[list[int]]:
     """`invariant_factors` of each of m_0, m_1, ..., whose products m_k @ m_{k+1} are 0.
 
-    One row reduction in cochain order, on copies of the sparse row dicts.  A
-    row's low is its largest column index.  A row at a +-1 pivot's low is
-    reduced by it; at a non-unit pivot's low a it takes b - (b // a)·a
-    (Euclid), and a nonzero remainder takes the pivot while the old pivot row
-    goes on.  The non-unit rows are then reduced by the unit-low rows A on A's
-    lows, largest first: [[A, B], [0, C]] with A unimodular is equivalent to
-    I ⊕ C.  A +-1 left in C is pivoted on the sparse rows too, so only the
-    rest of C goes to `smith_normal_form`.
+    One row reduction in cochain order: `reduce_columns` on copies of the
+    sparse row dicts, read as columns, so a row's low is its largest column
+    index and equal non-unit lows run Euclid.  The non-unit rows are then
+    reduced by the unit-low rows A on A's lows, largest first: [[A, B], [0, C]]
+    with A unimodular is equivalent to I ⊕ C.  A +-1 left in C is pivoted on
+    the sparse rows too, so only the rest of C goes to `smith_normal_form`.
 
     Clearing: a reduced row R = x·m_k with unit low j may replace row j of
     m_{k+1} by R·m_{k+1} = 0, a row operation unitriangular in the order of
@@ -555,35 +555,13 @@ def sweep_invariant_factors(ms: Sequence[IntegerMatrix | SparseMatrix]) -> list[
 
 def _reduce(m: SparseMatrix, cleared: set[int], deferred: set[int]) -> tuple[set, set, list[int]]:
     """Unit lows, non-unit lows and invariant factors of m; `deferred` rows go to the Schur step."""
-    units: dict[int, dict[int, int]] = {}
-    others: dict[int, dict[int, int]] = {}  # the rows with a non-unit low
-    late = []
-    for i, row in enumerate(m._dicts):
-        if not row or i in cleared:
-            continue
-        r = dict(row)
-        if i in deferred:
-            late.append(r)
-            continue
-        while r:
-            j = max(r)
-            p = units.get(j)
-            if p is not None:
-                _sub(r, p, r[j] * p[j])
-                continue
-            p = others.get(j)
-            if p is None:
-                (units if r[j] in (1, -1) else others)[j] = r
-                break
-            c = r[j] // p[j]
-            if c:
-                _sub(r, p, c)
-            if j in r:  # |remainder| < |pivot|: it takes low j, the old pivot row goes on
-                del others[j]
-                (units if r[j] in (1, -1) else others)[j] = r
-                r = p
+    skip = cleared | deferred
+    rows = [r if i in skip else dict(r) for i, r in enumerate(m._dicts)]
+    pivots, _ = reduce_columns(rows, skip=skip)
+    units = {j: rows[k] for j, k in pivots.items() if rows[k][j] in (1, -1)}
     factors = [1] * len(units)
-    rest = [*others.values(), *late]
+    rest = [rows[k] for j, k in pivots.items() if j not in units]
+    rest += [dict(m._dicts[i]) for i in sorted(deferred - cleared) if m._dicts[i]]
     if rest:
         # a unit row only holds columns up to its low, so largest first clears them all
         order = sorted(units, reverse=True)
@@ -605,7 +583,7 @@ def _reduce(m: SparseMatrix, cleared: set[int], deferred: set[int]) -> tuple[set
         live = sorted({j for r in rest for j in r})
         dense = IntegerMatrix._wrap([[r.get(j, 0) for j in live] for r in rest], len(live))
         factors += [d for d in smith_normal_form(dense, transforms=()).diag if d]
-    return set(units), set(others), factors
+    return set(units), pivots.keys() - units.keys(), factors
 
 
 def _sub(r: dict[int, int], p: dict[int, int], c: int) -> None:
@@ -642,32 +620,68 @@ def solve_columns(b: IntegerMatrix, t: IntegerMatrix) -> IntegerMatrix | None:
 
 
 def column_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """A basis (rank many columns) of the lattice generated by m's columns.
-
-    An untracked integer column echelon on sparse columns: for each row in
-    turn, Euclid on that row's entries leaves one live column nonzero there,
-    which becomes a basis column; the rest carry on, zero columns dropped.
+    """A basis of the lattice generated by m's columns: `reduce_columns`'s pivots, by low.
 
     >>> column_lattice_basis(IntegerMatrix.from_rows([[4, 6, 0], [1, 0, 0]])).entries
-    [2, 0, -1, 3]
+    [6, 4, 0, 1]
     """
-    live = [{i: row[j] for i, row in enumerate(m._rows) if row[j]} for j in range(m.cols)]
-    live = [c for c in live if c]
-    basis = []
-    for i in range(m.rows):
-        hit = [c for c in live if i in c]
-        live = [c for c in live if i not in c]
-        while len(hit) > 1:
-            p = min(hit, key=lambda c: (abs(c[i]), len(c)))  # smallest pivot, least fill
-            for c in hit:
-                if c is not p:
-                    q = c[i] // p[i]
-                    for r, v in p.items():
-                        c[r] = c.get(r, 0) - q * v
-                        if not c[r]:
-                            del c[r]
-            live += [c for c in hit if c and i not in c]
-            hit = [c for c in hit if i in c]
-        basis += hit
-    rows = [[c.get(i, 0) for c in basis] for i in range(m.rows)]
-    return IntegerMatrix._wrap(rows, len(basis))
+    cols = [{i: row[j] for i, row in enumerate(m._rows) if row[j]} for j in range(m.cols)]
+    pivots, _ = reduce_columns(cols)
+    basis = [cols[pivots[low]] for low in sorted(pivots)]
+    return IntegerMatrix._wrap([[c.get(i, 0) for c in basis] for i in range(m.rows)], len(basis))
+
+
+def reduce_columns(
+    cols: list[dict[int, int]], records: list[dict[int, int]] | None = None, skip: Container[int] = ()
+) -> tuple[dict[int, int], list[int]]:
+    """Integer column echelon of sparse {row: value} columns, in place.
+
+    Returns {low: position of its pivot column} and the positions of the
+    columns that became zero.  A column's low is its largest row index.  A
+    column at a pivot's low p takes b - (b // p)·p: exact at a +-1 pivot,
+    Euclid otherwise, where a nonzero remainder takes the low and the old
+    pivot column goes on.  Every step is a unimodular column operation, done
+    to `records` too: from records[k] = e_k the zero columns' records are a
+    kernel basis.  Positions in `skip` are left out (the caller vouches).
+    """
+    pivots: dict[int, int] = {}
+    zeros = []
+    for k in range(len(cols)):
+        if k in skip:
+            continue
+        c = cols[k]
+        while c:
+            j = max(c)
+            p = pivots.get(j)
+            if p is None:
+                pivots[j] = k
+                break
+            pc = cols[p]
+            f = c[j] // pc[j]
+            if f:
+                _sub(c, pc, f)
+                if records is not None:
+                    _sub(records[k], records[p], f)
+            if j in c:
+                pivots[j], k = k, p
+                c = cols[k]
+        else:
+            zeros.append(k)
+    return pivots, zeros
+
+
+def echelon_coordinates(basis: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int] | None:
+    """Coefficients, keyed by low, of v over an echelon basis {low: column},
+    by back-substitution that consumes v; None when v is not in its lattice."""
+    x = {}
+    while v:
+        j = max(v)
+        p = basis.get(j)
+        if p is None:
+            return None
+        c, rem = divmod(v[j], p[j])
+        if rem:
+            return None
+        _sub(v, p, c)
+        x[j] = c
+    return x

@@ -31,7 +31,7 @@ import random
 from typing import Sequence
 
 from .abelian import FinAbGroup, GroupHom, PresentedGroup, middle_homology
-from .chains import HomologyResult, homology_int
+from .chains import HomologyResult, _check_trusted, homology_results
 from .groupoids import (
     DEFAULT_BUDGET,
     FiniteGroupoid,
@@ -39,7 +39,7 @@ from .groupoids import (
     reduction,
     saturation_witness,
 )
-from .matrix import IntegerMatrix, SparseMatrix, invariant_factors, solve_columns
+from .matrix import IntegerMatrix, SparseMatrix, invariant_factors
 
 
 class MvDecomposition:
@@ -200,7 +200,11 @@ class MvChainSes:
     # -- homology and lifts --------------------------------------------------
 
     def homology(self, part: str, n: int) -> HomologyResult:
-        """Integral homology of one of "total", "piece1", "piece2", "piece12"."""
+        """Integral homology of one of "total", "piece1", "piece2", "piece12".
+
+        The first call for a part reduces its complex once, by
+        `homology_results`, and caches every trusted degree.
+        """
         key = (part, n)
         if key not in self._homology:
             complex_ = {
@@ -209,7 +213,8 @@ class MvChainSes:
                 "piece2": self.complex2,
                 "piece12": self.complex12,
             }[part]
-            self._homology[key] = homology_int(complex_, n)
+            _check_trusted(complex_, n)
+            self._homology.update(((part, m), h) for m, h in enumerate(homology_results(complex_)))
         return self._homology[key]
 
     def lift(self, n: int, chain: Sequence[int], rng: random.Random | None = None) -> list[int]:
@@ -272,7 +277,8 @@ class MvChainSes:
         """A preimage of the cycle under to_total that is itself a cycle.
 
         Exists exactly when the connecting class vanishes: correct the
-        canonical lift by to_pieces of any chain bounding the witness.
+        canonical lift by to_pieces of a chain bounding the witness, read off
+        the intersection's recorded reduction (so n < max_degree).
         """
         result = self.connecting(n, cycle)
         lifted = self.lift(n, cycle)
@@ -280,12 +286,10 @@ class MvChainSes:
             return lifted
         if not result.is_boundary:
             raise ValueError("cycle admits no cycle lift: connecting class is nonzero")
-        filler = solve_columns(
-            self.complex12.boundaries[n].to_dense(), IntegerMatrix.column_vector(result.witness)
-        )
+        filler = self.homology("piece12", n - 1).bounding_chain(result.witness)
         if filler is None:
             raise AssertionError("witness declared a boundary but no filler found")
-        correction = self.to_pieces[n].mul_vector(filler.column(0))
+        correction = self.to_pieces[n].mul_vector(filler)
         out = [a - b for a, b in zip(lifted, correction)]
         dim1 = self.complex1.dims[n]
         if any(self.complex1.boundaries[n].mul_vector(out[:dim1])) or any(

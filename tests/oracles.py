@@ -353,24 +353,22 @@ def cyclic_homology_mod(m: int, q: int, n: int) -> tuple[int, tuple[int, ...]]:
 # -- exhaustive mod-q homology -------------------------------------------------
 
 
-def _mat_vec_mod(rows: list[list[int]], v: tuple[int, ...], q: int) -> tuple[int, ...]:
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) % q for r in rows)
-
-
 def subgroup_closure(generators: list[tuple[int, ...]], q: int, dim: int) -> frozenset:
-    """All (Z/q)^dim vectors generated by the given vectors under addition."""
-    zero = tuple([0] * dim)
-    seen = {zero}
-    frontier = [zero]
-    gens = [tuple(x % q for x in g) for g in generators]
-    while frontier:
-        base = frontier.pop()
-        for g in gens:
-            nxt = tuple((a + b) % q for a, b in zip(base, g))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+    """All (Z/q)^dim vectors generated by the given vectors under addition.
+
+    One generator g at a time: with S the span so far, S + <g> is the union
+    of the cosets S + kg for k = 0, 1, ..., up to the first kg in S, and
+    those cosets are disjoint, so every vector is built once.
+    """
+    span = {tuple([0] * dim)}
+    for g in generators:
+        g = tuple(x % q for x in g)
+        base = list(span)
+        shift = g
+        while shift not in span:
+            span.update(tuple((a + b) % q for a, b in zip(s, shift)) for s in base)
+            shift = tuple((a + b) % q for a, b in zip(shift, g))
+    return frozenset(span)
 
 
 def _prime_factors(q: int) -> dict[int, int]:
@@ -392,26 +390,61 @@ def enumerate_mod_homology(
     """(sorted prime-power orders, group order) of ker/im over Z/q by enumeration.
 
     `bn` is the outgoing boundary (dim columns), `bn1` the incoming one
-    (dim rows).  Requires q**dim <= limit.
+    (dim rows).  Requires q**dim <= limit.  Every chain v of (Z/q)^dim is
+    visited once, in reflected mixed-radix Gray order: each step moves one
+    coordinate by +-1, so the syndrome bn·v mod q changes by +- one column
+    of bn, and v is a cycle when no syndrome entry is nonzero.  In the same
+    pass each cycle counts towards c_j = |{v in K : p^j v in B}| for every
+    prime power p^j dividing q, with p^j v kept as a base-q integer code; B
+    is the span of bn1's columns.  The ratios c_j / c_{j-1} = p^{m_j}, with
+    c_0 = |B|, count the cyclic factors of order at least p^j.
     """
     if q == 1 or dim == 0:
         return [], 1
     assert q**dim <= limit, f"enumeration blow-up: {q}**{dim} > {limit}"
-    kernel = [
-        v for v in product(range(q), repeat=dim) if not any(_mat_vec_mod(bn, v, q))
-    ] if bn else list(product(range(q), repeat=dim))
     columns = [tuple(row[j] for row in bn1) for j in range(len(bn1[0]) if bn1 else 0)]
     image = subgroup_closure(columns, q, dim)
     assert all(tuple(x % q for x in c) in image for c in columns)
-    order = len(kernel) // len(image)
-    assert len(kernel) % len(image) == 0, "image not contained in kernel?"
+    place = [q**i for i in range(dim)]
+    image_codes = {sum(x * w for x, w in zip(b, place)) for b in image}
+    primes = _prime_factors(q)
+    powers = [p**j for p, e in primes.items() for j in range(1, e + 1)]
+    bn_columns = [[(r, row[i] % q) for r, row in enumerate(bn) if row[i] % q] for i in range(dim)]
+    syndrome = [0] * len(bn)
+    nonzero = 0  # syndrome entries that are not 0
+    v = [0] * dim
+    step = [1] * dim
+    codes = [0] * len(powers)  # base-q code of p^j v mod q, one per power
+    kernel = 0
+    hits = [0] * len(powers)
+    while True:
+        if not nonzero:
+            kernel += 1
+            for t, code in enumerate(codes):
+                if code in image_codes:
+                    hits[t] += 1
+        i = 0
+        while i < dim and not 0 <= v[i] + step[i] < q:
+            step[i] = -step[i]
+            i += 1
+        if i == dim:
+            break
+        s = step[i]
+        for t, pj in enumerate(powers):
+            codes[t] -= (pj * v[i]) % q * place[i]
+            codes[t] += (pj * (v[i] + s)) % q * place[i]
+        v[i] += s
+        for r, a in bn_columns[i]:
+            old = syndrome[r]
+            new = (old + s * a) % q
+            syndrome[r] = new
+            nonzero += (new != 0) - (old != 0)
+    order = kernel // len(image)
+    assert kernel % len(image) == 0, "image not contained in kernel?"
+    count = dict(zip(powers, hits))
     prime_powers = []
-    for p, e_max in _prime_factors(q).items():
-        counts = [len(image)]  # c_0 = |{v in K : v in B}| = |B|
-        for j in range(1, e_max + 1):
-            pj = p**j
-            c_j = sum(1 for v in kernel if tuple((pj * x) % q for x in v) in image)
-            counts.append(c_j)
+    for p, e_max in primes.items():
+        counts = [len(image)] + [count[p**j] for j in range(1, e_max + 1)]
         m_prev = None
         for j in range(1, e_max + 1):
             ratio = counts[j] // counts[j - 1]

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+import groupoid_homology.chains as chains_module
 import groupoid_homology.matrix as matrix_module
 from groupoid_homology import (
     FinAbGroup,
@@ -27,6 +28,7 @@ from groupoid_homology import (
     homology_groups,
     homology_int,
     homology_mod,
+    homology_results,
     moore_complex,
     one_object_cyclic,
     shift_sum,
@@ -692,6 +694,97 @@ def test_cone_clearing_does_not_mask_a_corrupted_cleared_row(monkeypatch):
     assert lines[0] == lines[2] == "0"  # H_2(Z/3; Z/4) before the corruption
     assert lines[1].startswith("boundary square nonzero: the cone of 4 in degree 2 has rank ")
     assert lines[3] == "boundary square nonzero mod 4 at degree 3"
+
+
+# -- representatives from the recorded column reduction ---------------------------------
+
+
+def test_representatives_keep_a_non_unit_low():
+    # ∂_1 = 0 and ∂_2 = (2): the pivot of ∂_2 has low 0 and value 2, so the
+    # column of ∂_1 stays; clearing it would swap the cycle 1 for 2 and lose Z/2
+    c = FreeChainComplex([1, 1, 1], [IntegerMatrix.zeros(0, 1), IntegerMatrix.zeros(1, 1),
+                                     IntegerMatrix.from_rows([[2]])])
+    h0, h1 = homology_results(c)
+    assert h0.group == FinAbGroup(1, ()) and h1.group == FinAbGroup.cyclic(2)
+    assert h1.cycle_reps in ([[1]], [[-1]])
+    assert h1.class_coords([3]) == (1,) and h1.class_coords([4]) == (0,)
+    assert h0.bounding_chain([0]) == [0] and h0.bounding_chain([1]) is None
+
+
+def test_cleared_cycle_check_raises_under_optimize_flag(monkeypatch):
+    # an entry of ∂_2 in a column that clearing skips is read by nothing but
+    # the check of the cleared cycle; corrupted after construction under
+    # `python -O`, it must still raise, over Z and over Z/4
+    skipped = []
+    real_reduce = chains_module.reduce_columns
+
+    def spy(cols, records=None, skip=()):
+        skipped.append(set(skip))
+        return real_reduce(cols, records, skip)
+
+    monkeypatch.setattr(chains_module, "reduce_columns", spy)
+    c = moore_complex(one_object_cyclic(3), 3)
+    homology_results(c)
+    j = min(skipped[1])  # the reductions run A_3, A_2, A_1, A_0
+    i = min(i for i, row in enumerate(c.boundaries[2]._dicts) if j in row)
+    program = "\n".join(
+        [
+            "import sys",
+            "from groupoid_homology import homology_results, moore_complex, one_object_cyclic",
+            "if not sys.flags.optimize:",
+            "    raise SystemExit('child is not optimized')",
+            "c = moore_complex(one_object_cyclic(3), 3)",
+            "print([str(h.group) for h in homology_results(c, 4)])",
+            f"c.boundaries[2]._dicts[{i}][{j}] += 1",
+            "for q in (0, 4):",
+            "    try:",
+            "        homology_results(c, q)",
+            "    except ValueError as e:",
+            "        print(e)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = f"boundary square nonzero at degree 3: cleared cycle {j} is not a cycle"
+    assert proc.stdout.splitlines() == ["['Z/4', '0', '0']", expected, expected]
+
+
+@pytest.mark.parametrize("name_and_groupoid", corpus(), ids=[n for n, _ in corpus()])
+def test_homology_results_on_relabelled_corpus(name_and_groupoid):
+    # groups against the sparse sweep; representatives in K with unit class
+    # coordinates; ∂x + qy has class zero, adding it moves no class, and
+    # bounding_chain finds an x back below the top degree
+    name, g = name_and_groupoid
+    rng = random.Random(name)
+    for seed in (1, 2):
+        c = moore_complex(relabelled(g, seed), 3)
+        for q in (0, 2, 3, 4, 6):
+            results = homology_results(c, q)
+            assert [h.group for h in results] == homology_groups(c, q), (name, seed, q)
+            for n, h in enumerate(results):
+                k = len(h.cycle_reps)
+                following = c.boundaries[n + 1]
+                x = [rng.randint(-3, 3) for _ in range(following.cols)]
+                b = [v + q * rng.randint(-2, 2) for v in following.mul_vector(x)]
+                assert h.class_coords(b) == (0,) * k, (name, seed, q, n)
+                for i, rep in enumerate(h.cycle_reps):
+                    assert not any(v % q if q else v for v in c.boundaries[n].mul_vector(rep))
+                    unit = tuple(int(i == j) for j in range(k))
+                    assert h.class_coords(rep) == unit, (name, seed, q, n)
+                    assert h.class_coords([u + v for u, v in zip(rep, b)]) == unit
+                if n == len(results) - 1:
+                    with pytest.raises(ValueError, match="no fillers recorded in degree 3"):
+                        h.bounding_chain(b)
+                    continue
+                y = h.bounding_chain(b)
+                assert not any(v % q if q else v for v in
+                               (u - w for u, w in zip(following.mul_vector(y), b))), (name, seed, q, n)
 
 
 def relabelled(g, seed: int) -> FiniteGroupoid:

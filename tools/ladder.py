@@ -11,8 +11,9 @@ time, the child's own peak RSS (from os.wait4), the exit code, the sha256
 of stdout and of stderr, and the first line of stderr.  The inputs are written once, by the first side's
 `groupoid-homology gen`, into a temporary directory that is every child's
 working directory, so every side reads the same files by the same name.
-The `mv` rung covers a three-orbit union, cyclic:12 ⊔ pair:3 ⊔ cyclic:8,
-by its first two and its last two orbits.
+The two `mv` rungs cover a three-orbit union, cyclic:12 ⊔ pair:3 ⊔ cyclic:8
+and cyclic:20 ⊔ pair:4 ⊔ cyclic:16, by its first two and its last two orbits,
+so the intersection is the pair groupoid.
 The last rung is over the default nerve budget and must be refused with
 exit 1 and the CLI's budget message, so a crash (say a MemoryError under
 the limit, also exit 1) does not pass for a refusal.  A rung whose exit
@@ -40,9 +41,12 @@ INPUTS = {
     "cyclic-8": "cyclic:8", "cyclic-12": "cyclic:12", "cyclic-30": "cyclic:30",
     "cyclic-60": "cyclic:60", "pair-3": "pair:3",
     "mv-union": "union:cyclic-12.json,pair-3.json,cyclic-8.json",
+    "cyclic-16": "cyclic:16", "cyclic-20": "cyclic:20", "pair-4": "pair:4",
+    "mv-union-large": "union:cyclic-20.json,pair-4.json,cyclic-16.json",
 }
 REFUSED = "error: nerve budget exceeded at degree"
 MV_COVER = ["--u1", "0,1,2,3", "--u2", "1,2,3,4"]  # unit positions: cyclic:12 is 0, cyclic:8 is 4
+MV_COVER_LARGE = ["--u1", "0,1,2,3,4", "--u2", "1,2,3,4,5"]  # cyclic:20 is 0, cyclic:16 is 5
 # (name, CLI arguments after `-i <input>`, input stem, expected exit code, expected stderr start)
 RUNGS = [
     ("homology cyclic:30 -N 3", ["homology", "-N", "3"], "cyclic-30", 0, ""),
@@ -51,6 +55,7 @@ RUNGS = [
     ("homology cyclic:8 -N 4 --coeff z/4", ["homology", "-N", "4", "--coeff", "z/4"], "cyclic-8", 0, ""),
     ("uct cyclic:30 -N 3 --coeff z/4", ["uct", "-N", "3", "--coeff", "z/4"], "cyclic-30", 0, ""),
     ("mv cyclic:12 + pair:3 + cyclic:8 -N 3", ["mv", "-N", "3", *MV_COVER], "mv-union", 0, ""),
+    ("mv cyclic:20 + pair:4 + cyclic:16 -N 3", ["mv", "-N", "3", *MV_COVER_LARGE], "mv-union-large", 0, ""),
     ("homology cyclic:60 -N 4 (over budget)", ["homology", "-N", "4"], "cyclic-60", 1, REFUSED),
 ]
 
