@@ -434,6 +434,13 @@ class GroupHom:
     def zero(cls, source: PresentedGroup, target: PresentedGroup) -> "GroupHom":
         return cls(source, target, IntegerMatrix.zeros(target.generators, source.generators))
 
+    @classmethod
+    def from_columns(cls, source: PresentedGroup, target: PresentedGroup,
+                     cols: Sequence[Sequence[int]]) -> "GroupHom":
+        """The map sending source generator j to the element cols[j] of `target`."""
+        rows = [[col[i] for col in cols] for i in range(target.generators)]
+        return cls(source, target, IntegerMatrix.from_rows(rows, cols=len(cols)))
+
     def is_zero(self) -> bool:
         """Is this the zero map of presented groups (not just the zero matrix)?"""
         return all(

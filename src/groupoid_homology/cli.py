@@ -98,7 +98,7 @@ def parse_unit_list(text: str, g: FiniteGroupoid, flag: str) -> tuple[int, ...]:
 
 
 def resolve_budget(args: argparse.Namespace) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         budget = args.budget
     elif os.environ.get("GH_BUDGET"):
         raw = os.environ["GH_BUDGET"]
@@ -129,7 +129,7 @@ def load_groupoid(path: str) -> FiniteGroupoid:
 
 
 def _render(group: FinAbGroup, args: argparse.Namespace) -> str:
-    return group.render(primary=getattr(args, "primary", False))
+    return group.render(primary=args.primary)
 
 
 # -- gen ----------------------------------------------------------------------
@@ -267,7 +267,7 @@ def cmd_mv(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     exact_everywhere = all(group.is_trivial() for _, group in verdicts)
     verdict_by_label: dict[int, str] = {}
     for i, (label, group) in enumerate(verdicts, start=1):
-        verdict_by_label[i] = "exact" if group.is_trivial() else f"NOT EXACT ({group.render()})"
+        verdict_by_label[i] = "exact" if group.is_trivial() else f"NOT EXACT ({_render(group, args)})"
 
     # connecting-map verification: boundary membership and lift independence
     ses = les.ses
@@ -294,7 +294,7 @@ def cmd_mv(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     ]
     records = les.to_json()
     for i, record in enumerate(records):
-        lines.append(f"  node {record['label']} = {les.nodes[i][2].render()}")
+        lines.append(f"  node {record['label']} = {_render(les.nodes[i][2], args)}")
         if record["map_matrix"] or i < len(records) - 1:
             lines.append(f"    map matrix: {record['map_matrix']}")
         if i in verdict_by_label:
@@ -464,20 +464,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, need_input: bool = True) -> None:
-        if need_input:
+    def common(p: argparse.ArgumentParser, nerve: bool = True, degree: bool = True,
+               primary: bool = True, seed: bool = False) -> None:
+        """Only the shared flags the subcommand reads; -i and --budget go with a nerve."""
+        if nerve:
             p.add_argument("-i", "--input", required=True, help="groupoid JSON file")
-        p.add_argument(
-            "-N", "--max-degree", type=int, default=4, help="truncation degree (default 4)"
-        )
-        p.add_argument("--budget", type=int, default=None, help="nerve size budget")
+        if degree:
+            p.add_argument(
+                "-N", "--max-degree", type=int, default=4, help="truncation degree (default 4)"
+            )
+        if nerve:
+            p.add_argument("--budget", type=int, default=None, help="nerve size budget")
         p.add_argument("--json", dest="json_path", default=None, help="write JSON report here")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized re-checks")
-        p.add_argument(
-            "--primary",
-            action="store_true",
-            help="render torsion as prime-power summands",
-        )
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed for randomized re-checks")
+        if primary:
+            p.add_argument("--primary", action="store_true",
+                           help="render torsion as prime-power summands")
 
     p = sub.add_parser("gen", help="generate a preset groupoid file")
     p.add_argument("preset", help="units:k | cyclic:m | pair:k | action:m:perm | union:f1,f2")
@@ -497,13 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_uct)
 
     p = sub.add_parser("mv", help="Mayer-Vietoris long exact sequence")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--u1", required=True, help="comma-separated unit indices of U1")
     p.add_argument("--u2", required=True, help="comma-separated unit indices of U2")
     p.set_defaults(handler=cmd_mv)
 
     p = sub.add_parser("sft", help="closed-form shift-groupoid homology")
-    common(p, need_input=False)
+    common(p, nerve=False)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--full-shift", type=int, default=None, metavar="N")
     group.add_argument("--family", type=int, nargs=2, default=None, metavar=("N", "M"))
@@ -512,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sft)
 
     p = sub.add_parser("classify", help="recover family parameters from H_1 data")
-    common(p, need_input=False)
+    common(p, nerve=False, degree=False, primary=False)
     p.add_argument("--family", type=int, nargs=2, required=True, metavar=("N", "M"))
     p.add_argument("--bound", type=int, required=True, help="search bound")
     p.add_argument("--qmax", type=int, default=None, help="verify tables up to this q")

@@ -10,9 +10,10 @@ with clearing (its docstring gives the pivot rule, the Euclid step, the
 clearing condition and the Schur remainder), and hands only a small
 remainder to `smith_normal_form`, the one pivot loop.  Both `matmul`s cost
 O(nonzero pairs) multiply-adds.  `reduce_columns` is the one integer column
-echelon (Euclid at equal lows, optionally recording the column operations);
-`column_lattice_basis` shrinks a wide generating set to its pivots, and
-`echelon_coordinates` back-substitutes a vector over such a basis.
+echelon (Euclid at equal lows, optionally recording the column operations):
+its pivots are a basis of the lattice the columns generate, and
+`echelon_coordinates` back-substitutes a vector over them, which decides
+lattice membership.
 """
 
 from __future__ import annotations
@@ -598,37 +599,6 @@ def _sub(r: dict[int, int], p: dict[int, int], c: int) -> None:
 
 def rank(m: IntegerMatrix | SparseMatrix) -> int:
     return len(invariant_factors(m))
-
-
-def solve_columns(b: IntegerMatrix, t: IntegerMatrix) -> IntegerMatrix | None:
-    """Exact X with b @ X = t, or None when no integer solution exists."""
-    if b.rows != t.rows:
-        raise ValueError(f"shape mismatch: {b.rows}x{b.cols} vs target {t.rows}x{t.cols}")
-    snf = smith_normal_form(b)
-    s = snf.U.matmul(t)
-    r = snf.rank
-    if any(any(row) for row in s._rows[r:]):
-        return None
-    y = [[0] * t.cols for _ in range(b.cols)]
-    for i, d in enumerate(snf.diag[:r]):
-        for j, x in enumerate(s._rows[i]):
-            q, rem = divmod(x, d)
-            if rem:
-                return None
-            y[i][j] = q
-    return snf.V.matmul(IntegerMatrix._wrap(y, t.cols))
-
-
-def column_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """A basis of the lattice generated by m's columns: `reduce_columns`'s pivots, by low.
-
-    >>> column_lattice_basis(IntegerMatrix.from_rows([[4, 6, 0], [1, 0, 0]])).entries
-    [6, 4, 0, 1]
-    """
-    cols = [{i: row[j] for i, row in enumerate(m._rows) if row[j]} for j in range(m.cols)]
-    pivots, _ = reduce_columns(cols)
-    basis = [cols[pivots[low]] for low in sorted(pivots)]
-    return IntegerMatrix._wrap([[c.get(i, 0) for c in basis] for i in range(m.rows)], len(basis))
 
 
 def reduce_columns(

@@ -39,7 +39,7 @@ from .groupoids import (
     reduction,
     saturation_witness,
 )
-from .matrix import IntegerMatrix, SparseMatrix, invariant_factors
+from .matrix import SparseMatrix, invariant_factors
 
 
 class MvDecomposition:
@@ -376,12 +376,6 @@ class LongExactSequence:
         return records
 
 
-def _from_columns(cols: list[list[int]], target: PresentedGroup) -> IntegerMatrix:
-    """The matrix whose columns, one per source generator, lie in `target`."""
-    rows = [[col[i] for col in cols] for i in range(target.generators)]
-    return IntegerMatrix.from_rows(rows, cols=len(cols))
-
-
 def long_exact_sequence(
     decomposition: MvDecomposition, max_degree: int, budget: int | None = DEFAULT_BUDGET
 ) -> LongExactSequence:
@@ -407,8 +401,7 @@ def long_exact_sequence(
             c1 = h1[n].class_coords(image[:dim1])
             c2 = h2[n].class_coords(image[dim1:])
             cols.append(list(c1) + list(c2))
-        alpha_hom = GroupHom(h12[n].presentation, pair_nodes[n],
-                             _from_columns(cols, pair_nodes[n]))
+        alpha_hom = GroupHom.from_columns(h12[n].presentation, pair_nodes[n], cols)
         # to_total on homology
         cols = []
         for z in h1[n].cycle_reps:
@@ -417,12 +410,11 @@ def long_exact_sequence(
         for z in h2[n].cycle_reps:
             padded = [0] * dim1 + list(z)
             cols.append(list(ht[n].class_coords(ses.to_total[n].mul_vector(padded))))
-        beta_hom = GroupHom(pair_nodes[n], ht[n].presentation,
-                            _from_columns(cols, ht[n].presentation))
+        beta_hom = GroupHom.from_columns(pair_nodes[n], ht[n].presentation, cols)
         # connecting on homology
         target = h12[n - 1].presentation if n >= 1 else trivial_node
         cols = [list(ses.connecting(n, z).coords) for z in ht[n].cycle_reps]
-        delta_hom = GroupHom(ht[n].presentation, target, _from_columns(cols, target))
+        delta_hom = GroupHom.from_columns(ht[n].presentation, target, cols)
 
         nodes.append((f"H_{n}(G|U12)", h12[n].presentation, h12[n].group))
         nodes.append(

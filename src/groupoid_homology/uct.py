@@ -3,10 +3,11 @@ cross-validate against directly computed coefficient homology, check the
 mod-q reduction map on representatives, and demonstrate why discreteness of
 the coefficients matters (the Cantor-function obstruction).
 
-The short exact sequence 0 → H_n⊗A → H_n(;A) → Tor(H_{n-1},A) → 0 splits, so
+The short exact sequence 0 → H_n⊗A →κ H_n(;A) → Tor(H_{n-1},A) → 0 splits, so
 iso types can be compared by assembling the two outer terms.  The splitting
-itself is never constructed — only the assembled iso type, the order equation,
-and the image of the reduction map are observable here.  The direct side never
+itself is never constructed.  For A = Z/q, `mod_reduction_check` builds κ on
+representatives as a `GroupHom`, checks that it is well defined and injective,
+and checks the order equation.  The direct side never
 uses the tensor/Tor formula: each H_n(;Z/d) is read at the chain level off the
 invariant factors of the mapping cone of d (`chains.homology_groups`), so a
 match compares two independent routes.
@@ -14,17 +15,17 @@ match compares two independent routes.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .abelian import FinAbGroup, direct_sum, group_of, tensor, tor1
-from .chains import (
-    FreeChainComplex, HomologyResult, homology_group, homology_groups, homology_int, homology_mod,
+from .abelian import (
+    FinAbGroup, GroupHom, PresentedGroup, direct_sum, middle_homology, tensor, tor1,
 )
+from .chains import FreeChainComplex, homology_group, homology_groups, homology_mod, homology_results
 from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, moore_complex
-from .matrix import IntegerMatrix, column_lattice_basis, solve_columns
 
 
 @dataclass
@@ -137,28 +138,6 @@ class ModReductionReport:
     tor_part: FinAbGroup
 
 
-def _subgroup_generated(ambient: HomologyResult, coord_vectors: Sequence[Sequence[int]]) -> FinAbGroup:
-    """Iso type of the subgroup the coordinate vectors generate.
-
-    The ambient group is presented diagonally (orders from the presentation),
-    so the subgroup is span(vectors ∪ relations) / span(relations).
-    """
-    presentation = ambient.presentation
-    relations = presentation.relations
-    k = presentation.generators
-    if not coord_vectors:
-        return FinAbGroup.trivial()
-    span = IntegerMatrix.hstack(
-        [IntegerMatrix.from_rows([[v[i] for v in coord_vectors] for i in range(k)],
-                                 cols=len(coord_vectors)), relations]
-    )
-    basis = column_lattice_basis(span)
-    coords = solve_columns(basis, relations)
-    if coords is None:
-        raise AssertionError("relation lattice escapes its own span")
-    return group_of(coords)
-
-
 def mod_reduction_check(
     groupoid: FiniteGroupoid,
     q: int,
@@ -166,17 +145,21 @@ def mod_reduction_check(
     seed: int = 0,
     budget: int | None = DEFAULT_BUDGET,
 ) -> ModReductionReport:
-    """Check the reduction-mod-q map on integral representatives.
+    """Check the reduction map κ: H_n(;Z) ⊗ Z/q → H_n(;Z/q) on representatives.
 
     Every integral cycle representative is reduced mod q and located in
-    H_n(;Z/q); well-definedness is probed by re-running on a boundary-shifted
-    representative, and the subgroup the images generate must have the iso
-    type of H_n(;Z) ⊗ Z/q.  Raises with a witness cycle when it does not.
+    H_n(;Z/q); well-definedness on chains is probed by re-running on a
+    boundary-shifted and a q-shifted representative.  The images are the
+    columns of κ as a `GroupHom` from the diagonal presentation of H_n ⊗ Z/q
+    (orders gcd(d, q), with gcd(0, q) = q), whose constructor checks that κ
+    respects those relations; κ must then be injective, so its image is
+    H_n ⊗ Z/q, and |H_n(;Z/q)| = |H_n ⊗ Z/q|·|Tor(H_{n-1}, Z/q)|.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
     complex_ = moore_complex(groupoid, n + 1, budget=budget)
-    integral = homology_int(complex_, n)
+    results = homology_results(complex_, 0, n)
+    integral = results[n]
     modular = homology_mod(complex_, q, n)
     rng = random.Random(seed)
     following = complex_.boundaries[n + 1]
@@ -192,30 +175,34 @@ def mod_reduction_check(
         scaled = [a + q * rng.randint(-2, 2) for a in z]
         if modular.class_coords(scaled) != coords:
             raise ValueError(f"reduction map image mismatch: mod-q shift moved the class of {z}")
-        images.append(list(coords))
-    image_group = _subgroup_generated(modular, images)
-    below = homology_group(complex_, n - 1) if n >= 1 else FinAbGroup.trivial()
-    tensor_part, tor_part, _ = uct_assemble(integral.group, below, FinAbGroup.cyclic(q))
-    if image_group != tensor_part:
+        images.append(coords)
+    source = PresentedGroup.from_diagonal([math.gcd(d, q) for d in integral.presentation.orders])
+    try:
+        kappa = GroupHom.from_columns(source, modular.presentation, images)
+    except ValueError:
+        raise ValueError(f"reduction map image mismatch: κ is not well defined on H_{n} ⊗ Z/{q} "
+                         f"with orders {source.orders}: images {images}") from None
+    kernel = middle_homology(GroupHom.zero(PresentedGroup.trivial(), source), kappa)
+    if not kernel.is_trivial():
         raise ValueError(
-            f"reduction map image mismatch: representatives {integral.cycle_reps} generate "
-            f"{image_group}, expected {tensor_part}"
+            f"reduction map image mismatch: κ has kernel {kernel} on H_{n} ⊗ Z/{q}: "
+            f"representatives {integral.cycle_reps} map to {images}"
         )
+    below = results[n - 1].group if n >= 1 else FinAbGroup.trivial()
+    tensor_part, tor_part, _ = uct_assemble(integral.group, below, FinAbGroup.cyclic(q))
+    image = source.group()
     direct = modular.group
-    direct_order = direct.order()
-    image_order = image_group.order()
-    tor_order = tor_part.order()
-    if direct_order != image_order * tor_order:
+    if direct.order() != image.order() * tor_part.order():
         raise ValueError(
-            f"reduction map image mismatch: order equation {direct_order} != "
-            f"{image_order} * {tor_order}"
+            f"reduction map image mismatch: order equation {direct.order()} != "
+            f"{image.order()} * {tor_part.order()}"
         )
     return ModReductionReport(
         degree=n,
         modulus=q,
         integral=integral.group,
         direct=direct,
-        image=image_group,
+        image=image,
         tensor_part=tensor_part,
         tor_part=tor_part,
     )

@@ -3,7 +3,8 @@
 import groupoid_homology
 import groupoid_homology.matrix
 
-REMOVED = ("kernel_basis", "in_column_lattice", "same_column_lattice")
+REMOVED = ("kernel_basis", "in_column_lattice", "same_column_lattice", "solve_columns",
+           "column_lattice_basis")
 
 
 def test_public_names_resolve_and_removed_helpers_are_gone():

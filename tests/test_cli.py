@@ -440,6 +440,26 @@ def test_usage_errors_exit_2(argv):
     assert "usage:" in err
 
 
+# each subcommand takes only the shared flags it reads
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "-i", "g.json", "--seed", "1"],
+        ["uct", "-i", "g.json", "--seed", "1"],
+        ["sft", "--full-shift", "3", "--seed", "1"],
+        ["sft", "--full-shift", "3", "--budget", "10"],
+        ["classify", "--family", "2", "7", "--bound", "9", "--seed", "1"],
+        ["classify", "--family", "2", "7", "--bound", "9", "--budget", "10"],
+        ["classify", "--family", "2", "7", "--bound", "9", "-N", "2"],
+        ["classify", "--family", "2", "7", "--bound", "9", "--primary"],
+    ],
+)
+def test_unread_flags_are_usage_errors(argv):
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
 def test_help_exits_zero():
     code, out, _ = run_cli(["--help"])
     assert code == 0
@@ -557,7 +577,8 @@ def test_mv_units_cover(tmp_path):
     assert report["connecting_failures"] == []
 
 
-def test_mv_torsion_cover(tmp_path):
+def torsion_cover_file(tmp_path):
+    """cyclic:2 ⊔ units:1 ⊔ cyclic:3, whose H_1 is Z/6."""
     f1 = gen_file(tmp_path, "cyclic:2", "c2.json")
     f2 = gen_file(tmp_path, "units:1", "u1.json")
     f3 = gen_file(tmp_path, "cyclic:3", "c3.json")
@@ -565,12 +586,28 @@ def test_mv_torsion_cover(tmp_path):
     run_cli(["gen", f"union:{f1},{f2}", "-o", left])
     path = str(tmp_path / "g.json")
     run_cli(["gen", f"union:{left},{f3}", "-o", path])
+    return path
+
+
+def test_mv_torsion_cover(tmp_path):
+    path = torsion_cover_file(tmp_path)
     code, out, _ = run_cli(
         ["mv", "-i", path, "-N", "3", "--u1", "0,1", "--u2", "1,2"]
     )
     assert code == 0
     assert "  node H_1(G) = Z/6" in out.splitlines()
     assert out.splitlines()[-1] == "all nodes exact: true"
+
+
+def test_mv_primary_rendering(tmp_path):
+    path = torsion_cover_file(tmp_path)
+    argv = ["mv", "-i", path, "-N", "3", "--u1", "0,1", "--u2", "1,2"]
+    code, out, _ = run_cli(argv + ["--primary"])
+    assert code == 0
+    assert "  node H_1(G) = Z/2 ⊕ Z/3" in out.splitlines()
+    # only the rendering changes
+    _, plain, _ = run_cli(argv)
+    assert out.replace("Z/2 ⊕ Z/3", "Z/6") == plain
 
 
 def test_mv_seed_does_not_change_output(tmp_path):

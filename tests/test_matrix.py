@@ -9,11 +9,11 @@ import groupoid_homology.matrix as matrix_module
 from groupoid_homology.matrix import (
     IntegerMatrix,
     SparseMatrix,
-    column_lattice_basis,
+    echelon_coordinates,
     invariant_factors,
     rank,
+    reduce_columns,
     smith_normal_form,
-    solve_columns,
     sweep_invariant_factors,
 )
 
@@ -31,6 +31,17 @@ def random_matrix(rng: random.Random, max_side: int = 6, spread: int = 9) -> Int
 
 def raw_rows(m: IntegerMatrix) -> list[list[int]]:
     return [m.row(i) for i in range(m.rows)]
+
+
+def sparse_column(v) -> dict[int, int]:
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def pivot_basis(m: IntegerMatrix) -> dict[int, dict[int, int]]:
+    """`reduce_columns`'s pivots of m's columns, {low: column} in order of the lows."""
+    cols = [sparse_column(m.column(j)) for j in range(m.cols)]
+    pivots, _ = reduce_columns(cols)
+    return {low: cols[pivots[low]] for low in sorted(pivots)}
 
 
 # -- the oracles agree with each other first ----------------------------------
@@ -344,22 +355,27 @@ def test_kernel_basis_properties(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_solve_columns_roundtrip(seed):
+    # lattice membership: coordinates over the pivots rebuild each column of m·x
     rng = random.Random(4000 + seed)
     m = random_matrix(rng)
     x = IntegerMatrix.from_rows(
         [[rng.randint(-4, 4) for _ in range(3)] for _ in range(m.cols)], cols=3
     )
     target = m.matmul(x)
-    solved = solve_columns(m, target)
-    assert solved is not None
-    assert m.matmul(solved) == target
+    basis = pivot_basis(m)
+    for j in range(target.cols):
+        coords = echelon_coordinates(basis, sparse_column(target.column(j)))
+        assert coords is not None
+        rebuilt = [sum(c * basis[low].get(i, 0) for low, c in coords.items()) for i in range(m.rows)]
+        assert rebuilt == target.column(j)
 
 
 def test_solve_columns_unsolvable():
     m = IntegerMatrix.from_rows([[2, 0], [0, 4]])
-    assert solve_columns(m, IntegerMatrix.column_vector([1, 0])) is None
-    assert solve_columns(m, IntegerMatrix.column_vector([2, 2])) is None
-    assert solve_columns(m, IntegerMatrix.column_vector([2, 4])) is not None
+    basis = pivot_basis(m)
+    assert echelon_coordinates(basis, sparse_column([1, 0])) is None
+    assert echelon_coordinates(basis, sparse_column([2, 2])) is None
+    assert echelon_coordinates(basis, sparse_column([2, 4])) == {0: 1, 1: 1}
     assert not oracles.lattice_contains(raw_rows(m), [[1, 0]])
     assert oracles.lattice_contains(raw_rows(m), [[4, -8]])
 
@@ -390,7 +406,11 @@ def lattice_test_matrix(seed: int) -> IntegerMatrix:
 @pytest.mark.parametrize("seed", range(50))
 def test_column_lattice_basis_spans_the_same_lattice(seed):
     m = lattice_test_matrix(seed)
-    basis = column_lattice_basis(m)
+    pivots = pivot_basis(m)
+    assert all(max(col) == low for low, col in pivots.items())  # column echelon
+    basis = IntegerMatrix.from_rows(
+        [[col.get(i, 0) for col in pivots.values()] for i in range(m.rows)], cols=len(pivots)
+    )
     assert basis.cols == rank(m)
     assert oracles.same_lattice(raw_rows(basis), raw_rows(m))
     for j in range(m.cols):

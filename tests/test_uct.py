@@ -8,6 +8,8 @@ frozen cases, preset groupoids, and randomized disguised complexes.
 
 import inspect
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,11 +32,12 @@ from groupoid_homology import (
     uct_assemble,
     uct_verify,
 )
-from groupoid_homology import uct
+from groupoid_homology import chains, uct
 
 import oracles
 from test_acceptance import corpus
 from test_chains import klein_complex, random_disguised
+from test_cli import child_env
 
 
 # -- the two integral routes agree ----------------------------------------------------
@@ -60,7 +63,7 @@ def test_coefficient_homology_builds_no_homology_result(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("HomologyResult built for an iso type")
 
-    monkeypatch.setattr(uct.HomologyResult, "__init__", refuse)
+    monkeypatch.setattr(chains.HomologyResult, "__init__", refuse)
     c = moore_complex(one_object_cyclic(6), 3)
     coefficients = FinAbGroup.from_cyclic_orders([0, 4, 6])
     groups = [homology_with_coefficients(c, coefficients, n) for n in range(3)]
@@ -251,6 +254,38 @@ def test_reduction_seed_independence(seed):
     report = mod_reduction_check(disjoint_union(one_object_cyclic(4), units(1)), 2, 1, seed=seed)
     assert report.image == FinAbGroup.cyclic(2)
     assert report.direct == FinAbGroup.cyclic(2)
+
+
+# Each fake gives every Z/q class of a cycle the same coordinates, so the
+# boundary and q-shift probes pass and the map κ itself is at fault.
+KAPPA_FAULTS = [
+    pytest.param(
+        "one_object_cyclic(6)", "tuple(0 for _ in self.presentation.orders)",
+        "κ has kernel Z/2 on H_1 ⊗ Z/4", id="not-injective",
+    ),
+    pytest.param(
+        "disjoint_union(one_object_cyclic(2), one_object_cyclic(4))",
+        "tuple(int(d == 4) for d in self.presentation.orders)",  # the order-2 generator to 1·(order 4)
+        "κ is not well defined on H_1 ⊗ Z/4 with orders (2, 4)", id="not-well-defined",
+    ),
+]
+
+
+@pytest.mark.parametrize("groupoid,fake,message", KAPPA_FAULTS)
+def test_reduction_fault_reaches_its_raise_under_optimize_flag(groupoid, fake, message):
+    program = "\n".join(
+        [
+            "from groupoid_homology import HomologyResult, disjoint_union, mod_reduction_check,"
+            " one_object_cyclic",
+            "real = HomologyResult.class_coords",
+            f"HomologyResult.class_coords = lambda self, c: ({fake}) if self.modulus else real(self, c)",
+            f"mod_reduction_check({groupoid}, 4, 1)",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True,
+                          timeout=120, env=child_env())
+    assert proc.returncode != 0
+    assert f"ValueError: reduction map image mismatch: {message}" in proc.stderr
 
 
 def test_budget_none_means_no_budget(monkeypatch):
