@@ -5,11 +5,6 @@ range / inverse are total maps into arrow indices.  Composition is stored as
 an explicit table over exactly the composable pairs (source of the left factor
 equals range of the right factor), so validation can exhaustively check the
 axioms once and everything downstream is table lookups.
-
-`arrow_labels` tracks where each arrow came from: a reduction keeps the
-ambient labels of the arrows it retains, so reducing twice composes labels
-exactly and piece-to-ambient basis correspondences stay trivial to read off.
-Labels must be distinct, so a label names one arrow of the ambient.
 """
 
 from __future__ import annotations
@@ -32,8 +27,10 @@ from .matrix import IntegerMatrix, SparseMatrix
 # the boundaries (`homology cyclic:60 -N 3`: 1.8-3.1 s and 132 MB peak, of
 # which the nerve takes 91 MB; tools/ladder.py), so the budget bounds that
 # route's memory too; a reduced row can still fill in principle.
-# The Mayer-Vietoris short exact sequence is sparse as well: its maps hold one
-# or two entries per column and are checked by sparse products.  The
+# The Mayer-Vietoris short exact sequence is sparse as well: its pieces are
+# sub-blocks of the ambient complex, so the budget, checked once on the ambient
+# nerve, bounds them too, and its maps hold one or two entries per column and
+# are checked by sparse products.  The
 # representatives of `homology_results` (for MV and the mod-q reduction check)
 # come from a column reduction of the sparse boundaries that records its column
 # operations; its columns and records can fill, which the budget does not
@@ -56,7 +53,6 @@ class FiniteGroupoid:
         "range_",
         "inverse",
         "compose",
-        "arrow_labels",
         "_nerve_cache",
         "_by_range",
     )
@@ -69,7 +65,6 @@ class FiniteGroupoid:
         range_: Sequence[int],
         inverse: Sequence[int],
         compose: dict[tuple[int, int], int],
-        arrow_labels: Sequence[object] | None = None,
     ):
         self.arrows = arrows
         self.units = tuple(sorted(units))
@@ -77,9 +72,6 @@ class FiniteGroupoid:
         self.range_ = tuple(range_)
         self.inverse = tuple(inverse)
         self.compose = dict(compose)
-        self.arrow_labels = (
-            tuple(arrow_labels) if arrow_labels is not None else tuple(range(arrows))
-        )
         self._nerve_cache: list[NerveLevel] | None = None
         self._by_range: dict[int, list[int]] | None = None
         self.validate()
@@ -93,10 +85,6 @@ class FiniteGroupoid:
             raise ValueError("negative arrow count")
         if not (len(self.source) == len(self.range_) == len(self.inverse) == k):
             raise ValueError("shape mismatch: structure maps must cover every arrow")
-        if len(self.arrow_labels) != k:
-            raise ValueError("shape mismatch: arrow labels must cover every arrow")
-        if len(set(self.arrow_labels)) != k:
-            raise ValueError("repeated arrow labels")
         unit_set = set(self.units)
         for g in range(k):
             for name, val in (("source", self.source[g]), ("range", self.range_[g]),
@@ -164,7 +152,6 @@ class FiniteGroupoid:
             and self.range_ == other.range_
             and self.inverse == other.inverse
             and self.compose == other.compose
-            and self.arrow_labels == other.arrow_labels
         )
 
     __hash__ = None
@@ -215,10 +202,6 @@ class FiniteGroupoid:
     def load(cls, path: str) -> "FiniteGroupoid":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-
-def validate_groupoid(g: FiniteGroupoid) -> None:
-    g.validate()
 
 
 # -- presets ----------------------------------------------------------------
@@ -536,8 +519,8 @@ def is_saturated(g: FiniteGroupoid, members: Iterable[int]) -> bool:
 def reduction(g: FiniteGroupoid, members: Iterable[int]) -> FiniteGroupoid:
     """The subgroupoid of arrows with both endpoints in the unit subset.
 
-    Arrow labels keep the ambient labels, so reductions compose exactly:
-    reducing by U then V equals reducing by U ∩ V, labels included.
+    Kept arrows are renumbered in ascending order, so its nerve lists the
+    ambient tuples that lie in the subset, in the ambient's lex order.
     """
     mem = frozenset(members)
     for u in mem:
@@ -557,5 +540,4 @@ def reduction(g: FiniteGroupoid, members: Iterable[int]) -> FiniteGroupoid:
         [new_index[g.range_[a]] for a in kept],
         [new_index[g.inverse[a]] for a in kept],
         compose,
-        arrow_labels=[g.arrow_labels[a] for a in kept],
     )

@@ -7,10 +7,13 @@ exact sequence of Moore complexes
     0 → C(G|U12) --to_pieces--> C(G|U1) ⊕ C(G|U2) --to_total--> C(G) → 0
 
 where to_pieces sends an intersection tuple to (itself, -itself) and to_total
-is extension by zero followed by summing.  The connecting map is the explicit
-zig-zag: lift a cycle, take its boundary, read the unique preimage off the
-intersection block, and return that class.  Both maps are `SparseMatrix`
-built from the tuple correspondences, with one or two entries per column.
+is extension by zero followed by summing.  The nerve of G|U is a subset of
+the ambient nerve closed under faces, so each C(G|U) is a sub-block of the
+ambient Moore complex: one nerve is built per cover, and each piece is a
+list of ambient basis positions per degree.  Both maps are `SparseMatrix`
+read off those position lists, with one or two entries per column.  The
+connecting map is the explicit zig-zag: lift a cycle, take its boundary,
+read the unique preimage off the intersection block, and return that class.
 Everything here is verified by exact sparse matrix identities — chain-map
 squares, injectivity/surjectivity through invariant factors, and class
 coordinates in the intersection's homology for boundary claims.
@@ -31,38 +34,26 @@ import random
 from typing import Sequence
 
 from .abelian import FinAbGroup, GroupHom, PresentedGroup, middle_homology
-from .chains import HomologyResult, _check_trusted, homology_results
-from .groupoids import (
-    DEFAULT_BUDGET,
-    FiniteGroupoid,
-    moore_complex,
-    reduction,
-    saturation_witness,
-)
+from .chains import FreeChainComplex, HomologyResult, _check_trusted, homology_results
+from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, moore_complex, saturation_witness
 from .matrix import SparseMatrix, invariant_factors
 
 
 class MvDecomposition:
-    """A validated two-set saturated cover with its three reductions."""
+    """A validated two-set cover of the units and the sets' intersection.
 
-    __slots__ = (
-        "ambient",
-        "u1",
-        "u2",
-        "u12",
-        "piece1",
-        "piece2",
-        "piece12",
-    )
+    The restricted groupoids are not built: `MvChainSes` reads the nerve of
+    each G|U off the ambient nerve, and `groupoids.reduction` builds one
+    when a caller needs it.
+    """
+
+    __slots__ = ("ambient", "u1", "u2", "u12")
 
     def __init__(self, ambient: FiniteGroupoid, u1: tuple[int, ...], u2: tuple[int, ...]):
         self.ambient = ambient
         self.u1 = u1
         self.u2 = u2
         self.u12 = tuple(sorted(set(u1) & set(u2)))
-        self.piece1 = reduction(ambient, u1)
-        self.piece2 = reduction(ambient, u2)
-        self.piece12 = reduction(ambient, self.u12)
 
     def __repr__(self) -> str:
         return (
@@ -93,6 +84,11 @@ def decompose(g: FiniteGroupoid, u1: Sequence[int], u2: Sequence[int]) -> MvDeco
 class MvChainSes:
     """The short exact sequence of Moore complexes for a decomposition.
 
+    Only the ambient nerve is built.  The nerve of each G|U is the set of
+    ambient tuples whose arrows all have both endpoints in U, in the ambient's
+    lex order, so `complex1`, `complex2` and `complex12` are the sub-blocks of
+    the ambient boundaries on those positions, and their `basis_labels` are
+    ambient tuples (tuples of ambient arrow indices).
     `to_pieces[n]` is the intersection-to-pieces map (second block negated),
     `to_total[n]` the pieces-to-ambient sum, both `SparseMatrix`; both are
     verified chain maps and the sequence is verified exact degreewise on
@@ -120,47 +116,34 @@ class MvChainSes:
         self.decomposition = d
         self.max_degree = max_degree
         self.total_complex = moore_complex(d.ambient, max_degree, budget=budget)
-        self.complex1 = moore_complex(d.piece1, max_degree, budget=budget)
-        self.complex2 = moore_complex(d.piece2, max_degree, budget=budget)
-        self.complex12 = moore_complex(d.piece12, max_degree, budget=budget)
-        self.to_pieces = []
-        self.to_total = []
-        self.intersection_to_piece1 = []
+        positions1, positions2, positions12 = (
+            _positions(d.ambient, self.total_complex, u) for u in (d.u1, d.u2, d.u12)
+        )
+        self.complex1 = _subcomplex(self.total_complex, positions1)
+        self.complex2 = _subcomplex(self.total_complex, positions2)
+        self.complex12 = _subcomplex(self.total_complex, positions12)
+        self.intersection_to_piece1, self.to_pieces, self.to_total = [], [], []
         self._homology: dict[tuple[str, int], HomologyResult] = {}
         for n in range(max_degree + 1):
-            self._build_degree(n)
+            self._build_degree(n, positions1[n], positions2[n], positions12[n])
         self._verify()
 
     # -- construction ------------------------------------------------------
 
-    def _build_degree(self, n: int) -> None:
-        d = self.decomposition
-        ambient_labels = self.total_complex.basis_labels[n]
-        ambient_pos = {t: i for i, t in enumerate(ambient_labels)}
-        # a reduction labels its arrows with the ambient's labels, which are
-        # ambient indices only when the ambient is not itself a reduction
-        arrow_index = {label: a for a, label in enumerate(d.ambient.arrow_labels)}
+    def _build_degree(self, n: int, pos1: list[int], pos2: list[int], pos12: list[int]) -> None:
+        dim1 = len(pos1)
+        index1 = {p: i for i, p in enumerate(pos1)}
+        index2 = {p: i for i, p in enumerate(pos2, start=dim1)}
+        in1 = [index1[p] for p in pos12]
 
-        def translate(piece_labels, piece):
-            arrow_map = [arrow_index[label] for label in piece.arrow_labels]
-            return [tuple(arrow_map[x] for x in t) for t in piece_labels]
-
-        tuples1 = translate(self.complex1.basis_labels[n], d.piece1)
-        tuples2 = translate(self.complex2.basis_labels[n], d.piece2)
-        tuples12 = translate(self.complex12.basis_labels[n], d.piece12)
-        dim1 = len(tuples1)
-        pos1 = {t: i for i, t in enumerate(tuples1)}
-        pos2 = {t: i for i, t in enumerate(tuples2, start=dim1)}
-        in1 = [pos1[t] for t in tuples12]
-
-        alpha = SparseMatrix(dim1 + len(tuples2), len(tuples12))
-        for j, t in enumerate(tuples12):
+        alpha = SparseMatrix(dim1 + len(pos2), len(pos12))
+        for j, p in enumerate(pos12):
             alpha._dicts[in1[j]][j] = 1
-            alpha._dicts[pos2[t]][j] = -1
+            alpha._dicts[index2[p]][j] = -1
         # an ambient tuple no piece owns leaves an empty row: "sum not surjective"
-        beta = SparseMatrix(len(ambient_labels), alpha.rows)
-        for i, t in enumerate(tuples1 + tuples2):
-            beta._dicts[ambient_pos[t]][i] = 1
+        beta = SparseMatrix(self.total_complex.dims[n], alpha.rows)
+        for i, p in enumerate(pos1 + pos2):
+            beta._dicts[p][i] = 1
 
         self.to_pieces.append(alpha)
         self.to_total.append(beta)
@@ -318,6 +301,41 @@ class ConnectingResult:
 
     def __repr__(self) -> str:
         return f"ConnectingResult(degree={self.degree}, coords={self.coords})"
+
+
+def _positions(
+    g: FiniteGroupoid, complex_: FreeChainComplex, members: Sequence[int]
+) -> list[list[int]]:
+    """Per degree, the positions of the ambient tuples that lie in G|U.
+
+    A tuple lies in G|U when every arrow has both endpoints in U; these are
+    the tuples that the nerve of `groupoids.reduction` on U enumerates, in
+    the same lex order.  Degree 0 holds the units as 1-tuples, so the same
+    test keeps the units in U.
+    """
+    mem = frozenset(members)
+    outside = {a for a in range(g.arrows) if g.source[a] not in mem or g.range_[a] not in mem}
+    return [
+        [i for i, t in enumerate(level) if outside.isdisjoint(t)]
+        for level in complex_.basis_labels
+    ]
+
+
+def _subcomplex(complex_: FreeChainComplex, positions: list[list[int]]) -> FreeChainComplex:
+    """The sub-block of each boundary on the given basis positions, ∂∘∂ checked.
+
+    An entry whose row lies outside the block is dropped here; the chain-map
+    square of `to_total` in `MvChainSes._verify` fails if any was (the block
+    would not be closed under faces).
+    """
+    boundaries = [SparseMatrix(0, len(positions[0]))]
+    for n in range(1, len(positions)):
+        cols = {p: j for j, p in enumerate(positions[n])}
+        rows = complex_.boundaries[n]._dicts
+        block = [{cols[p]: v for p, v in rows[r].items() if p in cols} for r in positions[n - 1]]
+        boundaries.append(SparseMatrix._wrap(len(block), len(cols), block))
+    labels = [[level[p] for p in pos] for level, pos in zip(complex_.basis_labels, positions)]
+    return FreeChainComplex([len(pos) for pos in positions], boundaries, labels)
 
 
 def chain_ses(

@@ -24,7 +24,7 @@ from typing import Sequence
 from .abelian import (
     FinAbGroup, GroupHom, PresentedGroup, direct_sum, middle_homology, tensor, tor1,
 )
-from .chains import FreeChainComplex, homology_group, homology_groups, homology_mod, homology_results
+from .chains import FreeChainComplex, homology_groups, homology_mod, homology_results
 from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, moore_complex
 
 
@@ -69,27 +69,15 @@ def uct_assemble(
     return tensor_part, tor_part, tensor_part.direct_sum(tor_part)
 
 
-def homology_with_coefficients(
-    complex_: FreeChainComplex, coefficients: FinAbGroup, n: int
-) -> FinAbGroup:
-    """H_n of the complex with a finitely generated coefficient group.
+def coefficient_homology(complex_: FreeChainComplex, coefficients: FinAbGroup) -> list[FinAbGroup]:
+    """H_n of the complex with a finitely generated coefficient group, every trusted degree.
 
     Decomposes A = Z^r ⊕ ⊕ Z/d and sums H_n(;Z)^r with the mod-d homologies,
-    each the invariant factors of the mapping cone of d on the complex; this
-    is a chain-level computation, not the universal-coefficient formula, so
-    it is fair to cross-validate the latter against it.
+    each the invariant factors of the mapping cone of d on the complex, one
+    sweep per summand; this is a chain-level computation, not the
+    universal-coefficient formula, so it is fair to cross-validate the latter
+    against it.
     """
-    parts: list[FinAbGroup] = []
-    if coefficients.rank:
-        integral = homology_group(complex_, n)
-        parts.extend([integral] * coefficients.rank)
-    for d in coefficients.torsion:
-        parts.append(homology_group(complex_, n, d))
-    return direct_sum(parts)
-
-
-def coefficient_homology(complex_: FreeChainComplex, coefficients: FinAbGroup) -> list[FinAbGroup]:
-    """`homology_with_coefficients` in every trusted degree, one sweep per summand."""
     integral = [homology_groups(complex_)] if coefficients.rank else []
     sweeps = integral * coefficients.rank + [homology_groups(complex_, d) for d in coefficients.torsion]
     return [direct_sum([s[n] for s in sweeps]) for n in range(complex_.max_degree)]

@@ -4,7 +4,7 @@ import groupoid_homology
 import groupoid_homology.matrix
 
 REMOVED = ("kernel_basis", "in_column_lattice", "same_column_lattice", "solve_columns",
-           "column_lattice_basis")
+           "column_lattice_basis", "homology_with_coefficients", "validate_groupoid")
 
 
 def test_public_names_resolve_and_removed_helpers_are_gone():
@@ -19,4 +19,5 @@ def test_public_names_resolve_and_removed_helpers_are_gone():
         assert name not in names
         assert name not in namespace
         assert not hasattr(groupoid_homology, name)
-        assert not hasattr(groupoid_homology.matrix, name)
+        for module in (groupoid_homology.matrix, groupoid_homology.groupoids, groupoid_homology.uct):
+            assert not hasattr(module, name)

@@ -32,7 +32,6 @@ from groupoid_homology import (
     reduction,
     saturation_witness,
     units,
-    validate_groupoid,
 )
 
 from groupoid_homology import groupoids
@@ -68,7 +67,7 @@ def test_presets_validate():
         action(6, [1, 2, 0]),
         disjoint_union(one_object_cyclic(2), pair(2)),
     ):
-        validate_groupoid(g)  # re-runs the exhaustive check
+        g.validate()  # re-runs the exhaustive check
 
 
 def test_structure_map_length_error():
@@ -510,11 +509,10 @@ def test_reduction_extracts_summand():
     assert r.arrows == 3
     assert r.units == (0,)
     assert r.compose[(1, 2)] == 0
-    # ambient arrow names survive
-    assert r.arrow_labels == (0, 1, 2)
+    assert r == one_object_cyclic(3)
     other = reduction(g, {3})
     assert other.arrows == 1
-    assert other.arrow_labels == (3,)
+    assert other == units(1)
 
 
 def test_reduction_composes_exactly():
@@ -522,17 +520,7 @@ def test_reduction_composes_exactly():
     step1 = reduction(g, {0, 1})
     step2 = reduction(step1, {step1.units[0]})
     direct = reduction(g, {0})
-    assert step2.arrow_labels == direct.arrow_labels
-    assert step2.source == direct.source
-    assert step2.compose == direct.compose
-
-
-def test_repeated_arrow_labels_rejected():
-    # labels map piece arrows back to the ambient, so they must be distinct
-    g = units(2)
-    with pytest.raises(ValueError, match="repeated arrow labels"):
-        FiniteGroupoid(g.arrows, g.units, g.source, g.range_, g.inverse, g.compose,
-                       arrow_labels=[7, 7])
+    assert step2 == direct
 
 
 def test_reduction_homology_of_non_saturated_subset():
@@ -583,9 +571,7 @@ def test_reduction_roundtrip_drops_labels():
     g = disjoint_union(one_object_cyclic(2), units(1))
     r = reduction(g, {0})
     back = FiniteGroupoid.from_json(r.to_json())
-    # labels reset to positional, structure identical
-    assert back.arrow_labels == (0, 1)
-    assert back.source == r.source and back.compose == r.compose
+    assert back == r
 
 
 # -- randomized cross-checks ---------------------------------------------------------

@@ -36,10 +36,11 @@ from groupoid_homology import (
     units,
 )
 import groupoid_homology.abelian as abelian_module
-from groupoid_homology.mv import MvChainSes
+import groupoid_homology.mv as mv_module
+from groupoid_homology.mv import MvChainSes, MvDecomposition
 
 import oracles
-from test_cli import child_env
+from test_cli import child_env, gen_file, run_cli
 from test_matrix import raw_rows
 
 
@@ -82,21 +83,42 @@ COVERS = three_orbit_covers()
 # -- decompose -----------------------------------------------------------------------
 
 
+def _relabelled_covers():
+    """Each three-orbit cover, its arrows renumbered at seeds 1 and 2."""
+    from test_chains import relabelled  # test_chains imports this module via test_acceptance
+
+    out = []
+    for name, g, _u1, _u2 in COVERS:
+        for seed in (1, 2):
+            h = relabelled(g, seed)
+            orbs = orbits(h)
+            out.append((f"{name}-{seed}", h, orbs[0] + orbs[1], orbs[1] + orbs[2]))
+    return out
+
+
 def test_decompose_pieces_and_intersection():
-    name, g, u1, u2 = COVERS[1]
-    d = decompose(g, u1, u2)
-    assert d.u1 == u1 and d.u2 == u2
-    assert set(d.u12) == set(u1) & set(u2)
-    assert len(d.piece1.units) == len(u1)
-    assert len(d.piece12.units) == len(d.u12)
-    # pieces are exactly the reductions by the cover sets
-    assert d.piece1 == reduction(g, u1)
-    assert d.piece2 == reduction(g, u2)
-    assert d.piece12 == reduction(g, d.u12)
-    # arrow labels translate reduced indices back to ambient ones
-    labels1 = d.piece1.arrow_labels
-    assert [g.source[a] in set(u1) for a in labels1] == [True] * len(labels1)
-    assert len(labels1) == d.piece1.arrows
+    # each piece is the Moore complex of the reduction by its unit set, built
+    # independently; a non-saturated direct decomposition is included
+    cases = [(name, g, u1, u2, decompose(g, u1, u2)) for name, g, u1, u2 in COVERS]
+    cases += [(name, g, u1, u2, decompose(g, u1, u2)) for name, g, u1, u2 in _relabelled_covers()]
+    g = pair(2)  # units 0 and 3; U2 = {3} is not saturated
+    cases.append(("pair-not-saturated", g, (0, 3), (3,), MvDecomposition(g, (0, 3), (3,))))
+    for name, g, u1, u2, d in cases:
+        assert d.u1 == tuple(sorted(u1)) and d.u2 == tuple(sorted(u2)), name
+        assert set(d.u12) == set(u1) & set(u2), name
+        ses = chain_ses(d, 3)
+        for piece, members in ((ses.complex1, d.u1), (ses.complex2, d.u2), (ses.complex12, d.u12)):
+            expected = moore_complex(reduction(g, members), 3)
+            assert piece.dims == expected.dims, (name, members)
+            assert piece.boundaries == expected.boundaries, (name, members)
+
+
+def test_chain_ses_refuses_sets_that_miss_an_arrow():
+    # built directly, past decompose's checks: arrow 1 of pair(2) runs from
+    # unit 3 to unit 0, so no piece owns it
+    d = MvDecomposition(pair(2), (0,), (3,))
+    with pytest.raises(AssertionError, match="sum not surjective in degree 1"):
+        chain_ses(d, 2)
 
 
 def test_decompose_accepts_duplicates_and_any_order():
@@ -542,15 +564,13 @@ def test_homology_splits_over_cover_parts(name, g, u1, u2):
 # -- naturality under refining the cover -----------------------------------------------
 
 
-def _inclusion_matrix(sub_complex, sub_arrows, big_complex, big_arrows, n):
-    """Basis inclusion of a smaller reduction's nerve into a bigger one's,
-    matching tuples through their ambient arrow names."""
-    big_pos = {}
-    for j, t in enumerate(big_complex.basis_labels[n]):
-        big_pos[tuple(big_arrows[a] for a in t)] = j
+def _inclusion_matrix(sub_complex, big_complex, n):
+    """Basis inclusion of a smaller piece's nerve into a bigger one's; both
+    pieces label their basis by ambient tuples."""
+    big_pos = {t: j for j, t in enumerate(big_complex.basis_labels[n])}
     rows = [[0] * sub_complex.dims[n] for _ in range(big_complex.dims[n])]
     for j, t in enumerate(sub_complex.basis_labels[n]):
-        rows[big_pos[tuple(sub_arrows[a] for a in t)]][j] = 1
+        rows[big_pos[t]][j] = 1
     return SparseMatrix.from_dense(IntegerMatrix.from_rows(rows, cols=sub_complex.dims[n]))
 
 
@@ -562,18 +582,9 @@ def test_naturality_ladder_under_cover_refinement():
     ses_small = chain_ses(small, 2)
     ses_big = chain_ses(big, 2)
     for n in range(3):
-        j1 = _inclusion_matrix(
-            ses_small.complex1, small.piece1.arrow_labels,
-            ses_big.complex1, big.piece1.arrow_labels, n
-        )
-        j2 = _inclusion_matrix(
-            ses_small.complex2, small.piece2.arrow_labels,
-            ses_big.complex2, big.piece2.arrow_labels, n
-        )
-        j12 = _inclusion_matrix(
-            ses_small.complex12, small.piece12.arrow_labels,
-            ses_big.complex12, big.piece12.arrow_labels, n
-        )
+        j1 = _inclusion_matrix(ses_small.complex1, ses_big.complex1, n)
+        j2 = _inclusion_matrix(ses_small.complex2, ses_big.complex2, n)
+        j12 = _inclusion_matrix(ses_small.complex12, ses_big.complex12, n)
         j_pieces = SparseMatrix.block_diag([j1, j2])
         # total maps agree through the piece inclusions (same ambient basis)
         assert ses_big.to_total[n].matmul(j_pieces) == ses_small.to_total[n]
@@ -587,18 +598,40 @@ def test_naturality_ladder_under_cover_refinement():
 
 
 def test_cover_of_a_reduction_matches_fresh_labels():
-    # the ambient is itself a reduction, so its arrow labels are not its
-    # indices; the sequence must equal the one on a relabelled copy
+    # the ambient is itself a reduction; the sequence must equal the one on
+    # a copy read back from its JSON
     g = union(pair(2), one_object_cyclic(2), units(1), one_object_cyclic(3))
     orbs = orbits(g)
     ambient = reduction(g, orbs[1] + orbs[2] + orbs[3])
-    assert ambient.arrow_labels != tuple(range(ambient.arrows))
     fresh = FiniteGroupoid.from_json(ambient.to_json())
-    assert fresh.arrow_labels == tuple(range(fresh.arrows))
     orbs = orbits(ambient)
     u1, u2 = orbs[0] + orbs[1], orbs[1] + orbs[2]
     expected = long_exact_sequence(decompose(fresh, u1, u2), 3).to_json()
     assert long_exact_sequence(decompose(ambient, u1, u2), 3).to_json() == expected
+
+
+# -- one nerve per cover --------------------------------------------------------------
+
+
+def test_chain_ses_builds_one_moore_complex(monkeypatch, tmp_path):
+    # the pieces are sub-blocks of the ambient complex, so only the ambient
+    # nerve is enumerated and only it is checked against the budget
+    built = []
+
+    def counting(g, *args, **kwargs):
+        built.append(g)
+        return moore_complex(g, *args, **kwargs)
+
+    monkeypatch.setattr(mv_module, "moore_complex", counting)
+    name, g, u1, u2 = COVERS[3]
+    chain_ses(decompose(g, u1, u2), 3)
+    assert len(built) == 1 and built[0] is g
+    # 3 + 3 + 3 units-groupoid tuples in degrees 0..2 exceed a budget of 7
+    path = gen_file(tmp_path, "units:3", "u3.json")
+    code, out, err = run_cli(
+        ["mv", "-i", path, "-N", "2", "--u1", "0,1", "--u2", "1,2", "--budget", "7"]
+    )
+    assert (code, out, err) == (1, "", "error: nerve budget exceeded at degree 2\n")
 
 
 # -- verdicts survive python -O ------------------------------------------------------
