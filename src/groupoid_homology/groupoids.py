@@ -5,28 +5,37 @@ range / inverse are total maps into arrow indices.  Composition is stored as
 an explicit table over exactly the composable pairs (source of the left factor
 equals range of the right factor), so validation can exhaustively check the
 axioms once and everything downstream is table lookups.
+
+The nerve is numbered, not stored: `moore_complex` numbers the composable
+n-tuples in lex order from the tuple's prefix and last arrow, and reads
+every face off integer face tables of the level below, so no tuple is built.
+`_positions` reads a restriction G|U's sub-nerve off the same numbering.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .abelian import _json_ints, _json_list, _json_object
 from .chains import FreeChainComplex
-from .matrix import IntegerMatrix, SparseMatrix
+from .matrix import SparseMatrix
 
 # The nerve budget: basis elements over all degrees, checked on level sizes
 # counted from the arrow tables, up to the first degree over it, before any
-# tuple is allocated (`_level_sizes`).  Boundaries are stored sparse, with at
+# table is built (`_level_sizes`).  Boundaries are stored sparse, with at
 # most n+1 entries per degree-n basis element, so it also bounds the boundary
-# entries (sum of (n+1) * dims[n]) and their memory.  The iso-type route
+# entries (sum of (n+1) * dims[n]) and their memory; the face tables of one
+# level at a time hold n+1 entries per basis element.  The iso-type route
 # (`homology_groups`, integral and Z/q, so `homology` with any coefficients and
 # `uct`) reduces copies of the sparse rows that clearing does not skip, with no
 # transform.  On the nerves measured those copies hold no more entries than
-# the boundaries (`homology cyclic:60 -N 3`: 1.8-3.1 s and 132 MB peak, of
-# which the nerve takes 91 MB; tools/ladder.py), so the budget bounds that
-# route's memory too; a reduced row can still fill in principle.
+# the boundaries (`homology cyclic:60 -N 3`: 1.1-1.5 s and 96 MB peak, of
+# which `moore_complex` takes 57 MB; at the budget's edge, `homology cyclic:99
+# -N 3`: 5.0-6.1 s and 442 MB, of which `moore_complex` takes 229 MB; medians
+# of tools/ladder.py runs, Python 3.11 on 2 shared vCPUs), so the budget
+# bounds that route's memory too; a reduced row can still fill in principle.
 # The Mayer-Vietoris short exact sequence is sparse as well: its pieces are
 # sub-blocks of the ambient complex, so the budget, checked once on the ambient
 # nerve, bounds them too, and its maps hold one or two entries per column and
@@ -53,7 +62,6 @@ class FiniteGroupoid:
         "range_",
         "inverse",
         "compose",
-        "_nerve_cache",
         "_by_range",
     )
 
@@ -72,7 +80,6 @@ class FiniteGroupoid:
         self.range_ = tuple(range_)
         self.inverse = tuple(inverse)
         self.compose = dict(compose)
-        self._nerve_cache: list[NerveLevel] | None = None
         self._by_range: dict[int, list[int]] | None = None
         self.validate()
 
@@ -308,37 +315,11 @@ def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     )
 
 
-# -- nerve and faces ---------------------------------------------------------
-
-
-class NerveLevel:
-    """All composable n-tuples of arrows, deduplicated and lex-ordered.
-
-    Degree 0 lists the units as 1-tuples so every level indexes uniformly.
-    """
-
-    __slots__ = ("degree", "tuples", "_positions")
-
-    def __init__(self, degree: int, tuples: list[tuple[int, ...]]):
-        self.degree = degree
-        self.tuples = tuples
-        self._positions = {t: i for i, t in enumerate(tuples)}
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def index(self, t: tuple[int, ...]) -> int:
-        return self._positions[t]
-
-    def __contains__(self, t: tuple[int, ...]) -> bool:
-        return t in self._positions
-
-    def __repr__(self) -> str:
-        return f"NerveLevel(degree={self.degree}, size={len(self.tuples)})"
+# -- nerve tables and the Moore complex ---------------------------------------
 
 
 def _level_sizes(g: FiniteGroupoid, n: int) -> Iterator[int]:
-    """Sizes of nerve levels 1..n, counted from the arrow tables without building a tuple.
+    """Sizes of nerve levels 1..n, counted from the arrow tables without building a table.
 
     c_d[v] counts the composable d-tuples whose last arrow has source v: a
     tuple grows by an arrow a whose range is that source, so with c_0[v] = 1,
@@ -358,79 +339,25 @@ def _level_sizes(g: FiniteGroupoid, n: int) -> Iterator[int]:
         yield sum(counts.values())
 
 
-def _nerve_levels(g: FiniteGroupoid, n: int, budget: int | None = None) -> list[NerveLevel]:
-    """Nerve levels 0..n, cached on the groupoid; optional total-size budget.
-
-    The budget is checked on counted sizes, degree by degree up to the first
-    one over it, before any level is built, cached or not, so a refused call
-    allocates no tuple.
-    """
-    if budget is not None:
-        total = len(g.units)
-        for degree, size in enumerate(_level_sizes(g, n), start=1):
-            total += size
-            if total > budget:
-                raise ValueError(f"nerve budget exceeded at degree {degree}")
-    if g._nerve_cache is None:
-        g._nerve_cache = [NerveLevel(0, [(u,) for u in g.units])]
-    cache = g._nerve_cache
-    while len(cache) <= n:
-        degree = len(cache)
-        if degree == 1:
-            level = [(a,) for a in range(g.arrows)]
-        else:
-            level = [
-                prefix + (a,)
-                for prefix in cache[degree - 1].tuples
-                for a in g.arrows_into(g.source[prefix[-1]])
-            ]
-        cache.append(NerveLevel(degree, level))
-    return cache[: n + 1]
-
-
-def nerve(g: FiniteGroupoid, n: int) -> NerveLevel:
-    """The degree-n nerve level (degree 0: the units)."""
-    if n < 0:
-        raise ValueError("negative degree")
-    return _nerve_levels(g, n)[n]
-
-
-def face(g: FiniteGroupoid, n: int, i: int, t: tuple[int, ...]) -> tuple[int, ...]:
-    """The i-th face of a composable n-tuple.
-
-    Drops the first arrow (i = 0) or the last (i = n), composing adjacent
-    arrows in between; for n = 1 the faces are the source and range units.
-    """
-    if n < 1 or len(t) != n:
-        raise ValueError("face needs a composable tuple of positive length")
-    if not 0 <= i <= n:
-        raise ValueError(f"index out of range: face {i} of an {n}-tuple")
-    return _faces(g, n, t)[i]
-
-
-def _faces(g: FiniteGroupoid, n: int, t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All n+1 faces of a composable n-tuple, face 0 first, unchecked (see `face`)."""
-    if n == 1:
-        return (g.source[t[0]],), (g.range_[t[0]],)
-    compose = g.compose
-    inner = (t[: i - 1] + (compose[(t[i - 1], t[i])],) + t[i + 1 :] for i in range(1, n))
-    return (t[1:], *inner, t[:-1])
-
-
-def pushforward_matrix(g: FiniteGroupoid, n: int, i: int) -> IntegerMatrix:
-    """Matrix of the fiberwise-sum pushforward along the i-th face map.
-
-    Entry (y, x) is 1 exactly when face i sends tuple x to tuple y, so every
-    column sums to 1.
-    """
-    if n < 1:
-        raise ValueError("pushforward needs degree >= 1")
-    levels = _nerve_levels(g, n)
-    below, here = levels[n - 1], levels[n]
-    out = IntegerMatrix.zeros(len(below), len(here))
-    for x, t in enumerate(here.tuples):
-        out._rows[below.index(face(g, n, i, t))][x] = 1
-    return out
+def _alternating_sum(rows: int, cols: int, columns: Iterable[tuple[int, ...]]) -> SparseMatrix:
+    """The matrix whose column x is the sum of (-1)^i e_{f_i} over the faces
+    f_0, f_1, ... that `columns` yields for x; repeated faces add up."""
+    b = SparseMatrix(rows, cols)
+    dicts = b._dicts
+    for x, fs in enumerate(columns):
+        sign = 1
+        for f in fs:
+            r = dicts[f]
+            if x in r:
+                v = r[x] + sign
+                if v:
+                    r[x] = v
+                else:  # cancelled faces are not stored
+                    del r[x]
+            else:
+                r[x] = sign
+            sign = -sign
+    return b
 
 
 def moore_complex(
@@ -441,39 +368,87 @@ def moore_complex(
 ) -> FreeChainComplex:
     """The Moore complex of the nerve up to the given degree.
 
-    Boundary n is the alternating sum of the n+1 face pushforwards; with a
-    modulus q >= 1 the same matrices are reduced entrywise mod q.  Each
-    boundary is a `SparseMatrix` filled straight from the faces: a column
-    holds at most n+1 entries, and an entry that cancels or is zero mod q is
-    never stored.  The total number of basis elements across degrees is
-    capped by `budget`, so the boundaries hold at most sum((n+1) * dims[n])
-    entries and the budget bounds their memory as well as the nerve's.
+    Boundary n is the alternating sum of the n+1 face maps; with a modulus
+    q >= 1 the same matrices are reduced entrywise mod q.  The degree-n basis
+    is the composable n-tuples in lex order (degree 0: the units, degree 1:
+    the arrows), numbered without building a tuple.  For n >= 2 the tuple
+    with prefix p and last arrow a is x = off_n[p] + rank[a], where rank[a]
+    is a's position among the arrows into range(a) and off_n[p] counts the
+    tuples whose prefix precedes p.  So every face is a lookup in the face
+    tables of the level below: d_n x = p, d_i x = off_{n-1}[d_i p] + rank[a]
+    for i <= n-2, and d_{n-1} x = off_{n-1}[d_{n-1} p] + rank[last p ∘ a],
+    where d_{n-1} p is p's prefix (at n = 2, d_0 x = a and d_1 x = last p ∘ a).
+    Only the level below's tables are kept, and the top level's faces are
+    never stored.
+
+    Each boundary is a `SparseMatrix`: a column holds at most n+1 entries,
+    and an entry that cancels or is zero mod q is not stored.  The total
+    number of basis elements across degrees is capped by `budget`, checked
+    on counted sizes before any table is built, so the boundaries hold at
+    most sum((n+1) * dims[n]) entries and the budget bounds their memory.
     """
     if max_degree < 1:
         raise ValueError("max degree must be >= 1")
     if modulus < 0:
         raise ValueError("negative modulus")
-    levels = _nerve_levels(g, max_degree, budget)
-    dims = [len(lvl) for lvl in levels]
-    boundaries = [SparseMatrix(0, dims[0])]
-    for n in range(1, max_degree + 1):
-        below, here = levels[n - 1], levels[n]
-        b = SparseMatrix(dims[n - 1], dims[n])
-        rows, positions = b._dicts, below._positions
-        for x, t in enumerate(here.tuples):
-            sign = 1
-            for f in _faces(g, n, t):
-                r = rows[positions[f]]
-                v = r.get(x, 0) + sign
-                if modulus:
-                    v %= modulus
-                if v:
-                    r[x] = v
-                else:  # cancelled faces and zero residues are not stored
-                    r.pop(x, None)
-                sign = -sign
-        boundaries.append(b)
-    return FreeChainComplex(dims, boundaries, [lvl.tuples for lvl in levels], modulus=modulus)
+    dims = [len(g.units)]
+    for degree, size in enumerate(_level_sizes(g, max_degree), start=1):
+        dims.append(size)
+        if budget is not None and sum(dims) > budget:
+            raise ValueError(f"nerve budget exceeded at degree {degree}")
+    unit = {u: i for i, u in enumerate(g.units)}
+    into = [g.arrows_into(s) for s in g.source]  # the arrows that can follow b, by rank
+    faces = [[unit[s] for s in g.source], [unit[r] for r in g.range_]]
+    boundaries = [SparseMatrix(0, dims[0]), _alternating_sum(dims[0], dims[1], zip(*faces))]
+    if max_degree > 1:  # these tables have dims[2] entries, counted by the budget
+        rank = [0] * g.arrows
+        for u in g.units:
+            for j, a in enumerate(g.arrows_into(u)):
+                rank[a] = j
+        composed = [[g.compose[(b, a)] for a in kids] for b, kids in enumerate(into)]
+        spans = [range(len(kids)) for kids in into]  # the ranks of the arrows that follow b
+    last, off = range(g.arrows), []
+    for n in range(2, max_degree + 1):
+        keep = list if n < max_degree else iter
+        kids = [into[b] for b in last]
+        if n == 2:
+            inner = [[a for ks in kids for a in ks], keep(c for b in last for c in composed[b])]
+        else:
+            inner = [
+                keep(o + j for o, b in zip(map(off.__getitem__, face), last) for j in spans[b])
+                for face in faces[:-1]
+            ]
+            inner.append(keep(off[f] + rank[c] for f, b in zip(faces[-1], last) for c in composed[b]))
+        faces = [*inner, keep(p for p, ks in enumerate(kids) for _ in ks)]
+        boundaries.append(_alternating_sum(dims[n - 1], dims[n], zip(*faces)))
+        if n < max_degree:
+            last = faces[0] if n == 2 else [a for ks in kids for a in ks]
+            off = list(accumulate(map(len, kids), initial=0))
+    if modulus:
+        boundaries = [b.mod(modulus) for b in boundaries]
+    return FreeChainComplex(dims, boundaries, modulus=modulus)
+
+
+def _positions(g: FiniteGroupoid, max_degree: int, members: Sequence[int]) -> list[list[int]]:
+    """Per degree, the positions in `moore_complex`'s basis of the tuples that lie in G|U.
+
+    Read off the numbering's tables: a tuple of degree n >= 2 lies in G|U
+    exactly when its prefix does and the source of its last arrow lies in U,
+    and the tuples with prefix p end in the arrows into the source of p's
+    last arrow, in order.  Degree 1 checks both endpoints of the arrow,
+    degree 0 that the unit lies in U.  These are the tuples that the nerve of
+    `reduction` on U enumerates, in the same order.
+    """
+    mem = frozenset(members)
+    inside = [s in mem for s in g.source]
+    levels = [[u in mem for u in g.units], [s and r in mem for s, r in zip(inside, g.range_)]]
+    into = [g.arrows_into(s) for s in g.source]
+    last = range(g.arrows)
+    for _ in range(2, max_degree + 1):
+        kids = [into[b] for b in last]
+        levels.append([m and inside[a] for m, ks in zip(levels[-1], kids) for a in ks])
+        last = [a for ks in kids for a in ks]
+    return [[i for i, m in enumerate(level) if m] for level in levels]
 
 
 # -- orbits, saturation, reduction -------------------------------------------

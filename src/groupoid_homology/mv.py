@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .abelian import FinAbGroup, GroupHom, PresentedGroup, middle_homology
 from .chains import FreeChainComplex, HomologyResult, _check_trusted, homology_results
-from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, moore_complex, saturation_witness
+from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, _positions, moore_complex, saturation_witness
 from .matrix import SparseMatrix, invariant_factors
 
 
@@ -87,8 +87,7 @@ class MvChainSes:
     Only the ambient nerve is built.  The nerve of each G|U is the set of
     ambient tuples whose arrows all have both endpoints in U, in the ambient's
     lex order, so `complex1`, `complex2` and `complex12` are the sub-blocks of
-    the ambient boundaries on those positions, and their `basis_labels` are
-    ambient tuples (tuples of ambient arrow indices).
+    the ambient boundaries on those positions (`_positions`).
     `to_pieces[n]` is the intersection-to-pieces map (second block negated),
     `to_total[n]` the pieces-to-ambient sum, both `SparseMatrix`; both are
     verified chain maps and the sequence is verified exact degreewise on
@@ -117,7 +116,7 @@ class MvChainSes:
         self.max_degree = max_degree
         self.total_complex = moore_complex(d.ambient, max_degree, budget=budget)
         positions1, positions2, positions12 = (
-            _positions(d.ambient, self.total_complex, u) for u in (d.u1, d.u2, d.u12)
+            _positions(d.ambient, max_degree, u) for u in (d.u1, d.u2, d.u12)
         )
         self.complex1 = _subcomplex(self.total_complex, positions1)
         self.complex2 = _subcomplex(self.total_complex, positions2)
@@ -303,24 +302,6 @@ class ConnectingResult:
         return f"ConnectingResult(degree={self.degree}, coords={self.coords})"
 
 
-def _positions(
-    g: FiniteGroupoid, complex_: FreeChainComplex, members: Sequence[int]
-) -> list[list[int]]:
-    """Per degree, the positions of the ambient tuples that lie in G|U.
-
-    A tuple lies in G|U when every arrow has both endpoints in U; these are
-    the tuples that the nerve of `groupoids.reduction` on U enumerates, in
-    the same lex order.  Degree 0 holds the units as 1-tuples, so the same
-    test keeps the units in U.
-    """
-    mem = frozenset(members)
-    outside = {a for a in range(g.arrows) if g.source[a] not in mem or g.range_[a] not in mem}
-    return [
-        [i for i, t in enumerate(level) if outside.isdisjoint(t)]
-        for level in complex_.basis_labels
-    ]
-
-
 def _subcomplex(complex_: FreeChainComplex, positions: list[list[int]]) -> FreeChainComplex:
     """The sub-block of each boundary on the given basis positions, ∂∘∂ checked.
 
@@ -334,8 +315,7 @@ def _subcomplex(complex_: FreeChainComplex, positions: list[list[int]]) -> FreeC
         rows = complex_.boundaries[n]._dicts
         block = [{cols[p]: v for p, v in rows[r].items() if p in cols} for r in positions[n - 1]]
         boundaries.append(SparseMatrix._wrap(len(block), len(cols), block))
-    labels = [[level[p] for p in pos] for level, pos in zip(complex_.basis_labels, positions)]
-    return FreeChainComplex([len(pos) for pos in positions], boundaries, labels)
+    return FreeChainComplex([len(pos) for pos in positions], boundaries)
 
 
 def chain_ses(

@@ -5,7 +5,8 @@ implemented by different methods: determinants by fraction-free elimination,
 invariant factors by minor gcds or naive elimination, lattice membership and
 saturated kernels through a row-tracked Smith form, mod-q homology by
 exhaustive enumeration of chains, exactness by enumerating finite groups
-element by element, and cyclic-group homology by its closed form.  Tests
+element by element, Moore boundaries from plain tuples whose faces are built
+by composing arrows, and cyclic-group homology by its closed form.  Tests
 compare package output against these, never the package against itself.
 """
 
@@ -326,6 +327,49 @@ def saturated_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]
     transpose = [[row[j] for row in rows] for j in range(ncols)]
     diag, u, _uinv = smith_with_row_transform(transpose)
     return [[u[i][j] for i in range(len(diag), ncols)] for j in range(ncols)]
+
+
+# -- Moore boundaries by plain tuples -----------------------------------------
+#
+# These read a groupoid's plain attributes (arrows, units, source, range_,
+# compose) and nothing else: the nerve is every composable tuple of arrows,
+# sorted, and each face is built as a tuple by composing arrows.
+
+
+def nerve_tuples(g, n: int) -> list[tuple[int, ...]]:
+    """The composable n-tuples of arrows, sorted; degree 0 lists the units as 1-tuples."""
+    if n == 0:
+        return sorted((u,) for u in g.units)
+    return sorted(
+        t for t in product(range(g.arrows), repeat=n)
+        if all(g.source[t[i]] == g.range_[t[i + 1]] for i in range(n - 1))
+    )
+
+
+def tuple_face(g, t: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The i-th face of a composable tuple: drop the first (i = 0) or last (i = len)
+    arrow, else compose t[i-1] with t[i]; a 1-tuple's faces are its source and range."""
+    n = len(t)
+    if n == 1:
+        return ((g.source, g.range_)[i][t[0]],)
+    if i == 0:
+        return t[1:]
+    if i == n:
+        return t[:-1]
+    return t[: i - 1] + (g.compose[(t[i - 1], t[i])],) + t[i + 1 :]
+
+
+def moore_boundary(g, n: int, modulus: int = 0) -> dict[tuple[int, int], int]:
+    """∂_n on the sorted tuples as {(row, column): entry}: the alternating sum of
+    the faces, reduced mod q when q >= 1, with zero entries dropped."""
+    rows = {t: i for i, t in enumerate(nerve_tuples(g, n - 1))}
+    out: dict[tuple[int, int], int] = {}
+    for x, t in enumerate(nerve_tuples(g, n)):
+        for i in range(n + 1):
+            key = (rows[tuple_face(g, t, i)], x)
+            out[key] = out.get(key, 0) + (-1) ** i
+    reduced = {key: v % modulus if modulus else v for key, v in out.items()}
+    return {key: v for key, v in reduced.items() if v}
 
 
 # -- closed forms -------------------------------------------------------------

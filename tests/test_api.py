@@ -4,7 +4,8 @@ import groupoid_homology
 import groupoid_homology.matrix
 
 REMOVED = ("kernel_basis", "in_column_lattice", "same_column_lattice", "solve_columns",
-           "column_lattice_basis", "homology_with_coefficients", "validate_groupoid")
+           "column_lattice_basis", "homology_with_coefficients", "validate_groupoid",
+           "face", "nerve", "NerveLevel", "pushforward_matrix")
 
 
 def test_public_names_resolve_and_removed_helpers_are_gone():

@@ -2,12 +2,15 @@
 
 Frozen homology values come from closed forms computed independently in
 oracles.py (periodic resolutions for one-object cyclic groupoids) and from
-hand calculations pinned in comments; simplicial identities and pushforward
-properties are checked exhaustively on small nerves.
+hand calculations pinned in comments.  Every Moore boundary is checked against
+the tuple-route oracle in oracles.py, whose tuples also carry the simplicial
+identities and pushforward properties, checked exhaustively on small nerves.
 """
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -18,17 +21,14 @@ from groupoid_homology import (
     SparseMatrix,
     action,
     disjoint_union,
-    face,
     homology_group,
     homology_int,
     homology_mod,
     is_saturated,
     moore_complex,
-    nerve,
     one_object_cyclic,
     orbits,
     pair,
-    pushforward_matrix,
     reduction,
     saturation_witness,
     units,
@@ -38,6 +38,9 @@ from groupoid_homology import groupoids
 from groupoid_homology.groupoids import _level_sizes
 
 import oracles
+from test_acceptance import corpus
+from test_chains import relabelled
+from test_cli import child_env
 
 
 def cyclic_data(m):
@@ -200,6 +203,25 @@ def test_disjoint_union_structure():
 
 
 # -- nerve and faces -----------------------------------------------------------------
+#
+# The package numbers the nerve without building tuples; the oracle lists the
+# composable tuples, sorted, and builds each face by composing arrows.  The
+# package's degree-n basis is the oracle's sorted tuples, in that order.
+
+
+def pushforward(g, n, i) -> IntegerMatrix:
+    """The i-th face map on the oracle's tuples: entry (y, x) is 1 exactly
+    when face i sends tuple x to tuple y."""
+    below = {t: y for y, t in enumerate(oracles.nerve_tuples(g, n - 1))}
+    here = oracles.nerve_tuples(g, n)
+    rows = [[0] * len(here) for _ in below]
+    for x, t in enumerate(here):
+        rows[below[oracles.tuple_face(g, t, i)]][x] = 1
+    return IntegerMatrix.from_rows(rows, cols=len(here))
+
+
+def column_entries(b: SparseMatrix, x: int) -> dict[int, int]:
+    return {y: v for y, v in enumerate(b.column(x)) if v}
 
 
 @pytest.mark.parametrize(
@@ -216,46 +238,44 @@ def test_disjoint_union_structure():
 )
 def test_nerve_sizes(g, expected_dims):
     assert list(_level_sizes(g, 3)) == expected_dims[1:]
-    assert [len(nerve(g, n)) for n in range(4)] == expected_dims
+    assert moore_complex(g, 3).dims == expected_dims
+    assert [len(oracles.nerve_tuples(g, n)) for n in range(4)] == expected_dims
 
 
 def test_nerve_level_contents():
     g = one_object_cyclic(2)
-    assert nerve(g, 0).tuples == [(0,)]
-    assert nerve(g, 1).tuples == [(0,), (1,)]
-    lvl = nerve(g, 2)
-    assert set(lvl.tuples) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert lvl.index(lvl.tuples[2]) == 2
-    assert (1, 1) in lvl and (2, 1) not in lvl
-    with pytest.raises(ValueError, match="negative degree"):
-        nerve(g, -1)
+    assert oracles.nerve_tuples(g, 0) == [(0,)]
+    assert oracles.nerve_tuples(g, 1) == [(0,), (1,)]
+    assert oracles.nerve_tuples(g, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # column 3 of ∂_2 is the tuple (1, 1): faces (1,), (0,), (1,) with signs +, -, +
+    c = moore_complex(g, 2)
+    assert column_entries(c.boundaries[2], 3) == {1: 2, 0: -1}
+    g = pair(2)  # arrow 2a + b runs from unit 3b to unit 3a
+    assert oracles.nerve_tuples(g, 2)[:4] == [(0, 0), (0, 1), (1, 2), (1, 3)]
+    assert moore_complex(g, 2).dims == [2, 4, 8]
 
 
 def test_face_values_degree_one():
     g = disjoint_union(one_object_cyclic(2), units(1))
     # arrow 1 is the flip at unit 0; arrow 2 the extra unit
-    assert face(g, 1, 0, (1,)) == (0,)
-    assert face(g, 1, 1, (1,)) == (0,)
-    assert face(g, 1, 0, (2,)) == (2,)
+    assert oracles.tuple_face(g, (1,), 0) == (0,)
+    assert oracles.tuple_face(g, (1,), 1) == (0,)
+    assert oracles.tuple_face(g, (2,), 0) == (2,)
+    # ∂_1 = range - source: zero on loops; pair(2)'s arrow 1 runs from unit 3 to 0
+    assert moore_complex(g, 1).boundaries[1].is_zero()
+    assert column_entries(moore_complex(pair(2), 1).boundaries[1], 1) == {1: 1, 0: -1}
 
 
 def test_face_composes_interior():
     g = one_object_cyclic(5)
     t = (2, 4, 3)
-    assert face(g, 3, 0, t) == (4, 3)
-    assert face(g, 3, 1, t) == ((2 + 4) % 5, 3)
-    assert face(g, 3, 2, t) == (2, (4 + 3) % 5)
-    assert face(g, 3, 3, t) == (2, 4)
-
-
-def test_face_errors():
-    g = one_object_cyclic(3)
-    with pytest.raises(ValueError, match="composable tuple of positive length"):
-        face(g, 0, 0, ())
-    with pytest.raises(ValueError, match="composable tuple of positive length"):
-        face(g, 2, 0, (1,))
-    with pytest.raises(ValueError, match="index out of range"):
-        face(g, 1, 2, (1,))
+    assert oracles.tuple_face(g, t, 0) == (4, 3)
+    assert oracles.tuple_face(g, t, 1) == ((2 + 4) % 5, 3)
+    assert oracles.tuple_face(g, t, 2) == (2, (4 + 3) % 5)
+    assert oracles.tuple_face(g, t, 3) == (2, 4)
+    # the same faces through the numbering: (a, b, c) is 25a + 5b + c, (a, b) is 5a + b
+    c = moore_complex(g, 3)
+    assert column_entries(c.boundaries[3], 73) == {23: 1, 8: -1, 12: 1, 14: -1}
 
 
 @pytest.mark.parametrize(
@@ -264,27 +284,24 @@ def test_face_errors():
 )
 def test_simplicial_identities(g):
     # d_i d_j = d_{j-1} d_i for i < j, exhaustively in degree 3
-    for t in nerve(g, 3).tuples:
+    face = oracles.tuple_face
+    for t in oracles.nerve_tuples(g, 3):
         for j in range(4):
             for i in range(j):
-                left = face(g, 2, i, face(g, 3, j, t))
-                right = face(g, 2, j - 1, face(g, 3, i, t))
-                assert left == right, (t, i, j)
+                assert face(g, face(g, t, j), i) == face(g, face(g, t, i), j - 1), (t, i, j)
 
 
 def test_pushforward_columns_sum_to_one():
+    # every face of a composable tuple is a composable tuple one degree down
     g = pair(2)
     for n in (1, 2, 3):
         for i in range(n + 1):
-            m = pushforward_matrix(g, n, i)
-            assert m.rows == len(nerve(g, n - 1))
-            assert m.cols == len(nerve(g, n))
+            m = pushforward(g, n, i)
+            assert (m.rows, m.cols) == tuple(moore_complex(g, n).dims[n - 1 :])
             for j in range(m.cols):
                 col = m.column(j)
                 assert sum(col) == 1
                 assert all(x in (0, 1) for x in col)
-    with pytest.raises(ValueError, match="pushforward needs degree >= 1"):
-        pushforward_matrix(g, 0, 0)
 
 
 @pytest.mark.parametrize("g", [one_object_cyclic(4), pair(2), action(2, [1, 0])])
@@ -294,7 +311,7 @@ def test_boundary_is_alternating_face_sum(g):
         total = IntegerMatrix.zeros(c.dims[n - 1], c.dims[n])
         sign = 1
         for i in range(n + 1):
-            term = pushforward_matrix(g, n, i)
+            term = pushforward(g, n, i)
             total = total + (term if sign == 1 else -term)
             sign = -sign
         assert total == c.boundaries[n].to_dense()
@@ -307,7 +324,7 @@ def test_boundary_mod_q_is_reduced_alternating_face_sum(g, q):
     for n in (1, 2, 3):
         total = IntegerMatrix.zeros(c.dims[n - 1], c.dims[n])
         for i in range(n + 1):
-            total = total + pushforward_matrix(g, n, i) * (-1) ** i
+            total = total + pushforward(g, n, i) * (-1) ** i
         assert total.mod(q) == c.boundaries[n].to_dense()
 
 
@@ -322,16 +339,29 @@ def test_mod_two_complex_stores_no_zero_residue(g):
         assert b.nnz == sum(x != 0 for x in b.entries)
 
 
+@pytest.mark.parametrize("name_and_groupoid", corpus(), ids=[n for n, _ in corpus()])
+def test_moore_boundaries_match_tuple_oracle(name_and_groupoid):
+    # the face tables against plain tuples, on arrows renumbered two ways
+    name, g = name_and_groupoid
+    for seed in (1, 2):
+        h = relabelled(g, seed)
+        for q in (0, 2, 4):
+            c = moore_complex(h, 4, modulus=q, budget=None)
+            for n in range(1, 5):
+                stored = {(y, x): v for y, r in enumerate(c.boundaries[n]._dicts) for x, v in r.items()}
+                assert stored == oracles.moore_boundary(h, n, q), (name, seed, q, n)
+
+
 # -- Moore complex -------------------------------------------------------------------
 
 
 def test_moore_complex_shape_and_labels():
+    # the basis is numbered, not labelled: tuples are the oracle's to list
     g = one_object_cyclic(2)
     c = moore_complex(g, 3)
     assert c.dims == [1, 2, 4, 8]
     assert c.modulus == 0
-    assert c.basis_labels[1] == [(0,), (1,)]
-    assert c.basis_labels[2] == nerve(g, 2).tuples
+    assert c.basis_labels is None
     with pytest.raises(ValueError, match="max degree must be >= 1"):
         moore_complex(g, 0)
     with pytest.raises(ValueError, match="negative modulus"):
@@ -349,24 +379,33 @@ def test_moore_complex_budget():
 
 
 def test_moore_complex_budget_uses_fresh_counts():
-    # caching an earlier small request must not let a later one dodge the cap
+    # an earlier small request must not let a later one dodge the cap
     g = pair(3)
     moore_complex(g, 1)
     with pytest.raises(ValueError, match="nerve budget exceeded"):
         moore_complex(g, 3, budget=20)
 
 
-def test_over_budget_nerve_builds_no_level():
+def test_over_budget_nerve_builds_no_level(monkeypatch):
     # pair(3): level sizes 3, 9, 27, 81; the budget is checked on counted
-    # sizes, so a refusal caches no level, not even one that fits
+    # sizes, so a refusal builds no table and no boundary, not even one that fits
+    built = []
+
+    def counted(rows, cols, columns):
+        built.append(cols)
+        return original(rows, cols, columns)
+
+    original = groupoids._alternating_sum
+    monkeypatch.setattr(groupoids, "_alternating_sum", counted)
     g = pair(3)
     with pytest.raises(ValueError, match="nerve budget exceeded at degree 2"):
         moore_complex(g, 3, budget=20)
-    assert g._nerve_cache is None
+    assert built == [] and g._by_range is None
     moore_complex(g, 1)
+    assert built == [9]
     with pytest.raises(ValueError, match="nerve budget exceeded at degree 3"):
         moore_complex(g, 3, budget=50)
-    assert len(g._nerve_cache) == 2
+    assert built == [9]
 
 
 def test_budget_stops_counting_at_first_degree_over_it(monkeypatch):
@@ -385,7 +424,72 @@ def test_budget_stops_counting_at_first_degree_over_it(monkeypatch):
     with pytest.raises(ValueError, match="nerve budget exceeded at degree 5"):
         moore_complex(g, 10**5, budget=100)
     assert drawn == [4, 8, 16, 32, 64]
-    assert g._nerve_cache is None
+    assert g._by_range is None
+
+
+# Faults in the face tables, injected into a child under `python -O`.  Each
+# child first builds the faulty complex with the ∂∘∂ check stubbed out and
+# prints whether its boundaries differ from the clean ones, so a fault that
+# changes nothing cannot pass; then it builds it with the check.
+S3 = (
+    "from itertools import permutations\n"
+    "perms = list(permutations(range(3)))\n"
+    "idx = {p: i for i, p in enumerate(perms)}\n"
+    "compose = {(i, j): idx[tuple(perms[i][k] for k in perms[j])]"
+    " for i in range(6) for j in range(6)}\n"
+    "inverse = [idx[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]\n"
+    "g = FiniteGroupoid(6, [0], [0] * 6, [0] * 6, inverse, compose)\n"
+)
+FACE_FAULTS = [
+    pytest.param(
+        S3,
+        # one entry of the last-inner-face table composes a ∘ last p, not last p ∘ a
+        "i, j = next((i, j) for (i, j), v in compose.items() if v != compose[(j, i)])\n"
+        "g.compose[(i, j)] = compose[(j, i)]\n",
+        id="swapped-composite",
+    ),
+    pytest.param(
+        "g = pair(2)\n",
+        # one face of one column of ∂_2 enters with the wrong sign
+        "original = groupoids._alternating_sum\n"
+        "def flipped(rows, cols, columns):\n"
+        "    b = original(rows, cols, columns)\n"
+        "    if cols == 8:\n"
+        "        r = b._dicts[1]\n"
+        "        r[next(iter(r))] *= -1\n"
+        "    return b\n"
+        "groupoids._alternating_sum = flipped\n",
+        id="flipped-sign",
+    ),
+]
+
+
+@pytest.mark.parametrize("setup,fault", FACE_FAULTS)
+def test_face_table_fault_raises_under_optimize_flag(setup, fault):
+    program = (
+        "import sys\n"
+        "from groupoid_homology import FiniteGroupoid, chains, groupoids, moore_complex, pair\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit('child is not optimized')\n"
+        + setup
+        + "clean = moore_complex(g, 3)\n"
+        + fault
+        + "check = chains.FreeChainComplex.validate\n"
+        "chains.FreeChainComplex.validate = lambda self: None\n"
+        "print('changed' if moore_complex(g, 3).boundaries != clean.boundaries else 'same')\n"
+        "chains.FreeChainComplex.validate = check\n"
+        "moore_complex(g, 3)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.stdout == "changed\n", proc.stderr
+    assert proc.returncode != 0
+    assert "ValueError: boundary square nonzero at degree " in proc.stderr
 
 
 def test_moore_complex_modulus_reduces_entries():

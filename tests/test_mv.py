@@ -113,6 +113,41 @@ def test_decompose_pieces_and_intersection():
             assert piece.boundaries == expected.boundaries, (name, members)
 
 
+def test_positions_match_oracle_tuples():
+    # membership read off the tables equals the test on every arrow of every
+    # ambient tuple, for saturated covers and for sets that are not saturated
+    cases = [(g, (u1, u2, tuple(sorted(set(u1) & set(u2)))))
+             for _name, g, u1, u2 in COVERS + _relabelled_covers()]
+    g = pair(2)  # units 0 and 3
+    cases.append((g, ((0,), (3,), (0, 3), ())))
+    g = union(action(2, [1, 0]), one_object_cyclic(2))  # units 0, 2 and 4
+    cases.append((g, ((0,), (2, 4), (0, 4))))
+    for g, unit_sets in cases:
+        for members in unit_sets:
+            positions = mv_module._positions(g, 3, members)
+            assert positions == [_oracle_positions(g, n, members) for n in range(4)], members
+
+
+def test_verify_refuses_positions_not_closed_under_faces(monkeypatch):
+    # a U2-only degree-2 tuple added to the U1 and U12 position lists keeps
+    # the sequence exact degreewise, but its faces lie outside those blocks
+    name, g, u1, u2 = COVERS[3]
+    d = decompose(g, u1, u2)
+    original = mv_module._positions
+    inside1 = set(original(g, 2, d.u1)[2])
+    stray = next(p for p in original(g, 2, d.u2)[2] if p not in inside1)
+
+    def leaky(g_, max_degree, members):
+        out = original(g_, max_degree, members)
+        if tuple(members) in (d.u1, d.u12):
+            out[2] = sorted(out[2] + [stray])
+        return out
+
+    monkeypatch.setattr(mv_module, "_positions", leaky)
+    with pytest.raises(AssertionError, match="is not a chain map in degree 2"):
+        chain_ses(d, 2)
+
+
 def test_chain_ses_refuses_sets_that_miss_an_arrow():
     # built directly, past decompose's checks: arrow 1 of pair(2) runs from
     # unit 3 to unit 0, so no piece owns it
@@ -296,11 +331,8 @@ def test_connecting_rejects_non_cycles():
     ses = chain_ses(d, 2)
     # a single 1-tuple of a non-unit arrow is never a cycle here
     chain = [0] * ses.total_complex.dims[1]
-    labels = ses.total_complex.basis_labels[1]
-    target = next(
-        i for i, t in enumerate(labels)
-        if g.source[t[0]] != g.range_[t[0]]
-    )
+    # the degree-1 basis is the arrows, in order
+    target = next(a for a in range(g.arrows) if g.source[a] != g.range_[a])
     chain[target] = 1
     with pytest.raises(ValueError, match="not a cycle"):
         ses.connecting(1, chain)
@@ -564,14 +596,25 @@ def test_homology_splits_over_cover_parts(name, g, u1, u2):
 # -- naturality under refining the cover -----------------------------------------------
 
 
-def _inclusion_matrix(sub_complex, big_complex, n):
-    """Basis inclusion of a smaller piece's nerve into a bigger one's; both
-    pieces label their basis by ambient tuples."""
-    big_pos = {t: j for j, t in enumerate(big_complex.basis_labels[n])}
-    rows = [[0] * sub_complex.dims[n] for _ in range(big_complex.dims[n])]
-    for j, t in enumerate(sub_complex.basis_labels[n]):
-        rows[big_pos[t]][j] = 1
-    return SparseMatrix.from_dense(IntegerMatrix.from_rows(rows, cols=sub_complex.dims[n]))
+def _oracle_positions(g, n, members):
+    """Positions among the oracle's sorted ambient n-tuples of those whose
+    arrows all have both endpoints in the unit set (degree 0: the units in it)."""
+    mem = set(members)
+    return [
+        i for i, t in enumerate(oracles.nerve_tuples(g, n))
+        if all(g.source[a] in mem and g.range_[a] in mem for a in t)
+    ]
+
+
+def _inclusion_matrix(g, sub_members, big_members, n):
+    """Basis inclusion of a smaller piece's nerve into a bigger one's, matched
+    through the ambient tuples."""
+    sub, big = _oracle_positions(g, n, sub_members), _oracle_positions(g, n, big_members)
+    big_pos = {p: j for j, p in enumerate(big)}
+    rows = [[0] * len(sub) for _ in big]
+    for j, p in enumerate(sub):
+        rows[big_pos[p]][j] = 1
+    return SparseMatrix.from_dense(IntegerMatrix.from_rows(rows, cols=len(sub)))
 
 
 def test_naturality_ladder_under_cover_refinement():
@@ -582,9 +625,9 @@ def test_naturality_ladder_under_cover_refinement():
     ses_small = chain_ses(small, 2)
     ses_big = chain_ses(big, 2)
     for n in range(3):
-        j1 = _inclusion_matrix(ses_small.complex1, ses_big.complex1, n)
-        j2 = _inclusion_matrix(ses_small.complex2, ses_big.complex2, n)
-        j12 = _inclusion_matrix(ses_small.complex12, ses_big.complex12, n)
+        j1 = _inclusion_matrix(g, small.u1, big.u1, n)
+        j2 = _inclusion_matrix(g, small.u2, big.u2, n)
+        j12 = _inclusion_matrix(g, small.u12, big.u12, n)
         j_pieces = SparseMatrix.block_diag([j1, j2])
         # total maps agree through the piece inclusions (same ambient basis)
         assert ses_big.to_total[n].matmul(j_pieces) == ses_small.to_total[n]

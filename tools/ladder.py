@@ -6,19 +6,23 @@ Run from the root of a checkout, naming each checkout to measure:
 
 Each rung runs `python -m groupoid_homology ...` with the named checkout's
 src/ on PYTHONPATH, in a child process limited to 2 GiB of address space
-(RLIMIT_AS), one side after the other.  For each side it records the wall
-time, the child's own peak RSS (from os.wait4), the exit code, the sha256
-of stdout and of stderr, and the first line of stderr.  The inputs are written once, by the first side's
+(RLIMIT_AS), REPEATS times per side, the sides taking turns.  For each run it
+records the wall time, the child's own peak RSS (from os.wait4), the exit
+code, the sha256 of stdout and of stderr, and the first line of stderr; for
+each side it reports the min and the median of the wall times and of the
+peak RSS, since single runs on a shared host spread by 20-40%.  The inputs are written once, by the first side's
 `groupoid-homology gen`, into a temporary directory that is every child's
 working directory, so every side reads the same files by the same name.
 The two `mv` rungs cover a three-orbit union, cyclic:12 ⊔ pair:3 ⊔ cyclic:8
 and cyclic:20 ⊔ pair:4 ⊔ cyclic:16, by its first two and its last two orbits,
 so the intersection is the pair groupoid.
-The last rung is over the default nerve budget and must be refused with
-exit 1 and the CLI's budget message, so a crash (say a MemoryError under
-the limit, also exit 1) does not pass for a refusal.  A rung whose exit
-code or stderr start is not the expected one, or whose stdout or stderr
-differs between sides, is flagged in the report and makes the tool exit 1.
+`homology cyclic:99 -N 3` has 980200 basis elements, the largest cyclic
+nerve under the default budget of 10^6.  The last rung is over the default
+nerve budget and must be refused with exit 1 and the CLI's budget message,
+so a crash (say a MemoryError under the limit, also exit 1) does not pass
+for a refusal.  A rung whose exit code or stderr start is not the expected
+one in some run, or whose stdout or stderr differs between runs or sides,
+is flagged in the report and makes the tool exit 1.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,10 +41,11 @@ import time
 from pathlib import Path
 
 LIMIT_AS = 2 << 30
+REPEATS = 3  # runs per rung and side
 # input file stem -> `gen` preset, in order: a union reads files written before it
 INPUTS = {
     "cyclic-8": "cyclic:8", "cyclic-12": "cyclic:12", "cyclic-30": "cyclic:30",
-    "cyclic-60": "cyclic:60", "pair-3": "pair:3",
+    "cyclic-60": "cyclic:60", "cyclic-99": "cyclic:99", "pair-3": "pair:3",
     "mv-union": "union:cyclic-12.json,pair-3.json,cyclic-8.json",
     "cyclic-16": "cyclic:16", "cyclic-20": "cyclic:20", "pair-4": "pair:4",
     "mv-union-large": "union:cyclic-20.json,pair-4.json,cyclic-16.json",
@@ -51,6 +57,7 @@ MV_COVER_LARGE = ["--u1", "0,1,2,3,4", "--u2", "1,2,3,4,5"]  # cyclic:20 is 0, c
 RUNGS = [
     ("homology cyclic:30 -N 3", ["homology", "-N", "3"], "cyclic-30", 0, ""),
     ("homology cyclic:60 -N 3", ["homology", "-N", "3"], "cyclic-60", 0, ""),
+    ("homology cyclic:99 -N 3", ["homology", "-N", "3"], "cyclic-99", 0, ""),
     ("homology cyclic:8 -N 4", ["homology", "-N", "4"], "cyclic-8", 0, ""),
     ("homology cyclic:8 -N 4 --coeff z/4", ["homology", "-N", "4", "--coeff", "z/4"], "cyclic-8", 0, ""),
     ("uct cyclic:30 -N 3 --coeff z/4", ["uct", "-N", "3", "--coeff", "z/4"], "cyclic-30", 0, ""),
@@ -95,6 +102,14 @@ def run(src: Path, args: list[str], cwd: str) -> dict:
     }
 
 
+def summary(runs: list[dict]) -> dict:
+    """Min and median of one side's wall times and peak RSS, with its runs."""
+    out = {key: {"min": min(r[key] for r in runs), "median": statistics.median(r[key] for r in runs)}
+           for key in ("wall_s", "peak_rss_mb")}
+    out["runs"] = runs
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="+", metavar="NAME=CHECKOUT")
@@ -111,6 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "limit_as_bytes": LIMIT_AS,
+        "repeats": REPEATS,
         "rungs": [],
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,15 +136,21 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"gen {preset} failed")
         for name, cli_args, stem, expect, expect_err in RUNGS:
             argv_ = [cli_args[0], "-i", f"{stem}.json", *cli_args[1:]]
-            results = {side: run(src, argv_, tmp) for side, src in sides.items()}
-            same = len({(r["stdout_sha256"], r["stderr_sha256"]) for r in results.values()}) == 1
-            exits = all(r["exit"] == expect and r["stderr_head"].startswith(expect_err)
-                        for r in results.values())
+            runs = {side: [] for side in sides}
+            for _ in range(REPEATS):
+                for side, src in sides.items():
+                    runs[side].append(run(src, argv_, tmp))
+            every = [r for side_runs in runs.values() for r in side_runs]
+            same = len({(r["stdout_sha256"], r["stderr_sha256"]) for r in every}) == 1
+            exits = all(r["exit"] == expect and r["stderr_head"].startswith(expect_err) for r in every)
             ok = ok and same and exits
+            results = {side: summary(side_runs) for side, side_runs in runs.items()}
             report["rungs"].append({"name": name, "expect_exit": expect, "expect_stderr": expect_err,
                                     "output_match": same, "sides": results})
-            cells = "  ".join(f"{s}: {r['wall_s']} s {r['peak_rss_mb']} MB exit {r['exit']}"
-                              for s, r in results.items())
+            cells = "  ".join(
+                f"{s}: {r['wall_s']['min']}/{r['wall_s']['median']} s "
+                f"{r['peak_rss_mb']['min']}/{r['peak_rss_mb']['median']} MB" for s, r in results.items()
+            )
             print(f"{name}: {cells}{'' if same and exits else '  MISMATCH'}", flush=True)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0 if ok else 1
