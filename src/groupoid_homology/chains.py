@@ -5,15 +5,16 @@ homology is *trusted* in degrees 0..N-1: H_N would need the missing ∂_{N+1}.
 Degree-(N) queries fail loudly rather than report a group truncation could
 falsify.
 
-Integral and Z/q homology take one lattice route, never row-reducing over
-Z/q (not a field for composite q): H_n is K/B for the cycle lattice
-K = {v : ∂_n v ∈ qZ} and the enlarged image B = im(∂_{n+1}) + qZ, with
-q = 0 for integral homology.  `homology_results` gives representatives: one
-recorded column reduction of each [∂_n | qI] with clearing yields echelon
-bases of K and B, so coordinates come by back-substitution, and one small
-Smith form of B's coordinates gives the presentation.  `homology_groups` is
-the sparse route to iso types alone, integral or Z/q: one
-`sweep_invariant_factors` over ∂_1, ∂_2, ... or over the mapping cone of q.
+Complexes are over Z only.  Integral and Z/q homology take one lattice
+route on the integral complex, never row-reducing over Z/q (not a field for
+composite q): H_n is K/B for the cycle lattice K = {v : ∂_n v ∈ qZ} and the
+enlarged image B = im(∂_{n+1}) + qZ, with q = 0 for integral homology.
+`homology_results` gives representatives: one recorded column reduction of
+each [∂_n | qI] with clearing yields echelon bases of K and B, so coordinates
+come by back-substitution, and one small Smith form of B's coordinates gives
+the presentation.  `homology_groups` is the sparse route to iso types alone,
+integral or Z/q: one `sweep_invariant_factors` over ∂_1, ∂_2, ... or over
+the mapping cone of q.
 """
 
 from __future__ import annotations
@@ -39,30 +40,17 @@ class FreeChainComplex:
     boundary is stored as a `SparseMatrix`: an `IntegerMatrix` handed to the
     constructor is converted once, and code that needs dense arithmetic calls
     `to_dense()`.  ∂∘∂ = 0 is checked on construction by a sparse product.
-    `basis_labels`, when present, names the basis of each degree (used by
-    groupoid nerves to tag tuples); labels are opaque to this module.
-
-    `modulus` 0 means a complex over Z; q >= 1 means coefficients in Z/q with
-    entries stored as canonical residues, where ∂∘∂ need only vanish mod q.
+    The complex is over Z: Z/q homology comes from it through the mapping
+    cone of q (`homology_groups`) or [∂ | qI] (`homology_results`).
     """
 
-    __slots__ = ("dims", "boundaries", "basis_labels", "modulus")
+    __slots__ = ("dims", "boundaries")
 
-    def __init__(
-        self,
-        dims: Sequence[int],
-        boundaries: Sequence[SparseMatrix | IntegerMatrix],
-        basis_labels: Sequence[Sequence[object]] | None = None,
-        modulus: int = 0,
-    ):
-        if modulus < 0:
-            raise ValueError("negative modulus")
+    def __init__(self, dims: Sequence[int], boundaries: Sequence[SparseMatrix | IntegerMatrix]):
         self.dims = list(dims)
         self.boundaries = [
             b if isinstance(b, SparseMatrix) else SparseMatrix.from_dense(b) for b in boundaries
         ]
-        self.basis_labels = [list(l) for l in basis_labels] if basis_labels is not None else None
-        self.modulus = modulus
         self.validate()
 
     @property
@@ -88,15 +76,8 @@ class FreeChainComplex:
                     f"shape mismatch: boundary {n} is {b.rows}x{b.cols}, "
                     f"expected {self.dims[n - 1]}x{self.dims[n]}"
                 )
-        if self.basis_labels is not None:
-            if len(self.basis_labels) != len(self.dims) or any(
-                len(l) != d for l, d in zip(self.basis_labels, self.dims)
-            ):
-                raise ValueError("shape mismatch: basis labels do not match dims")
         for n in range(2, len(self.dims)):
             square = self.boundaries[n - 1].matmul(self.boundaries[n])
-            if self.modulus >= 1:
-                square = square.mod(self.modulus)
             if not square.is_zero():
                 witness = min(j for row in square._dicts for j in row)
                 raise ValueError(
@@ -112,31 +93,25 @@ class FreeChainComplex:
         return cls(dims, boundaries)
 
     def to_json(self) -> dict:
-        out = {
-            "dims": list(self.dims),
-            "boundaries": [b.entries for b in self.boundaries],
-        }
-        if self.modulus:
-            out["modulus"] = self.modulus
-        return out
+        return {"dims": list(self.dims), "boundaries": [b.entries for b in self.boundaries]}
 
     @classmethod
     def from_json(cls, data: dict) -> "FreeChainComplex":
-        """Strict inverse of `to_json`: a non-object, a missing key, a
-        non-list or a non-int entry raises ValueError naming the key."""
+        """Strict inverse of `to_json`: a non-object, a missing or unknown
+        key, a non-list or a non-int entry raises ValueError naming the key."""
         _json_object("chain complex", data, ("dims", "boundaries"))
+        for key in data:
+            if key not in ("dims", "boundaries"):
+                raise ValueError(f"chain complex has unknown key {key!r}")
         dims = _json_ints("dims", data["dims"])
         raw = _json_list("boundaries", data["boundaries"])
         if len(raw) != len(dims):
             raise ValueError("shape mismatch: boundary count does not match dims")
-        modulus = data.get("modulus", 0)
-        if type(modulus) is not int:
-            raise ValueError(f"'modulus' must be an integer, got {modulus!r}")
         boundaries = [
             IntegerMatrix(dims[n - 1] if n else 0, dims[n], _json_ints("boundaries", flat))
             for n, flat in enumerate(raw)
         ]
-        return cls(dims, boundaries, modulus=modulus)
+        return cls(dims, boundaries)
 
     def __repr__(self) -> str:
         return f"FreeChainComplex(dims={self.dims})"
@@ -154,18 +129,9 @@ def shift_sum(complexes: Sequence[FreeChainComplex]) -> FreeChainComplex:
     depth = complexes[0].max_degree
     if any(c.max_degree != depth for c in complexes):
         raise ValueError("mixed truncation depth")
-    modulus = complexes[0].modulus
-    if any(c.modulus != modulus for c in complexes):
-        raise ValueError("modulus mismatch in direct sum")
     dims = [sum(c.dims[n] for c in complexes) for n in range(depth + 1)]
     boundaries = [SparseMatrix.block_diag([c.boundaries[n] for c in complexes]) for n in range(depth + 1)]
-    labels = None
-    if all(c.basis_labels is not None for c in complexes):
-        labels = [
-            [(i, lab) for i, c in enumerate(complexes) for lab in c.basis_labels[n]]
-            for n in range(depth + 1)
-        ]
-    return FreeChainComplex(dims, boundaries, labels, modulus=modulus)
+    return FreeChainComplex(dims, boundaries)
 
 
 class HomologyResult:
@@ -261,12 +227,9 @@ class HomologyResult:
         return f"HomologyResult(degree={self.degree}, coefficients={coeff}, group={self.group})"
 
 
-def _check_coefficients(complex_: FreeChainComplex, q: int) -> None:
+def _check_coefficients(q: int) -> None:
     if q < 0:
         raise ValueError("negative modulus")
-    if complex_.modulus not in (0, q):
-        raise ValueError("integral homology needs a complex over Z, not Z/q" if q == 0 else
-                         f"modulus mismatch: complex over Z/{complex_.modulus}, homology over Z/{q}")
 
 
 def _check_trusted(complex_: FreeChainComplex, n: int) -> None:
@@ -318,7 +281,7 @@ def homology_results(complex_: FreeChainComplex, q: int = 0, top: int | None = N
     non-unit low that is no change of basis, so the column stays.  Each cleared
     cycle is checked, since nothing else reads the skipped columns.
     """
-    _check_coefficients(complex_, q)
+    _check_coefficients(q)
     if top is None:
         top = complex_.max_degree - 1
     else:
@@ -378,14 +341,14 @@ def homology_groups(complex_: FreeChainComplex, q: int = 0, top: int | None = No
     One `sweep_invariant_factors` factors each matrix once.  q = 0 sweeps
     ∂_1..∂_{top+1}: H_n has rank dims[n] - rank ∂_n - rank ∂_{n+1} and the
     nonunit factors of ∂_{n+1} as torsion.  q >= 1 sweeps the mapping cone
-    of q, a complex over Z with boundaries F_n = [[-∂_n, -∂_n∂_{n+1}/q],
-    [qI, ∂_{n+1}]] (rows C_{n-1} then C_n, columns C_n then C_{n+1}), so
-    F_{n-1}·F_n = 0 exactly, also over Z/q.  H_n(C;Z/q) is then the nonunit
-    factors of F_n, whose rank must be dims[n]: chain level, no Tor formula.
-    Clearing needs each F_{n-1}·F_n = 0, so it is checked here: a nonzero one
-    raises over Z/q and, over Z, stops the clearing so the rank check fails.
+    of q, a complex over Z with boundaries F_n = [[-∂_n, 0], [qI, ∂_{n+1}]]
+    (rows C_{n-1} then C_n, columns C_n then C_{n+1}), so F_{n-1}·F_n = 0
+    because ∂∘∂ = 0.  H_n(C;Z/q) is then the nonunit factors of F_n, whose
+    rank must be dims[n]: chain level, no Tor formula.  Clearing needs each
+    F_{n-1}·F_n = 0, so it is checked here: a nonzero one (boundaries
+    corrupted after construction) stops the clearing so the rank check fails.
     """
-    _check_coefficients(complex_, q)
+    _check_coefficients(q)
     if top is None:
         top = complex_.max_degree - 1
     else:
@@ -402,8 +365,6 @@ def homology_groups(complex_: FreeChainComplex, q: int = 0, top: int | None = No
     runs: list[list[SparseMatrix]] = [[]]
     for n, cone in enumerate(cones):
         if n and not cones[n - 1].matmul(cone).is_zero():
-            if complex_.modulus:
-                raise ValueError(f"boundary square nonzero mod {q} at degree {n + 1}")
             runs.append([])
         runs[-1].append(cone)
     factors = [f for run in runs for f in sweep_invariant_factors(run)]
@@ -417,24 +378,12 @@ def homology_groups(complex_: FreeChainComplex, q: int = 0, top: int | None = No
 
 
 def _cones(complex_: FreeChainComplex, q: int, top: int) -> list[SparseMatrix]:
-    """The cone's F_0..F_top.  Over Z the quotient block is zero (∂∘∂ = 0 on
-    construction); over Z/q any integer lift will do, and the symmetric one
-    keeps -1 a unit pivot; the floor quotient is exact unless F_{n-1}·F_n != 0.
-    """
-    lifts = [
-        SparseMatrix._wrap(b.rows, b.cols, [{j: v - q if 2 * v > q else v for j, v in r.items()}
-                                            for r in b._dicts])
-        if complex_.modulus else b
-        for b in complex_.boundaries[:top + 2]
-    ]
+    """The cone's F_0..F_top, as `homology_groups` states them."""
+    bnds = complex_.boundaries[:top + 2]
     cones = []
-    for here, above in zip(lifts, lifts[1:]):
-        square = here.matmul(above)._dicts if complex_.modulus else [{}] * here.rows
+    for here, above in zip(bnds, bnds[1:]):
         shift = here.cols
-        top_rows = [
-            {**{j: -v for j, v in r.items()}, **{shift + j: x for j, v in s.items() if (x := -v // q)}}
-            for r, s in zip(here._dicts, square)
-        ]
+        top_rows = [{j: -v for j, v in r.items()} for r in here._dicts]
         bottom = [{i: q, **{shift + j: v for j, v in r.items()}} for i, r in enumerate(above._dicts)]
         cones.append(SparseMatrix._wrap(here.rows + here.cols, shift + above.cols, top_rows + bottom))
     return cones

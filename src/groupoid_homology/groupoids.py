@@ -363,13 +363,11 @@ def _alternating_sum(rows: int, cols: int, columns: Iterable[tuple[int, ...]]) -
 def moore_complex(
     g: FiniteGroupoid,
     max_degree: int,
-    modulus: int = 0,
     budget: int | None = DEFAULT_BUDGET,
 ) -> FreeChainComplex:
     """The Moore complex of the nerve up to the given degree.
 
-    Boundary n is the alternating sum of the n+1 face maps; with a modulus
-    q >= 1 the same matrices are reduced entrywise mod q.  The degree-n basis
+    Boundary n is the alternating sum of the n+1 face maps.  The degree-n basis
     is the composable n-tuples in lex order (degree 0: the units, degree 1:
     the arrows), numbered without building a tuple.  For n >= 2 the tuple
     with prefix p and last arrow a is x = off_n[p] + rank[a], where rank[a]
@@ -381,16 +379,14 @@ def moore_complex(
     Only the level below's tables are kept, and the top level's faces are
     never stored.
 
-    Each boundary is a `SparseMatrix`: a column holds at most n+1 entries,
-    and an entry that cancels or is zero mod q is not stored.  The total
+    Each boundary is a `SparseMatrix` over Z: a column holds at most n+1
+    entries, and an entry that cancels is not stored.  The total
     number of basis elements across degrees is capped by `budget`, checked
     on counted sizes before any table is built, so the boundaries hold at
     most sum((n+1) * dims[n]) entries and the budget bounds their memory.
     """
     if max_degree < 1:
         raise ValueError("max degree must be >= 1")
-    if modulus < 0:
-        raise ValueError("negative modulus")
     dims = [len(g.units)]
     for degree, size in enumerate(_level_sizes(g, max_degree), start=1):
         dims.append(size)
@@ -424,9 +420,7 @@ def moore_complex(
         if n < max_degree:
             last = faces[0] if n == 2 else [a for ks in kids for a in ks]
             off = list(accumulate(map(len, kids), initial=0))
-    if modulus:
-        boundaries = [b.mod(modulus) for b in boundaries]
-    return FreeChainComplex(dims, boundaries, modulus=modulus)
+    return FreeChainComplex(dims, boundaries)
 
 
 def _positions(g: FiniteGroupoid, max_degree: int, members: Sequence[int]) -> list[list[int]]:

@@ -188,12 +188,6 @@ class IntegerMatrix:
             [[row[j] for row in self._rows] for j in range(self.cols)], self.rows
         )
 
-    def mod(self, q: int) -> "IntegerMatrix":
-        """Entries reduced into the canonical residues 0..q-1 (q >= 1)."""
-        if q < 1:
-            raise ValueError("modulus must be >= 1")
-        return IntegerMatrix.from_rows([[x % q for x in row] for row in self._rows], cols=self.cols)
-
     # -- block assembly ----------------------------------------------------
 
     @staticmethod
@@ -230,7 +224,7 @@ class SparseMatrix:
     Moore boundary costs at most n+1 entries per column, and `is_zero`, `==`
     and `nnz` read the dicts alone.  The read side matches `IntegerMatrix`
     (`row` and `column` as dense lists, `entries`, `[i, j]`, `mul_vector`,
-    `mod`, `is_zero`, `==`); `matmul` multiplies two sparse matrices in
+    `is_zero`, `==`); `matmul` multiplies two sparse matrices in
     O(nonzero pairs), `block_diag` lays sparse blocks down the diagonal, and
     `to_dense()` hands dense arithmetic an `IntegerMatrix`.  Treated as
     immutable by convention, like `IntegerMatrix`.
@@ -238,8 +232,6 @@ class SparseMatrix:
     >>> s = SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]]))
     >>> s.nnz, s[1, 2], s.row(0), s.column(2)
     (3, 2, [1, 0, -1], [-1, 2])
-    >>> s.mod(2).entries, s.mod(2).nnz
-    ([1, 0, 1, 0, 0, 0], 2)
     >>> s.matmul(SparseMatrix.from_dense(IntegerMatrix.from_rows([[1], [0], [1]]))).column(0)
     [0, 2]
     >>> s.to_dense() == IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]])
@@ -328,14 +320,6 @@ class SparseMatrix:
         if len(v) != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} applied to length-{len(v)} vector")
         return [sum(a * v[j] for j, a in r.items()) for r in self._dicts]
-
-    def mod(self, q: int) -> "SparseMatrix":
-        """Entries reduced into the canonical residues 0..q-1 (q >= 1); zero residues dropped."""
-        if q < 1:
-            raise ValueError("modulus must be >= 1")
-        return SparseMatrix._wrap(
-            self.rows, self.cols, [{j: x for j, v in r.items() if (x := v % q)} for r in self._dicts]
-        )
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other in O(nonzero pairs) multiply-adds (Gustavson, row by row)."""

@@ -359,17 +359,16 @@ def tuple_face(g, t: tuple[int, ...], i: int) -> tuple[int, ...]:
     return t[: i - 1] + (g.compose[(t[i - 1], t[i])],) + t[i + 1 :]
 
 
-def moore_boundary(g, n: int, modulus: int = 0) -> dict[tuple[int, int], int]:
+def moore_boundary(g, n: int) -> dict[tuple[int, int], int]:
     """∂_n on the sorted tuples as {(row, column): entry}: the alternating sum of
-    the faces, reduced mod q when q >= 1, with zero entries dropped."""
+    the faces, with zero entries dropped."""
     rows = {t: i for i, t in enumerate(nerve_tuples(g, n - 1))}
     out: dict[tuple[int, int], int] = {}
     for x, t in enumerate(nerve_tuples(g, n)):
         for i in range(n + 1):
             key = (rows[tuple_face(g, t, i)], x)
             out[key] = out.get(key, 0) + (-1) ** i
-    reduced = {key: v % modulus if modulus else v for key, v in out.items()}
-    return {key: v for key, v in reduced.items() if v}
+    return {key: v for key, v in out.items() if v}
 
 
 # -- closed forms -------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The package's public surface: `__all__`, star import, and removed names."""
 
+import inspect
+
 import groupoid_homology
 import groupoid_homology.matrix
 
@@ -22,3 +24,9 @@ def test_public_names_resolve_and_removed_helpers_are_gone():
         assert not hasattr(groupoid_homology, name)
         for module in (groupoid_homology.matrix, groupoid_homology.groupoids, groupoid_homology.uct):
             assert not hasattr(module, name)
+    # chain complexes are over Z only: no Z/q complexes, no residue reduction, no labels
+    assert "modulus" not in inspect.signature(groupoid_homology.moore_complex).parameters
+    for cls in (groupoid_homology.IntegerMatrix, groupoid_homology.SparseMatrix):
+        assert not hasattr(cls, "mod")
+    for attr in ("modulus", "basis_labels"):
+        assert not hasattr(groupoid_homology.FreeChainComplex, attr)

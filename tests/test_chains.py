@@ -115,7 +115,7 @@ def scramble(rng, complex_):
         boundaries.append(
             pairs[n - 1][1].matmul(complex_.boundaries[n].to_dense()).matmul(pairs[n][0])
         )
-    return FreeChainComplex(complex_.dims, boundaries, modulus=complex_.modulus)
+    return FreeChainComplex(complex_.dims, boundaries)
 
 
 def random_disguised(seed, depth=3):
@@ -154,15 +154,6 @@ def test_validation_interior_shape():
         )
 
 
-def test_validation_labels():
-    with pytest.raises(ValueError, match="basis labels do not match dims"):
-        FreeChainComplex(
-            [2],
-            [IntegerMatrix.zeros(0, 2)],
-            basis_labels=[["only-one"]],
-        )
-
-
 def test_validation_square_nonzero():
     # d1 = [1], d2 = [1]: the square is [1], nonzero
     with pytest.raises(ValueError, match="boundary square nonzero at degree 2") as excinfo:
@@ -175,6 +166,11 @@ def test_validation_square_nonzero():
             ],
         )
     assert str(excinfo.value) == "boundary square nonzero at degree 2: column 0 maps to [1]"
+    # d1 = [2], d2 = [3]: the witness is the integer square 6
+    bnds = [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.from_rows([[3]])]
+    with pytest.raises(ValueError) as excinfo:
+        FreeChainComplex([1, 1, 1], bnds)
+    assert str(excinfo.value) == "boundary square nonzero at degree 2: column 0 maps to [6]"
 
 
 def test_validation_square_witness_is_first_nonzero_column():
@@ -189,35 +185,6 @@ def test_validation_square_witness_is_first_nonzero_column():
             ],
         )
     assert str(excinfo.value) == "boundary square nonzero at degree 2: column 2 maps to [1, -2]"
-
-
-def test_validation_negative_modulus():
-    with pytest.raises(ValueError, match="negative modulus"):
-        FreeChainComplex([1], [IntegerMatrix.zeros(0, 1)], modulus=-2)
-
-
-def test_modular_complex_square_vanishes_only_mod_q():
-    # d1 = [2], d2 = [3]: square is 6, zero mod 6 but not over Z
-    dims = [1, 1, 1]
-    bnds = [
-        IntegerMatrix.zeros(0, 1),
-        IntegerMatrix.from_rows([[2]]),
-        IntegerMatrix.from_rows([[3]]),
-    ]
-    with pytest.raises(ValueError, match="boundary square nonzero at degree 2") as excinfo:
-        FreeChainComplex(dims, bnds)
-    assert str(excinfo.value) == "boundary square nonzero at degree 2: column 0 maps to [6]"
-    c = FreeChainComplex(dims, bnds, modulus=6)
-    assert c.modulus == 6
-    assert c.max_degree == 2
-
-
-def test_modular_witness_reports_residues():
-    # d1 = [2], d2 = [3] over Z/4: the square 6 is the residue 2
-    bnds = [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.from_rows([[3]])]
-    with pytest.raises(ValueError) as excinfo:
-        FreeChainComplex([1, 1, 1], bnds, modulus=4)
-    assert str(excinfo.value) == "boundary square nonzero at degree 2: column 0 maps to [2]"
 
 
 def test_corrupted_sparse_boundary_raises_under_optimize_flag():
@@ -411,24 +378,6 @@ def test_class_coords_rejects_non_cycles_and_bad_shapes():
         res.class_coords([1])
     with pytest.raises(ValueError, match="shape mismatch"):
         res.class_coords([2, 0])
-    # over Z/6 with ∂_2 = (3), ∂∘∂ = 6 vanishes only mod 6, so the chain 3
-    # (boundary 6) lifts to (3; -1), not (3; 0)
-    c6 = FreeChainComplex(
-        [1, 1, 1],
-        [
-            IntegerMatrix.zeros(0, 1),
-            IntegerMatrix.from_rows([[2]]),
-            IntegerMatrix.from_rows([[3]]),
-        ],
-        modulus=6,
-    )
-    res = homology_mod(c6, 6, 1)
-    assert res.group.is_trivial()
-    assert res.class_coords([3]) == ()
-    with pytest.raises(ValueError, match="not a cycle"):
-        res.class_coords([1])
-    with pytest.raises(ValueError, match="shape mismatch"):
-        res.class_coords([])
 
 
 def test_degree_bounds():
@@ -441,6 +390,8 @@ def test_degree_bounds():
         homology_mod(c, 3, 2)
     with pytest.raises(ValueError, match="degree exceeds trusted truncation"):
         homology_group(c, 2)
+    with pytest.raises(ValueError, match="negative modulus"):
+        homology_mod(c, -1, 0)
 
 
 def test_integral_routes_agree_on_random_complexes():
@@ -487,23 +438,6 @@ def test_mod_q_matches_enumeration_random(seed):
                 _oracle_check(c, q, n)
 
 
-def test_mod_q_on_complex_over_z_mod_q():
-    # boundary square vanishes only mod 6; homology mod 6 is still well defined
-    c = FreeChainComplex(
-        [1, 1, 1],
-        [
-            IntegerMatrix.zeros(0, 1),
-            IntegerMatrix.from_rows([[2]]),
-            IntegerMatrix.from_rows([[3]]),
-        ],
-        modulus=6,
-    )
-    res0 = _oracle_check(c, 6, 0)
-    res1 = _oracle_check(c, 6, 1)
-    assert res0.group == FinAbGroup(0, (2,))
-    assert res1.group.is_trivial()
-
-
 def test_mod_q_representative_properties():
     c, _ = random_disguised(3, depth=2)
     q = 4
@@ -545,44 +479,17 @@ def test_representatives_on_the_corpus(name_and_groupoid):
                 assert res.class_coords([a + b for a, b in zip(rep, noise)]) == unit
 
 
-def test_homology_errors_on_modulus_mismatch():
-    c = FreeChainComplex(
-        [1, 1],
-        [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[3]])],
-        modulus=3,
-    )
-    with pytest.raises(ValueError, match="integral homology needs a complex over Z"):
-        homology_int(c, 0)
-    with pytest.raises(ValueError, match="integral homology needs a complex over Z"):
-        homology_group(c, 0)
-    with pytest.raises(ValueError, match="modulus mismatch: complex over Z/3, homology over Z/2"):
-        homology_mod(c, 2, 0)
-    with pytest.raises(ValueError, match="negative modulus"):
-        homology_mod(klein_complex(), -1, 0)
-
-
 # -- Z/q iso types from the mapping cone of q -----------------------------------------
 
 
 @pytest.mark.parametrize("name_and_groupoid", corpus(), ids=lambda item: item[0])
 def test_cone_route_matches_homology_mod_on_the_corpus(name_and_groupoid):
-    # complexes over Z and over Z/q; the latter's ∂∘∂ is nonzero over Z on
-    # most of the corpus, which the lower-left block of the cone must absorb
     name, g = name_and_groupoid
-    plain = moore_complex(g, 3)
-    square_nonzero = 0
+    c = moore_complex(g, 3)
     for q in range(1, 13):
-        reduced = moore_complex(g, 3, modulus=q)
-        square_nonzero += any(
-            not reduced.boundaries[n].matmul(reduced.boundaries[n + 1]).is_zero()
-            for n in range(1, 3)
-        )
-        for c in (plain, reduced):
-            for n in range(3):
-                assert homology_group(c, n, q) == homology_mod(c, q, n).group, (name, q, n)
-    assert homology_group(plain, 1, 0) == homology_int(plain, 1).group
-    if name in ("cyclic(3)", "pair(3)", "action(4, swap)"):
-        assert square_nonzero >= 6, name
+        for n in range(3):
+            assert homology_group(c, n, q) == homology_mod(c, q, n).group, (name, q, n)
+    assert homology_group(c, 1, 0) == homology_int(c, 1).group
 
 
 def test_cone_route_errors():
@@ -593,22 +500,7 @@ def test_cone_route_errors():
         homology_group(c, -1, 2)
     with pytest.raises(ValueError, match="degree exceeds trusted truncation"):
         homology_group(c, 2, 2)
-    over_z6 = FreeChainComplex(
-        [1, 1, 1],
-        [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.from_rows([[3]])],
-        modulus=6,
-    )
-    assert homology_group(over_z6, 0, 6) == FinAbGroup(0, (2,))
-    assert homology_group(over_z6, 1, 6).is_trivial()
-    with pytest.raises(ValueError, match="modulus mismatch: complex over Z/6, homology over Z/4"):
-        homology_group(over_z6, 1, 4)
-    with pytest.raises(ValueError, match="integral homology needs a complex over Z"):
-        homology_group(over_z6, 1, 0)
-    # boundaries corrupted after validation: 2 * 4 = 8 is not zero mod 6 ...
-    over_z6.boundaries[2] = SparseMatrix.from_dense(IntegerMatrix.from_rows([[4]]))
-    with pytest.raises(ValueError, match="boundary square nonzero mod 6 at degree 2"):
-        homology_group(over_z6, 1, 6)
-    # ... and over Z, 2 * 3 = 6 != 0 gives the cone an extra rank
+    # boundaries corrupted after validation: 2 * 3 = 6 != 0 gives the cone an extra rank
     over_z = FreeChainComplex(
         [1, 1, 1],
         [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(1, 1)],
@@ -654,16 +546,15 @@ def test_cone_free_rank_check_raises_under_optimize_flag():
 def test_cone_clearing_does_not_mask_a_corrupted_cleared_row(monkeypatch):
     # a row of ∂_3 that clearing skips in the cone F_2 (where it is row
     # dims[1] + i, at a unit low of F_1), corrupted after validation under
-    # `python -O`, must still make the Z/q route raise, over Z and over Z/4
+    # `python -O`, must still make the Z/q route raise
     cleared = []
     real_reduce = matrix_module._reduce
     monkeypatch.setattr(
         matrix_module, "_reduce", lambda m, skip, defer: cleared.append(skip) or real_reduce(m, skip, defer)
     )
-    for modulus in (0, 4):
-        c = moore_complex(one_object_cyclic(3), 3, modulus=modulus)
-        homology_group(c, 2, 4)
-    skipped = {i - c.dims[1] for i in cleared[2] & cleared[5] if i >= c.dims[1]}
+    c = moore_complex(one_object_cyclic(3), 3)
+    homology_group(c, 2, 4)
+    skipped = {i - c.dims[1] for i in cleared[2] if i >= c.dims[1]}
     assert skipped
     program = "\n".join(
         [
@@ -671,15 +562,14 @@ def test_cone_clearing_does_not_mask_a_corrupted_cleared_row(monkeypatch):
             "from groupoid_homology import homology_group, moore_complex, one_object_cyclic",
             "if not sys.flags.optimize:",
             "    raise SystemExit('child is not optimized')",
-            "for modulus in (0, 4):",
-            "    c = moore_complex(one_object_cyclic(3), 3, modulus=modulus)",
-            "    print(homology_group(c, 2, 4))",
-            f"    row = c.boundaries[3]._dicts[{min(skipped)}]",
-            "    row[min(row)] += 1",
-            "    try:",
-            "        homology_group(c, 2, 4)",
-            "    except ValueError as e:",
-            "        print(e)",
+            "c = moore_complex(one_object_cyclic(3), 3)",
+            "print(homology_group(c, 2, 4))",
+            f"row = c.boundaries[3]._dicts[{min(skipped)}]",
+            "row[min(row)] += 1",
+            "try:",
+            "    homology_group(c, 2, 4)",
+            "except ValueError as e:",
+            "    print(e)",
         ]
     )
     proc = subprocess.run(
@@ -691,9 +581,9 @@ def test_cone_clearing_does_not_mask_a_corrupted_cleared_row(monkeypatch):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == lines[2] == "0"  # H_2(Z/3; Z/4) before the corruption
+    assert lines[0] == "0"  # H_2(Z/3; Z/4) before the corruption
     assert lines[1].startswith("boundary square nonzero: the cone of 4 in degree 2 has rank ")
-    assert lines[3] == "boundary square nonzero mod 4 at degree 3"
+    assert len(lines) == 2
 
 
 # -- representatives from the recorded column reduction ---------------------------------
@@ -821,17 +711,16 @@ def test_sweep_matches_oracles_on_relabelled_corpus(name_and_groupoid):
 
 @pytest.mark.parametrize("name_and_groupoid", corpus(), ids=[n for n, _ in corpus()])
 def test_sweep_matches_oracles_on_cones(name_and_groupoid):
-    # the cones F_0..F_2 of q = 1..12, over Z and over Z/q: consecutive
-    # products vanish, and rank F_n = dims[n]
+    # the cones F_0..F_2 of q = 1..12: consecutive products vanish, and
+    # rank F_n = dims[n]
     name, g = name_and_groupoid
-    plain = moore_complex(g, 3)
+    c = moore_complex(g, 3)
     for q in range(1, 13):
-        for c in (plain, moore_complex(g, 3, modulus=q)):
-            cones = _cones(c, q, 2)
-            assert all(a.matmul(b).is_zero() for a, b in zip(cones, cones[1:])), (name, q)
-            swept = sweep_invariant_factors(cones)
-            assert swept == [_oracle_factors(f) for f in cones], (name, q, c.modulus)
-            assert [len(f) for f in swept] == c.dims[:3], (name, q, c.modulus)
+        cones = _cones(c, q, 2)
+        assert all(a.matmul(b).is_zero() for a, b in zip(cones, cones[1:])), (name, q)
+        swept = sweep_invariant_factors(cones)
+        assert swept == [_oracle_factors(f) for f in cones], (name, q)
+        assert [len(f) for f in swept] == c.dims[:3], (name, q)
 
 
 # -- direct sums ---------------------------------------------------------------------
@@ -852,22 +741,6 @@ def test_shift_sum_dims_and_homology():
 def test_shift_sum_single_and_labels():
     c = klein_complex()
     assert shift_sum([c]).dims == c.dims
-    la = FreeChainComplex(
-        [1, 1],
-        [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[0]])],
-        basis_labels=[["a0"], ["a1"]],
-    )
-    lb = FreeChainComplex(
-        [2, 1],
-        [IntegerMatrix.zeros(0, 2), IntegerMatrix.from_rows([[0], [0]])],
-        basis_labels=[["b0", "b1"], ["b2"]],
-    )
-    total = shift_sum([la, lb])
-    assert total.basis_labels[0] == [(0, "a0"), (1, "b0"), (1, "b1")]
-    assert total.basis_labels[1] == [(0, "a1"), (1, "b2")]
-    # labels drop out when any summand lacks them
-    unlabeled = FreeChainComplex.zero_boundaries([1, 1])
-    assert shift_sum([la, unlabeled]).basis_labels is None
 
 
 def test_shift_sum_errors():
@@ -875,10 +748,6 @@ def test_shift_sum_errors():
         shift_sum([])
     with pytest.raises(ValueError, match="mixed truncation depth"):
         shift_sum([klein_complex(), FreeChainComplex.zero_boundaries([1, 1])])
-    mod3 = FreeChainComplex([1, 1], [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[3]])], modulus=3)
-    plain = FreeChainComplex.zero_boundaries([1, 1])
-    with pytest.raises(ValueError, match="modulus mismatch in direct sum"):
-        shift_sum([mod3, plain])
 
 
 # -- serialization -------------------------------------------------------------------
@@ -900,23 +769,6 @@ def test_json_roundtrip_plain():
         assert homology_group(back, n) == expected[n]
 
 
-def test_json_roundtrip_modulus():
-    c = FreeChainComplex(
-        [1, 1, 1],
-        [
-            IntegerMatrix.zeros(0, 1),
-            IntegerMatrix.from_rows([[2]]),
-            IntegerMatrix.from_rows([[3]]),
-        ],
-        modulus=6,
-    )
-    data = c.to_json()
-    assert data["modulus"] == 6
-    back = FreeChainComplex.from_json(data)
-    assert back.modulus == 6
-    assert back.boundaries[1] == c.boundaries[1]
-
-
 def test_from_json_shape_error():
     with pytest.raises(ValueError, match="boundary count does not match dims"):
         FreeChainComplex.from_json({"dims": [1, 1], "boundaries": [[]]})
@@ -936,9 +788,10 @@ def test_from_json_shape_error():
         ({"dims": [True], "boundaries": [[]]}, "'dims' entries must be integers"),
         ({"dims": [1, 1], "boundaries": [[], ["2"]]}, "'boundaries' entries must be integers"),
         ({"dims": [1, 1], "boundaries": [[], [1.0]]}, "'boundaries' entries must be integers"),
-        ({"dims": [1], "boundaries": [[]], "modulus": "2"}, "'modulus' must be an integer"),
-        ({"dims": [1], "boundaries": [[]], "modulus": 2.0}, "'modulus' must be an integer"),
-        ({"dims": [1], "boundaries": [[]], "modulus": None}, "'modulus' must be an integer"),
+        ({"dims": [1], "boundaries": [[]], "modulus": "2"}, "unknown key 'modulus'"),
+        ({"dims": [1], "boundaries": [[]], "modulus": 2.0}, "unknown key 'modulus'"),
+        ({"dims": [1], "boundaries": [[]], "modulus": None}, "unknown key 'modulus'"),
+        ({"dims": [1], "boundaries": [[]], "modulus": 3}, "unknown key 'modulus'"),
     ],
 )
 def test_from_json_rejects_without_coercing(data, message):

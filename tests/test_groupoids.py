@@ -17,6 +17,7 @@ import pytest
 from groupoid_homology import (
     FinAbGroup,
     FiniteGroupoid,
+    FreeChainComplex,
     IntegerMatrix,
     SparseMatrix,
     action,
@@ -317,39 +318,16 @@ def test_boundary_is_alternating_face_sum(g):
         assert total == c.boundaries[n].to_dense()
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-@pytest.mark.parametrize("g", [one_object_cyclic(4), pair(2), action(2, [1, 0])])
-def test_boundary_mod_q_is_reduced_alternating_face_sum(g, q):
-    c = moore_complex(g, 3, modulus=q)
-    for n in (1, 2, 3):
-        total = IntegerMatrix.zeros(c.dims[n - 1], c.dims[n])
-        for i in range(n + 1):
-            total = total + pushforward(g, n, i) * (-1) ** i
-        assert total.mod(q) == c.boundaries[n].to_dense()
-
-
-@pytest.mark.parametrize("g", [one_object_cyclic(4), one_object_cyclic(6), pair(3)])
-def test_mod_two_complex_stores_no_zero_residue(g):
-    plain = moore_complex(g, 3)
-    reduced = moore_complex(g, 3, modulus=2)
-    for n in range(4):
-        b = reduced.boundaries[n]
-        assert isinstance(b, SparseMatrix)
-        assert b.entries == plain.boundaries[n].to_dense().mod(2).entries
-        assert b.nnz == sum(x != 0 for x in b.entries)
-
-
 @pytest.mark.parametrize("name_and_groupoid", corpus(), ids=[n for n, _ in corpus()])
 def test_moore_boundaries_match_tuple_oracle(name_and_groupoid):
     # the face tables against plain tuples, on arrows renumbered two ways
     name, g = name_and_groupoid
     for seed in (1, 2):
         h = relabelled(g, seed)
-        for q in (0, 2, 4):
-            c = moore_complex(h, 4, modulus=q, budget=None)
-            for n in range(1, 5):
-                stored = {(y, x): v for y, r in enumerate(c.boundaries[n]._dicts) for x, v in r.items()}
-                assert stored == oracles.moore_boundary(h, n, q), (name, seed, q, n)
+        c = moore_complex(h, 4, budget=None)
+        for n in range(1, 5):
+            stored = {(y, x): v for y, r in enumerate(c.boundaries[n]._dicts) for x, v in r.items()}
+            assert stored == oracles.moore_boundary(h, n), (name, seed, n)
 
 
 # -- Moore complex -------------------------------------------------------------------
@@ -360,12 +338,9 @@ def test_moore_complex_shape_and_labels():
     g = one_object_cyclic(2)
     c = moore_complex(g, 3)
     assert c.dims == [1, 2, 4, 8]
-    assert c.modulus == 0
-    assert c.basis_labels is None
+    assert FreeChainComplex.__slots__ == ("dims", "boundaries")
     with pytest.raises(ValueError, match="max degree must be >= 1"):
         moore_complex(g, 0)
-    with pytest.raises(ValueError, match="negative modulus"):
-        moore_complex(g, 2, modulus=-1)
 
 
 def test_moore_complex_budget():
@@ -492,17 +467,6 @@ def test_face_table_fault_raises_under_optimize_flag(setup, fault):
     assert "ValueError: boundary square nonzero at degree " in proc.stderr
 
 
-def test_moore_complex_modulus_reduces_entries():
-    g = one_object_cyclic(4)
-    plain = moore_complex(g, 3)
-    reduced = moore_complex(g, 3, modulus=3)
-    assert reduced.modulus == 3
-    for n in range(4):
-        assert reduced.boundaries[n] == plain.boundaries[n].mod(3)
-        assert all(0 <= x < 3 for x in reduced.boundaries[n].entries)
-    # homology mod q agrees whether or not the complex was pre-reduced
-    for n in range(3):
-        assert homology_mod(reduced, 3, n).group == homology_mod(plain, 3, n).group
 
 
 # -- frozen homology -----------------------------------------------------------------
@@ -691,7 +655,7 @@ def test_random_union_mod_q_vs_enumeration(seed):
     for p in parts[1:]:
         g = disjoint_union(g, p)
     q = rng.choice([2, 3, 4])
-    c = moore_complex(g, 3, modulus=0)
+    c = moore_complex(g, 3)
     for n in range(3):
         if q ** c.dims[n] > 10**6:
             continue

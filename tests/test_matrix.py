@@ -524,10 +524,6 @@ def test_sparse_matmul_and_mod_match_dense(seed):
     assert (product.rows, product.cols) == (r, m)
     assert raw_rows(product) == triple_loop_product(a, b, k, m)
     assert product.nnz == sum(x != 0 for x in product.entries)  # no zero is stored
-    for q in (1, 2, 3):
-        reduced = product.mod(q)
-        assert reduced.to_dense() == product.to_dense().mod(q)
-        assert reduced.nnz == sum(x != 0 for x in reduced.entries)
     assert raw_rows(left) == a and raw_rows(right) == b
 
 
@@ -561,8 +557,6 @@ def test_sparse_errors_and_equality():
         s.matmul(s)
     with pytest.raises(ValueError, match="shape mismatch"):
         s.mul_vector([1, 2])
-    with pytest.raises(ValueError, match="modulus must be >= 1"):
-        s.mod(0)
     with pytest.raises(IndexError):
         s[0, 3]
     with pytest.raises(ValueError, match="negative matrix dimensions"):
@@ -592,7 +586,6 @@ def test_basic_arithmetic_identities():
         [[rng.randint(-5, 5) for _ in range(4)] for _ in range(a.cols)], cols=4
     )
     assert (a + b) - b == a
-    assert (a * 3).mod(3).is_zero()
     assert a.matmul(c).transpose() == c.transpose().matmul(a.transpose())
     v = [rng.randint(-5, 5) for _ in range(a.cols)]
     assert a.mul_vector(v) == [sum(a[i, j] * v[j] for j in range(a.cols)) for i in range(a.rows)]
