@@ -250,7 +250,7 @@ def group_of(m: IntegerMatrix) -> "FinAbGroup":
 
     >>> group_of(IntegerMatrix.from_rows([[3]]))
     FinAbGroup(rank=0, torsion=(3,))
-    >>> group_of(IntegerMatrix.zeros(2, 1)).rank
+    >>> group_of(IntegerMatrix(2, 1)).rank
     2
     """
     factors = invariant_factors(m)
@@ -358,7 +358,7 @@ class PresentedGroup:
         cols = [j for j, q in enumerate(self.orders) if q]
         rel = IntegerMatrix(self.generators, len(cols))
         for c, j in enumerate(cols):
-            rel._rows[j][c] = self.orders[j]
+            rel._dicts[j][c] = self.orders[j]
         return rel
 
     def group(self) -> FinAbGroup:
@@ -421,9 +421,9 @@ class GroupHom:
                 f"{source.generators} -> {target.generators} generators"
             )
         if not all(
-            _in_relations(t, s * x)
-            for t, row in zip(target.orders, matrix._rows)
-            for s, x in zip(source.orders, row)
+            _in_relations(t, source.orders[j] * x)
+            for t, row in zip(target.orders, matrix._dicts)
+            for j, x in row.items()
         ):
             raise ValueError("homomorphism does not respect relations")
         self.source = source
@@ -432,7 +432,7 @@ class GroupHom:
 
     @classmethod
     def zero(cls, source: PresentedGroup, target: PresentedGroup) -> "GroupHom":
-        return cls(source, target, IntegerMatrix.zeros(target.generators, source.generators))
+        return cls(source, target, IntegerMatrix(target.generators, source.generators))
 
     @classmethod
     def from_columns(cls, source: PresentedGroup, target: PresentedGroup,
@@ -444,7 +444,9 @@ class GroupHom:
     def is_zero(self) -> bool:
         """Is this the zero map of presented groups (not just the zero matrix)?"""
         return all(
-            _in_relations(t, x) for t, row in zip(self.target.orders, self.matrix._rows) for x in row
+            _in_relations(t, x)
+            for t, row in zip(self.target.orders, self.matrix._dicts)
+            for x in row.values()
         )
 
     def compose(self, first: "GroupHom") -> "GroupHom":
@@ -461,7 +463,7 @@ def middle_homology(f: GroupHom, g: GroupHom) -> FinAbGroup:
     """Iso type of ker(g)/im(f) at the node f.target = g.source.
 
     With T and M the relation matrices of g.target and of the node, this is
-    H_1 of the free complex with d1 = [g | -T] and d2 = [f | M ; T⁻¹·g·(f | M)].
+    H_1 of the free complex with d1 = [g | T] and d2 = [f | M ; -T⁻¹·g·(f | M)].
     T has full column rank, so ker d1 projects isomorphically onto
     ker g = {x : g·x in col-span T}, and d2's columns are the lifts of im f
     and of the node's relations.  H_1 is read off invariant factors as in
@@ -481,13 +483,13 @@ def middle_homology(f: GroupHom, g: GroupHom) -> FinAbGroup:
         raise ValueError("mismatched node")
     image = IntegerMatrix.hstack([f.matrix, g.source.relations])
     lower = []
-    for t, row in zip(g.target.orders, g.matrix.matmul(image)._rows):
-        if not all(_in_relations(t, x) for x in row):
+    for t, row in zip(g.target.orders, g.matrix.matmul(image)._dicts):
+        if not all(_in_relations(t, x) for x in row.values()):
             raise ValueError("composite nonzero")
         if t:
-            lower.append([x // t for x in row])
-    d1 = IntegerMatrix.hstack([g.matrix, -g.target.relations])
-    d2 = IntegerMatrix.vstack([image, IntegerMatrix.from_rows(lower, cols=image.cols)])
+            lower.append({j: -x // t for j, x in row.items()})
+    d1 = IntegerMatrix.hstack([g.matrix, g.target.relations])
+    d2 = IntegerMatrix.vstack([image, IntegerMatrix._wrap(len(lower), image.cols, lower)])
     image_factors, factors = sweep_invariant_factors([d1, d2])  # d1·d2 = 0, checked above
     free = d1.cols - len(image_factors) - len(factors)
     return FinAbGroup(free, [d for d in factors if d >= 2])

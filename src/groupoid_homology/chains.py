@@ -24,7 +24,6 @@ from typing import Sequence
 from .abelian import FinAbGroup, PresentedGroup, _json_ints, _json_list, _json_object
 from .matrix import (
     IntegerMatrix,
-    SparseMatrix,
     echelon_coordinates,
     reduce_columns,
     smith_normal_form,
@@ -37,21 +36,35 @@ class FreeChainComplex:
 
     `boundaries[n]` maps degree n to degree n-1 and has shape
     dims[n-1] x dims[n]; `boundaries[0]` is the 0 x dims[0] zero map.  Every
-    boundary is stored as a `SparseMatrix`: an `IntegerMatrix` handed to the
-    constructor is converted once, and code that needs dense arithmetic calls
-    `to_dense()`.  ∂∘∂ = 0 is checked on construction by a sparse product.
+    boundary is an `IntegerMatrix`, whose row dicts store no zero, and
+    ∂∘∂ = 0 is checked on construction by a sparse product.
     The complex is over Z: Z/q homology comes from it through the mapping
     cone of q (`homology_groups`) or [∂ | qI] (`homology_results`).
     """
 
     __slots__ = ("dims", "boundaries")
 
-    def __init__(self, dims: Sequence[int], boundaries: Sequence[SparseMatrix | IntegerMatrix]):
+    def __init__(self, dims: Sequence[int], boundaries: Sequence[IntegerMatrix]):
         self.dims = list(dims)
-        self.boundaries = [
-            b if isinstance(b, SparseMatrix) else SparseMatrix.from_dense(b) for b in boundaries
-        ]
+        self.boundaries = list(boundaries)
         self.validate()
+
+    @classmethod
+    def _trusted(cls, dims: Sequence[int], boundaries: Sequence[IntegerMatrix]) -> "FreeChainComplex":
+        """A complex whose ∂∘∂ = 0 the caller proves: the shapes are checked, the square is not.
+
+        For `mv._subcomplex`: a piece C(G|U) is a sub-block of the checked
+        ambient complex, and `MvChainSes._verify` checks that α and β are
+        chain maps.  β is injective on each piece (its columns there are
+        distinct unit vectors) and α is split injective, so ∂∘∂ = 0 on every
+        piece: for a piece-1 chain y, β(∂¹∂¹y, 0) = ∂∂βy = 0, likewise for
+        piece 2, and α∂¹²∂¹² = (∂¹∂¹ ⊕ ∂²∂²)α = 0 for the intersection.
+        """
+        complex_ = cls.__new__(cls)
+        complex_.dims = list(dims)
+        complex_.boundaries = list(boundaries)
+        complex_._check_shapes()
+        return complex_
 
     @property
     def max_degree(self) -> int:
@@ -59,6 +72,17 @@ class FreeChainComplex:
 
     def validate(self) -> None:
         """Check shape coherence and ∂∘∂ = 0; raise ValueError otherwise."""
+        self._check_shapes()
+        for n in range(2, len(self.dims)):
+            square = self.boundaries[n - 1].matmul(self.boundaries[n])
+            if not square.is_zero():
+                witness = min(j for row in square._dicts for j in row)
+                raise ValueError(
+                    f"boundary square nonzero at degree {n}: column {witness} "
+                    f"maps to {square.column(witness)}"
+                )
+
+    def _check_shapes(self) -> None:
         if not self.dims:
             raise ValueError("shape mismatch: empty complex")
         if any(d < 0 for d in self.dims):
@@ -76,20 +100,12 @@ class FreeChainComplex:
                     f"shape mismatch: boundary {n} is {b.rows}x{b.cols}, "
                     f"expected {self.dims[n - 1]}x{self.dims[n]}"
                 )
-        for n in range(2, len(self.dims)):
-            square = self.boundaries[n - 1].matmul(self.boundaries[n])
-            if not square.is_zero():
-                witness = min(j for row in square._dicts for j in row)
-                raise ValueError(
-                    f"boundary square nonzero at degree {n}: column {witness} "
-                    f"maps to {square.column(witness)}"
-                )
 
     @classmethod
     def zero_boundaries(cls, dims: Sequence[int]) -> "FreeChainComplex":
         """Complex with the given dims and all-zero boundary maps."""
         dims = list(dims)
-        boundaries = [SparseMatrix(dims[n - 1] if n else 0, dims[n]) for n in range(len(dims))]
+        boundaries = [IntegerMatrix(dims[n - 1] if n else 0, dims[n]) for n in range(len(dims))]
         return cls(dims, boundaries)
 
     def to_json(self) -> dict:
@@ -130,7 +146,7 @@ def shift_sum(complexes: Sequence[FreeChainComplex]) -> FreeChainComplex:
     if any(c.max_degree != depth for c in complexes):
         raise ValueError("mixed truncation depth")
     dims = [sum(c.dims[n] for c in complexes) for n in range(depth + 1)]
-    boundaries = [SparseMatrix.block_diag([c.boundaries[n] for c in complexes]) for n in range(depth + 1)]
+    boundaries = [IntegerMatrix.block_diag([c.boundaries[n] for c in complexes]) for n in range(depth + 1)]
     return FreeChainComplex(dims, boundaries)
 
 
@@ -171,18 +187,23 @@ class HomologyResult:
         rest = [low for low in sorted(self._basis) if low not in units]
         others = [x for x in coords if not x.keys() <= units]
         rel = smith_normal_form(
-            IntegerMatrix._wrap([[x.get(low, 0) for x in others] for low in rest], len(others)),
+            IntegerMatrix.from_rows([[x.get(low, 0) for x in others] for low in rest], cols=len(others)),
             transforms=("U", "uinv"),
         )
         orders = rel.diag + [0] * (len(rest) - len(rel.diag))
         kept = [i for i, d in enumerate(orders) if d != 1]
-        self._uw = [dict(zip(rest, rel.U.row(i))) for i in kept]
+        self._uw = [{rest[k]: u for k, u in rel.U._dicts[i].items()} for i in kept]
         self._orders = [orders[i] for i in kept]
         self.group = FinAbGroup.from_cyclic_orders(self._orders)
         self.presentation = PresentedGroup.from_diagonal(self._orders)
-        lattice = [[self._basis[low].get(j, 0) for low in rest] for j in range(dims[n])]
-        gens = IntegerMatrix._wrap(lattice, len(rest)).matmul(rel.uinv)
-        self.cycle_reps = [gens.column(i) for i in kept]
+        reps = {i: [0] * dims[n] for i in kept}  # column i of (K's basis at `rest`) · U⁻¹
+        for low, row in zip(rest, rel.uinv._dicts):
+            for i, c in row.items():
+                if i in reps:
+                    rep = reps[i]
+                    for j, v in self._basis[low].items():
+                        rep[j] += c * v
+        self.cycle_reps = list(reps.values())
 
     def _sparse(self, chain: Sequence[int]) -> dict[int, int]:
         if len(chain) != self._dims[0]:
@@ -255,8 +276,8 @@ def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
     trivial group.  With ∂_1 = (2) and ∂_2 = 0, H_1(;Z/4) is Tor(Z/2, Z/4),
     carried by the chain 2 whose boundary 4 vanishes only mod 4:
 
-    >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix.zeros(0, 1),
-    ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(1, 1)])
+    >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix(0, 1),
+    ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix(1, 1)])
     >>> h = homology_mod(c, 4, 1)
     >>> str(h.group), h.cycle_reps, h.class_coords([6])
     ('Z/2', [[2]], (1,))
@@ -327,8 +348,8 @@ def homology_group(complex_: FreeChainComplex, n: int, q: int = 0) -> FinAbGroup
     cones and their n products), so a low degree costs a little more than
     factoring its own two matrices would, and the top degree much less.
 
-    >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix.zeros(0, 1),
-    ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(1, 1)])
+    >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix(0, 1),
+    ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix(1, 1)])
     >>> str(homology_group(c, 1, 4))  # ∂_1 = (2): Tor(Z/2, Z/4)
     'Z/2'
     """
@@ -362,7 +383,7 @@ def homology_groups(complex_: FreeChainComplex, q: int = 0, top: int | None = No
             for n in range(top + 1)
         ]
     cones = _cones(complex_, q, top)
-    runs: list[list[SparseMatrix]] = [[]]
+    runs: list[list[IntegerMatrix]] = [[]]
     for n, cone in enumerate(cones):
         if n and not cones[n - 1].matmul(cone).is_zero():
             runs.append([])
@@ -377,7 +398,7 @@ def homology_groups(complex_: FreeChainComplex, q: int = 0, top: int | None = No
     return [FinAbGroup(0, [d for d in f if d >= 2]) for f in factors]
 
 
-def _cones(complex_: FreeChainComplex, q: int, top: int) -> list[SparseMatrix]:
+def _cones(complex_: FreeChainComplex, q: int, top: int) -> list[IntegerMatrix]:
     """The cone's F_0..F_top, as `homology_groups` states them."""
     bnds = complex_.boundaries[:top + 2]
     cones = []
@@ -385,5 +406,5 @@ def _cones(complex_: FreeChainComplex, q: int, top: int) -> list[SparseMatrix]:
         shift = here.cols
         top_rows = [{j: -v for j, v in r.items()} for r in here._dicts]
         bottom = [{i: q, **{shift + j: v for j, v in r.items()}} for i, r in enumerate(above._dicts)]
-        cones.append(SparseMatrix._wrap(here.rows + here.cols, shift + above.cols, top_rows + bottom))
+        cones.append(IntegerMatrix._wrap(here.rows + here.cols, shift + above.cols, top_rows + bottom))
     return cones

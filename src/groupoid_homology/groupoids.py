@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .abelian import _json_ints, _json_list, _json_object
 from .chains import FreeChainComplex
-from .matrix import SparseMatrix
+from .matrix import IntegerMatrix
 
 # The nerve budget: basis elements over all degrees, checked on level sizes
 # counted from the arrow tables, up to the first degree over it, before any
@@ -339,10 +339,11 @@ def _level_sizes(g: FiniteGroupoid, n: int) -> Iterator[int]:
         yield sum(counts.values())
 
 
-def _alternating_sum(rows: int, cols: int, columns: Iterable[tuple[int, ...]]) -> SparseMatrix:
+def _alternating_sum(rows: int, cols: int, columns: Iterable[tuple[int, ...]]) -> IntegerMatrix:
     """The matrix whose column x is the sum of (-1)^i e_{f_i} over the faces
-    f_0, f_1, ... that `columns` yields for x; repeated faces add up."""
-    b = SparseMatrix(rows, cols)
+    f_0, f_1, ... that `columns` yields for x; repeated faces add up, and an
+    entry that cancels is deleted from its row dict, so no zero is stored."""
+    b = IntegerMatrix(rows, cols)
     dicts = b._dicts
     for x, fs in enumerate(columns):
         sign = 1
@@ -379,7 +380,7 @@ def moore_complex(
     Only the level below's tables are kept, and the top level's faces are
     never stored.
 
-    Each boundary is a `SparseMatrix` over Z: a column holds at most n+1
+    Each boundary is an `IntegerMatrix` over Z: a column holds at most n+1
     entries, and an entry that cancels is not stored.  The total
     number of basis elements across degrees is capped by `budget`, checked
     on counted sizes before any table is built, so the boundaries hold at
@@ -395,7 +396,7 @@ def moore_complex(
     unit = {u: i for i, u in enumerate(g.units)}
     into = [g.arrows_into(s) for s in g.source]  # the arrows that can follow b, by rank
     faces = [[unit[s] for s in g.source], [unit[r] for r in g.range_]]
-    boundaries = [SparseMatrix(0, dims[0]), _alternating_sum(dims[0], dims[1], zip(*faces))]
+    boundaries = [IntegerMatrix(0, dims[0]), _alternating_sum(dims[0], dims[1], zip(*faces))]
     if max_degree > 1:  # these tables have dims[2] entries, counted by the budget
         rank = [0] * g.arrows
         for u in g.units:

@@ -1,15 +1,15 @@
 """Exact integer matrices and Smith normal form.
 
 Everything here is plain unbounded-integer arithmetic: no floats, no
-machine-word moduli.  Two storages share one read interface: `IntegerMatrix`
-keeps dense lists of rows for the transforms, products and lattice work, and
-`SparseMatrix` keeps one {column: value} dict per row, with no zero stored,
-for the chain-complex boundaries.  `sweep_invariant_factors` factors a
-chain of matrices with zero products in one row reduction of those row dicts
-with clearing (its docstring gives the pivot rule, the Euclid step, the
-clearing condition and the Schur remainder), and hands only a small
-remainder to `smith_normal_form`, the one pivot loop.  Both `matmul`s cost
-O(nonzero pairs) multiply-adds.  `reduce_columns` is the one integer column
+machine-word moduli.  There is one matrix type: `IntegerMatrix` keeps one
+{column: value} dict per row, with no zero stored, for chain-complex
+boundaries, transforms and homomorphisms alike, and its `matmul` costs
+O(nonzero pairs) multiply-adds.  `sweep_invariant_factors` factors a chain
+of matrices with zero products in one row reduction of copies of those row
+dicts with clearing (its docstring gives the pivot rule, the Euclid step,
+the clearing condition and the Schur remainder), and hands only a small
+remainder to `smith_normal_form`, the one pivot loop, which works on private
+dense copies of the rows.  `reduce_columns` is the one integer column
 echelon (Euclid at equal lows, optionally recording the column operations):
 its pivots are a basis of the lattice the columns generate, and
 `echelon_coordinates` back-substitutes a vector over them, which decides
@@ -24,33 +24,45 @@ from typing import Container, Sequence
 
 
 class IntegerMatrix:
-    """A rows x cols matrix of unbounded integers.
+    """A rows x cols matrix of unbounded integers, one {column: value} dict per row.
 
-    Treated as immutable by convention: none of the public methods mutate
-    `self`, and hot internal algorithms work on copies of the row lists.
+    Zeros are never stored, so a Moore boundary costs at most n+1 entries per
+    column, and `nnz`, `is_zero` and `==` read the dicts alone; `row` and
+    `column` return dense lists.  `matmul` costs O(nonzero pairs)
+    multiply-adds, and `hstack`, `vstack` and `block_diag` lay blocks side
+    by side, on top of each other or down the diagonal.  Treated as immutable
+    by convention: no public method mutates `self`.
+
+    >>> m = IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]])
+    >>> m.nnz, m[1, 2], m.row(0), m.column(2)
+    (3, 2, [1, 0, -1], [-1, 2])
+    >>> m.matmul(IntegerMatrix(3, 1, [1, 0, 1])).column(0)
+    [0, 2]
+    >>> IntegerMatrix.block_diag([m, m]).row(3)
+    [0, 0, 0, 0, 0, 2]
     """
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_dicts")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int] | None = None):
+        """The matrix of the row-major `entries`, or the zero matrix."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
         if entries is None:
-            self._rows = [[0] * cols for _ in range(rows)]
+            self._dicts: list[dict[int, int]] = [{} for _ in range(rows)]
         else:
             entries = list(entries)
             if len(entries) != rows * cols:
                 raise ValueError(
                     f"shape mismatch: {rows}x{cols} needs {rows * cols} entries, got {len(entries)}"
                 )
-            self._rows = [entries[i * cols:(i + 1) * cols] for i in range(rows)]
-
-    # -- constructors ------------------------------------------------------
+            self._dicts = [_nonzero(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
 
     @classmethod
     def from_rows(cls, rows_list: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
+        """The matrix with the given dense rows; `cols` sets the width when there are none."""
         rows_list = [list(r) for r in rows_list]
         if rows_list:
             c = len(rows_list[0])
@@ -58,135 +70,16 @@ class IntegerMatrix:
                 raise ValueError("shape mismatch: ragged rows")
         else:
             c = 0 if cols is None else cols
-        return cls._wrap(rows_list, c)
+        return cls._wrap(len(rows_list), c, [_nonzero(r) for r in rows_list])
 
     @classmethod
-    def _wrap(cls, rows_list: list[list[int]], cols: int) -> "IntegerMatrix":
-        """Adopt freshly built row lists of length `cols`, without a copy or a check."""
+    def _wrap(cls, rows: int, cols: int, row_dicts: list[dict[int, int]]) -> "IntegerMatrix":
+        """Adopt freshly built row dicts that hold no zero, without a copy or a check."""
         m = cls.__new__(cls)
-        m.rows = len(rows_list)
+        m.rows = rows
         m.cols = cols
-        m._rows = rows_list
+        m._dicts = row_dicts
         return m
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m._rows[i][i] = 1
-        return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def column_vector(cls, v: Sequence[int]) -> "IntegerMatrix":
-        return cls.from_rows([[x] for x in v], cols=1)
-
-    # -- basic access ------------------------------------------------------
-
-    @property
-    def entries(self) -> list[int]:
-        """Entries in row-major order (the serialization format)."""
-        return [x for row in self._rows for x in row]
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self._rows[i][j]
-
-    def row(self, i: int) -> list[int]:
-        return list(self._rows[i])
-
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self._rows]
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self._rows))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._rows == other._rows
-
-    __hash__ = None  # mutable internals; equality is structural
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({self.rows}x{self.cols})"
-
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"({self.rows}x{self.cols} empty)"
-        widths = [max(len(str(self._rows[i][j])) for i in range(self.rows)) for j in range(self.cols)]
-        lines = []
-        for row in self._rows:
-            lines.append("[ " + "  ".join(str(x).rjust(w) for x, w in zip(row, widths)) + " ]")
-        return "\n".join(lines)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        self._check_same_shape(other)
-        return IntegerMatrix._wrap(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)], self.cols
-        )
-
-    def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        self._check_same_shape(other)
-        return IntegerMatrix._wrap(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)], self.cols
-        )
-
-    def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix._wrap([[-x for x in row] for row in self._rows], self.cols)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntegerMatrix._wrap([[x * other for x in row] for row in self._rows], self.cols)
-        if isinstance(other, IntegerMatrix):
-            return self.matmul(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        """self @ other in O(nonzero pairs) multiply-adds (Gustavson, row by row).
-
-        The nonzero-column lists of `other` share one range list's ints, so
-        they hold no more memory than a dense transpose would.
-
-        >>> IntegerMatrix.from_rows([[1, 0, 2], [0, 0, 0]]).matmul(
-        ...     IntegerMatrix.from_rows([[3, 0], [5, 0], [-1, 0]])).entries
-        [1, 0, 0, 0]
-        """
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        brows = other._rows
-        cols = list(range(other.cols))
-        nz = [list(compress(cols, b)) for b in brows]
-        out = []
-        for row in self._rows:
-            acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    b = brows[k]
-                    for j in nz[k]:
-                        acc[j] += a * b[j]
-            out.append(acc)
-        return IntegerMatrix._wrap(out, other.cols)
-
-    def mul_vector(self, v: Sequence[int]) -> list[int]:
-        if len(v) != self.cols:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} applied to length-{len(v)} vector")
-        return [sum(a * b for a, b in zip(row, v)) for row in self._rows]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix._wrap(
-            [[row[j] for row in self._rows] for j in range(self.cols)], self.rows
-        )
 
     # -- block assembly ----------------------------------------------------
 
@@ -198,8 +91,13 @@ class IntegerMatrix:
         r = blocks[0].rows
         if any(b.rows != r for b in blocks):
             raise ValueError("shape mismatch: hstack row counts differ")
-        rows = [[x for b in blocks for x in b._rows[i]] for i in range(r)]
-        return IntegerMatrix._wrap(rows, sum(b.cols for b in blocks))
+        row_dicts: list[dict[int, int]] = [{} for _ in range(r)]
+        cols = 0
+        for b in blocks:
+            for out, d in zip(row_dicts, b._dicts):
+                out.update((cols + j, v) for j, v in d.items())
+            cols += b.cols
+        return IntegerMatrix._wrap(r, cols, row_dicts)
 
     @staticmethod
     def vstack(blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
@@ -209,74 +107,20 @@ class IntegerMatrix:
         c = blocks[0].cols
         if any(b.cols != c for b in blocks):
             raise ValueError("shape mismatch: vstack column counts differ")
-        rows = [row[:] for b in blocks for row in b._rows]
-        return IntegerMatrix._wrap(rows, c)
-
-    def _check_same_shape(self, other: "IntegerMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-
-class SparseMatrix:
-    """A rows x cols integer matrix stored as one {column: value} dict per row.
-
-    The storage of every chain-complex boundary.  Zeros are never stored, so a
-    Moore boundary costs at most n+1 entries per column, and `is_zero`, `==`
-    and `nnz` read the dicts alone.  The read side matches `IntegerMatrix`
-    (`row` and `column` as dense lists, `entries`, `[i, j]`, `mul_vector`,
-    `is_zero`, `==`); `matmul` multiplies two sparse matrices in
-    O(nonzero pairs), `block_diag` lays sparse blocks down the diagonal, and
-    `to_dense()` hands dense arithmetic an `IntegerMatrix`.  Treated as
-    immutable by convention, like `IntegerMatrix`.
-
-    >>> s = SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]]))
-    >>> s.nnz, s[1, 2], s.row(0), s.column(2)
-    (3, 2, [1, 0, -1], [-1, 2])
-    >>> s.matmul(SparseMatrix.from_dense(IntegerMatrix.from_rows([[1], [0], [1]]))).column(0)
-    [0, 2]
-    >>> s.to_dense() == IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]])
-    True
-    >>> SparseMatrix.block_diag([s, s]).row(3)
-    [0, 0, 0, 0, 0, 2]
-    """
-
-    __slots__ = ("rows", "cols", "_dicts")
-
-    def __init__(self, rows: int, cols: int):
-        """The zero matrix."""
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        self._dicts: list[dict[int, int]] = [{} for _ in range(rows)]
-
-    @classmethod
-    def _wrap(cls, rows: int, cols: int, row_dicts: list[dict[int, int]]) -> "SparseMatrix":
-        """Adopt freshly built row dicts that hold no zero, without a copy or a check."""
-        m = cls.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._dicts = row_dicts
-        return m
-
-    @classmethod
-    def from_dense(cls, m: IntegerMatrix) -> "SparseMatrix":
-        cols = range(m.cols)
-        row_dicts = [dict(zip(compress(cols, r), compress(r, r))) for r in m._rows]
-        return cls._wrap(m.rows, m.cols, row_dicts)
-
-    def to_dense(self) -> IntegerMatrix:
-        return IntegerMatrix._wrap([self.row(i) for i in range(self.rows)], self.cols)
+        row_dicts = [dict(d) for b in blocks for d in b._dicts]
+        return IntegerMatrix._wrap(len(row_dicts), c, row_dicts)
 
     @staticmethod
-    def block_diag(blocks: Sequence["SparseMatrix"]) -> "SparseMatrix":
+    def block_diag(blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
         """The blocks down the diagonal, each row dict shifted by the columns before it."""
         row_dicts: list[dict[int, int]] = []
         cols = 0
         for b in blocks:
             row_dicts += [{cols + j: v for j, v in r.items()} for r in b._dicts]
             cols += b.cols
-        return SparseMatrix._wrap(len(row_dicts), cols, row_dicts)
+        return IntegerMatrix._wrap(len(row_dicts), cols, row_dicts)
+
+    # -- reading -----------------------------------------------------------
 
     @property
     def nnz(self) -> int:
@@ -307,22 +151,29 @@ class SparseMatrix:
         return not any(self._dicts)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
+        if not isinstance(other, IntegerMatrix):
             return NotImplemented
         return self.rows == other.rows and self.cols == other.cols and self._dicts == other._dicts
 
     __hash__ = None  # mutable internals; equality is structural
 
     def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+        return f"IntegerMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+    # -- products ----------------------------------------------------------
 
     def mul_vector(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} applied to length-{len(v)} vector")
         return [sum(a * v[j] for j, a in r.items()) for r in self._dicts]
 
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        """self @ other in O(nonzero pairs) multiply-adds (Gustavson, row by row)."""
+    def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        """self @ other in O(nonzero pairs) multiply-adds (Gustavson, row by row).
+
+        >>> IntegerMatrix.from_rows([[1, 0, 2], [0, 0, 0]]).matmul(
+        ...     IntegerMatrix.from_rows([[3, 0], [5, 0], [-1, 0]])).entries
+        [1, 0, 0, 0]
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         brows = other._dicts
@@ -333,7 +184,12 @@ class SparseMatrix:
                 for j, b in brows[k].items():
                     acc[j] = acc.get(j, 0) + a * b
             out.append({j: v for j, v in acc.items() if v})
-        return SparseMatrix._wrap(self.rows, other.cols, out)
+        return IntegerMatrix._wrap(self.rows, other.cols, out)
+
+
+def _nonzero(row: Sequence[int]) -> dict[int, int]:
+    """The {column: value} dict of a dense row, without its zeros."""
+    return dict(zip(compress(range(len(row)), row), compress(row, row)))
 
 
 @dataclass
@@ -365,7 +221,8 @@ def smith_normal_form(
 
     `transforms` names the fields of the result to track, out of U, V, uinv
     and vinv; the others come back None and cost nothing.  D and the diagonal
-    do not depend on the choice.
+    do not depend on the choice.  The pivot loop runs on private dense list
+    copies of the rows, and the results are converted back to row dicts.
     """
     wanted = set(transforms)
     if not wanted <= {"U", "V", "uinv", "vinv"}:
@@ -379,7 +236,9 @@ def smith_normal_form(
     U, V, Uit, Vi = eye(rows, "U"), eye(cols, "V"), eye(rows, "uinv"), eye(cols, "vinv")
     # row operations act on [M | U] and column operations on [M ; V] in one go;
     # every loop below stays inside the rows x cols block M
-    a = [row + u for row, u in zip(m._rows, U)] if U is not None else [row[:] for row in m._rows]
+    a = [m.row(i) for i in range(rows)]
+    if U is not None:
+        a = [row + u for row, u in zip(a, U)]
     a += V or []
 
     def row_sub(i: int, p: int, q: int) -> None:  # row i -= q * row p
@@ -480,16 +339,16 @@ def smith_normal_form(
         t += 1
 
     return SmithDecomposition(
-        U=None if U is None else IntegerMatrix._wrap([r[cols:] for r in a[:rows]], rows),
-        D=IntegerMatrix._wrap([r[:cols] for r in a[:rows]], cols),
-        V=None if V is None else IntegerMatrix._wrap(a[rows:], cols),
+        U=None if U is None else IntegerMatrix.from_rows([r[cols:] for r in a[:rows]], cols=rows),
+        D=IntegerMatrix.from_rows([r[:cols] for r in a[:rows]], cols=cols),
+        V=None if V is None else IntegerMatrix.from_rows(a[rows:], cols=cols),
         diag=[a[i][i] for i in range(n)],
-        uinv=None if Uit is None else IntegerMatrix._wrap(Uit, rows).transpose(),
-        vinv=None if Vi is None else IntegerMatrix._wrap(Vi, cols),
+        uinv=None if Uit is None else IntegerMatrix.from_rows(list(zip(*Uit)), cols=rows),
+        vinv=None if Vi is None else IntegerMatrix.from_rows(Vi, cols=cols),
     )
 
 
-def invariant_factors(m: IntegerMatrix | SparseMatrix) -> list[int]:
+def invariant_factors(m: IntegerMatrix) -> list[int]:
     """Nonzero diagonal of the Smith form (ascending divisibility chain).
 
     The one-matrix case of `sweep_invariant_factors`, which gives the pivot
@@ -505,7 +364,7 @@ def invariant_factors(m: IntegerMatrix | SparseMatrix) -> list[int]:
     return sweep_invariant_factors([m])[0]
 
 
-def sweep_invariant_factors(ms: Sequence[IntegerMatrix | SparseMatrix]) -> list[list[int]]:
+def sweep_invariant_factors(ms: Sequence[IntegerMatrix]) -> list[list[int]]:
     """`invariant_factors` of each of m_0, m_1, ..., whose products m_k @ m_{k+1} are 0.
 
     One row reduction in cochain order: `reduce_columns` on copies of the
@@ -530,7 +389,6 @@ def sweep_invariant_factors(ms: Sequence[IntegerMatrix | SparseMatrix]) -> list[
     out: list[list[int]] = []
     units, others = set(), set()  # the previous matrix's unit and non-unit lows
     for k, m in enumerate(ms):
-        m = SparseMatrix.from_dense(m) if isinstance(m, IntegerMatrix) else m
         if k and m.rows != ms[k - 1].cols:
             raise ValueError(f"shape mismatch: matrix {k} has {m.rows} rows, not {ms[k - 1].cols}")
         units, others, factors = _reduce(m, units, others)
@@ -538,7 +396,7 @@ def sweep_invariant_factors(ms: Sequence[IntegerMatrix | SparseMatrix]) -> list[
     return out
 
 
-def _reduce(m: SparseMatrix, cleared: set[int], deferred: set[int]) -> tuple[set, set, list[int]]:
+def _reduce(m: IntegerMatrix, cleared: set[int], deferred: set[int]) -> tuple[set, set, list[int]]:
     """Unit lows, non-unit lows and invariant factors of m; `deferred` rows go to the Schur step."""
     skip = cleared | deferred
     rows = [r if i in skip else dict(r) for i, r in enumerate(m._dicts)]
@@ -565,9 +423,10 @@ def _reduce(m: SparseMatrix, cleared: set[int], deferred: set[int]) -> tuple[set
                     _sub(r, p, r[j] * p[j])
             factors.append(1)
     if rest:
-        live = sorted({j for r in rest for j in r})
-        dense = IntegerMatrix._wrap([[r.get(j, 0) for j in live] for r in rest], len(live))
-        factors += [d for d in smith_normal_form(dense, transforms=()).diag if d]
+        live = {j: k for k, j in enumerate(sorted({j for r in rest for j in r}))}
+        remainder = [{live[j]: v for j, v in r.items()} for r in rest]
+        remainder = IntegerMatrix._wrap(len(rest), len(live), remainder)
+        factors += [d for d in smith_normal_form(remainder, transforms=()).diag if d]
     return set(units), pivots.keys() - units.keys(), factors
 
 
@@ -581,7 +440,7 @@ def _sub(r: dict[int, int], p: dict[int, int], c: int) -> None:
             del r[k]
 
 
-def rank(m: IntegerMatrix | SparseMatrix) -> int:
+def rank(m: IntegerMatrix) -> int:
     return len(invariant_factors(m))
 
 

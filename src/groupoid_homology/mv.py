@@ -10,7 +10,7 @@ where to_pieces sends an intersection tuple to (itself, -itself) and to_total
 is extension by zero followed by summing.  The nerve of G|U is a subset of
 the ambient nerve closed under faces, so each C(G|U) is a sub-block of the
 ambient Moore complex: one nerve is built per cover, and each piece is a
-list of ambient basis positions per degree.  Both maps are `SparseMatrix`
+list of ambient basis positions per degree.  Both maps are `IntegerMatrix`
 read off those position lists, with one or two entries per column.  The
 connecting map is the explicit zig-zag: lift a cycle, take its boundary,
 read the unique preimage off the intersection block, and return that class.
@@ -36,7 +36,7 @@ from typing import Sequence
 from .abelian import FinAbGroup, GroupHom, PresentedGroup, middle_homology
 from .chains import FreeChainComplex, HomologyResult, _check_trusted, homology_results
 from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, _positions, moore_complex, saturation_witness
-from .matrix import SparseMatrix, invariant_factors
+from .matrix import IntegerMatrix, invariant_factors
 
 
 class MvDecomposition:
@@ -89,10 +89,11 @@ class MvChainSes:
     lex order, so `complex1`, `complex2` and `complex12` are the sub-blocks of
     the ambient boundaries on those positions (`_positions`).
     `to_pieces[n]` is the intersection-to-pieces map (second block negated),
-    `to_total[n]` the pieces-to-ambient sum, both `SparseMatrix`; both are
+    `to_total[n]` the pieces-to-ambient sum, both `IntegerMatrix`; both are
     verified chain maps and the sequence is verified exact degreewise on
-    construction.  Row p of `to_total[n]` lists the piece columns of ambient
-    tuple p, so it is also the table that `lift` reads.
+    construction, which also proves ∂∘∂ = 0 on the pieces
+    (`FreeChainComplex._trusted`).  Row p of `to_total[n]` lists the piece
+    columns of ambient tuple p, so it is also the table that `lift` reads.
     `intersection_to_piece1[n][j]` is the piece-1 index of intersection
     tuple j, the block that `connecting` reads its witness off.
     """
@@ -135,12 +136,12 @@ class MvChainSes:
         index2 = {p: i for i, p in enumerate(pos2, start=dim1)}
         in1 = [index1[p] for p in pos12]
 
-        alpha = SparseMatrix(dim1 + len(pos2), len(pos12))
+        alpha = IntegerMatrix(dim1 + len(pos2), len(pos12))
         for j, p in enumerate(pos12):
             alpha._dicts[in1[j]][j] = 1
             alpha._dicts[index2[p]][j] = -1
         # an ambient tuple no piece owns leaves an empty row: "sum not surjective"
-        beta = SparseMatrix(self.total_complex.dims[n], alpha.rows)
+        beta = IntegerMatrix(self.total_complex.dims[n], alpha.rows)
         for i, p in enumerate(pos1 + pos2):
             beta._dicts[p][i] = 1
 
@@ -167,7 +168,7 @@ class MvChainSes:
                 raise AssertionError(f"rank mismatch in degree {n}")
         for n in range(1, self.max_degree + 1):
             alpha, beta = self.to_pieces[n], self.to_total[n]
-            boundary_pieces = SparseMatrix.block_diag(
+            boundary_pieces = IntegerMatrix.block_diag(
                 [self.complex1.boundaries[n], self.complex2.boundaries[n]]
             )
             left = self.to_pieces[n - 1].matmul(self.complex12.boundaries[n])
@@ -303,19 +304,20 @@ class ConnectingResult:
 
 
 def _subcomplex(complex_: FreeChainComplex, positions: list[list[int]]) -> FreeChainComplex:
-    """The sub-block of each boundary on the given basis positions, ∂∘∂ checked.
+    """The sub-block of each boundary on the given basis positions, shapes checked.
 
     An entry whose row lies outside the block is dropped here; the chain-map
     square of `to_total` in `MvChainSes._verify` fails if any was (the block
-    would not be closed under faces).
+    would not be closed under faces).  ∂∘∂ = 0 is not re-checked: the
+    ambient complex was, and `_verify` proves it for the block.
     """
-    boundaries = [SparseMatrix(0, len(positions[0]))]
+    boundaries = [IntegerMatrix(0, len(positions[0]))]
     for n in range(1, len(positions)):
         cols = {p: j for j, p in enumerate(positions[n])}
         rows = complex_.boundaries[n]._dicts
         block = [{cols[p]: v for p, v in rows[r].items() if p in cols} for r in positions[n - 1]]
-        boundaries.append(SparseMatrix._wrap(len(block), len(cols), block))
-    return FreeChainComplex([len(pos) for pos in positions], boundaries)
+        boundaries.append(IntegerMatrix._wrap(len(block), len(cols), block))
+    return FreeChainComplex._trusted([len(pos) for pos in positions], boundaries)
 
 
 def chain_ses(

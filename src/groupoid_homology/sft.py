@@ -80,7 +80,7 @@ def sft_matrix_homology(a: IntegerMatrix | Sequence[Sequence[int]]) -> tuple[Fin
     for j in range(a.cols):
         if all(a[i, j] == 0 for i in range(a.rows)):
             raise ValueError(f"degenerate matrix: zero column {j}")
-    m = IntegerMatrix.identity(a.rows) - a.transpose()
+    m = IntegerMatrix.from_rows([[int(i == j) - a[j, i] for j in range(a.rows)] for i in range(a.rows)])
     h0 = group_of(m)
     h1 = FinAbGroup.free(m.cols - rank(m))
     return h0, h1

@@ -294,8 +294,8 @@ def test_group_hom_validation():
     assert doubled.is_zero()
     assert not GroupHom(z, z2, IntegerMatrix.from_rows([[1]])).is_zero()
     with pytest.raises(ValueError, match="mismatched node"):
-        GroupHom(z, z, IntegerMatrix.identity(1)).compose(
-            GroupHom(z2, z2, IntegerMatrix.identity(1))
+        GroupHom(z, z, IntegerMatrix.from_rows([[1]])).compose(
+            GroupHom(z2, z2, IntegerMatrix.from_rows([[1]]))
         )
 
 
@@ -366,11 +366,11 @@ def test_middle_homology_frozen():
 def test_middle_homology_errors():
     z = PresentedGroup.free(1)
     z2 = PresentedGroup.cyclic(2)
-    ident = GroupHom(z, z, IntegerMatrix.identity(1))
+    ident = GroupHom(z, z, IntegerMatrix.from_rows([[1]]))
     quot = GroupHom(z, z2, IntegerMatrix.from_rows([[1]]))
     with pytest.raises(ValueError, match="composite nonzero"):
         middle_homology(ident, quot)
-    other = GroupHom(z2, z2, IntegerMatrix.identity(1))
+    other = GroupHom(z2, z2, IntegerMatrix.from_rows([[1]]))
     with pytest.raises(ValueError, match="mismatched node"):
         middle_homology(other, quot)
 
@@ -423,7 +423,7 @@ def test_middle_homology_mixed_node_with_free_target_rows():
     z = PresentedGroup.free(1)
     zero_in = GroupHom.zero(PresentedGroup.trivial(), node)
     # (x, y) -> (x, y mod 2): the kernel is 0 ⊕ {0, 2}
-    g = GroupHom(node, target, IntegerMatrix.identity(2))
+    g = GroupHom(node, target, IntegerMatrix.from_rows([[1, 0], [0, 1]]))
     assert middle_homology(zero_in, g) == FinAbGroup.cyclic(2)
     assert middle_homology(GroupHom(z, node, IntegerMatrix.from_rows([[0], [2]])), g).is_trivial()
     # (x, y) -> (0, y mod 2): the kernel is Z ⊕ {0, 2}

@@ -22,7 +22,6 @@ from groupoid_homology import (
     FiniteGroupoid,
     FreeChainComplex,
     IntegerMatrix,
-    SparseMatrix,
     direct_sum,
     homology_group,
     homology_groups,
@@ -70,7 +69,7 @@ def random_unimodular(rng, n, ops=None):
                 row[i] = -row[i]
     wm = IntegerMatrix.from_rows(w, cols=n)
     wim = IntegerMatrix.from_rows(winv, cols=n)
-    assert wm.matmul(wim) == IntegerMatrix.identity(n)
+    assert wm.matmul(wim) == IntegerMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
     return wm, wim
 
 
@@ -92,7 +91,7 @@ def staircase_complex(rng, depth, max_free=2, max_arrows=2, max_mult=9):
     if dims[0] == 0:
         free[0] = 1
         dims[0] = 1
-    boundaries = [IntegerMatrix.zeros(0, dims[0])]
+    boundaries = [IntegerMatrix(0, dims[0])]
     for n in range(1, depth + 1):
         b = [[0] * dims[n] for _ in range(dims[n - 1])]
         for k, d in enumerate(mults[n]):
@@ -110,10 +109,10 @@ def staircase_complex(rng, depth, max_free=2, max_arrows=2, max_mult=9):
 def scramble(rng, complex_):
     """Unimodular change of basis in every degree; homology is unchanged."""
     pairs = [random_unimodular(rng, d) for d in complex_.dims]
-    boundaries = [IntegerMatrix.zeros(0, complex_.dims[0]).matmul(pairs[0][0])]
+    boundaries = [IntegerMatrix(0, complex_.dims[0]).matmul(pairs[0][0])]
     for n in range(1, len(complex_.dims)):
         boundaries.append(
-            pairs[n - 1][1].matmul(complex_.boundaries[n].to_dense()).matmul(pairs[n][0])
+            pairs[n - 1][1].matmul(complex_.boundaries[n]).matmul(pairs[n][0])
         )
     return FreeChainComplex(complex_.dims, boundaries)
 
@@ -131,26 +130,26 @@ def test_validation_empty_and_negative():
     with pytest.raises(ValueError, match="shape mismatch: empty complex"):
         FreeChainComplex([], [])
     with pytest.raises(ValueError, match="shape mismatch: negative dimension"):
-        FreeChainComplex([-1], [IntegerMatrix.zeros(0, 0)])
+        FreeChainComplex([-1], [IntegerMatrix(0, 0)])
 
 
 def test_validation_boundary_count():
     with pytest.raises(ValueError, match="2 degrees but 1 boundary maps"):
-        FreeChainComplex([1, 1], [IntegerMatrix.zeros(0, 1)])
+        FreeChainComplex([1, 1], [IntegerMatrix(0, 1)])
 
 
 def test_validation_boundary_zero_shape():
     with pytest.raises(ValueError, match="boundary 0 must be 0 x dims"):
-        FreeChainComplex([2], [IntegerMatrix.zeros(0, 1)])
+        FreeChainComplex([2], [IntegerMatrix(0, 1)])
     with pytest.raises(ValueError, match="boundary 0 must be 0 x dims"):
-        FreeChainComplex([1], [IntegerMatrix.zeros(1, 1)])
+        FreeChainComplex([1], [IntegerMatrix(1, 1)])
 
 
 def test_validation_interior_shape():
     with pytest.raises(ValueError, match=r"boundary 1 is 2x1, expected 1x2"):
         FreeChainComplex(
             [1, 2],
-            [IntegerMatrix.zeros(0, 1), IntegerMatrix.zeros(2, 1)],
+            [IntegerMatrix(0, 1), IntegerMatrix(2, 1)],
         )
 
 
@@ -160,14 +159,14 @@ def test_validation_square_nonzero():
         FreeChainComplex(
             [1, 1, 1],
             [
-                IntegerMatrix.zeros(0, 1),
+                IntegerMatrix(0, 1),
                 IntegerMatrix.from_rows([[1]]),
                 IntegerMatrix.from_rows([[1]]),
             ],
         )
     assert str(excinfo.value) == "boundary square nonzero at degree 2: column 0 maps to [1]"
     # d1 = [2], d2 = [3]: the witness is the integer square 6
-    bnds = [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.from_rows([[3]])]
+    bnds = [IntegerMatrix(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.from_rows([[3]])]
     with pytest.raises(ValueError) as excinfo:
         FreeChainComplex([1, 1, 1], bnds)
     assert str(excinfo.value) == "boundary square nonzero at degree 2: column 0 maps to [6]"
@@ -179,7 +178,7 @@ def test_validation_square_witness_is_first_nonzero_column():
         FreeChainComplex(
             [2, 2, 3],
             [
-                IntegerMatrix.zeros(0, 2),
+                IntegerMatrix(0, 2),
                 IntegerMatrix.from_rows([[1, 0], [0, 2]]),
                 IntegerMatrix.from_rows([[0, 0, 1], [0, 0, -1]]),
             ],
@@ -189,21 +188,23 @@ def test_validation_square_witness_is_first_nonzero_column():
 
 def test_corrupted_sparse_boundary_raises_under_optimize_flag():
     # `python -O` strips bare asserts; one corrupted entry of a sparse Moore
-    # boundary must still fail the ∂∘∂ check, with the dense product's witness
+    # boundary must still fail the ∂∘∂ check, with the witness that a plain
+    # product of the dense rows finds
     program = "\n".join(
         [
             "import sys",
-            "from groupoid_homology import FreeChainComplex, IntegerMatrix, SparseMatrix,"
+            "from groupoid_homology import FreeChainComplex, IntegerMatrix,"
             " moore_complex, one_object_cyclic",
             "if not sys.flags.optimize:",
             "    raise SystemExit('child is not optimized')",
             "c = moore_complex(one_object_cyclic(3), 3)",
             "rows = [c.boundaries[2].row(i) for i in range(c.boundaries[2].rows)]",
             "rows[0][1] += 1",
-            "dense = IntegerMatrix.from_rows(rows).matmul(c.boundaries[3].to_dense())",
-            "j = next(j for j in range(dense.cols) if any(dense.column(j)))",
-            "print(f'boundary square nonzero at degree 3: column {j} maps to {dense.column(j)}')",
-            "bad = SparseMatrix.from_dense(IntegerMatrix.from_rows(rows))",
+            "above = [c.boundaries[3].row(i) for i in range(c.boundaries[3].rows)]",
+            "def column(j): return [sum(a * above[k][j] for k, a in enumerate(r)) for r in rows]",
+            "j = next(j for j in range(c.dims[3]) if any(column(j)))",
+            "print(f'boundary square nonzero at degree 3: column {j} maps to {column(j)}')",
+            "bad = IntegerMatrix.from_rows(rows)",
             "FreeChainComplex(c.dims, c.boundaries[:2] + [bad] + c.boundaries[3:])",
         ]
     )
@@ -238,7 +239,7 @@ def test_point_like_complex():
     c = FreeChainComplex(
         [1, 1, 1, 1, 1],
         [
-            IntegerMatrix.zeros(0, 1),
+            IntegerMatrix(0, 1),
             IntegerMatrix.from_rows([[0]]),
             IntegerMatrix.from_rows([[1]]),
             IntegerMatrix.from_rows([[0]]),
@@ -261,7 +262,7 @@ def klein_complex():
     return FreeChainComplex(
         dims,
         [
-            IntegerMatrix.zeros(0, 1),
+            IntegerMatrix(0, 1),
             IntegerMatrix.from_rows([rows[1]], cols=2),
             IntegerMatrix.from_rows([[rows[2][0]], [rows[2][1]]], cols=1),
         ],
@@ -300,7 +301,7 @@ def test_torsion_only_frozen():
     c = FreeChainComplex(
         [2, 2, 2],
         [
-            IntegerMatrix.zeros(0, 2),
+            IntegerMatrix(0, 2),
             IntegerMatrix.from_rows([[2, 0], [0, 0]]),
             IntegerMatrix.from_rows([[0, 0], [3, 6]]),
         ],
@@ -357,7 +358,7 @@ def test_class_coords_rejects_non_cycles_and_bad_shapes():
     c = FreeChainComplex(
         [1, 1, 1],
         [
-            IntegerMatrix.zeros(0, 1),
+            IntegerMatrix(0, 1),
             IntegerMatrix.from_rows([[2]]),
             IntegerMatrix.from_rows([[0]]),
         ],
@@ -503,9 +504,9 @@ def test_cone_route_errors():
     # boundaries corrupted after validation: 2 * 3 = 6 != 0 gives the cone an extra rank
     over_z = FreeChainComplex(
         [1, 1, 1],
-        [IntegerMatrix.zeros(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(1, 1)],
+        [IntegerMatrix(0, 1), IntegerMatrix.from_rows([[2]]), IntegerMatrix(1, 1)],
     )
-    over_z.boundaries[2] = SparseMatrix.from_dense(IntegerMatrix.from_rows([[3]]))
+    over_z.boundaries[2] = IntegerMatrix.from_rows([[3]])
     with pytest.raises(ValueError) as excinfo:
         homology_group(over_z, 1, 4)
     assert str(excinfo.value) == (
@@ -519,7 +520,7 @@ def test_cone_free_rank_check_raises_under_optimize_flag():
     program = "\n".join(
         [
             "import sys",
-            "from groupoid_homology import IntegerMatrix, SparseMatrix, homology_group,"
+            "from groupoid_homology import IntegerMatrix, homology_group,"
             " moore_complex, one_object_cyclic",
             "if not sys.flags.optimize:",
             "    raise SystemExit('child is not optimized')",
@@ -527,7 +528,7 @@ def test_cone_free_rank_check_raises_under_optimize_flag():
             "print(homology_group(c, 2, 4))",
             "rows = [c.boundaries[3].row(i) for i in range(c.boundaries[3].rows)]",
             "rows[0][0] += 1",
-            "c.boundaries[3] = SparseMatrix.from_dense(IntegerMatrix.from_rows(rows))",
+            "c.boundaries[3] = IntegerMatrix.from_rows(rows)",
             "print(homology_group(c, 2, 4))",
         ]
     )
@@ -592,7 +593,7 @@ def test_cone_clearing_does_not_mask_a_corrupted_cleared_row(monkeypatch):
 def test_representatives_keep_a_non_unit_low():
     # ∂_1 = 0 and ∂_2 = (2): the pivot of ∂_2 has low 0 and value 2, so the
     # column of ∂_1 stays; clearing it would swap the cycle 1 for 2 and lose Z/2
-    c = FreeChainComplex([1, 1, 1], [IntegerMatrix.zeros(0, 1), IntegerMatrix.zeros(1, 1),
+    c = FreeChainComplex([1, 1, 1], [IntegerMatrix(0, 1), IntegerMatrix(1, 1),
                                      IntegerMatrix.from_rows([[2]])])
     h0, h1 = homology_results(c)
     assert h0.group == FinAbGroup(1, ()) and h1.group == FinAbGroup.cyclic(2)

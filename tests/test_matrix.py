@@ -8,7 +8,6 @@ import pytest
 import groupoid_homology.matrix as matrix_module
 from groupoid_homology.matrix import (
     IntegerMatrix,
-    SparseMatrix,
     echelon_coordinates,
     invariant_factors,
     rank,
@@ -31,6 +30,10 @@ def random_matrix(rng: random.Random, max_side: int = 6, spread: int = 9) -> Int
 
 def raw_rows(m: IntegerMatrix) -> list[list[int]]:
     return [m.row(i) for i in range(m.rows)]
+
+
+def identity(n: int) -> IntegerMatrix:
+    return IntegerMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
 
 def sparse_column(v) -> dict[int, int]:
@@ -114,10 +117,10 @@ def test_smith_properties(seed):
     # transforms are unimodular
     if m.rows:
         assert abs(oracles.det_bareiss(raw_rows(snf.U))) == 1
-        assert snf.U.matmul(snf.uinv) == IntegerMatrix.identity(m.rows)
+        assert snf.U.matmul(snf.uinv) == identity(m.rows)
     if m.cols:
         assert abs(oracles.det_bareiss(raw_rows(snf.V))) == 1
-        assert snf.V.matmul(snf.vinv) == IntegerMatrix.identity(m.cols)
+        assert snf.V.matmul(snf.vinv) == identity(m.cols)
     # D is diagonal, nonnegative, with a divisibility chain
     for i in range(snf.D.rows):
         for j in range(snf.D.cols):
@@ -244,9 +247,9 @@ SPARSE_PATH_CASES = {
     "schur-needed": IntegerMatrix.from_rows([[0, 1, 0], [0, 2, 4]]),
     # the same through a chain of unit lows 2 then 1
     "schur-chain": IntegerMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2]]),
-    "zero-3x5": IntegerMatrix.zeros(3, 5),
-    "empty-0x4": IntegerMatrix.zeros(0, 4),
-    "empty-4x0": IntegerMatrix.zeros(4, 0),
+    "zero-3x5": IntegerMatrix(3, 5),
+    "empty-0x4": IntegerMatrix(0, 4),
+    "empty-4x0": IntegerMatrix(4, 0),
 }
 # shape of the dense remainder handed to smith_normal_form, None if none is
 DENSE_REMAINDER = {
@@ -285,14 +288,13 @@ def test_invariant_factors_sparse_path(name, monkeypatch):
 
 @pytest.mark.parametrize("name", SPARSE_PATH_CASES)
 def test_invariant_factors_sparse_twin(name):
-    # a dense input is converted once; its sparse twin is read directly and
-    # left as it was
+    # the row dicts are read in place, with no converted twin: the reduction
+    # works on copies, so the input is left as it was and factors the same twice
     m = SPARSE_PATH_CASES[name]
-    twin = SparseMatrix.from_dense(m)
-    assert twin.to_dense() == m
-    expected = oracles.smith_diag_by_elimination(raw_rows(m))
-    assert invariant_factors(twin) == invariant_factors(m) == expected
-    assert twin == SparseMatrix.from_dense(m)
+    before = raw_rows(m)
+    expected = oracles.smith_diag_by_elimination(before)
+    assert invariant_factors(m) == invariant_factors(m) == expected
+    assert m == IntegerMatrix.from_rows(before, cols=m.cols)
 
 
 # -- the cochain-order sweep ----------------------------------------------------------
@@ -316,7 +318,7 @@ def test_sweep_clears_and_defers(monkeypatch):
     assert remainders == [(1, 2), (1, 0)]
     assert sweep_invariant_factors([]) == []
     with pytest.raises(ValueError, match="shape mismatch: matrix 1 has 2 rows, not 3"):
-        sweep_invariant_factors([d1, IntegerMatrix.zeros(2, 2)])
+        sweep_invariant_factors([d1, IntegerMatrix(2, 2)])
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -434,7 +436,7 @@ def test_same_column_lattice_distinguishes(seed):
     rng = random.Random(6000 + seed)
     m = random_matrix(rng, max_side=4)
     assert oracles.same_lattice(raw_rows(m), raw_rows(m))
-    doubled = m * 2
+    doubled = IntegerMatrix.from_rows([[2 * x for x in row] for row in raw_rows(m)], cols=m.cols)
     if not m.is_zero():
         assert not oracles.same_lattice(raw_rows(m), raw_rows(doubled))
         assert oracles.lattice_contains(raw_rows(m), [doubled.column(0)])
@@ -510,49 +512,50 @@ def test_matmul_matches_triple_loop(seed):
     product = left.matmul(right)
     assert (product.rows, product.cols) == (r, m)
     assert raw_rows(product) == triple_loop_product(a, b, k, m)
-    assert left * right == product
+    assert product.nnz == sum(x != 0 for x in product.entries)  # no zero is stored
     # operands are left as they were
     assert raw_rows(left) == a and raw_rows(right) == b
 
 
 @pytest.mark.parametrize("seed", range(200))
 def test_sparse_matmul_and_mod_match_dense(seed):
+    # the product agrees with mul_vector, which reads the row dicts on its own
+    # route: (a·b)·v = a·(b·v) and column j of a·b is a·(column j of b)
     a, b, r, k, m = product_factors(seed)
-    left = SparseMatrix.from_dense(IntegerMatrix.from_rows(a, cols=k))
-    right = SparseMatrix.from_dense(IntegerMatrix.from_rows(b, cols=m))
+    left = IntegerMatrix.from_rows(a, cols=k)
+    right = IntegerMatrix.from_rows(b, cols=m)
     product = left.matmul(right)
-    assert (product.rows, product.cols) == (r, m)
-    assert raw_rows(product) == triple_loop_product(a, b, k, m)
-    assert product.nnz == sum(x != 0 for x in product.entries)  # no zero is stored
-    assert raw_rows(left) == a and raw_rows(right) == b
+    rng = random.Random(seed)
+    v = [rng.randint(-3, 3) for _ in range(m)]
+    assert product.mul_vector(v) == left.mul_vector(right.mul_vector(v))
+    assert all(product.column(j) == left.mul_vector(right.column(j)) for j in range(m))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_sparse_read_interface_matches_dense(seed):
+    # the row dicts read back as the dense rows they were built from
     rng = random.Random(4000 + seed)
-    dense = random_matrix(rng)
-    dense = IntegerMatrix.from_rows(
-        [[x if rng.random() < 0.4 else 0 for x in dense.row(i)] for i in range(dense.rows)],
-        cols=dense.cols,
-    )
-    s = SparseMatrix.from_dense(dense)
-    assert (s.rows, s.cols) == (dense.rows, dense.cols)
-    assert s.entries == dense.entries
-    assert s.nnz == sum(x != 0 for x in dense.entries)
-    assert all(s.row(i) == dense.row(i) for i in range(s.rows))
-    assert all(s.column(j) == dense.column(j) for j in range(s.cols))
-    assert all(s[i, j] == dense[i, j] for i in range(s.rows) for j in range(s.cols))
+    rows = raw_rows(random_matrix(rng))
+    rows = [[x if rng.random() < 0.4 else 0 for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else rng.randint(0, 6)
+    s = IntegerMatrix.from_rows(rows, cols=ncols)
+    flat = [x for row in rows for x in row]
+    assert (s.rows, s.cols) == (len(rows), ncols)
+    assert s.entries == flat
+    assert s.nnz == sum(x != 0 for x in flat)
+    assert all(s.row(i) == rows[i] for i in range(s.rows))
+    assert all(s.column(j) == [row[j] for row in rows] for j in range(s.cols))
+    assert all(s[i, j] == rows[i][j] for i in range(s.rows) for j in range(s.cols))
     v = [rng.randint(-5, 5) for _ in range(s.cols)]
-    assert s.mul_vector(v) == dense.mul_vector(v)
-    assert s.is_zero() == dense.is_zero()
-    assert s.to_dense() == dense
-    assert s == SparseMatrix.from_dense(dense)
-    assert SparseMatrix(s.rows, s.cols).is_zero()
-    assert SparseMatrix(s.rows, s.cols) == SparseMatrix.from_dense(IntegerMatrix.zeros(s.rows, s.cols))
+    assert s.mul_vector(v) == [sum(x * y for x, y in zip(row, v)) for row in rows]
+    assert s.is_zero() == (not any(flat))
+    assert s == IntegerMatrix(s.rows, s.cols, flat)
+    assert IntegerMatrix(s.rows, s.cols).is_zero()
+    assert IntegerMatrix(s.rows, s.cols) == IntegerMatrix.from_rows([[0] * s.cols] * s.rows, cols=s.cols)
 
 
 def test_sparse_errors_and_equality():
-    s = SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, 2]]))
+    s = IntegerMatrix.from_rows([[1, 0, 2]])
     with pytest.raises(ValueError, match="shape mismatch"):
         s.matmul(s)
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -560,20 +563,19 @@ def test_sparse_errors_and_equality():
     with pytest.raises(IndexError):
         s[0, 3]
     with pytest.raises(ValueError, match="negative matrix dimensions"):
-        SparseMatrix(-1, 2)
-    # equality is structural and never across the two storage types
-    assert s != SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, 3]]))
-    assert s != SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, 0, 2, 0]]))
-    assert s != s.to_dense()
-    # dense arithmetic on a sparse operand fails loudly: call to_dense() first
-    with pytest.raises(AttributeError):
-        IntegerMatrix.from_rows([[1], [1], [1]]).matmul(s)
-    with pytest.raises(AttributeError):
-        IntegerMatrix.hstack([s])
-    assert repr(s) == "SparseMatrix(1x3, nnz=2)"
+        IntegerMatrix(-1, 2)
+    with pytest.raises(ValueError, match=r"shape mismatch: 1x3 needs 3 entries, got 2"):
+        IntegerMatrix(1, 3, [1, 2])
+    # equality is structural: shape and stored entries
+    assert s == IntegerMatrix(1, 3, [1, 0, 2])
+    assert s != IntegerMatrix.from_rows([[1, 0, 3]])
+    assert s != IntegerMatrix.from_rows([[1, 0, 2, 0]])
+    assert IntegerMatrix(0, 2) != IntegerMatrix(0, 3)
+    assert s != [[1, 0, 2]]
+    assert repr(s) == "IntegerMatrix(1x3, nnz=2)"
 
 
-# -- arithmetic plumbing ------------------------------------------------------------
+# -- block assembly and errors ------------------------------------------------------
 
 
 def test_basic_arithmetic_identities():
@@ -585,19 +587,19 @@ def test_basic_arithmetic_identities():
     c = IntegerMatrix.from_rows(
         [[rng.randint(-5, 5) for _ in range(4)] for _ in range(a.cols)], cols=4
     )
-    assert (a + b) - b == a
-    assert a.matmul(c).transpose() == c.transpose().matmul(a.transpose())
     v = [rng.randint(-5, 5) for _ in range(a.cols)]
     assert a.mul_vector(v) == [sum(a[i, j] * v[j] for j in range(a.cols)) for i in range(a.rows)]
     stacked = IntegerMatrix.hstack([a, b])
+    assert raw_rows(stacked) == [x + y for x, y in zip(raw_rows(a), raw_rows(b))]
     assert stacked.cols == 2 * a.cols and stacked.rows == a.rows
     tall = IntegerMatrix.vstack([a, b])
+    assert raw_rows(tall) == raw_rows(a) + raw_rows(b)
     assert tall.rows == 2 * a.rows and tall.cols == a.cols
-    blocks = SparseMatrix.block_diag([SparseMatrix.from_dense(a), SparseMatrix.from_dense(c)])
+    blocks = IntegerMatrix.block_diag([a, c])
     assert blocks.rows == a.rows + c.rows and blocks.cols == a.cols + c.cols
-    assert blocks.to_dense() == IntegerMatrix.vstack(
-        [IntegerMatrix.hstack([a, IntegerMatrix.zeros(a.rows, c.cols)]),
-         IntegerMatrix.hstack([IntegerMatrix.zeros(c.rows, a.cols), c])]
+    assert blocks == IntegerMatrix.vstack(
+        [IntegerMatrix.hstack([a, IntegerMatrix(a.rows, c.cols)]),
+         IntegerMatrix.hstack([IntegerMatrix(c.rows, a.cols), c])]
     )
 
 
@@ -606,8 +608,10 @@ def test_shape_mismatch_errors():
     b = IntegerMatrix.from_rows([[1], [2], [3]])
     with pytest.raises(ValueError, match="shape mismatch"):
         a.matmul(b)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        a + b
+    with pytest.raises(ValueError, match="shape mismatch: hstack row counts differ"):
+        IntegerMatrix.hstack([a, b])
+    with pytest.raises(ValueError, match="shape mismatch: vstack column counts differ"):
+        IntegerMatrix.vstack([a, b])
     with pytest.raises(ValueError, match="shape mismatch"):
         IntegerMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError, match="shape mismatch"):

@@ -9,6 +9,7 @@ Boundary claims of the connecting map are checked by oracle lattice membership.
 """
 
 import random
+import re
 import subprocess
 import sys
 
@@ -19,7 +20,6 @@ from groupoid_homology import (
     FiniteGroupoid,
     FreeChainComplex,
     IntegerMatrix,
-    SparseMatrix,
     action,
     chain_ses,
     connecting,
@@ -146,6 +146,40 @@ def test_verify_refuses_positions_not_closed_under_faces(monkeypatch):
     monkeypatch.setattr(mv_module, "_positions", leaky)
     with pytest.raises(AssertionError, match="is not a chain map in degree 2"):
         chain_ses(d, 2)
+    # the pieces' ∂∘∂ is not re-checked, so under `python -O` this verdict
+    # rests on `_verify`'s chain-map raises alone
+    program = "\n".join(
+        [
+            "import sys",
+            "import groupoid_homology.mv as mv",
+            "from groupoid_homology import chain_ses, decompose, disjoint_union,"
+            " one_object_cyclic, orbits, pair",
+            "if not sys.flags.optimize:",
+            "    raise SystemExit('child is not optimized')",
+            "g = disjoint_union(disjoint_union(one_object_cyclic(4), pair(2)), one_object_cyclic(6))",
+            "o = orbits(g)",
+            "d = decompose(g, o[0] + o[1], o[1] + o[2])",
+            "original = mv._positions",
+            "inside1 = set(original(g, 2, d.u1)[2])",
+            "stray = next(p for p in original(g, 2, d.u2)[2] if p not in inside1)",
+            "def leaky(g_, max_degree, members):",
+            "    out = original(g_, max_degree, members)",
+            "    if tuple(members) in (d.u1, d.u12):",
+            "        out[2] = sorted(out[2] + [stray])",
+            "    return out",
+            "mv._positions = leaky",
+            "chain_ses(d, 2)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode != 0
+    assert re.search(r"AssertionError: \w+ map is not a chain map in degree 2", proc.stderr), proc.stderr
 
 
 def test_chain_ses_refuses_sets_that_miss_an_arrow():
@@ -242,7 +276,7 @@ def test_chain_maps_commute_with_boundaries(name, g, u1, u2):
     d = decompose(g, u1, u2)
     ses = chain_ses(d, 3)
     for n in range(1, 4):
-        d_pieces_n = SparseMatrix.block_diag(
+        d_pieces_n = IntegerMatrix.block_diag(
             [ses.complex1.boundaries[n], ses.complex2.boundaries[n]]
         )
         left = d_pieces_n.matmul(ses.to_pieces[n])
@@ -614,7 +648,7 @@ def _inclusion_matrix(g, sub_members, big_members, n):
     rows = [[0] * len(sub) for _ in big]
     for j, p in enumerate(sub):
         rows[big_pos[p]][j] = 1
-    return SparseMatrix.from_dense(IntegerMatrix.from_rows(rows, cols=len(sub)))
+    return IntegerMatrix.from_rows(rows, cols=len(sub))
 
 
 def test_naturality_ladder_under_cover_refinement():
@@ -628,7 +662,7 @@ def test_naturality_ladder_under_cover_refinement():
         j1 = _inclusion_matrix(g, small.u1, big.u1, n)
         j2 = _inclusion_matrix(g, small.u2, big.u2, n)
         j12 = _inclusion_matrix(g, small.u12, big.u12, n)
-        j_pieces = SparseMatrix.block_diag([j1, j2])
+        j_pieces = IntegerMatrix.block_diag([j1, j2])
         # total maps agree through the piece inclusions (same ambient basis)
         assert ses_big.to_total[n].matmul(j_pieces) == ses_small.to_total[n]
         # intersection maps ladder up through the inclusions
