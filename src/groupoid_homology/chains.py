@@ -53,12 +53,10 @@ class FreeChainComplex:
     def _trusted(cls, dims: Sequence[int], boundaries: Sequence[IntegerMatrix]) -> "FreeChainComplex":
         """A complex whose ∂∘∂ = 0 the caller proves: the shapes are checked, the square is not.
 
-        For `mv._subcomplex`: a piece C(G|U) is a sub-block of the checked
-        ambient complex, and `MvChainSes._verify` checks that α and β are
-        chain maps.  β is injective on each piece (its columns there are
-        distinct unit vectors) and α is split injective, so ∂∘∂ = 0 on every
-        piece: for a piece-1 chain y, β(∂¹∂¹y, 0) = ∂∂βy = 0, likewise for
-        piece 2, and α∂¹²∂¹² = (∂¹∂¹ ⊕ ∂²∂²)α = 0 for the intersection.
+        For `mv._subcomplex`: a piece C(G|U) is the sub-block of the checked
+        ambient complex on basis positions that `_subcomplex` checks are
+        closed under faces, so each piece's ∂ is the ambient ∂ restricted to
+        a subcomplex and ∂∘∂ = 0 on it is the ambient square restricted.
         """
         complex_ = cls.__new__(cls)
         complex_.dims = list(dims)
@@ -165,19 +163,16 @@ class HomologyResult:
     `cycle_reps[i]` is an integer chain whose class is the i-th generator of
     `presentation`; `class_coords` expresses any further cycle over those
     generators (raising "not a cycle" on chains outside K).
-    `bounding_chain` fills a chain of B from the reduction's records.
     """
 
     __slots__ = ("degree", "modulus", "group", "presentation", "cycle_reps",
-                 "_dims", "_basis", "_image", "_fillers", "_uw", "_orders")
+                 "_dim", "_basis", "_uw", "_orders")
 
     def __init__(self, n: int, q: int, dims: Sequence[int], cycles: list[dict[int, int]],
-                 image: dict[int, dict[int, int]], fillers: dict[int, dict[int, int]] | None):
+                 image: dict[int, dict[int, int]]):
         self.degree = n
         self.modulus = q
-        self._dims = (dims[n], dims[n + 1])
-        self._image = image
-        self._fillers = fillers
+        self._dim = dims[n]
         pivots, _ = reduce_columns(cycles)
         self._basis = {low: cycles[k] for low, k in pivots.items()}
         coords = [echelon_coordinates(self._basis, dict(col)) for col in image.values()]
@@ -206,9 +201,9 @@ class HomologyResult:
         self.cycle_reps = list(reps.values())
 
     def _sparse(self, chain: Sequence[int]) -> dict[int, int]:
-        if len(chain) != self._dims[0]:
+        if len(chain) != self._dim:
             raise ValueError(
-                f"shape mismatch: chain of length {len(chain)} in ambient dimension {self._dims[0]}"
+                f"shape mismatch: chain of length {len(chain)} in ambient dimension {self._dim}"
             )
         return {j: v for j, v in enumerate(chain) if v}
 
@@ -226,22 +221,6 @@ class HomologyResult:
 
     def same_class(self, chain_a: Sequence[int], chain_b: Sequence[int]) -> bool:
         return self.class_coords(chain_a) == self.class_coords(chain_b)
-
-    def bounding_chain(self, chain: Sequence[int]) -> list[int] | None:
-        """x with ∂_{n+1} x = chain (mod q), or None when chain is not in B: the
-        records of B's basis, summed with chain's coefficients over it.  The
-        reduction records them below its top degree only."""
-        if self._fillers is None:
-            raise ValueError(f"no fillers recorded in degree {self.degree + 1}, above the top degree")
-        x = echelon_coordinates(self._image, self._sparse(chain))
-        if x is None:
-            return None
-        out = [0] * self._dims[1]
-        for low, c in x.items():
-            for j, v in self._fillers[low].items():
-                if j < self._dims[1]:  # the block of qI columns is dropped
-                    out[j] += c * v
-        return out
 
     def __repr__(self) -> str:
         coeff = "Z" if self.modulus == 0 else f"Z/{self.modulus}"
@@ -310,7 +289,6 @@ def homology_results(complex_: FreeChainComplex, q: int = 0, top: int | None = N
     dims = complex_.dims
     results = []
     image: dict[int, dict[int, int]] = {}  # B_m's echelon basis, by low
-    fillers = None  # the records of that basis
     for m in range(top + 1, -1, -1):
         b = complex_.boundaries[m]
         cols: list[dict[int, int]] = [{} for _ in range(b.cols)]
@@ -334,8 +312,7 @@ def homology_results(complex_: FreeChainComplex, q: int = 0, top: int | None = N
         if records is not None:
             cycles = [*cleared.values(), *({k: v for k, v in records[z].items() if k < b.cols}
                                            for z in zeros)]
-            results.append(HomologyResult(m, q, dims, cycles, image, fillers))
-            fillers = {low: records[k] for low, k in pivots.items()}
+            results.append(HomologyResult(m, q, dims, cycles, image))
         image = {low: cols[k] for low, k in pivots.items()}
     return results[::-1]
 

@@ -38,8 +38,8 @@ from .matrix import IntegerMatrix
 # bounds that route's memory too; a reduced row can still fill in principle.
 # The Mayer-Vietoris short exact sequence is sparse as well: its pieces are
 # sub-blocks of the ambient complex, so the budget, checked once on the ambient
-# nerve, bounds them too, and its maps hold one or two entries per column and
-# are checked by sparse products.  The
+# nerve, bounds them too, and its maps act on chains through lists of the
+# pieces' positions, which are checked as sets.  The
 # representatives of `homology_results` (for MV and the mod-q reduction check)
 # come from a column reduction of the sparse boundaries that records its column
 # operations; its columns and records can fill, which the budget does not

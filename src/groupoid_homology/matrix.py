@@ -62,12 +62,20 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, rows_list: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        """The matrix with the given dense rows; `cols` sets the width when there are none."""
+        """The matrix with the given dense rows; `cols` sets the width when there are none.
+
+        >>> IntegerMatrix.from_rows([[1, 2]], cols=5)
+        Traceback (most recent call last):
+            ...
+        ValueError: shape mismatch: rows of width 2, cols=5
+        """
         rows_list = [list(r) for r in rows_list]
         if rows_list:
             c = len(rows_list[0])
             if any(len(r) != c for r in rows_list):
                 raise ValueError("shape mismatch: ragged rows")
+            if cols is not None and cols != c:
+                raise ValueError(f"shape mismatch: rows of width {c}, cols={cols}")
         else:
             c = 0 if cols is None else cols
         return cls._wrap(len(rows_list), c, [_nonzero(r) for r in rows_list])

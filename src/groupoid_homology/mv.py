@@ -10,13 +10,14 @@ where to_pieces sends an intersection tuple to (itself, -itself) and to_total
 is extension by zero followed by summing.  The nerve of G|U is a subset of
 the ambient nerve closed under faces, so each C(G|U) is a sub-block of the
 ambient Moore complex: one nerve is built per cover, and each piece is a
-list of ambient basis positions per degree.  Both maps are `IntegerMatrix`
-read off those position lists, with one or two entries per column.  The
-connecting map is the explicit zig-zag: lift a cycle, take its boundary,
-read the unique preimage off the intersection block, and return that class.
-Everything here is verified by exact sparse matrix identities — chain-map
-squares, injectivity/surjectivity through invariant factors, and class
-coordinates in the intersection's homology for boundary claims.
+list of ambient basis positions per degree.  Both maps act on chains through
+those lists, and no matrix of either is built.  Exactness is a fact about the
+lists (U1 ∪ U2 is every position and U1 ∩ U2 is exactly U12), and both maps
+are chain maps because each list is closed under faces, which `_subcomplex`
+checks.  The connecting map is the explicit zig-zag: lift a cycle, take its
+boundary, read the unique preimage off the intersection block, and return
+that class; boundary claims rest on class coordinates in the intersection's
+homology.
 
 For the clopen saturated covers accepted here every connecting class is zero.
 U2 ∖ U1 is the complement of the saturated set U1 (the two sets cover the
@@ -36,7 +37,7 @@ from typing import Sequence
 from .abelian import FinAbGroup, GroupHom, PresentedGroup, middle_homology
 from .chains import FreeChainComplex, HomologyResult, _check_trusted, homology_results
 from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, _positions, moore_complex, saturation_witness
-from .matrix import IntegerMatrix, invariant_factors
+from .matrix import IntegerMatrix
 
 
 class MvDecomposition:
@@ -88,14 +89,11 @@ class MvChainSes:
     ambient tuples whose arrows all have both endpoints in U, in the ambient's
     lex order, so `complex1`, `complex2` and `complex12` are the sub-blocks of
     the ambient boundaries on those positions (`_positions`).
-    `to_pieces[n]` is the intersection-to-pieces map (second block negated),
-    `to_total[n]` the pieces-to-ambient sum, both `IntegerMatrix`; both are
-    verified chain maps and the sequence is verified exact degreewise on
-    construction, which also proves ∂∘∂ = 0 on the pieces
-    (`FreeChainComplex._trusted`).  Row p of `to_total[n]` lists the piece
-    columns of ambient tuple p, so it is also the table that `lift` reads.
-    `intersection_to_piece1[n][j]` is the piece-1 index of intersection
-    tuple j, the block that `connecting` reads its witness off.
+    `positions[n]` holds the degree-n position lists (U1, U2, U12) and
+    `overlap[n]` the index of each U12 position in the U1 list and in the U2
+    list.  `to_pieces` and `to_total` apply the two maps to chains through
+    those lists; `_verify` checks on construction that the sequence is exact
+    in every degree, and `_subcomplex` that each list is closed under faces.
     """
 
     __slots__ = (
@@ -105,9 +103,8 @@ class MvChainSes:
         "complex1",
         "complex2",
         "complex12",
-        "to_pieces",
-        "to_total",
-        "intersection_to_piece1",
+        "positions",
+        "overlap",
         "_homology",
     )
 
@@ -116,71 +113,42 @@ class MvChainSes:
         self.decomposition = d
         self.max_degree = max_degree
         self.total_complex = moore_complex(d.ambient, max_degree, budget=budget)
-        positions1, positions2, positions12 = (
-            _positions(d.ambient, max_degree, u) for u in (d.u1, d.u2, d.u12)
-        )
-        self.complex1 = _subcomplex(self.total_complex, positions1)
-        self.complex2 = _subcomplex(self.total_complex, positions2)
-        self.complex12 = _subcomplex(self.total_complex, positions12)
-        self.intersection_to_piece1, self.to_pieces, self.to_total = [], [], []
-        self._homology: dict[tuple[str, int], HomologyResult] = {}
-        for n in range(max_degree + 1):
-            self._build_degree(n, positions1[n], positions2[n], positions12[n])
+        pieces = [_positions(d.ambient, max_degree, u) for u in (d.u1, d.u2, d.u12)]
+        self.positions = list(zip(*pieces))
+        self.overlap = []
+        for pos1, pos2, pos12 in self.positions:
+            index1 = {p: i for i, p in enumerate(pos1)}
+            index2 = {p: j for j, p in enumerate(pos2)}
+            self.overlap.append(([index1[p] for p in pos12], [index2[p] for p in pos12]))
         self._verify()
-
-    # -- construction ------------------------------------------------------
-
-    def _build_degree(self, n: int, pos1: list[int], pos2: list[int], pos12: list[int]) -> None:
-        dim1 = len(pos1)
-        index1 = {p: i for i, p in enumerate(pos1)}
-        index2 = {p: i for i, p in enumerate(pos2, start=dim1)}
-        in1 = [index1[p] for p in pos12]
-
-        alpha = IntegerMatrix(dim1 + len(pos2), len(pos12))
-        for j, p in enumerate(pos12):
-            alpha._dicts[in1[j]][j] = 1
-            alpha._dicts[index2[p]][j] = -1
-        # an ambient tuple no piece owns leaves an empty row: "sum not surjective"
-        beta = IntegerMatrix(self.total_complex.dims[n], alpha.rows)
-        for i, p in enumerate(pos1 + pos2):
-            beta._dicts[p][i] = 1
-
-        self.to_pieces.append(alpha)
-        self.to_total.append(beta)
-        self.intersection_to_piece1.append(in1)
+        self.complex1, self.complex2, self.complex12 = (
+            _subcomplex(self.total_complex, pos) for pos in pieces
+        )
+        self._homology: dict[tuple[str, int], HomologyResult] = {}
 
     def _verify(self) -> None:
-        """Exactness and chain-map identities; failure is an implementation bug."""
-        for n in range(self.max_degree + 1):
-            alpha, beta = self.to_pieces[n], self.to_total[n]
-            dim12 = self.complex12.dims[n]
-            dim_total = self.total_complex.dims[n]
-            if not beta.matmul(alpha).is_zero():
-                raise AssertionError(f"composite nonzero in degree {n}")
-            if invariant_factors(alpha) != [1] * dim12:
-                raise AssertionError(f"inclusion not split in degree {n}")
-            if invariant_factors(beta) != [1] * dim_total:
-                raise AssertionError(f"sum not surjective in degree {n}")
-            # split injective + rank count + zero composite force ker = im:
-            # im(alpha) is a saturated sublattice of ker(beta) of full rank
-            kernel_rank = beta.cols - dim_total
-            if kernel_rank != dim12:
-                raise AssertionError(f"rank mismatch in degree {n}")
-        for n in range(1, self.max_degree + 1):
-            alpha, beta = self.to_pieces[n], self.to_total[n]
-            boundary_pieces = IntegerMatrix.block_diag(
-                [self.complex1.boundaries[n], self.complex2.boundaries[n]]
-            )
-            left = self.to_pieces[n - 1].matmul(self.complex12.boundaries[n])
-            right = boundary_pieces.matmul(alpha)
-            if left != right:
-                raise AssertionError(f"intersection map is not a chain map in degree {n}")
-            left = self.total_complex.boundaries[n].matmul(beta)
-            right = self.to_total[n - 1].matmul(boundary_pieces)
-            if left != right:
-                raise AssertionError(f"sum map is not a chain map in degree {n}")
+        """Exactness in each degree, read off the position lists; failure is an implementation bug.
 
-    # -- homology and lifts --------------------------------------------------
+        The lists strictly increase, so α and β send basis vectors to distinct
+        basis vectors and α is split injective.  U1 ∪ U2 is every ambient
+        position, so β is onto.  The U12 indices pick the same position in
+        both pieces, so βα = 0, and U1 ∩ U2 is exactly U12, so a pair β kills
+        is α of its U12 part: ker β = im α.
+        """
+        for n, ((pos1, pos2, pos12), (in1, in2)) in enumerate(zip(self.positions, self.overlap)):
+            for name, pos in (("U1", pos1), ("U2", pos2), ("U12", pos12)):
+                if any(a >= b for a, b in zip(pos, pos[1:])):
+                    raise AssertionError(f"{name} positions not increasing in degree {n}")
+            total = self.total_complex.dims[n]
+            if set(pos1).union(pos2) != set(range(total)):
+                raise AssertionError(f"sum not surjective in degree {n}")
+            if [pos1[i] for i in in1] != pos12 or [pos2[j] for j in in2] != pos12:
+                raise AssertionError(f"U12 indices miss the U12 positions in degree {n}")
+            # U12 lies in U1 ∩ U2, whose size is |U1| + |U2| - |U1 ∪ U2|
+            if len(pos1) + len(pos2) - total != len(pos12):
+                raise AssertionError(f"U1 ∩ U2 is not U12 in degree {n}")
+
+    # -- homology and the maps on chains -------------------------------------
 
     def homology(self, part: str, n: int) -> HomologyResult:
         """Integral homology of one of "total", "piece1", "piece2", "piece12".
@@ -200,30 +168,48 @@ class MvChainSes:
             self._homology.update(((part, m), h) for m, h in enumerate(homology_results(complex_)))
         return self._homology[key]
 
-    def lift(self, n: int, chain: Sequence[int], rng: random.Random | None = None) -> list[int]:
-        """A preimage of an ambient chain under to_total[n].
+    def to_pieces(self, n: int, x: Sequence[int]) -> tuple[list[int], list[int]]:
+        """α on a degree-n intersection chain: x on piece 1, -x on piece 2."""
+        pos1, pos2, pos12 = self.positions[n]
+        if len(x) != len(pos12):
+            raise ValueError("shape mismatch: chain length does not match intersection dimension")
+        y1, y2 = [0] * len(pos1), [0] * len(pos2)
+        for i, j, v in zip(*self.overlap[n], x):
+            y1[i], y2[j] = v, -v
+        return y1, y2
+
+    def to_total(self, n: int, y1: Sequence[int], y2: Sequence[int]) -> list[int]:
+        """β on a pair of degree-n piece chains: their sum in the ambient basis."""
+        pos1, pos2, _ = self.positions[n]
+        if (len(y1), len(y2)) != (len(pos1), len(pos2)):
+            raise ValueError("shape mismatch: chain lengths do not match piece dimensions")
+        out = [0] * self.total_complex.dims[n]
+        for pos, y in ((pos1, y1), (pos2, y2)):
+            for p, v in zip(pos, y):
+                out[p] += v
+        return out
+
+    def lift(
+        self, n: int, chain: Sequence[int], rng: random.Random | None = None
+    ) -> tuple[list[int], list[int]]:
+        """A preimage (y1, y2) of an ambient chain under to_total.
 
         The canonical lift restricts to the U1 piece and puts the remainder on
         the U2 piece; with an rng, coefficients of intersection tuples are
         split randomly instead (still an exact preimage).
         """
-        beta = self.to_total[n]
-        if len(chain) != beta.rows:
+        if len(chain) != self.total_complex.dims[n]:
             raise ValueError("shape mismatch: chain length does not match ambient dimension")
-        out = [0] * beta.cols
-        for owners, x in zip(beta._dicts, chain):
-            # the row holds the piece-1 column, the piece-2 column, or both
-            if len(owners) == 2 and rng is not None:
-                first = rng.randint(-3, 3)
-                own1, own2 = sorted(owners)
-                out[own1] += first
-                out[own2] += x - first
-            elif x:
-                out[min(owners)] += x
-        check = beta.mul_vector(out)
-        if check != list(chain):
+        pos1, pos2, _ = self.positions[n]
+        y1 = [chain[p] for p in pos1]
+        y2 = [chain[p] for p in pos2]
+        for i, j in zip(*self.overlap[n]):
+            if rng is not None:
+                y1[i] = rng.randint(-3, 3)
+            y2[j] -= y1[i]
+        if self.to_total(n, y1, y2) != list(chain):
             raise AssertionError("lift failed to project back to the chain")
-        return out
+        return y1, y2
 
     def connecting(
         self, n: int, cycle: Sequence[int], rng: random.Random | None = None
@@ -237,51 +223,20 @@ class MvChainSes:
         boundary = self.total_complex.boundaries[n]
         if any(x != 0 for x in boundary.mul_vector(list(cycle))):
             raise ValueError("not a cycle")
+        y1, y2 = self.lift(n, cycle, rng=rng)
         if n == 0:
-            self.lift(n, cycle, rng=rng)
             return ConnectingResult(degree=n, witness=[], coords=(), is_boundary=True)
-        lifted = self.lift(n, cycle, rng=rng)
-        dim1 = self.complex1.dims[n]
-        b1 = self.complex1.boundaries[n].mul_vector(lifted[:dim1])
-        b2 = self.complex2.boundaries[n].mul_vector(lifted[dim1:])
-        in1 = self.intersection_to_piece1[n - 1]
-        witness = [b1[in1[j]] for j in range(self.complex12.dims[n - 1])]
+        b1 = self.complex1.boundaries[n].mul_vector(y1)
+        b2 = self.complex2.boundaries[n].mul_vector(y2)
+        witness = [b1[i] for i in self.overlap[n - 1][0]]
         # uniqueness + correctness: to_pieces must reproduce the boundary exactly
-        expected = self.to_pieces[n - 1].mul_vector(witness)
-        if expected != b1 + b2:
+        if self.to_pieces(n - 1, witness) != (b1, b2):
             raise AssertionError("boundary of the lift is not an intersection chain")
         h_below = self.homology("piece12", n - 1)
         coords = h_below.class_coords(witness)
         # the class is zero exactly when the witness lies in im ∂_n
         is_boundary = not any(coords)
         return ConnectingResult(degree=n, witness=witness, coords=coords, is_boundary=is_boundary)
-
-    def cycle_lift(self, n: int, cycle: Sequence[int]) -> list[int]:
-        """A preimage of the cycle under to_total that is itself a cycle.
-
-        Exists exactly when the connecting class vanishes: correct the
-        canonical lift by to_pieces of a chain bounding the witness, read off
-        the intersection's recorded reduction (so n < max_degree).
-        """
-        result = self.connecting(n, cycle)
-        lifted = self.lift(n, cycle)
-        if n == 0:
-            return lifted
-        if not result.is_boundary:
-            raise ValueError("cycle admits no cycle lift: connecting class is nonzero")
-        filler = self.homology("piece12", n - 1).bounding_chain(result.witness)
-        if filler is None:
-            raise AssertionError("witness declared a boundary but no filler found")
-        correction = self.to_pieces[n].mul_vector(filler)
-        out = [a - b for a, b in zip(lifted, correction)]
-        dim1 = self.complex1.dims[n]
-        if any(self.complex1.boundaries[n].mul_vector(out[:dim1])) or any(
-            self.complex2.boundaries[n].mul_vector(out[dim1:])
-        ):
-            raise AssertionError("corrected lift is not a cycle")
-        if self.to_total[n].mul_vector(out) != list(cycle):
-            raise AssertionError("corrected lift no longer projects to the cycle")
-        return out
 
 
 class ConnectingResult:
@@ -295,26 +250,26 @@ class ConnectingResult:
         self.coords = coords
         self.is_boundary = is_boundary
 
-    @property
-    def is_zero_class(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __repr__(self) -> str:
         return f"ConnectingResult(degree={self.degree}, coords={self.coords})"
 
 
 def _subcomplex(complex_: FreeChainComplex, positions: list[list[int]]) -> FreeChainComplex:
-    """The sub-block of each boundary on the given basis positions, shapes checked.
+    """The sub-block of each boundary on basis positions that are closed under faces.
 
-    An entry whose row lies outside the block is dropped here; the chain-map
-    square of `to_total` in `MvChainSes._verify` fails if any was (the block
-    would not be closed under faces).  ∂∘∂ = 0 is not re-checked: the
-    ambient complex was, and `_verify` proves it for the block.
+    An entry of a block column in a row outside the block raises, so each
+    boundary of the result is the ambient one restricted to a subcomplex:
+    ∂∘∂ = 0 on it follows from the ambient check, and the inclusions of the
+    pieces, hence both maps of the sequence, are chain maps.
     """
     boundaries = [IntegerMatrix(0, len(positions[0]))]
     for n in range(1, len(positions)):
         cols = {p: j for j, p in enumerate(positions[n])}
         rows = complex_.boundaries[n]._dicts
+        inside = set(positions[n - 1])
+        for r, row in enumerate(rows):
+            if r not in inside and not cols.keys().isdisjoint(row):
+                raise AssertionError(f"positions not closed under faces in degree {n}: face {r} outside")
         block = [{cols[p]: v for p, v in rows[r].items() if p in cols} for r in positions[n - 1]]
         boundaries.append(IntegerMatrix._wrap(len(block), len(cols), block))
     return FreeChainComplex._trusted([len(pos) for pos in positions], boundaries)
@@ -393,23 +348,16 @@ def long_exact_sequence(
     nodes = []
     arrows = []
     for n in range(top, -1, -1):
-        dim1 = ses.complex1.dims[n]
         # to_pieces on homology
         cols = []
         for z in h12[n].cycle_reps:
-            image = ses.to_pieces[n].mul_vector(z)
-            c1 = h1[n].class_coords(image[:dim1])
-            c2 = h2[n].class_coords(image[dim1:])
-            cols.append(list(c1) + list(c2))
+            y1, y2 = ses.to_pieces(n, z)
+            cols.append(list(h1[n].class_coords(y1)) + list(h2[n].class_coords(y2)))
         alpha_hom = GroupHom.from_columns(h12[n].presentation, pair_nodes[n], cols)
         # to_total on homology
-        cols = []
-        for z in h1[n].cycle_reps:
-            padded = list(z) + [0] * ses.complex2.dims[n]
-            cols.append(list(ht[n].class_coords(ses.to_total[n].mul_vector(padded))))
-        for z in h2[n].cycle_reps:
-            padded = [0] * dim1 + list(z)
-            cols.append(list(ht[n].class_coords(ses.to_total[n].mul_vector(padded))))
+        zero1, zero2 = [0] * ses.complex1.dims[n], [0] * ses.complex2.dims[n]
+        cols = [list(ht[n].class_coords(ses.to_total(n, z, zero2))) for z in h1[n].cycle_reps]
+        cols += [list(ht[n].class_coords(ses.to_total(n, zero1, z))) for z in h2[n].cycle_reps]
         beta_hom = GroupHom.from_columns(pair_nodes[n], ht[n].presentation, cols)
         # connecting on homology
         target = h12[n - 1].presentation if n >= 1 else trivial_node

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .abelian import FinAbGroup, group_of
-from .matrix import IntegerMatrix, rank
+from .matrix import IntegerMatrix
 
 
 @dataclass(frozen=True, order=True)
@@ -62,9 +62,9 @@ def full_shift_matrix(n: int) -> IntegerMatrix:
 def sft_matrix_homology(a: IntegerMatrix | Sequence[Sequence[int]]) -> tuple[FinAbGroup, FinAbGroup]:
     """(H_0, H_1) of the shift groupoid of transition matrix A.
 
-    H_0 is the cokernel and H_1 the kernel of I - A^T.  A must be square and
-    nonnegative with no zero row or column (otherwise the shift space is
-    degenerate).
+    H_0 is the cokernel and H_1 the kernel of I - A^T; the matrix is square,
+    so H_1 is free of H_0's rank.  A must be square and nonnegative with no
+    zero row or column (otherwise the shift space is degenerate).
     """
     if not isinstance(a, IntegerMatrix):
         a = IntegerMatrix.from_rows(a)
@@ -82,7 +82,7 @@ def sft_matrix_homology(a: IntegerMatrix | Sequence[Sequence[int]]) -> tuple[Fin
             raise ValueError(f"degenerate matrix: zero column {j}")
     m = IntegerMatrix.from_rows([[int(i == j) - a[j, i] for j in range(a.rows)] for i in range(a.rows)])
     h0 = group_of(m)
-    h1 = FinAbGroup.free(m.cols - rank(m))
+    h1 = FinAbGroup.free(h0.rank)
     return h0, h1
 
 

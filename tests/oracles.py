@@ -6,7 +6,8 @@ invariant factors by minor gcds or naive elimination, lattice membership and
 saturated kernels through a row-tracked Smith form, mod-q homology by
 exhaustive enumeration of chains, exactness by enumerating finite groups
 element by element, Moore boundaries from plain tuples whose faces are built
-by composing arrows, and cyclic-group homology by its closed form.  Tests
+by composing arrows, the Mayer–Vietoris maps as dense matrices from position
+lists, and cyclic-group homology by its closed form.  Tests
 compare package output against these, never the package against itself.
 """
 
@@ -369,6 +370,25 @@ def moore_boundary(g, n: int) -> dict[tuple[int, int], int]:
             key = (rows[tuple_face(g, t, i)], x)
             out[key] = out.get(key, 0) + (-1) ** i
     return {key: v for key, v in out.items() if v}
+
+
+# -- Mayer–Vietoris maps from position lists ----------------------------------
+
+
+def mv_maps(pos1: list[int], pos2: list[int], pos12: list[int], dim_total: int):
+    """(α, β) of the Mayer–Vietoris sequence in one degree as dense rows, from
+    the pieces' positions in the ambient basis: α sends intersection tuple p to
+    +1 at p's column of piece 1 and -1 at p's column of piece 2, and β sends
+    each piece column to the ambient basis vector at its position."""
+    owners = [(1, p) for p in pos1] + [(2, p) for p in pos2]
+    alpha = [[0] * len(pos12) for _ in owners]
+    for j, p in enumerate(pos12):
+        alpha[owners.index((1, p))][j] = 1
+        alpha[owners.index((2, p))][j] = -1
+    beta = [[0] * len(owners) for _ in range(dim_total)]
+    for i, (_, p) in enumerate(owners):
+        beta[p][i] = 1
+    return alpha, beta
 
 
 # -- closed forms -------------------------------------------------------------

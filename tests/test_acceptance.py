@@ -58,7 +58,7 @@ from groupoid_homology import (
 from groupoid_homology.cli import main as cli_main
 
 import oracles
-from test_mv import kernel_equals_image, three_orbit_covers
+from test_mv import kernel_equals_image, mv_matrices, three_orbit_covers
 
 
 @contextlib.contextmanager
@@ -214,8 +214,7 @@ def test_criterion_05_mv_chain_exactness(capsys):
                 dim1 = ses.complex1.dims[n]
                 dim2 = ses.complex2.dims[n]
                 dim_total = ses.total_complex.dims[n]
-                alpha = ses.to_pieces[n]
-                beta = ses.to_total[n]
+                alpha, beta = mv_matrices(ses, n)
                 assert dim1 + dim2 == dim_total + dim12, (name, n)
                 assert beta.matmul(alpha).is_zero(), (name, n)
                 assert invariant_factors(alpha) == [1] * dim12, (name, n)

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import groupoid_homology
 import groupoid_homology.matrix
-from groupoid_homology import moore_complex, one_object_cyclic
+import groupoid_homology.mv
+from groupoid_homology import ConnectingResult, HomologyResult, MvChainSes, moore_complex, one_object_cyclic
+
+from test_cli import gen_file, run_cli
 
 REMOVED = ("kernel_basis", "in_column_lattice", "same_column_lattice", "solve_columns",
            "column_lattice_basis", "homology_with_coefficients", "validate_groupoid",
@@ -36,6 +39,16 @@ def test_public_names_resolve_and_removed_helpers_are_gone():
         assert attr not in vars(groupoid_homology.IntegerMatrix)
     for attr in ("modulus", "basis_labels"):
         assert not hasattr(groupoid_homology.FreeChainComplex, attr)
+    # the Mayer–Vietoris maps act on chains through position lists: no α/β
+    # matrices, no index table of their own, no cycle lifts or bounding chains
+    for attr in ("intersection_to_piece1", "cycle_lift", "_build_degree"):
+        assert not hasattr(MvChainSes, attr)
+    assert inspect.isfunction(MvChainSes.to_pieces) and inspect.isfunction(MvChainSes.to_total)
+    assert not hasattr(ConnectingResult, "is_zero_class")
+    for attr in ("bounding_chain", "_fillers", "_image"):
+        assert not hasattr(HomologyResult, attr)
+    assert "fillers" not in inspect.signature(HomologyResult).parameters
+    assert not hasattr(groupoid_homology.mv, "invariant_factors")
 
 
 def test_benchmark_tracer_wraps_the_matrix_product(monkeypatch):
@@ -53,3 +66,22 @@ def test_benchmark_tracer_wraps_the_matrix_product(monkeypatch):
         tracer.uninstall()
     _, calls = tracer.self_times(0)
     assert calls["matrix.matmul"] == 2
+
+
+def test_benchmark_tracer_sees_the_mayer_vietoris_layers(monkeypatch, tmp_path):
+    # perfbench/run.py reports the self times of mv.connecting, mv.chain_ses
+    # and mv.long_exact_sequence by these names; one `mv` call reaches all three
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    path = gen_file(tmp_path, "units:3", "u3.json")
+    tracer = tracing.Tracer("groupoid_homology")
+    tracer.install()
+    try:
+        code, out, err = run_cli(["mv", "-i", path, "-N", "2", "--u1", "0,1", "--u2", "1,2"])
+    finally:
+        tracer.uninstall()
+    assert (code, err) == (0, "") and "all nodes exact: true" in out
+    _, calls = tracer.self_times(0)
+    for name in ("mv.connecting", "mv.chain_ses", "mv.long_exact_sequence"):
+        assert calls[name] > 0, name

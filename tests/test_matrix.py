@@ -327,7 +327,7 @@ def test_sweep_on_random_zero_product_pairs(seed):
     # clearing applies; every factor list must match the oracles
     rng = random.Random(5000 + seed)
     a = random_matrix(rng, max_side=7, spread=3)
-    kernel = IntegerMatrix.from_rows(oracles.saturated_kernel_basis(raw_rows(a), a.cols), cols=0)
+    kernel = IntegerMatrix.from_rows(oracles.saturated_kernel_basis(raw_rows(a), a.cols))
     width = rng.randint(1, 6)
     mix = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(kernel.cols)]
     b = kernel.matmul(IntegerMatrix.from_rows(mix, cols=width))
@@ -346,7 +346,7 @@ def test_kernel_basis_properties(seed):
     # the kernel oracle that the lattice tests rest on, against the package
     rng = random.Random(3000 + seed)
     m = random_matrix(rng)
-    k = IntegerMatrix.from_rows(oracles.saturated_kernel_basis(raw_rows(m), m.cols), cols=0)
+    k = IntegerMatrix.from_rows(oracles.saturated_kernel_basis(raw_rows(m), m.cols))
     assert k.rows == m.cols
     assert k.cols == m.cols - rank(m)
     assert m.matmul(k).is_zero()
@@ -614,5 +614,10 @@ def test_shape_mismatch_errors():
         IntegerMatrix.vstack([a, b])
     with pytest.raises(ValueError, match="shape mismatch"):
         IntegerMatrix.from_rows([[1, 2], [3]])
+    # a stated width must match the rows' width; it sets the width only of no rows
+    with pytest.raises(ValueError, match=r"shape mismatch: rows of width 2, cols=5"):
+        IntegerMatrix.from_rows([[1, 2]], cols=5)
+    assert IntegerMatrix.from_rows([[1, 2]], cols=2) == a
+    assert (IntegerMatrix.from_rows([], cols=5).rows, IntegerMatrix.from_rows([], cols=5).cols) == (0, 5)
     with pytest.raises(ValueError, match="shape mismatch"):
         a.mul_vector([1, 2, 3])

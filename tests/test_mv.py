@@ -2,8 +2,9 @@
 sequence, connecting classes, and the assembled long exact sequence.
 
 Exactness is asserted two independent ways: literally at the chain level
-(kernel lattice equals image lattice, by the package-free lattice oracles in
-`oracles.py`) and at the homology level (defect groups of the assembled
+(kernel lattice equals image lattice for the maps as matrices that
+`oracles.mv_maps` builds from the position lists, by the package-free lattice
+oracles in `oracles.py`) and at the homology level (defect groups of the assembled
 sequence, cross-checked by element-by-element enumeration on finite nodes).
 Boundary claims of the connecting map are checked by oracle lattice membership.
 """
@@ -48,6 +49,14 @@ def kernel_equals_image(beta, alpha):
     """ker(beta) = im(alpha) as lattices, by the package-free oracles."""
     kernel = oracles.saturated_kernel_basis(raw_rows(beta), beta.cols)
     return oracles.same_lattice(kernel, raw_rows(alpha))
+
+
+def mv_matrices(ses, n):
+    """(α, β) in degree n, built by the oracle from the sequence's position lists."""
+    pos1, pos2, pos12 = ses.positions[n]
+    alpha, beta = oracles.mv_maps(pos1, pos2, pos12, ses.total_complex.dims[n])
+    return (IntegerMatrix.from_rows(alpha, cols=len(pos12)),
+            IntegerMatrix.from_rows(beta, cols=len(pos1) + len(pos2)))
 
 
 def union(*parts):
@@ -144,10 +153,10 @@ def test_verify_refuses_positions_not_closed_under_faces(monkeypatch):
         return out
 
     monkeypatch.setattr(mv_module, "_positions", leaky)
-    with pytest.raises(AssertionError, match="is not a chain map in degree 2"):
+    with pytest.raises(AssertionError, match="positions not closed under faces in degree 2"):
         chain_ses(d, 2)
     # the pieces' ∂∘∂ is not re-checked, so under `python -O` this verdict
-    # rests on `_verify`'s chain-map raises alone
+    # rests on `_subcomplex`'s closure raise alone
     program = "\n".join(
         [
             "import sys",
@@ -179,7 +188,8 @@ def test_verify_refuses_positions_not_closed_under_faces(monkeypatch):
         env=child_env(),
     )
     assert proc.returncode != 0
-    assert re.search(r"AssertionError: \w+ map is not a chain map in degree 2", proc.stderr), proc.stderr
+    assert re.search(r"AssertionError: positions not closed under faces in degree 2: face \d+ outside",
+                     proc.stderr), proc.stderr
 
 
 def test_chain_ses_refuses_sets_that_miss_an_arrow():
@@ -231,8 +241,7 @@ def test_chain_ses_exactness(name, g, u1, u2):
         dim1 = ses.complex1.dims[n]
         dim2 = ses.complex2.dims[n]
         dim_total = ses.total_complex.dims[n]
-        alpha = ses.to_pieces[n]
-        beta = ses.to_total[n]
+        alpha, beta = mv_matrices(ses, n)
         assert alpha.rows == dim1 + dim2 and alpha.cols == dim12
         assert beta.rows == dim_total and beta.cols == dim1 + dim2
         # dimension bookkeeping of a two-set cover
@@ -244,6 +253,13 @@ def test_chain_ses_exactness(name, g, u1, u2):
         assert invariant_factors(beta) == [1] * dim_total
         # the exactness statement itself: ker(beta) = im(alpha) as lattices
         assert kernel_equals_image(beta, alpha)
+        # the sequence's maps on chains are these matrices
+        rng = random.Random(n)
+        x = [rng.randint(-3, 3) for _ in range(dim12)]
+        y1, y2 = ses.to_pieces(n, x)
+        assert y1 + y2 == alpha.mul_vector(x)
+        y = [rng.randint(-3, 3) for _ in range(dim1 + dim2)]
+        assert ses.to_total(n, y[:dim1], y[dim1:]) == beta.mul_vector(y)
 
 
 @pytest.mark.parametrize("name,g,u1,u2", COVERS, ids=[c[0] for c in COVERS])
@@ -251,7 +267,7 @@ def test_invariant_factors_of_mv_matrices_match_oracles(name, g, u1, u2, monkeyp
     # α, β and every middle_homology pair (d1, d2) of the long exact sequence
     d = decompose(g, u1, u2)
     ses = chain_ses(d, 3)
-    matrices = [m for n in range(4) for m in (ses.to_pieces[n], ses.to_total[n])]
+    matrices = [m for n in range(4) for m in mv_matrices(ses, n)]
     pairs = []
     real_sweep = abelian_module.sweep_invariant_factors
     monkeypatch.setattr(
@@ -279,11 +295,12 @@ def test_chain_maps_commute_with_boundaries(name, g, u1, u2):
         d_pieces_n = IntegerMatrix.block_diag(
             [ses.complex1.boundaries[n], ses.complex2.boundaries[n]]
         )
-        left = d_pieces_n.matmul(ses.to_pieces[n])
-        right = ses.to_pieces[n - 1].matmul(ses.complex12.boundaries[n])
+        (alpha, beta), (alpha_below, beta_below) = mv_matrices(ses, n), mv_matrices(ses, n - 1)
+        left = d_pieces_n.matmul(alpha)
+        right = alpha_below.matmul(ses.complex12.boundaries[n])
         assert left == right
-        left = ses.total_complex.boundaries[n].matmul(ses.to_total[n])
-        right = ses.to_total[n - 1].matmul(d_pieces_n)
+        left = ses.total_complex.boundaries[n].matmul(beta)
+        right = beta_below.matmul(d_pieces_n)
         assert left == right
 
 
@@ -291,7 +308,7 @@ def test_beta_degree_zero_shape():
     name, g, u1, u2 = COVERS[1]
     d = decompose(g, u1, u2)
     ses = chain_ses(d, 2)
-    beta0 = ses.to_total[0]
+    _, beta0 = mv_matrices(ses, 0)
     assert invariant_factors(beta0) == [1] * len(g.units)
     # the kernel is one copy of Z per shared unit
     kernel = oracles.saturated_kernel_basis(raw_rows(beta0), beta0.cols)
@@ -304,7 +321,8 @@ def test_overlapping_cover_is_exact():
     d = decompose(g, all_units, all_units)
     ses = chain_ses(d, 3)
     for n in range(4):
-        assert kernel_equals_image(ses.to_total[n], ses.to_pieces[n])
+        alpha, beta = mv_matrices(ses, n)
+        assert kernel_equals_image(beta, alpha)
         # intersection piece coincides with the ambient complex
         assert ses.complex12.dims[n] == ses.total_complex.dims[n]
 
@@ -316,7 +334,7 @@ def test_empty_second_piece_gives_isomorphism():
     for n in range(4):
         assert ses.complex2.dims[n] == 0
         assert ses.complex12.dims[n] == 0
-        assert invariant_factors(ses.to_total[n]) == [1] * ses.total_complex.dims[n]
+        assert invariant_factors(mv_matrices(ses, n)[1]) == [1] * ses.total_complex.dims[n]
     for n in range(3):
         assert ses.homology("piece1", n).group == ses.homology("total", n).group
     les = long_exact_sequence(d, 3)
@@ -333,11 +351,17 @@ def test_lift_projects_back(name, g, u1, u2):
     rng_chain = random.Random(hash(name) & 0xFFFF)
     for n in range(3):
         chain = [rng_chain.randint(-3, 3) for _ in range(ses.total_complex.dims[n])]
+        _, beta = mv_matrices(ses, n)
         for rng in (None, random.Random(1), random.Random(2)):
-            lifted = ses.lift(n, chain, rng=rng)
-            assert ses.to_total[n].mul_vector(lifted) == chain
-    with pytest.raises(ValueError, match="shape mismatch: chain length"):
+            y1, y2 = ses.lift(n, chain, rng=rng)
+            assert ses.to_total(n, y1, y2) == chain
+            assert beta.mul_vector(y1 + y2) == chain
+    with pytest.raises(ValueError, match="shape mismatch: chain length does not match ambient"):
         ses.lift(0, [0] * (ses.total_complex.dims[0] + 1))
+    with pytest.raises(ValueError, match="shape mismatch: chain length does not match intersection"):
+        ses.to_pieces(0, [0] * (ses.complex12.dims[0] + 1))
+    with pytest.raises(ValueError, match="shape mismatch: chain lengths do not match piece"):
+        ses.to_total(0, [0] * ses.complex1.dims[0], [0] * (ses.complex2.dims[0] + 1))
 
 
 def test_randomized_lift_differs_but_projects():
@@ -346,14 +370,14 @@ def test_randomized_lift_differs_but_projects():
     d = decompose(g, u1, u2)
     ses = chain_ses(d, 2)
     chain = [1] * ses.total_complex.dims[1]
-    canonical = ses.lift(1, chain)
-    seen = {tuple(canonical)}
+    y1, y2 = ses.lift(1, chain)
+    seen = {tuple(y1 + y2)}
     for seed in range(8):
-        seen.add(tuple(ses.lift(1, chain, rng=random.Random(seed))))
+        y1, y2 = ses.lift(1, chain, rng=random.Random(seed))
+        seen.add(tuple(y1 + y2))
     assert len(seen) > 1
-    assert all(
-        ses.to_total[1].mul_vector(list(v)) == chain for v in seen
-    )
+    _, beta = mv_matrices(ses, 1)
+    assert all(beta.mul_vector(list(v)) == chain for v in seen)
 
 
 # -- connecting classes ----------------------------------------------------------------
@@ -381,7 +405,7 @@ def test_connecting_degree_zero_is_trivial():
     assert result.degree == 0
     assert result.witness == []
     assert result.coords == ()
-    assert result.is_boundary and result.is_zero_class
+    assert result.is_boundary
 
 
 @pytest.mark.parametrize("name,g,u1,u2", COVERS, ids=[c[0] for c in COVERS])
@@ -401,8 +425,8 @@ def test_connecting_on_homology_generators(name, g, u1, u2):
             assert result.is_boundary == oracles.lattice_contains(
                 raw_rows(ses.complex12.boundaries[n]), [result.witness]
             )
-            if result.is_boundary:
-                assert result.is_zero_class
+            # ... and reads as a zero class
+            assert result.is_boundary == all(c == 0 for c in result.coords)
             # lift independence: randomized lifts give the same class
             for seed in (11, 12):
                 alt = ses.connecting(n, z, rng=random.Random(seed))
@@ -419,25 +443,6 @@ def test_connecting_module_level_wrapper():
     via_method = ses.connecting(1, z)
     assert via_module.coords == via_method.coords
     assert via_module.is_boundary == via_method.is_boundary
-
-
-@pytest.mark.parametrize("name,g,u1,u2", COVERS[:4], ids=[c[0] for c in COVERS[:4]])
-def test_cycle_lift(name, g, u1, u2):
-    d = decompose(g, u1, u2)
-    ses = chain_ses(d, 3)
-    for n in range(3):
-        h_total = ses.homology("total", n)
-        for z in h_total.cycle_reps:
-            result = ses.connecting(n, z)
-            if n >= 1 and not result.is_boundary:
-                with pytest.raises(ValueError, match="cycle admits no cycle lift"):
-                    ses.cycle_lift(n, z)
-                continue
-            lifted = ses.cycle_lift(n, z)
-            assert ses.to_total[n].mul_vector(lifted) == list(z)
-            dim1 = ses.complex1.dims[n]
-            assert not any(ses.complex1.boundaries[n].mul_vector(lifted[:dim1]))
-            assert not any(ses.complex2.boundaries[n].mul_vector(lifted[dim1:]))
 
 
 def _all_units_covers():
@@ -463,7 +468,7 @@ def test_connecting_map_vanishes_on_saturated_covers(name, g, u1, u2):
             assert ses.connecting(n, z).witness == [0] * ses.complex12.dims[n - 1]
             for seed in (5, 6):
                 result = ses.connecting(n, z, rng=random.Random(seed))
-                assert result.is_zero_class and result.is_boundary
+                assert result.is_boundary and all(c == 0 for c in result.coords)
     les = long_exact_sequence(d, 3)
     assert [les.nodes[i][0] for i in (2, 5, 8)] == ["H_2(G)", "H_1(G)", "H_0(G)"]
     assert all(delta.is_zero() for delta in les.arrows[2::3])
@@ -496,32 +501,9 @@ def test_connecting_reports_a_nonboundary_witness():
                     assert result.is_boundary == oracles.lattice_contains(
                         raw_rows(zeroed.boundaries[n]), [result.witness]
                     )
-                    assert result.is_boundary == result.is_zero_class
+                    assert result.is_boundary == all(c == 0 for c in result.coords)
                     verdicts.append(result.is_boundary)
     assert False in verdicts and True in verdicts
-
-
-def test_cycle_lift_refuses_a_nonzero_connecting_class(monkeypatch):
-    # with the intersection homology zeroed and every lift randomized, the
-    # connecting class is nonzero, so no cycle lift may be returned
-    original = MvChainSes.lift
-
-    def randomized_lift(self, n, chain, rng=None):
-        return original(self, n, chain, rng=rng or random.Random(7))
-
-    monkeypatch.setattr(MvChainSes, "lift", randomized_lift)
-    refused = 0
-    for name, g, u1, u2 in COVERS:
-        ses = chain_ses(decompose(g, u1, u2), 3)
-        _zero_intersection_homology(ses)
-        for n in range(1, 3):
-            for z in ses.homology("total", n).cycle_reps:
-                if ses.connecting(n, z).is_boundary:
-                    continue
-                with pytest.raises(ValueError, match="cycle admits no cycle lift"):
-                    ses.cycle_lift(n, z)
-                refused += 1
-    assert refused
 
 
 # -- the long exact sequence -----------------------------------------------------------
@@ -663,12 +645,12 @@ def test_naturality_ladder_under_cover_refinement():
         j2 = _inclusion_matrix(g, small.u2, big.u2, n)
         j12 = _inclusion_matrix(g, small.u12, big.u12, n)
         j_pieces = IntegerMatrix.block_diag([j1, j2])
+        alpha_big, beta_big = mv_matrices(ses_big, n)
+        alpha_small, beta_small = mv_matrices(ses_small, n)
         # total maps agree through the piece inclusions (same ambient basis)
-        assert ses_big.to_total[n].matmul(j_pieces) == ses_small.to_total[n]
+        assert beta_big.matmul(j_pieces) == beta_small
         # intersection maps ladder up through the inclusions
-        assert ses_big.to_pieces[n].matmul(j12) == j_pieces.matmul(
-            ses_small.to_pieces[n]
-        )
+        assert alpha_big.matmul(j12) == j_pieces.matmul(alpha_small)
     # both covers produce exact sequences on the same groupoid
     for les in (long_exact_sequence(small, 2), long_exact_sequence(big, 2)):
         assert all(defect.is_trivial() for _, defect in les.verify_exactness())
@@ -714,11 +696,13 @@ def test_chain_ses_builds_one_moore_complex(monkeypatch, tmp_path):
 # -- verdicts survive python -O ------------------------------------------------------
 
 
-def _verify_after(*corruption: str) -> subprocess.CompletedProcess:
-    """Run `_verify` under `python -O` once the statements `corruption` have
-    edited the degree 0..2 sequence `ses` of a three-orbit cover."""
+def _checks_after(*corruption: str) -> subprocess.CompletedProcess:
+    """Run `_verify`, then rebuild the three pieces with `_subcomplex`, under
+    `python -O` once the statements `corruption` have edited the degree 0..2
+    sequence `ses` of a three-orbit cover."""
     program = "\n".join(
         [
+            "import groupoid_homology.mv as mv",
             "from groupoid_homology import chain_ses, decompose, disjoint_union,"
             " one_object_cyclic, orbits, units",
             "g = disjoint_union(disjoint_union(one_object_cyclic(2), units(1)),"
@@ -727,6 +711,8 @@ def _verify_after(*corruption: str) -> subprocess.CompletedProcess:
             "ses = chain_ses(decompose(g, o[0] + o[1], o[1] + o[2]), 2)",
             *corruption,
             "ses._verify()",
+            "for k in range(3):",
+            "    mv._subcomplex(ses.total_complex, [pos[k] for pos in ses.positions])",
         ]
     )
     return subprocess.run(
@@ -739,40 +725,42 @@ def _verify_after(*corruption: str) -> subprocess.CompletedProcess:
 
 
 def test_verify_raises_under_optimize_flag():
-    # `python -O` strips bare asserts; one corrupted entry of the degree-1 sum
-    # map must still be caught.
-    proc = _verify_after("ses.to_total[1]._dicts[0][0] += 1")
+    # `python -O` strips bare asserts; a degree-1 ambient position that no
+    # piece lists any more must still be caught
+    proc = _checks_after("del ses.positions[1][0][0]")
     assert proc.returncode != 0
     assert "AssertionError: sum not surjective in degree 1" in proc.stderr
 
 
-# Each corruption keeps the earlier checks passing, so it reaches one given raise.
-# The intersection U12 is one unit, whose degree-2 tuple has a nonzero boundary.
+# Each corruption keeps the earlier checks passing, so it reaches one given raise;
+# each id names the property of α and β that the corruption breaks.  In degree 1
+# the lists are U1 = [0, 1, 2], U2 = [2, 3, 4, 5] and U12 = [2], at index 2 of U1
+# and 0 of U2; ambient column 0 of ∂_2 is a U1 tuple and column 4 the U12 tuple.
 VERIFY_FAULTS = [
     pytest.param(
-        ["r = next(r for r in ses.to_pieces[1]._dicts if r)", "r[next(iter(r))] *= 2"],
-        "composite nonzero in degree 1",
+        ["ses.overlap[1][1][0] = 1"],
+        "U12 indices miss the U12 positions in degree 1",
         id="composite",
     ),
     pytest.param(
-        ["for r in ses.to_pieces[1]._dicts: r.update({j: 2 * v for j, v in r.items()})"],
-        "inclusion not split in degree 1",
+        ["pos1, pos2, pos12 = ses.positions[1]", "pos12.append(2)", "ses.overlap[1][0].append(2)",
+         "ses.overlap[1][1].append(0)"],
+        "U12 positions not increasing in degree 1",
         id="split",
     ),
     pytest.param(
-        ["a, b = ses.to_pieces[1], ses.to_total[1]", "a._dicts.append({})", "a.rows += 1",
-         "b.cols += 1"],
-        "rank mismatch in degree 1",
+        ["ses.positions[1][0].append(3)"],
+        "U1 ∩ U2 is not U12 in degree 1",
         id="rank",
     ),
     pytest.param(
-        ["for r in ses.to_pieces[2]._dicts: r.update({j: -v for j, v in r.items()})"],
-        "intersection map is not a chain map in degree 2",
+        ["ses.total_complex.boundaries[2]._dicts[0][4] = 1"],
+        "positions not closed under faces in degree 2: face 0 outside",
         id="intersection-square",
     ),
     pytest.param(
-        ["for r in ses.to_total[2]._dicts: r.update({j: -v for j, v in r.items()})"],
-        "sum map is not a chain map in degree 2",
+        ["ses.total_complex.boundaries[2]._dicts[3][0] = 1"],
+        "positions not closed under faces in degree 2: face 3 outside",
         id="sum-square",
     ),
 ]
@@ -780,6 +768,36 @@ VERIFY_FAULTS = [
 
 @pytest.mark.parametrize("corruption,message", VERIFY_FAULTS)
 def test_verify_fault_reaches_its_raise_under_optimize_flag(corruption, message):
-    proc = _verify_after(*corruption)
+    proc = _checks_after(*corruption)
     assert proc.returncode != 0
     assert f"AssertionError: {message}" in proc.stderr
+
+
+def test_connecting_raise_survives_optimize_flag():
+    # a randomized lift of the zero cycle puts r and -r on the U12 tuple of
+    # degree 2, so the witness of degree 1 is r; read at a wrong U1 index it
+    # is 0, and to_pieces no longer reproduces the boundary of the lift
+    program = "\n".join(
+        [
+            "import random",
+            "from groupoid_homology import chain_ses, decompose, disjoint_union,"
+            " one_object_cyclic, orbits, units",
+            "g = disjoint_union(disjoint_union(one_object_cyclic(2), units(1)),"
+            " one_object_cyclic(3))",
+            "o = orbits(g)",
+            "ses = chain_ses(decompose(g, o[0] + o[1], o[1] + o[2]), 2)",
+            "zero = [0] * ses.total_complex.dims[2]",
+            "print(ses.connecting(2, zero, rng=random.Random(0)).witness)",
+            "ses.overlap[1][0][0] = 0",
+            "ses.connecting(2, zero, rng=random.Random(0))",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode != 0 and proc.stdout == "[3]\n"
+    assert "AssertionError: boundary of the lift is not an intersection chain" in proc.stderr
