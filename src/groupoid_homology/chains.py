@@ -53,8 +53,8 @@ class FreeChainComplex:
     def _trusted(cls, dims: Sequence[int], boundaries: Sequence[IntegerMatrix]) -> "FreeChainComplex":
         """A complex whose ∂∘∂ = 0 the caller proves: the shapes are checked, the square is not.
 
-        For `mv._subcomplex`: a piece C(G|U) is the sub-block of the checked
-        ambient complex on basis positions that `_subcomplex` checks are
+        For `mv._subcomplexes`: a piece C(G|U) is the sub-block of the checked
+        ambient complex on basis positions that `_subcomplexes` checks are
         closed under faces, so each piece's ∂ is the ambient ∂ restricted to
         a subcomplex and ∂∘∂ = 0 on it is the ambient square restricted.
         """
@@ -157,8 +157,8 @@ class HomologyResult:
     an echelon basis of B.  K's basis is put in echelon form too, so a chain's
     coordinates come by back-substitution, and a chain that does not reduce
     to zero is not a cycle.  B's coordinates that are a unit vector only
-    delete a generator; the rest go to one small Smith form with U and U⁻¹,
-    which gives the diagonal presentation (invariant factors 1 dropped).
+    delete a generator; the rest go to one small Smith form with U and U⁻¹
+    (`rows=True`), which gives the diagonal presentation (invariant factors 1 dropped).
 
     `cycle_reps[i]` is an integer chain whose class is the i-th generator of
     `presentation`; `class_coords` expresses any further cycle over those
@@ -166,7 +166,7 @@ class HomologyResult:
     """
 
     __slots__ = ("degree", "modulus", "group", "presentation", "cycle_reps",
-                 "_dim", "_basis", "_uw", "_orders")
+                 "_dim", "_basis", "_uw")
 
     def __init__(self, n: int, q: int, dims: Sequence[int], cycles: list[dict[int, int]],
                  image: dict[int, dict[int, int]]):
@@ -181,18 +181,17 @@ class HomologyResult:
         units = {low for x in coords if len(x) == 1 for low, v in x.items() if v in (1, -1)}
         rest = [low for low in sorted(self._basis) if low not in units]
         others = [x for x in coords if not x.keys() <= units]
-        rel = smith_normal_form(
+        diag, u, uinv = smith_normal_form(
             IntegerMatrix.from_rows([[x.get(low, 0) for x in others] for low in rest], cols=len(others)),
-            transforms=("U", "uinv"),
+            rows=True,
         )
-        orders = rel.diag + [0] * (len(rest) - len(rel.diag))
+        orders = diag + [0] * (len(rest) - len(diag))
         kept = [i for i, d in enumerate(orders) if d != 1]
-        self._uw = [{rest[k]: u for k, u in rel.U._dicts[i].items()} for i in kept]
-        self._orders = [orders[i] for i in kept]
-        self.group = FinAbGroup.from_cyclic_orders(self._orders)
-        self.presentation = PresentedGroup.from_diagonal(self._orders)
+        self._uw = [{rest[k]: c for k, c in u._dicts[i].items()} for i in kept]
+        self.presentation = PresentedGroup.from_diagonal([orders[i] for i in kept])
+        self.group = FinAbGroup.from_cyclic_orders(self.presentation.orders)
         reps = {i: [0] * dims[n] for i in kept}  # column i of (K's basis at `rest`) · U⁻¹
-        for low, row in zip(rest, rel.uinv._dicts):
+        for low, row in zip(rest, uinv._dicts):
             for i, c in row.items():
                 if i in reps:
                     rep = reps[i]
@@ -217,7 +216,7 @@ class HomologyResult:
         if x is None:
             raise ValueError("not a cycle")
         y = (sum(u * x.get(low, 0) for low, u in uw.items()) for uw in self._uw)
-        return tuple(c % d if d else c for c, d in zip(y, self._orders))
+        return tuple(c % d if d else c for c, d in zip(y, self.presentation.orders))
 
     def same_class(self, chain_a: Sequence[int], chain_b: Sequence[int]) -> bool:
         return self.class_coords(chain_a) == self.class_coords(chain_b)

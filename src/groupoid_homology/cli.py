@@ -361,22 +361,17 @@ def cmd_sft(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
                 "integral": [grp.to_json() for grp in integral],
             }
         )
-        q_values: list[int] = []
+        rows = ()
         if args.q is not None:
-            q_values = [args.q]
+            rows = (family_mod(spec, args.q),)
         elif args.qmax is not None:
-            q_values = list(range(1, args.qmax + 1))
-        if q_values:
-            rows = []
-            mismatches = 0
-            for q in q_values:
-                row = family_mod(spec, q)
-                _, _, assembled0 = uct_assemble(integral[0], FinAbGroup.trivial(), FinAbGroup.cyclic(q))
-                _, _, assembled1 = uct_assemble(integral[1], integral[0], FinAbGroup.cyclic(q))
-                if assembled0 != row.h0 or assembled1 != row.h1:
-                    mismatches += 1
-                rows.append(row)
-            verified = mismatches == 0
+            rows = GcdTable.build(spec, args.qmax).rows
+        if rows:
+            verified = all(
+                uct_assemble(integral[0], FinAbGroup.trivial(), FinAbGroup.cyclic(row.q))[2] == row.h0
+                and uct_assemble(integral[1], integral[0], FinAbGroup.cyclic(row.q))[2] == row.h1
+                for row in rows
+            )
             if len(rows) == 1:
                 row = rows[0]
                 lines.append(f"with coefficients Z/{row.q}:")
@@ -384,7 +379,7 @@ def cmd_sft(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
                 lines.append(f"  H_1 = {_render(row.h1, args)}")
                 lines.append("  H_k = 0 for k >= 2")
             else:
-                lines.append(f"finite-coefficient table, q = 1..{q_values[-1]}:")
+                lines.append(f"finite-coefficient table, q = 1..{rows[-1].q}:")
                 for row in rows:
                     lines.append(
                         f"  q={row.q}: H_0 = {_render(row.h0, args)}; "

@@ -93,6 +93,9 @@ class FiniteGroupoid:
         if not (len(self.source) == len(self.range_) == len(self.inverse) == k):
             raise ValueError("shape mismatch: structure maps must cover every arrow")
         unit_set = set(self.units)
+        for u, v in zip(self.units, self.units[1:]):
+            if u == v:
+                raise ValueError(f"unit {u} listed twice")
         for g in range(k):
             for name, val in (("source", self.source[g]), ("range", self.range_[g]),
                               ("inverse", self.inverse[g])):

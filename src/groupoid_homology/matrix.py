@@ -7,18 +7,17 @@ boundaries, transforms and homomorphisms alike, and its `matmul` costs
 O(nonzero pairs) multiply-adds.  `sweep_invariant_factors` factors a chain
 of matrices with zero products in one row reduction of copies of those row
 dicts with clearing (its docstring gives the pivot rule, the Euclid step,
-the clearing condition and the Schur remainder), and hands only a small
-remainder to `smith_normal_form`, the one pivot loop, which works on private
-dense copies of the rows.  `reduce_columns` is the one integer column
-echelon (Euclid at equal lows, optionally recording the column operations):
-its pivots are a basis of the lattice the columns generate, and
-`echelon_coordinates` back-substitutes a vector over them, which decides
-lattice membership.
+the clearing condition and the Schur remainder), and reads only the
+diagonal of `smith_normal_form` on a small remainder: the one pivot loop, on
+dense row copies, which tracks U and U⁻¹ only when asked (by `HomologyResult`).
+`reduce_columns` is the one integer column echelon (Euclid at equal lows,
+optionally recording the column operations): its pivots are a basis of the
+lattice the columns generate, and `echelon_coordinates` back-substitutes a
+vector over them, which decides lattice membership.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Container, Sequence
 
@@ -142,6 +141,8 @@ class IntegerMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows} rows")
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range for {self.cols} columns")
         return self._dicts[i].get(j, 0)
@@ -200,54 +201,23 @@ def _nonzero(row: Sequence[int]) -> dict[int, int]:
     return dict(zip(compress(range(len(row)), row), compress(row, row)))
 
 
-@dataclass
-class SmithDecomposition:
-    """U * M * V = D with U, V unimodular and D diagonal.
-
-    `diag` is the full diagonal of D (length min(rows, cols)): a divisibility
-    chain d_1 | d_2 | ... with any zeros trailing.  `uinv`/`vinv` are the exact
-    inverses of U/V.  Each of U, V, uinv and vinv is None unless the
-    `smith_normal_form` call asked to track it.
-    """
-
-    U: IntegerMatrix | None
-    D: IntegerMatrix
-    V: IntegerMatrix | None
-    diag: list[int]
-    uinv: IntegerMatrix | None = None
-    vinv: IntegerMatrix | None = None
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diag if d != 0)
-
-
 def smith_normal_form(
-    m: IntegerMatrix, *, transforms: Sequence[str] = ("U", "V")
-) -> SmithDecomposition:
-    """Smith normal form by smallest-|pivot| selection with full reduction.
+    m: IntegerMatrix, *, rows: bool = False
+) -> tuple[list[int], IntegerMatrix | None, IntegerMatrix | None]:
+    """(diag, U, U⁻¹): Smith normal form by smallest-|pivot| selection with full reduction.
 
-    `transforms` names the fields of the result to track, out of U, V, uinv
-    and vinv; the others come back None and cost nothing.  D and the diagonal
-    do not depend on the choice.  The pivot loop runs on private dense list
-    copies of the rows, and the results are converted back to row dicts.
+    `diag` is the diagonal of U·M·V, length min(m.rows, m.cols): a divisibility
+    chain d_1 | d_2 | ... with any zeros trailing.  U and U⁻¹ are None unless
+    `rows` is true; V is never kept.  The loop runs on private dense row copies.
     """
-    wanted = set(transforms)
-    if not wanted <= {"U", "V", "uinv", "vinv"}:
-        raise ValueError(f"unknown Smith transforms in {sorted(wanted)}: use U, V, uinv, vinv")
-    rows, cols = m.rows, m.cols
-
-    def eye(n: int, name: str) -> list[list[int]] | None:
-        return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)] if name in wanted else None
-
-    # U⁻¹ is kept transposed, so that, like V⁻¹, it changes by row operations
-    U, V, Uit, Vi = eye(rows, "U"), eye(cols, "V"), eye(rows, "uinv"), eye(cols, "vinv")
-    # row operations act on [M | U] and column operations on [M ; V] in one go;
-    # every loop below stays inside the rows x cols block M
-    a = [m.row(i) for i in range(rows)]
-    if U is not None:
-        a = [row + u for row, u in zip(a, U)]
-    a += V or []
+    nrows, ncols = m.rows, m.cols
+    a = [m.row(i) for i in range(nrows)]
+    Uit = None
+    if rows:
+        # row operations act on [M | U] in one go, and U⁻¹ is kept transposed
+        # so that it changes by row operations too; the loops stay inside M
+        Uit = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+        a = [row + u for row, u in zip(a, Uit)]
 
     def row_sub(i: int, p: int, q: int) -> None:  # row i -= q * row p
         a[i] = [x - q * y for x, y in zip(a[i], a[p])]
@@ -267,24 +237,20 @@ def smith_normal_form(
     def col_sub(j: int, p: int, q: int) -> None:  # col j -= q * col p
         for row in a:
             row[j] -= q * row[p]
-        if Vi is not None:
-            Vi[p] = [x + q * y for x, y in zip(Vi[p], Vi[j])]
 
     def col_swap(j: int, p: int) -> None:
         for row in a:
             row[j], row[p] = row[p], row[j]
-        if Vi is not None:
-            Vi[j], Vi[p] = Vi[p], Vi[j]
 
-    n = min(rows, cols)
+    n = min(nrows, ncols)
     t = 0
     while t < n:
         # smallest nonzero absolute value in the trailing submatrix
         piv = None
         best = 0
-        for i in range(t, rows):
+        for i in range(t, nrows):
             ri = a[i]
-            for j in range(t, cols):
+            for j in range(t, ncols):
                 v = ri[j]
                 if v:
                     av = -v if v < 0 else v
@@ -304,7 +270,7 @@ def smith_normal_form(
             col_swap(t, pj)
         while True:
             dirty = False
-            for i in range(rows):
+            for i in range(nrows):
                 if i != t and a[i][t]:
                     q = a[i][t] // a[t][t]
                     if q:
@@ -315,7 +281,7 @@ def smith_normal_form(
                         break
             if dirty:
                 continue
-            for j in range(cols):
+            for j in range(ncols):
                 if j != t and a[t][j]:
                     q = a[t][j] // a[t][t]
                     if q:
@@ -331,9 +297,9 @@ def smith_normal_form(
             if p in (1, -1):  # a unit divides every entry
                 break
             bad = None
-            for i in range(t + 1, rows):
+            for i in range(t + 1, nrows):
                 ri = a[i]
-                for j in range(t + 1, cols):
+                for j in range(t + 1, ncols):
                     if ri[j] % p:
                         bad = i
                         break
@@ -346,14 +312,11 @@ def smith_normal_form(
             row_neg(t)
         t += 1
 
-    return SmithDecomposition(
-        U=None if U is None else IntegerMatrix.from_rows([r[cols:] for r in a[:rows]], cols=rows),
-        D=IntegerMatrix.from_rows([r[:cols] for r in a[:rows]], cols=cols),
-        V=None if V is None else IntegerMatrix.from_rows(a[rows:], cols=cols),
-        diag=[a[i][i] for i in range(n)],
-        uinv=None if Uit is None else IntegerMatrix.from_rows(list(zip(*Uit)), cols=rows),
-        vinv=None if Vi is None else IntegerMatrix.from_rows(Vi, cols=cols),
-    )
+    diag = [a[i][i] for i in range(n)]
+    if not rows:
+        return diag, None, None
+    return (diag, IntegerMatrix.from_rows([r[ncols:] for r in a], cols=nrows),
+            IntegerMatrix.from_rows(list(zip(*Uit)), cols=nrows))
 
 
 def invariant_factors(m: IntegerMatrix) -> list[int]:
@@ -434,7 +397,7 @@ def _reduce(m: IntegerMatrix, cleared: set[int], deferred: set[int]) -> tuple[se
         live = {j: k for k, j in enumerate(sorted({j for r in rest for j in r}))}
         remainder = [{live[j]: v for j, v in r.items()} for r in rest]
         remainder = IntegerMatrix._wrap(len(rest), len(live), remainder)
-        factors += [d for d in smith_normal_form(remainder, transforms=()).diag if d]
+        factors += [d for d in smith_normal_form(remainder)[0] if d]
     return set(units), pivots.keys() - units.keys(), factors
 
 

@@ -13,7 +13,7 @@ ambient Moore complex: one nerve is built per cover, and each piece is a
 list of ambient basis positions per degree.  Both maps act on chains through
 those lists, and no matrix of either is built.  Exactness is a fact about the
 lists (U1 ∪ U2 is every position and U1 ∩ U2 is exactly U12), and both maps
-are chain maps because each list is closed under faces, which `_subcomplex`
+are chain maps because each list is closed under faces, which `_subcomplexes`
 checks.  The connecting map is the explicit zig-zag: lift a cycle, take its
 boundary, read the unique preimage off the intersection block, and return
 that class; boundary claims rest on class coordinates in the intersection's
@@ -32,6 +32,8 @@ arithmetic, not on this argument.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import chain, repeat
 from typing import Sequence
 
 from .abelian import FinAbGroup, GroupHom, PresentedGroup, middle_homology
@@ -93,7 +95,7 @@ class MvChainSes:
     `overlap[n]` the index of each U12 position in the U1 list and in the U2
     list.  `to_pieces` and `to_total` apply the two maps to chains through
     those lists; `_verify` checks on construction that the sequence is exact
-    in every degree, and `_subcomplex` that each list is closed under faces.
+    in every degree, and `_subcomplexes` that each list is closed under faces.
     """
 
     __slots__ = (
@@ -121,9 +123,7 @@ class MvChainSes:
             index2 = {p: j for j, p in enumerate(pos2)}
             self.overlap.append(([index1[p] for p in pos12], [index2[p] for p in pos12]))
         self._verify()
-        self.complex1, self.complex2, self.complex12 = (
-            _subcomplex(self.total_complex, pos) for pos in pieces
-        )
+        self.complex1, self.complex2, self.complex12 = _subcomplexes(self.total_complex, pieces)
         self._homology: dict[tuple[str, int], HomologyResult] = {}
 
     def _verify(self) -> None:
@@ -254,25 +254,31 @@ class ConnectingResult:
         return f"ConnectingResult(degree={self.degree}, coords={self.coords})"
 
 
-def _subcomplex(complex_: FreeChainComplex, positions: list[list[int]]) -> FreeChainComplex:
-    """The sub-block of each boundary on basis positions that are closed under faces.
+def _subcomplexes(complex_: FreeChainComplex, pieces: list[list[list[int]]]) -> list[FreeChainComplex]:
+    """The sub-block of each boundary on each piece's basis positions, which are closed under faces.
 
     An entry of a block column in a row outside the block raises, so each
-    boundary of the result is the ambient one restricted to a subcomplex:
+    boundary of a result is the ambient one restricted to a subcomplex:
     ∂∘∂ = 0 on it follows from the ambient check, and the inclusions of the
-    pieces, hence both maps of the sequence, are chain maps.
+    pieces, hence both maps of the sequence, are chain maps.  The ambient
+    nonzeros are counted per column once per degree, and the rows outside a
+    block are scanned only if it keeps fewer entries than its columns hold.
     """
-    boundaries = [IntegerMatrix(0, len(positions[0]))]
-    for n in range(1, len(positions)):
-        cols = {p: j for j, p in enumerate(positions[n])}
+    boundaries = [[IntegerMatrix(0, len(positions[0]))] for positions in pieces]
+    for n in range(1, len(pieces[0])):
         rows = complex_.boundaries[n]._dicts
-        inside = set(positions[n - 1])
-        for r, row in enumerate(rows):
-            if r not in inside and not cols.keys().isdisjoint(row):
-                raise AssertionError(f"positions not closed under faces in degree {n}: face {r} outside")
-        block = [{cols[p]: v for p, v in rows[r].items() if p in cols} for r in positions[n - 1]]
-        boundaries.append(IntegerMatrix._wrap(len(block), len(cols), block))
-    return FreeChainComplex._trusted([len(pos) for pos in positions], boundaries)
+        counts = Counter(chain.from_iterable(rows))
+        for positions, out in zip(pieces, boundaries):
+            cols = {p: j for j, p in enumerate(positions[n])}
+            block = [{cols[p]: v for p, v in rows[r].items() if p in cols} for r in positions[n - 1]]
+            # a block column keeps at most its ambient entries, so equal totals lose none
+            if sum(map(len, block)) != sum(map(counts.get, positions[n], repeat(0))):
+                outside = set(range(len(rows))).difference(positions[n - 1])
+                face = min(r for r in outside if not cols.keys().isdisjoint(rows[r]))
+                raise AssertionError(f"positions not closed under faces in degree {n}: face {face} outside")
+            out.append(IntegerMatrix._wrap(len(block), len(cols), block))
+    dims = ([len(pos) for pos in positions] for positions in pieces)
+    return [FreeChainComplex._trusted(d, b) for d, b in zip(dims, boundaries)]
 
 
 def chain_ses(

@@ -126,6 +126,8 @@ class GcdTable:
 
     @classmethod
     def build(cls, spec: FamilySpec, qmax: int) -> "GcdTable":
+        if qmax < 1:
+            raise ValueError(f"table bound qmax must be at least 1, got {qmax}")
         return cls(spec=spec, rows=tuple(family_mod(spec, q) for q in range(1, qmax + 1)))
 
     def to_json(self) -> list[dict]:

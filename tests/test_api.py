@@ -12,7 +12,7 @@ from test_cli import gen_file, run_cli
 
 REMOVED = ("kernel_basis", "in_column_lattice", "same_column_lattice", "solve_columns",
            "column_lattice_basis", "homology_with_coefficients", "validate_groupoid",
-           "face", "nerve", "NerveLevel", "pushforward_matrix", "SparseMatrix")
+           "face", "nerve", "NerveLevel", "pushforward_matrix", "SparseMatrix", "SmithDecomposition")
 # the dense twin's bridges and arithmetic, deleted with it; the one matrix
 # type stores sparse rows and multiplies with `matmul` alone
 DENSE_ONLY = ("from_dense", "to_dense", "column_vector", "identity", "zeros", "transpose",
@@ -49,6 +49,9 @@ def test_public_names_resolve_and_removed_helpers_are_gone():
         assert not hasattr(HomologyResult, attr)
     assert "fillers" not in inspect.signature(HomologyResult).parameters
     assert not hasattr(groupoid_homology.mv, "invariant_factors")
+    # Smith forms track U and U⁻¹ on one keyword, never V, V⁻¹ or D
+    assert list(inspect.signature(groupoid_homology.smith_normal_form).parameters) == ["m", "rows"]
+    assert "transforms" not in inspect.signature(groupoid_homology.smith_normal_form).parameters
 
 
 def test_benchmark_tracer_wraps_the_matrix_product(monkeypatch):

@@ -388,8 +388,9 @@ def _cyclic2_with(**fields):
         (_cyclic2_with(inverse=1), "'inverse'"),
         (_cyclic2_with(source=[0.7, 0]), "'source'"),
         (_cyclic2_with(arrows=True), "'arrows'"),
+        (_cyclic2_with(units=[0, 0]), "unit 0 listed twice"),
     ],
-    ids=["not-object", "missing-key", "not-a-list", "float-entry", "bool-arrows"],
+    ids=["not-object", "missing-key", "not-a-list", "float-entry", "bool-arrows", "duplicate-unit"],
 )
 def test_malformed_groupoid_file_is_an_error(tmp_path, payload, key):
     path = str(tmp_path / "bad.json")
@@ -747,6 +748,14 @@ def test_sft_integral_only_report(tmp_path):
             ["sft", "--family", "2", "3", "--q", "0"],
             "error: coefficient modulus must be at least 1, got 0",
         ),
+        (
+            ["sft", "--family", "3", "4", "--qmax", "0"],
+            "error: table bound qmax must be at least 1, got 0",
+        ),
+        (
+            ["sft", "--family", "3", "4", "--qmax", "-2"],
+            "error: table bound qmax must be at least 1, got -2",
+        ),
     ],
 )
 def test_sft_errors(argv, message):
@@ -834,6 +843,20 @@ def test_classify_bound_error():
     code, _, err = run_cli(["classify", "--family", "2", "7", "--bound", "1"])
     assert code == 1
     assert err == "error: search bound must be at least 2, got 1\n"
+
+
+@pytest.mark.parametrize("qmax", [0, -2])
+def test_classify_refuses_an_empty_table(tmp_path, qmax):
+    # with no table rows every candidate would compare as identical
+    report_path = str(tmp_path / "report.json")
+    code, out, err = run_cli(
+        ["classify", "--family", "3", "4", "--bound", "8", "--qmax", str(qmax), "--json", report_path]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: table bound qmax must be at least 1, got {qmax}\n"
+    with open(report_path, encoding="utf-8") as fh:
+        assert json.load(fh) == {"error": err[len("error: "):].rstrip("\n"), "ok": False}
 
 
 # -- determinism and the declared entry point, run in a subprocess -----------------

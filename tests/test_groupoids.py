@@ -632,6 +632,11 @@ def test_from_json_errors():
     data["compose"] = [[0, 0, 0], [0, 0, 0]]
     with pytest.raises(ValueError, match=r"duplicate composition entry for pair \(0, 0\)"):
         FiniteGroupoid.from_json(data)
+    # a unit listed twice would count one object twice in every degree
+    data = one_object_cyclic(3).to_json()
+    data["units"] = [0, 0]
+    with pytest.raises(ValueError, match="unit 0 listed twice"):
+        FiniteGroupoid.from_json(data)
 
 
 def test_reduction_roundtrip_drops_labels():

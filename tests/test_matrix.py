@@ -1,6 +1,5 @@
 """Exact integer matrix layer: Smith forms, kernels, solving, lattices."""
 
-import itertools
 import random
 
 import pytest
@@ -102,64 +101,55 @@ def test_oracle_group_elements_roundtrip():
 
 def test_smith_frozen_example():
     m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
-    snf = smith_normal_form(m)
-    assert snf.diag == [2, 4]
-    assert snf.U.matmul(m).matmul(snf.V) == snf.D
+    diag, u, uinv = smith_normal_form(m, rows=True)
+    assert diag == [2, 4]
+    assert u.matmul(uinv) == identity(2)
+    um = u.matmul(m)
+    assert [x % d for i, d in enumerate(diag) for x in um.row(i)] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_smith_properties(seed):
     rng = random.Random(1000 + seed)
     m = random_matrix(rng)
-    snf = smith_normal_form(m, transforms=("U", "V", "uinv", "vinv"))
-    # the defining identity, exactly
-    assert snf.U.matmul(m).matmul(snf.V) == snf.D
-    # transforms are unimodular
-    if m.rows:
-        assert abs(oracles.det_bareiss(raw_rows(snf.U))) == 1
-        assert snf.U.matmul(snf.uinv) == identity(m.rows)
-    if m.cols:
-        assert abs(oracles.det_bareiss(raw_rows(snf.V))) == 1
-        assert snf.V.matmul(snf.vinv) == identity(m.cols)
-    # D is diagonal, nonnegative, with a divisibility chain
-    for i in range(snf.D.rows):
-        for j in range(snf.D.cols):
-            if i != j:
-                assert snf.D[i, j] == 0
-    diag = snf.diag
+    diag, u, uinv = smith_normal_form(m, rows=True)
+    # U is unimodular, with U⁻¹ its exact inverse
+    assert abs(oracles.det_bareiss(raw_rows(u))) == 1
+    assert u.matmul(uinv) == identity(m.rows)
+    # the diagonal is positive, with a divisibility chain
+    assert len(diag) == min(m.rows, m.cols)
     assert all(d > 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
-    # and the diagonal is the one the independent oracles compute
-    if m.rows and m.cols:
-        assert diag == oracles.smith_diag_by_minors(raw_rows(m))
+    # row i of U·M lies in d_i·Z, and the rows past the rank are zero
+    um = u.matmul(m)
+    for i in range(m.rows):
+        if i < len(diag):
+            assert all(x % diag[i] == 0 for x in um.row(i))
+        else:
+            assert not any(um.row(i))
+    # U·M has the invariant factors of M, so with the row conditions above
+    # its column lattice is the direct sum of the d_i·Z
+    assert oracles.smith_diag_by_minors(raw_rows(um)) == diag == oracles.smith_diag_by_minors(raw_rows(m))
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_smith_tracks_exactly_the_requested_transforms(seed):
     rng = random.Random(1000 + seed)
     m = random_matrix(rng)
-    names = ("U", "V", "uinv", "vinv")
-    full = smith_normal_form(m, transforms=names)
-    for size in range(len(names) + 1):
-        for subset in itertools.combinations(names, size):
-            snf = smith_normal_form(m, transforms=subset)
-            assert snf.diag == full.diag
-            assert snf.D == full.D
-            for name in names:
-                if name in subset:
-                    assert getattr(snf, name) == getattr(full, name)
-                else:
-                    assert getattr(snf, name) is None
+    diag, u, uinv = smith_normal_form(m, rows=True)
+    assert u.rows == u.cols == uinv.rows == uinv.cols == m.rows
+    assert smith_normal_form(m, rows=False) == smith_normal_form(m) == (diag, None, None)
 
 
 def test_smith_default_transforms_and_unknown_name():
     m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
-    snf = smith_normal_form(m)
-    assert snf.U is not None and snf.V is not None
-    assert snf.uinv is None and snf.vinv is None
-    with pytest.raises(ValueError, match="unknown Smith transforms"):
-        smith_normal_form(m, transforms=("W",))
+    assert smith_normal_form(m) == ([2, 4], None, None)
+    # the keyword is `rows` alone: the old name list is refused, not read as truthy
+    with pytest.raises(TypeError):
+        smith_normal_form(m, transforms=("U",))
+    with pytest.raises(TypeError):
+        smith_normal_form(m, True)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -167,7 +157,7 @@ def test_invariant_factors_match_smith(seed):
     rng = random.Random(2000 + seed)
     m = random_matrix(rng, max_side=8, spread=20)
     fast = invariant_factors(m)
-    assert fast == smith_normal_form(m).diag
+    assert fast == smith_normal_form(m)[0]
     # independent of smith_normal_form, which also reduces the dense remainder
     assert fast == oracles.smith_diag_by_elimination(raw_rows(m))
     assert len(fast) == rank(m)
@@ -562,6 +552,10 @@ def test_sparse_errors_and_equality():
         s.mul_vector([1, 2])
     with pytest.raises(IndexError):
         s[0, 3]
+    with pytest.raises(IndexError, match="row -1 out of range for 2 rows"):
+        IntegerMatrix.from_rows([[1, 2], [3, 4]])[-1, 0]
+    with pytest.raises(IndexError, match="row 1 out of range for 1 rows"):
+        s[1, 0]
     with pytest.raises(ValueError, match="negative matrix dimensions"):
         IntegerMatrix(-1, 2)
     with pytest.raises(ValueError, match=r"shape mismatch: 1x3 needs 3 entries, got 2"):

@@ -156,7 +156,7 @@ def test_verify_refuses_positions_not_closed_under_faces(monkeypatch):
     with pytest.raises(AssertionError, match="positions not closed under faces in degree 2"):
         chain_ses(d, 2)
     # the pieces' ∂∘∂ is not re-checked, so under `python -O` this verdict
-    # rests on `_subcomplex`'s closure raise alone
+    # rests on `_subcomplexes`'s closure raise alone
     program = "\n".join(
         [
             "import sys",
@@ -697,7 +697,7 @@ def test_chain_ses_builds_one_moore_complex(monkeypatch, tmp_path):
 
 
 def _checks_after(*corruption: str) -> subprocess.CompletedProcess:
-    """Run `_verify`, then rebuild the three pieces with `_subcomplex`, under
+    """Run `_verify`, then rebuild the three pieces with `_subcomplexes`, under
     `python -O` once the statements `corruption` have edited the degree 0..2
     sequence `ses` of a three-orbit cover."""
     program = "\n".join(
@@ -711,8 +711,7 @@ def _checks_after(*corruption: str) -> subprocess.CompletedProcess:
             "ses = chain_ses(decompose(g, o[0] + o[1], o[1] + o[2]), 2)",
             *corruption,
             "ses._verify()",
-            "for k in range(3):",
-            "    mv._subcomplex(ses.total_complex, [pos[k] for pos in ses.positions])",
+            "mv._subcomplexes(ses.total_complex, list(zip(*ses.positions)))",
         ]
     )
     return subprocess.run(

@@ -211,6 +211,12 @@ def test_gcd_table_build_and_json():
     signature = table.h1_signature()
     assert len(signature) == 6
     assert signature[5] == (0, (3,))
+    # an empty table would make every pair of family members collide
+    for qmax in (0, -2):
+        with pytest.raises(ValueError, match=f"table bound qmax must be at least 1, got {qmax}"):
+            GcdTable.build(spec, qmax)
+        with pytest.raises(ValueError, match=f"table bound qmax must be at least 1, got {qmax}"):
+            collision_search(4, qmax)
 
 
 def test_family_h1_oracle_matches_rows():
