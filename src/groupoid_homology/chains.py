@@ -9,12 +9,15 @@ Complexes are over Z only.  Integral and Z/q homology take one lattice
 route on the integral complex, never row-reducing over Z/q (not a field for
 composite q): H_n is K/B for the cycle lattice K = {v : ∂_n v ∈ qZ} and the
 enlarged image B = im(∂_{n+1}) + qZ, with q = 0 for integral homology.
-`homology_results` gives representatives: one recorded column reduction of
-each [∂_n | qI] with clearing yields echelon bases of K and B, so coordinates
-come by back-substitution, and one small Smith form of B's coordinates gives
-the presentation.  `homology_groups` is the sparse route to iso types alone,
-integral or Z/q: one `sweep_invariant_factors` over ∂_1, ∂_2, ... or over
-the mapping cone of q.
+`homology_results` gives representatives in two stages.  The lattice stage
+(`_lattices`), one recorded column reduction of each [∂_n | qI] with
+clearing, yields a basis of K and an echelon basis of B per degree; then
+`HomologyResult` puts K's basis in echelon form, so coordinates come by
+back-substitution, and one small Smith form of B's coordinates gives the
+presentation.  `mv` runs the lattice stage once on the ambient complex and
+reads each piece's lattices off it.  `homology_groups` is the sparse route
+to iso types alone, integral or Z/q: one `sweep_invariant_factors` over ∂_1,
+∂_2, ... or over the mapping cone of q.
 """
 
 from __future__ import annotations
@@ -153,12 +156,13 @@ class HomologyResult:
 
     `modulus` is 0 for integral homology and q >= 1 for Z/q coefficients.
     K = {v : ∂_n v ∈ qZ} and B = im(∂_{n+1}) + qZ^{dims[n]}; q = 0 gives
-    ker(∂_n)/im(∂_{n+1}).  Built by `homology_results` from a basis of K and
-    an echelon basis of B.  K's basis is put in echelon form too, so a chain's
-    coordinates come by back-substitution, and a chain that does not reduce
-    to zero is not a cycle.  B's coordinates that are a unit vector only
-    delete a generator; the rest go to one small Smith form with U and U⁻¹
-    (`rows=True`), which gives the diagonal presentation (invariant factors 1 dropped).
+    ker(∂_n)/im(∂_{n+1}).  Built from a basis of K and an echelon basis of
+    B, as the lattice stage `_lattices` gives them.  K's basis is put in
+    echelon form too, so a chain's coordinates come by back-substitution, and
+    a chain that does not reduce to zero is not a cycle.  B's coordinates
+    that are a unit vector only delete a generator; the rest go to one small
+    Smith form with U and U⁻¹ (`rows=True`), which gives the diagonal
+    presentation (invariant factors 1 dropped).
 
     `cycle_reps[i]` is an integer chain whose class is the i-th generator of
     `presentation`; `class_coords` expresses any further cycle over those
@@ -270,23 +274,35 @@ def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
 def homology_results(complex_: FreeChainComplex, q: int = 0, top: int | None = None) -> list[HomologyResult]:
     """H_0..H_top (default: every trusted degree) with representatives, Z or Z/q coefficients.
 
-    The twin of `homology_groups`.  Each A_m = [∂_m | qI] (∂_m when q = 0)
-    is reduced once by `reduce_columns`, from m = top+1 down to 0, recording
-    the column operations for m <= top: the zero columns' records give a basis
-    of K_m = {v : ∂_m v ∈ qZ}, the pivots an echelon basis of B_{m-1}.
-    Clearing: a pivot of A_{m+1} with a +-1 low j is a cycle, so putting it in
-    place of column j of ∂_m's domain is a change of basis, unitriangular in
-    the lows; column j is skipped and the pivot joins K_m's basis.  At a
-    non-unit low that is no change of basis, so the column stays.  Each cleared
-    cycle is checked, since nothing else reads the skipped columns.
+    The twin of `homology_groups`, in two stages: `_lattices` reduces the
+    complex once and gives each degree's cycle and image lattices, and
+    `HomologyResult` turns each pair into a presentation and representatives.
     """
     _check_coefficients(q)
     if top is None:
         top = complex_.max_degree - 1
     else:
         _check_trusted(complex_, top)
-    dims = complex_.dims
-    results = []
+    return [HomologyResult(m, q, complex_.dims, cycles, image)
+            for m, (cycles, image) in enumerate(_lattices(complex_, q, top))]
+
+
+def _lattices(
+    complex_: FreeChainComplex, q: int, top: int
+) -> list[tuple[list[dict[int, int]], dict[int, dict[int, int]]]]:
+    """(basis of K_m, echelon basis of B_m by low) for m = 0..top, in the order they are built.
+
+    Each A_m = [∂_m | qI] (∂_m when q = 0) is reduced once by
+    `reduce_columns`, from m = top+1 down to 0, recording the column
+    operations for m <= top: the zero columns' records give a basis of
+    K_m = {v : ∂_m v ∈ qZ}, the pivots an echelon basis of B_{m-1}.
+    Clearing: a pivot of A_{m+1} with a +-1 low j is a cycle, so putting it in
+    place of column j of ∂_m's domain is a change of basis, unitriangular in
+    the lows; column j is skipped and the pivot joins K_m's basis.  At a
+    non-unit low that is no change of basis, so the column stays.  Each cleared
+    cycle is checked, since nothing else reads the skipped columns.
+    """
+    lattices = []
     image: dict[int, dict[int, int]] = {}  # B_m's echelon basis, by low
     for m in range(top + 1, -1, -1):
         b = complex_.boundaries[m]
@@ -311,9 +327,9 @@ def homology_results(complex_: FreeChainComplex, q: int = 0, top: int | None = N
         if records is not None:
             cycles = [*cleared.values(), *({k: v for k, v in records[z].items() if k < b.cols}
                                            for z in zeros)]
-            results.append(HomologyResult(m, q, dims, cycles, image))
+            lattices.append((cycles, image))
         image = {low: cols[k] for low, k in pivots.items()}
-    return results[::-1]
+    return lattices[::-1]
 
 
 def homology_group(complex_: FreeChainComplex, n: int, q: int = 0) -> FinAbGroup:

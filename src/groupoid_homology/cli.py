@@ -328,6 +328,10 @@ def cmd_mv(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 
 def cmd_sft(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
+    if args.full_shift is not None and (args.q is not None or args.qmax is not None):
+        raise ValueError("--q and --qmax apply to --family only")
+    if args.q is not None and args.qmax is not None:
+        raise ValueError("--q and --qmax cannot both be given")
     n_max = check_max_degree(args.max_degree)
     lines: list[str] = []
     verified = True
@@ -505,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--full-shift", type=int, default=None, metavar="N")
     group.add_argument("--family", type=int, nargs=2, default=None, metavar=("N", "M"))
-    p.add_argument("--q", type=int, default=None, help="single coefficient modulus")
-    p.add_argument("--qmax", type=int, default=None, help="table for q = 1..QMAX")
+    p.add_argument("--q", type=int, default=None, help="single coefficient modulus (--family only)")
+    p.add_argument("--qmax", type=int, default=None, help="table for q = 1..QMAX (--family only)")
     p.set_defaults(handler=cmd_sft)
 
     p = sub.add_parser("classify", help="recover family parameters from H_1 data")

@@ -14,7 +14,17 @@ list of ambient basis positions per degree.  Both maps act on chains through
 those lists, and no matrix of either is built.  Exactness is a fact about the
 lists (U1 ∪ U2 is every position and U1 ∩ U2 is exactly U12), and both maps
 are chain maps because each list is closed under faces, which `_subcomplexes`
-checks.  The connecting map is the explicit zig-zag: lift a cycle, take its
+checks.
+
+G is the disjoint union of G|(U1 ∖ U2), G|U12 and G|(U2 ∖ U1), so ∂ is
+block diagonal over those three sets (`_subcomplexes` checks it).  A column
+reduction only combines columns that share a low row, so the ambient
+reduction restricted to a piece's columns is the piece's own, in the same
+order: one run of the lattice stage of `chains.homology_results` on the
+ambient complex serves all four complexes, each piece keeping the lattice
+vectors inside its positions (`_split`).  No piece complex is reduced.
+
+The connecting map is the explicit zig-zag: lift a cycle, take its
 boundary, read the unique preimage off the intersection block, and return
 that class; boundary claims rest on class coordinates in the intersection's
 homology.
@@ -37,7 +47,7 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from .abelian import FinAbGroup, GroupHom, PresentedGroup, middle_homology
-from .chains import FreeChainComplex, HomologyResult, _check_trusted, homology_results
+from .chains import FreeChainComplex, HomologyResult, _check_trusted, _lattices
 from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, _positions, moore_complex, saturation_witness
 from .matrix import IntegerMatrix
 
@@ -95,7 +105,8 @@ class MvChainSes:
     `overlap[n]` the index of each U12 position in the U1 list and in the U2
     list.  `to_pieces` and `to_total` apply the two maps to chains through
     those lists; `_verify` checks on construction that the sequence is exact
-    in every degree, and `_subcomplexes` that each list is closed under faces.
+    in every degree, and `_subcomplexes` that each list and its complement
+    are closed under faces.
     """
 
     __slots__ = (
@@ -107,6 +118,7 @@ class MvChainSes:
         "complex12",
         "positions",
         "overlap",
+        "_shares",
         "_homology",
     )
 
@@ -124,6 +136,7 @@ class MvChainSes:
             self.overlap.append(([index1[p] for p in pos12], [index2[p] for p in pos12]))
         self._verify()
         self.complex1, self.complex2, self.complex12 = _subcomplexes(self.total_complex, pieces)
+        self._shares: dict[str, list] | None = None
         self._homology: dict[tuple[str, int], HomologyResult] = {}
 
     def _verify(self) -> None:
@@ -153,8 +166,9 @@ class MvChainSes:
     def homology(self, part: str, n: int) -> HomologyResult:
         """Integral homology of one of "total", "piece1", "piece2", "piece12".
 
-        The first call for a part reduces its complex once, by
-        `homology_results`, and caches every trusted degree.
+        The first call reduces the ambient complex once (`_lattices`) and
+        splits its lattices over the parts (`_split`); each (part, degree)
+        result is built from its share when first asked, and cached.
         """
         key = (part, n)
         if key not in self._homology:
@@ -165,7 +179,10 @@ class MvChainSes:
                 "piece12": self.complex12,
             }[part]
             _check_trusted(complex_, n)
-            self._homology.update(((part, m), h) for m, h in enumerate(homology_results(complex_)))
+            if self._shares is None:
+                self._shares = _split(_lattices(self.total_complex, 0, self.max_degree - 1), self.positions)
+            cycles, image = self._shares[part][n]
+            self._homology[key] = HomologyResult(n, 0, complex_.dims, cycles, image)
         return self._homology[key]
 
     def to_pieces(self, n: int, x: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -255,14 +272,18 @@ class ConnectingResult:
 
 
 def _subcomplexes(complex_: FreeChainComplex, pieces: list[list[list[int]]]) -> list[FreeChainComplex]:
-    """The sub-block of each boundary on each piece's basis positions, which are closed under faces.
+    """The sub-block of each boundary on each piece's basis positions, which
+    are closed under faces, as is their complement.
 
     An entry of a block column in a row outside the block raises, so each
     boundary of a result is the ambient one restricted to a subcomplex:
     ∂∘∂ = 0 on it follows from the ambient check, and the inclusions of the
-    pieces, hence both maps of the sequence, are chain maps.  The ambient
-    nonzeros are counted per column once per degree, and the rows outside a
-    block are scanned only if it keeps fewer entries than its columns hold.
+    pieces, hence both maps of the sequence, are chain maps.  An entry of a
+    block row in a column outside the block raises too, so with `_verify`'s
+    U1 ∪ U2 and U1 ∩ U2 = U12, ∂ is block diagonal over U1 ∖ U2, U12 and
+    U2 ∖ U1 (`_split` rests on it).  The ambient nonzeros are counted per
+    column once per degree, and the rest of the matrix is scanned only to
+    name a witness.
     """
     boundaries = [[IntegerMatrix(0, len(positions[0]))] for positions in pieces]
     for n in range(1, len(pieces[0])):
@@ -271,14 +292,53 @@ def _subcomplexes(complex_: FreeChainComplex, pieces: list[list[list[int]]]) -> 
         for positions, out in zip(pieces, boundaries):
             cols = {p: j for j, p in enumerate(positions[n])}
             block = [{cols[p]: v for p, v in rows[r].items() if p in cols} for r in positions[n - 1]]
-            # a block column keeps at most its ambient entries, so equal totals lose none
-            if sum(map(len, block)) != sum(map(counts.get, positions[n], repeat(0))):
+            kept = sum(map(len, block))
+            # a block column (row) keeps at most its ambient entries, so equal totals lose none
+            if kept != sum(map(counts.get, positions[n], repeat(0))):
                 outside = set(range(len(rows))).difference(positions[n - 1])
                 face = min(r for r in outside if not cols.keys().isdisjoint(rows[r]))
                 raise AssertionError(f"positions not closed under faces in degree {n}: face {face} outside")
+            if kept != sum(map(len, map(rows.__getitem__, positions[n - 1]))):
+                tuple_ = min(p for r in positions[n - 1] for p in rows[r] if p not in cols)
+                raise AssertionError(
+                    f"complement not closed under faces in degree {n}: tuple {tuple_} outside has a face inside"
+                )
             out.append(IntegerMatrix._wrap(len(block), len(cols), block))
     dims = ([len(pos) for pos in positions] for positions in pieces)
     return [FreeChainComplex._trusted(d, b) for d, b in zip(dims, boundaries)]
+
+
+def _split(lattices: list, positions: list[tuple[list[int], list[int], list[int]]]) -> dict[str, list]:
+    """Each part's (cycles, image) per degree, read off the ambient `_lattices`.
+
+    A piece keeps the vectors inside its positions, in order, re-indexed
+    through its increasing position list: what `_lattices` gives on the
+    piece complex (see the module docstring).  A vector in neither U1 nor U2
+    raises rather than being dropped.
+    """
+    out: dict[str, list] = {"total": lattices, "piece1": [], "piece2": [], "piece12": []}
+    for m, (cycles, image) in enumerate(lattices):
+        indexes = [{p: i for i, p in enumerate(pos)} for pos in positions[m]]
+        shares = [([], {}) for _ in indexes]
+        for low, v in chain(zip(repeat(None), cycles), image.items()):  # low None: a cycle
+            in1, in2 = v.keys() <= indexes[0].keys(), v.keys() <= indexes[1].keys()
+            if not (in1 or in2):
+                only1 = min(p for p in v if p not in indexes[1])
+                only2 = min(p for p in v if p not in indexes[0])
+                raise AssertionError(
+                    f"lattice vector in degree {m} lies in neither U1 nor U2: "
+                    f"position {only1} is outside U2 and {only2} outside U1"
+                )
+            for (kept_cycles, kept_image), index, keep in zip(shares, indexes, (in1, in2, in1 and in2)):
+                if keep:
+                    w = {index[p]: c for p, c in v.items()}
+                    if low is None:
+                        kept_cycles.append(w)
+                    else:
+                        kept_image[index[low]] = w
+        for part, share in zip(("piece1", "piece2", "piece12"), shares):
+            out[part].append(share)
+    return out
 
 
 def chain_ses(

@@ -764,6 +764,24 @@ def test_sft_errors(argv, message):
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sft", "--family", "3", "4", "--q", "3", "--qmax", "5"], "--q and --qmax cannot both be given"),
+        (["sft", "--full-shift", "2", "--q", "3"], "--q and --qmax apply to --family only"),
+        (["sft", "--full-shift", "2", "--qmax", "3"], "--q and --qmax apply to --family only"),
+    ],
+    ids=["q-with-qmax", "full-shift-with-q", "full-shift-with-qmax"],
+)
+def test_sft_refuses_an_option_it_would_ignore(tmp_path, argv, message):
+    # each of these used to print a result, exit 0 and drop one option unread
+    report_path = str(tmp_path / "report.json")
+    code, out, err = run_cli([*argv, "--json", report_path])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    with open(report_path, encoding="utf-8") as fh:
+        assert json.load(fh) == {"error": message, "ok": False}
+
+
 # -- classify --------------------------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from groupoid_homology import (
     decompose,
     disjoint_union,
     homology_int,
+    homology_results,
     invariant_factors,
     long_exact_sequence,
     moore_complex,
@@ -37,6 +38,7 @@ from groupoid_homology import (
     units,
 )
 import groupoid_homology.abelian as abelian_module
+import groupoid_homology.chains as chains_module
 import groupoid_homology.mv as mv_module
 from groupoid_homology.mv import MvChainSes, MvDecomposition
 
@@ -107,11 +109,18 @@ def _relabelled_covers():
 
 def test_decompose_pieces_and_intersection():
     # each piece is the Moore complex of the reduction by its unit set, built
-    # independently; a non-saturated direct decomposition is included
+    # independently
     cases = [(name, g, u1, u2, decompose(g, u1, u2)) for name, g, u1, u2 in COVERS]
     cases += [(name, g, u1, u2, decompose(g, u1, u2)) for name, g, u1, u2 in _relabelled_covers()]
-    g = pair(2)  # units 0 and 3; U2 = {3} is not saturated
-    cases.append(("pair-not-saturated", g, (0, 3), (3,), MvDecomposition(g, (0, 3), (3,))))
+    # a non-saturated direct decomposition is refused: U2 = {3} of pair(2) is
+    # a face of arrow 1 (3 -> 0), which lies outside U2, so ∂ is not block
+    # diagonal over the cover and no piece's homology can be read off the
+    # ambient reduction (`test_positions_match_oracle_tuples` checks `_positions`
+    # on such sets)
+    g = pair(2)
+    with pytest.raises(AssertionError, match="complement not closed under faces in degree 1: "
+                                             "tuple 1 outside has a face inside"):
+        chain_ses(MvDecomposition(g, (0, 3), (3,)), 3)
     for name, g, u1, u2, d in cases:
         assert d.u1 == tuple(sorted(u1)) and d.u2 == tuple(sorted(u2)), name
         assert set(d.u12) == set(u1) & set(u2), name
@@ -669,6 +678,120 @@ def test_cover_of_a_reduction_matches_fresh_labels():
     assert long_exact_sequence(decompose(ambient, u1, u2), 3).to_json() == expected
 
 
+# -- one reduction per cover ----------------------------------------------------------
+
+
+def _corpus_union_covers(seed):
+    """Relabelled unions of three consecutive corpus groupoids, each covered by
+    two overlapping thirds of its orbits, plus an empty-second and a
+    whole-overlap cover of one of them."""
+    from test_acceptance import corpus  # test_acceptance imports this module
+    from test_chains import relabelled
+
+    groupoids = [g for _, g in corpus()]
+    out = []
+    for i, (name, _) in enumerate(corpus()):
+        h = relabelled(union(*(groupoids[(i + k) % len(groupoids)] for k in range(3))), seed)
+        orbs = orbits(h)
+        first, mid, last = (sum(orbs[k::3], ()) for k in range(3))
+        out.append((f"{name}+2-{seed}", h, first + mid, mid + last))
+    out.append((f"empty-second-{seed}", h, list(h.units), []))
+    out.append((f"whole-overlap-{seed}", h, list(h.units), list(h.units)))
+    return out
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_piece_results_equal_the_direct_route(seed):
+    # each part's result, read off the one ambient reduction, equals the one
+    # `homology_results` gives on that part's complex: same group, orders,
+    # representatives and class coordinates of random cycles
+    rng = random.Random(seed)
+    for name, g, u1, u2 in _corpus_union_covers(seed):
+        ses = chain_ses(decompose(g, u1, u2), 3)
+        for part, complex_ in (("total", ses.total_complex), ("piece1", ses.complex1),
+                               ("piece2", ses.complex2), ("piece12", ses.complex12)):
+            direct = homology_results(complex_)
+            for n, expected in enumerate(direct):
+                h = ses.homology(part, n)
+                assert h.group == expected.group, (name, part, n)
+                assert h.presentation.orders == expected.presentation.orders, (name, part, n)
+                assert h.cycle_reps == expected.cycle_reps, (name, part, n)
+                for _ in range(3):
+                    # a random combination of the representatives plus a boundary
+                    coeffs = [rng.randint(-4, 4) for _ in expected.cycle_reps]
+                    filler = [rng.randint(-2, 2) for _ in range(complex_.dims[n + 1])]
+                    cycle = complex_.boundaries[n + 1].mul_vector(filler)
+                    for c, rep in zip(coeffs, expected.cycle_reps):
+                        cycle = [x + c * y for x, y in zip(cycle, rep)]
+                    coords = expected.class_coords(cycle)
+                    assert h.class_coords(cycle) == coords, (name, part, n)
+                    orders = expected.presentation.orders
+                    assert coords == tuple(c % d if d else c for c, d in zip(coeffs, orders))
+
+
+def test_chain_ses_reduces_the_ambient_complex_once(monkeypatch):
+    # no part's complex goes through `homology_results`: one lattice stage on
+    # the ambient complex serves all four parts in every degree
+    assert not hasattr(mv_module, "homology_results")
+    reduced = []
+    real_lattices = mv_module._lattices
+    monkeypatch.setattr(mv_module, "_lattices", lambda c, q, top: reduced.append(c) or real_lattices(c, q, top))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("homology_results called")
+
+    monkeypatch.setattr(chains_module, "homology_results", refuse)
+    name, g, u1, u2 = COVERS[3]
+    ses = chain_ses(decompose(g, u1, u2), 3)
+    assert reduced == []
+    for part in ("total", "piece1", "piece2", "piece12"):
+        for n in range(3):
+            ses.homology(part, n)
+    for n in range(1, 3):
+        for z in ses.homology("total", n).cycle_reps:
+            ses.connecting(n, z)
+    assert reduced == [ses.total_complex]
+    les = long_exact_sequence(decompose(g, u1, u2), 3)
+    assert len(reduced) == 2 and reduced[1] is les.ses.total_complex
+
+
+def test_split_raise_survives_optimize_flag():
+    # the sum of a degree-1 cycle of U1 ∖ U2 (positions 0, 1) and one of
+    # U2 ∖ U1 (positions 3, 4, 5), handed over by the lattice stage, lies in
+    # neither piece: it must raise, not be dropped
+    program = "\n".join(
+        [
+            "import groupoid_homology.mv as mv",
+            "from groupoid_homology import chain_ses, decompose, disjoint_union,"
+            " one_object_cyclic, orbits, units",
+            "g = disjoint_union(disjoint_union(one_object_cyclic(2), units(1)),"
+            " one_object_cyclic(3))",
+            "o = orbits(g)",
+            "ses = chain_ses(decompose(g, o[0] + o[1], o[1] + o[2]), 2)",
+            "real = mv._lattices",
+            "def crossed(complex_, q, top):",
+            "    out = real(complex_, q, top)",
+            "    cycles = out[1][0]",
+            "    a = next(v for v in cycles if max(v) < 2)",
+            "    b = next(v for v in cycles if min(v) > 2)",
+            "    cycles.append({**a, **b})",
+            "    return out",
+            "mv._lattices = crossed",
+            "ses.homology('piece12', 0)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode != 0
+    assert re.search(r"AssertionError: lattice vector in degree 1 lies in neither U1 nor U2: "
+                     r"position [01] is outside U2 and [345] outside U1", proc.stderr), proc.stderr
+
+
 # -- one nerve per cover --------------------------------------------------------------
 
 
@@ -732,9 +855,11 @@ def test_verify_raises_under_optimize_flag():
 
 
 # Each corruption keeps the earlier checks passing, so it reaches one given raise;
-# each id names the property of α and β that the corruption breaks.  In degree 1
-# the lists are U1 = [0, 1, 2], U2 = [2, 3, 4, 5] and U12 = [2], at index 2 of U1
-# and 0 of U2; ambient column 0 of ∂_2 is a U1 tuple and column 4 the U12 tuple.
+# each id names the property of α and β, or of ∂ over the cover, that the
+# corruption breaks.  In degree 1 the lists are U1 = [0, 1, 2], U2 = [2, 3, 4, 5]
+# and U12 = [2], at index 2 of U1 and 0 of U2; ambient column 0 of ∂_2 is a
+# U1 ∖ U2 tuple and column 4 the U12 tuple.  block-diagonal gives tuple 0 the
+# U12 face 2, which only the U2 rows' check sees.
 VERIFY_FAULTS = [
     pytest.param(
         ["ses.overlap[1][1][0] = 1"],
@@ -761,6 +886,11 @@ VERIFY_FAULTS = [
         ["ses.total_complex.boundaries[2]._dicts[3][0] = 1"],
         "positions not closed under faces in degree 2: face 3 outside",
         id="sum-square",
+    ),
+    pytest.param(
+        ["ses.total_complex.boundaries[2]._dicts[2][0] = 1"],
+        "complement not closed under faces in degree 2: tuple 0 outside has a face inside",
+        id="block-diagonal",
     ),
 ]
 

@@ -16,9 +16,9 @@ working directory, so every side reads the same files by the same name.
 The three `mv` rungs cover a three-orbit union, cyclic:12 ⊔ pair:3 ⊔ cyclic:8,
 cyclic:30 ⊔ pair:3 ⊔ cyclic:8 and cyclic:20 ⊔ pair:4 ⊔ cyclic:16, by its first
 two and its last two orbits, so the intersection is the pair groupoid; the
-cyclic:30 one puts the representatives (`homology_results`, with its Smith
-form and U⁻¹ product) on a 27000-column top boundary, in two of the four
-complexes.  `homology pair:8 -N 4` is a multi-unit orbit whose answer is a
+cyclic:30 one puts the representatives (the lattice stage of
+`homology_results`, then a Smith form and U⁻¹ product per part and degree)
+on a 27000-column top boundary, reduced once, in the ambient complex.  `homology pair:8 -N 4` is a multi-unit orbit whose answer is a
 point.
 `homology cyclic:99 -N 3` has 980200 basis elements, the largest cyclic
 nerve under the default budget of 10^6.  The last rung is over the default
