@@ -508,7 +508,7 @@ def test_matmul_matches_triple_loop(seed):
 
 
 @pytest.mark.parametrize("seed", range(200))
-def test_sparse_matmul_matches_dense(seed):
+def test_sparse_matmul_and_mod_match_dense(seed):
     # the product agrees with mul_vector, which reads the row dicts on its own
     # route: (a·b)·v = a·(b·v) and column j of a·b is a·(column j of b)
     a, b, r, k, m = product_factors(seed)
