@@ -20,19 +20,15 @@ from .abelian import (
 from .chains import (
     FreeChainComplex,
     HomologyResult,
-    homology_group,
     homology_groups,
-    homology_int,
     homology_mod,
     homology_results,
-    shift_sum,
 )
 from .groupoids import (
     DEFAULT_BUDGET,
     FiniteGroupoid,
     action,
     disjoint_union,
-    is_saturated,
     moore_complex,
     one_object_cyclic,
     orbits,
@@ -44,7 +40,6 @@ from .groupoids import (
 from .matrix import (
     IntegerMatrix,
     invariant_factors,
-    rank,
     smith_normal_form,
     sweep_invariant_factors,
 )
@@ -54,7 +49,6 @@ from .mv import (
     MvChainSes,
     MvDecomposition,
     chain_ses,
-    connecting,
     decompose,
     long_exact_sequence,
 )
@@ -114,7 +108,6 @@ __all__ = [
     "classify",
     "coefficient_homology",
     "collision_search",
-    "connecting",
     "decompose",
     "decompose_step_function",
     "direct_sum",
@@ -125,13 +118,10 @@ __all__ = [
     "full_shift_homology",
     "full_shift_matrix",
     "group_of",
-    "homology_group",
     "homology_groups",
-    "homology_int",
     "homology_mod",
     "homology_results",
     "invariant_factors",
-    "is_saturated",
     "long_exact_sequence",
     "middle_homology",
     "mod_reduction_check",
@@ -141,11 +131,9 @@ __all__ = [
     "pair",
     "point_homology",
     "probe_schedule",
-    "rank",
     "reduction",
     "saturation_witness",
     "sft_matrix_homology",
-    "shift_sum",
     "smith_normal_form",
     "sweep_invariant_factors",
     "tensor",

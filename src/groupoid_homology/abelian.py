@@ -10,7 +10,6 @@ and tables only need iso types.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -176,14 +175,6 @@ class FinAbGroup:
             return None
         return math.prod(self.torsion)
 
-    def exponent(self) -> int:
-        """Smallest e >= 1 with e*x = 0 for all torsion x (1 if torsion-free)."""
-        return self.torsion[-1] if self.torsion else 1
-
-    def summands(self) -> tuple[int, ...]:
-        """Cyclic summand orders, 0 for each free summand: (0,)*rank + torsion."""
-        return (0,) * self.rank + self.torsion
-
     def primary_decomposition(self) -> tuple[int, ...]:
         """Prime-power cyclic orders, sorted (prime ascending, power ascending).
 
@@ -202,11 +193,6 @@ class FinAbGroup:
 
     def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
         return FinAbGroup(self.rank + other.rank, self.torsion + other.torsion)
-
-    def __add__(self, other: "FinAbGroup") -> "FinAbGroup":
-        if not isinstance(other, FinAbGroup):
-            return NotImplemented
-        return self.direct_sum(other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinAbGroup):
@@ -377,22 +363,6 @@ class PresentedGroup:
             )
         return tuple(v % q if q else v for v, q in zip(x, self.orders) if q != 1)
 
-    def is_zero_element(self, x: Sequence[int]) -> bool:
-        return all(c == 0 for c in self.canonical_form(x))
-
-    def elements(self, limit: int = 1_000_000):
-        """All elements (as canonical generator vectors) of a finite group.
-
-        Raises ValueError immediately on infinite groups or when the order
-        exceeds `limit`; otherwise returns a deterministic iterator.
-        """
-        if 0 in self.orders:
-            raise ValueError("infinite group has no element enumeration")
-        order = math.prod(self.orders)
-        if order > limit:
-            raise ValueError(f"group order {order} exceeds enumeration limit {limit}")
-        return (list(y) for y in itertools.product(*map(range, self.orders)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PresentedGroup):
             return NotImplemented
@@ -449,12 +419,6 @@ class GroupHom:
             for x in row.values()
         )
 
-    def compose(self, first: "GroupHom") -> "GroupHom":
-        """self after first."""
-        if first.target != self.source:
-            raise ValueError("mismatched node")
-        return GroupHom(first.source, self.target, self.matrix.matmul(first.matrix))
-
     def __repr__(self) -> str:
         return f"GroupHom({self.source.generators} -> {self.target.generators})"
 
@@ -467,7 +431,7 @@ def middle_homology(f: GroupHom, g: GroupHom) -> FinAbGroup:
     T has full column rank, so ker d1 projects isomorphically onto
     ker g = {x : g·x in col-span T}, and d2's columns are the lifts of im f
     and of the node's relations.  H_1 is read off invariant factors as in
-    `chains.homology_group`.  A column of g·f outside col-span T (an inexact
+    `chains.homology_groups`.  A column of g·f outside col-span T (an inexact
     quotient, or a nonzero entry in a free row) means g·f is not zero.
 
     >>> Z, Z4 = PresentedGroup.free(1), PresentedGroup.cyclic(4)

@@ -102,13 +102,6 @@ class FreeChainComplex:
                     f"expected {self.dims[n - 1]}x{self.dims[n]}"
                 )
 
-    @classmethod
-    def zero_boundaries(cls, dims: Sequence[int]) -> "FreeChainComplex":
-        """Complex with the given dims and all-zero boundary maps."""
-        dims = list(dims)
-        boundaries = [IntegerMatrix(dims[n - 1] if n else 0, dims[n]) for n in range(len(dims))]
-        return cls(dims, boundaries)
-
     def to_json(self) -> dict:
         return {"dims": list(self.dims), "boundaries": [b.entries for b in self.boundaries]}
 
@@ -132,23 +125,6 @@ class FreeChainComplex:
 
     def __repr__(self) -> str:
         return f"FreeChainComplex(dims={self.dims})"
-
-
-def shift_sum(complexes: Sequence[FreeChainComplex]) -> FreeChainComplex:
-    """Degreewise direct sum with block-diagonal boundaries.
-
-    All summands must share a truncation depth; homology of the sum is the
-    direct sum of the homologies, degree by degree.
-    """
-    complexes = list(complexes)
-    if not complexes:
-        raise ValueError("empty direct sum of complexes")
-    depth = complexes[0].max_degree
-    if any(c.max_degree != depth for c in complexes):
-        raise ValueError("mixed truncation depth")
-    dims = [sum(c.dims[n] for c in complexes) for n in range(depth + 1)]
-    boundaries = [IntegerMatrix.block_diag([c.boundaries[n] for c in complexes]) for n in range(depth + 1)]
-    return FreeChainComplex(dims, boundaries)
 
 
 class HomologyResult:
@@ -245,11 +221,6 @@ def _check_trusted(complex_: FreeChainComplex, n: int) -> None:
         )
 
 
-def homology_int(complex_: FreeChainComplex, n: int) -> HomologyResult:
-    """Integral homology ker(∂_n)/im(∂_{n+1}) with generating representatives."""
-    return homology_results(complex_, 0, n)[n]
-
-
 def homology_mod(complex_: FreeChainComplex, q: int, n: int) -> HomologyResult:
     """Homology with Z/q coefficients, K/B with K = {v : ∂_n v ∈ qZ}.
 
@@ -332,22 +303,6 @@ def _lattices(
     return lattices[::-1]
 
 
-def homology_group(complex_: FreeChainComplex, n: int, q: int = 0) -> FinAbGroup:
-    """Iso type of H_n with Z (q = 0) or Z/q coefficients: `homology_groups` up to n.
-
-    `matrix.sweep_invariant_factors` gives the pivot rule and the condition
-    for clearing.  The sweep covers every degree up to n (for q >= 1, n + 1
-    cones and their n products), so a low degree costs a little more than
-    factoring its own two matrices would, and the top degree much less.
-
-    >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix(0, 1),
-    ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix(1, 1)])
-    >>> str(homology_group(c, 1, 4))  # ∂_1 = (2): Tor(Z/2, Z/4)
-    'Z/2'
-    """
-    return homology_groups(complex_, q, n)[n]
-
-
 def homology_groups(complex_: FreeChainComplex, q: int = 0, top: int | None = None) -> list[FinAbGroup]:
     """Iso types of H_0..H_top (default: every trusted degree), Z or Z/q coefficients.
 
@@ -360,6 +315,13 @@ def homology_groups(complex_: FreeChainComplex, q: int = 0, top: int | None = No
     rank must be dims[n]: chain level, no Tor formula.  Clearing needs each
     F_{n-1}·F_n = 0, so it is checked here: a nonzero one (boundaries
     corrupted after construction) stops the clearing so the rank check fails.
+
+    One degree n is `homology_groups(complex_, q, n)[n]`:
+
+    >>> c = FreeChainComplex([1, 1, 1], [IntegerMatrix(0, 1),
+    ...     IntegerMatrix.from_rows([[2]]), IntegerMatrix(1, 1)])
+    >>> str(homology_groups(c, 4, 1)[1])  # ∂_1 = (2): Tor(Z/2, Z/4)
+    'Z/2'
     """
     _check_coefficients(q)
     if top is None:

@@ -93,6 +93,8 @@ def parse_unit_list(text: str, g: FiniteGroupoid, flag: str) -> tuple[int, ...]:
             raise ValueError(
                 f"{flag}: unit index {i} out of range (groupoid has {len(g.units)} units)"
             )
+        if g.units[i] in out:
+            raise ValueError(f"{flag}: unit index {i} listed twice")
         out.append(g.units[i])
     return tuple(out)
 
@@ -124,6 +126,8 @@ def load_groupoid(path: str) -> FiniteGroupoid:
         return FiniteGroupoid.load(path)
     except FileNotFoundError:
         raise ValueError(f"input file not found: {path}") from None
+    except OSError as e:
+        raise ValueError(f"cannot read {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"input file {path} is not valid JSON: {e}") from None
 
@@ -169,8 +173,7 @@ def cmd_gen(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     payload = json.dumps(g.to_json(), indent=2, sort_keys=True) + "\n"
     lines = []
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_text(args.out, payload)
         lines.append(
             f"wrote groupoid '{args.preset}': {g.arrows} arrows, "
             f"{len(g.units)} units -> {args.out}"
@@ -197,8 +200,7 @@ def cmd_homology(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     coefficients = parse_coefficients(args.coeff)
     complex_ = moore_complex(g, n_max, budget=budget)
     if args.dump_complex:
-        with open(args.dump_complex, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(complex_.to_json(), indent=2, sort_keys=True) + "\n")
+        _write_text(args.dump_complex, json.dumps(complex_.to_json(), indent=2, sort_keys=True) + "\n")
     groups = coefficient_homology(complex_, coefficients)
     lines = [
         f"homology of {args.input} with coefficients {coefficients.render()}, "
@@ -529,21 +531,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, report, lines = args.handler(args)
     except ValueError as e:
-        message = str(e)
-        print(f"error: {message}", file=sys.stderr)
-        if getattr(args, "json_path", None):
-            _write_json(args.json_path, {"error": message, "ok": False})
-        return 1
+        print(f"error: {e}", file=sys.stderr)
+        code, report, lines = 1, {"error": str(e), "ok": False}, []
     for line in lines:
         print(line)
     if getattr(args, "json_path", None):
-        _write_json(args.json_path, report)
+        text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        try:
+            _write_text(args.json_path, text)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
     return code
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e.strerror}") from None
 
 
 if __name__ == "__main__":

@@ -203,11 +203,6 @@ class FiniteGroupoid:
             compose,
         )
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path: str) -> "FiniteGroupoid":
         with open(path, "r", encoding="utf-8") as fh:
@@ -482,11 +477,6 @@ def saturation_witness(g: FiniteGroupoid, members: Iterable[int]) -> int | None:
         if (g.source[a] in mem) != (g.range_[a] in mem):
             return a
     return None
-
-
-def is_saturated(g: FiniteGroupoid, members: Iterable[int]) -> bool:
-    """Is the unit subset a union of orbits?"""
-    return saturation_witness(g, members) is None
 
 
 def reduction(g: FiniteGroupoid, members: Iterable[int]) -> FiniteGroupoid:

@@ -28,17 +28,15 @@ class IntegerMatrix:
     Zeros are never stored, so a Moore boundary costs at most n+1 entries per
     column, and `nnz`, `is_zero` and `==` read the dicts alone; `row` and
     `column` return dense lists.  `matmul` costs O(nonzero pairs)
-    multiply-adds, and `hstack`, `vstack` and `block_diag` lay blocks side
-    by side, on top of each other or down the diagonal.  Treated as immutable
-    by convention: no public method mutates `self`.
+    multiply-adds, and `hstack` and `vstack` lay blocks side by side or on
+    top of each other.  Treated as immutable by convention: no public method
+    mutates `self`.
 
     >>> m = IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]])
     >>> m.nnz, m[1, 2], m.row(0), m.column(2)
     (3, 2, [1, 0, -1], [-1, 2])
     >>> m.matmul(IntegerMatrix(3, 1, [1, 0, 1])).column(0)
     [0, 2]
-    >>> IntegerMatrix.block_diag([m, m]).row(3)
-    [0, 0, 0, 0, 0, 2]
     """
 
     __slots__ = ("rows", "cols", "_dicts")
@@ -116,16 +114,6 @@ class IntegerMatrix:
             raise ValueError("shape mismatch: vstack column counts differ")
         row_dicts = [dict(d) for b in blocks for d in b._dicts]
         return IntegerMatrix._wrap(len(row_dicts), c, row_dicts)
-
-    @staticmethod
-    def block_diag(blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
-        """The blocks down the diagonal, each row dict shifted by the columns before it."""
-        row_dicts: list[dict[int, int]] = []
-        cols = 0
-        for b in blocks:
-            row_dicts += [{cols + j: v for j, v in r.items()} for r in b._dicts]
-            cols += b.cols
-        return IntegerMatrix._wrap(len(row_dicts), cols, row_dicts)
 
     # -- reading -----------------------------------------------------------
 
@@ -409,10 +397,6 @@ def _sub(r: dict[int, int], p: dict[int, int], c: int) -> None:
             r[k] = x
         else:
             del r[k]
-
-
-def rank(m: IntegerMatrix) -> int:
-    return len(invariant_factors(m))
 
 
 def reduce_columns(

@@ -347,17 +347,6 @@ def chain_ses(
     return MvChainSes(decomposition, max_degree, budget)
 
 
-def connecting(
-    decomposition: MvDecomposition,
-    n: int,
-    cycle: Sequence[int],
-    rng: random.Random | None = None,
-    budget: int | None = DEFAULT_BUDGET,
-) -> ConnectingResult:
-    """Connecting class of one ambient cycle (builds the SES up to degree n)."""
-    return chain_ses(decomposition, n, budget).connecting(n, cycle, rng=rng)
-
-
 class LongExactSequence:
     """The homology long exact sequence of a decomposition, fully presented.
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .abelian import FinAbGroup, group_of
+from .abelian import FinAbGroup, direct_sum, group_of
 from .matrix import IntegerMatrix
 
 
@@ -91,7 +91,7 @@ def family_integral(spec: FamilySpec, max_degree: int = 4) -> list[FinAbGroup]:
     left = full_shift_homology(spec.n, max_degree)
     mid = point_homology(max_degree)
     right = full_shift_homology(spec.m, max_degree)
-    return [left[k] + mid[k] + right[k] for k in range(max_degree + 1)]
+    return [direct_sum([left[k], mid[k], right[k]]) for k in range(max_degree + 1)]
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,8 @@ def test_immutability():
 def tensor_by_summands(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
     # independent bilinear expansion over cyclic summands
     orders = []
-    for x in a.summands():
-        for y in b.summands():
+    for x in (0,) * a.rank + a.torsion:
+        for y in (0,) * b.rank + b.torsion:
             if x == 0 and y == 0:
                 orders.append(0)
             elif x == 0:
@@ -246,14 +246,14 @@ def test_canonical_form_properties(seed):
     for _ in range(10):
         x = [rng.randint(-9, 9) for _ in range(gens)]
         y = [rng.randint(-9, 9) for _ in range(gens)]
-        assert p.is_zero_element([0] * gens)
+        assert not any(p.canonical_form([0] * gens))
         coeffs = [rng.randint(-3, 3) for _ in range(rel.cols)]
         shift = rel.mul_vector(coeffs) if rel.cols else [0] * gens
         x_shifted = [a + b for a, b in zip(x, shift)]
         # canonical form is constant on cosets of the relation lattice ...
         assert p.canonical_form(x_shifted) == p.canonical_form(x)
-        assert p.is_zero_element(shift)
-        assert p.is_zero_element(x) == oracles.lattice_contains(raw_rows(rel), [x])
+        assert not any(p.canonical_form(shift))
+        assert (not any(p.canonical_form(x))) == oracles.lattice_contains(raw_rows(rel), [x])
         # ... and therefore addition descends to canonical forms
         lhs = p.canonical_form([a + b for a, b in zip(x, y)])
         rhs = p.canonical_form([a + b for a, b in zip(x_shifted, y)])
@@ -265,17 +265,6 @@ def test_negative_order_is_rejected():
         PresentedGroup.from_diagonal([2, -3])
     with pytest.raises(ValueError, match="negative cyclic order"):
         PresentedGroup.cyclic(-4)
-
-
-def test_elements_enumeration():
-    p = PresentedGroup.from_diagonal([2, 3])
-    elems = list(p.elements())
-    assert len(elems) == 6
-    assert len({tuple(p.canonical_form(e)) for e in elems}) == 6
-    with pytest.raises(ValueError, match="infinite group has no element enumeration"):
-        PresentedGroup.free(1).elements()
-    with pytest.raises(ValueError, match="exceeds enumeration limit"):
-        PresentedGroup.cyclic(10**7).elements(limit=10)
 
 
 # -- homomorphisms -----------------------------------------------------------------
@@ -293,10 +282,6 @@ def test_group_hom_validation():
     doubled = GroupHom(z, z2, IntegerMatrix.from_rows([[2]]))
     assert doubled.is_zero()
     assert not GroupHom(z, z2, IntegerMatrix.from_rows([[1]])).is_zero()
-    with pytest.raises(ValueError, match="mismatched node"):
-        GroupHom(z, z, IntegerMatrix.from_rows([[1]])).compose(
-            GroupHom(z2, z2, IntegerMatrix.from_rows([[1]]))
-        )
 
 
 def test_group_hom_entrywise_checks():

@@ -43,7 +43,7 @@ from groupoid_homology import (
     family_mod,
     full_shift_homology,
     full_shift_matrix,
-    homology_group,
+    homology_groups,
     homology_mod,
     invariant_factors,
     long_exact_sequence,
@@ -145,7 +145,7 @@ def test_criterion_02_cyclic_bar_homology(capsys):
     with criterion(capsys, 2, time_limit=30.0):
         for m in (2, 3, 4, 6):
             complex_ = moore_complex(one_object_cyclic(m), 4)
-            computed = [homology_group(complex_, n) for n in range(4)]
+            computed = [homology_groups(complex_, 0, n)[n] for n in range(4)]
             closed_form = [
                 FinAbGroup.free(1),
                 FinAbGroup.cyclic(m),
@@ -196,7 +196,7 @@ def test_criterion_04_mod_q_enumeration(capsys):
                     assert result.group.rank == 0, (name, q, n)
                     assert result.group.order() == order, (name, q, n)
                     assert sorted(result.group.primary_decomposition()) == powers
-                    assert homology_group(complex_, n, q) == result.group, (name, q, n)
+                    assert homology_groups(complex_, q, n)[n] == result.group, (name, q, n)
                     checked += 1
         assert checked >= 300, f"enumeration sweep looks vacuous: {checked} instances"
         info["note"] = f"{checked} instances"

@@ -1,22 +1,53 @@
-"""The package's public surface: `__all__`, star import, and removed names."""
+"""The package's public surface: `__all__`, star import, removed names, and
+a caller in `src/` for every public function and method."""
 
+import ast
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import groupoid_homology
-import groupoid_homology.matrix
 import groupoid_homology.mv
-from groupoid_homology import ConnectingResult, HomologyResult, MvChainSes, moore_complex, one_object_cyclic
+from groupoid_homology import (
+    ConnectingResult,
+    FinAbGroup,
+    FiniteGroupoid,
+    FreeChainComplex,
+    GroupHom,
+    HomologyResult,
+    IntegerMatrix,
+    MvChainSes,
+    PresentedGroup,
+    moore_complex,
+    one_object_cyclic,
+)
 
 from test_cli import gen_file, run_cli
 
 REMOVED = ("kernel_basis", "in_column_lattice", "same_column_lattice", "solve_columns",
            "column_lattice_basis", "homology_with_coefficients", "validate_groupoid",
-           "face", "nerve", "NerveLevel", "pushforward_matrix", "SparseMatrix", "SmithDecomposition")
+           "face", "nerve", "NerveLevel", "pushforward_matrix", "SparseMatrix", "SmithDecomposition",
+           "homology_int", "homology_group", "shift_sum", "is_saturated", "rank", "connecting")
+# wrappers and helpers with no caller in src/, deleted from their classes
+REMOVED_METHODS = {
+    FreeChainComplex: ("zero_boundaries",),
+    GroupHom: ("compose",),
+    PresentedGroup: ("elements", "is_zero_element"),
+    FinAbGroup: ("exponent", "summands", "__add__"),
+    FiniteGroupoid: ("save",),
+    IntegerMatrix: ("block_diag",),
+}
 # the dense twin's bridges and arithmetic, deleted with it; the one matrix
 # type stores sparse rows and multiplies with `matmul` alone
 DENSE_ONLY = ("from_dense", "to_dense", "column_vector", "identity", "zeros", "transpose",
               "mod", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__str__")
+
+MODULES = {
+    info.name: importlib.import_module(f"groupoid_homology.{info.name}")
+    for info in pkgutil.iter_modules(groupoid_homology.__path__)
+    if info.name != "__main__"
+}
 
 
 def test_public_names_resolve_and_removed_helpers_are_gone():
@@ -31,8 +62,11 @@ def test_public_names_resolve_and_removed_helpers_are_gone():
         assert name not in names
         assert name not in namespace
         assert not hasattr(groupoid_homology, name)
-        for module in (groupoid_homology.matrix, groupoid_homology.groupoids, groupoid_homology.uct):
+        for module in MODULES.values():
             assert not hasattr(module, name)
+    for cls, attrs in REMOVED_METHODS.items():
+        for attr in attrs:
+            assert not hasattr(cls, attr), (cls.__name__, attr)
     # chain complexes are over Z only: no Z/q complexes, no residue reduction, no labels
     assert "modulus" not in inspect.signature(groupoid_homology.moore_complex).parameters
     for attr in DENSE_ONLY:
@@ -52,6 +86,74 @@ def test_public_names_resolve_and_removed_helpers_are_gone():
     # Smith forms track U and U⁻¹ on one keyword, never V, V⁻¹ or D
     assert list(inspect.signature(groupoid_homology.smith_normal_form).parameters) == ["m", "rows"]
     assert "transforms" not in inspect.signature(groupoid_homology.smith_normal_form).parameters
+
+
+# public names that nothing in src/ calls, each kept for a reason of its own
+KEEP = {
+    "abelian.PresentedGroup.canonical_form": "element equality in a presentation, the rule class_coords applies",
+    "groupoids.orbits": "the orbit blocks of ROADMAP item 4 call it",
+    "groupoids.reduction": "the tests' reference for G|U, against the mv position lists",
+    "uct.mod_reduction_check": "the UCT maps of ROADMAP item 5 call it",
+    "uct.cantor_obstruction": "the Cantor demonstration, acceptance criterion 10",
+    "uct.CantorReport.all_widths_positive": "the Cantor demonstration, acceptance criterion 10",
+    "uct.decompose_step_function": "the Cantor demonstration, acceptance criterion 10",
+    "sft.collision_search": "the classification experiment, acceptance criterion 9",
+}
+
+
+def _uncalled_public_defs(src: Path) -> list[str]:
+    """`module.name` or `module.Class.name` for each public top-level function
+    or public method (dunders exempt) that nothing in `src` names outside its
+    own def, `__init__.py` not counted.
+
+    A function is named by a load of its name in its own module or in one
+    that imports it from there; a method by an attribute call `x.name(...)`,
+    or any `x.name` for a property, so a data attribute that shares the name
+    of a method does not count as a caller.
+    """
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))
+             if p.name != "__init__.py"}
+    calls = {node.func for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    uncalled = []
+    for module, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name, node, False))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{f.name}", f, True) for f in node.body if isinstance(f, ast.FunctionDef)]
+        for qualname, fn, method in defs:
+            if fn.name.startswith("_"):
+                continue
+            prop = any(isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list)
+            named = False
+            for other, other_tree in trees.items():
+                if method:
+                    uses = (n for n in ast.walk(other_tree) if isinstance(n, ast.Attribute)
+                            and n.attr == fn.name and (prop or n in calls))
+                elif other == module or any(
+                    isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == module
+                    and any(alias.name == fn.name for alias in n.names) for n in other_tree.body
+                ):
+                    uses = (n for n in ast.walk(other_tree) if isinstance(n, ast.Name) and n.id == fn.name)
+                else:
+                    continue
+                if any(other != module or not fn.lineno <= n.lineno <= fn.end_lineno for n in uses):
+                    named = True
+                    break
+            if not named:
+                uncalled.append(f"{module}.{qualname}")
+    return uncalled
+
+
+def test_every_public_def_has_a_caller_in_src():
+    # a public function or method that only `__init__` and the tests reach is
+    # a wrapper to delete (or a KEEP entry with its reason)
+    src = Path(groupoid_homology.__file__).resolve().parent
+    uncalled = _uncalled_public_defs(src)
+    assert sorted(set(uncalled) - KEEP.keys()) == []
+    assert sorted(KEEP.keys() - set(uncalled)) == []  # a KEEP entry that gained a caller goes
 
 
 def test_benchmark_tracer_wraps_the_matrix_product(monkeypatch):

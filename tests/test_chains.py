@@ -22,15 +22,11 @@ from groupoid_homology import (
     FiniteGroupoid,
     FreeChainComplex,
     IntegerMatrix,
-    direct_sum,
-    homology_group,
     homology_groups,
-    homology_int,
     homology_mod,
     homology_results,
     moore_complex,
     one_object_cyclic,
-    shift_sum,
     sweep_invariant_factors,
 )
 from groupoid_homology.chains import _cones
@@ -221,16 +217,6 @@ def test_corrupted_sparse_boundary_raises_under_optimize_flag():
     assert f"ValueError: {expected}" in proc.stderr
 
 
-def test_zero_boundaries_constructor():
-    c = FreeChainComplex.zero_boundaries([3, 2, 5])
-    assert c.dims == [3, 2, 5]
-    assert c.max_degree == 2
-    assert all(b.is_zero() for b in c.boundaries)
-    # every generator survives: H_n = Z^dims[n] in trusted degrees
-    assert homology_group(c, 0) == FinAbGroup.free(3)
-    assert homology_group(c, 1) == FinAbGroup.free(2)
-
-
 # -- frozen examples -----------------------------------------------------------------
 
 
@@ -246,9 +232,9 @@ def test_point_like_complex():
             IntegerMatrix.from_rows([[1]]),
         ],
     )
-    assert homology_group(c, 0) == FinAbGroup.free(1)
+    assert homology_groups(c, 0, 0)[0] == FinAbGroup.free(1)
     for n in (1, 2, 3):
-        assert homology_group(c, n).is_trivial()
+        assert homology_groups(c, 0, n)[n].is_trivial()
 
 
 KLEIN_STYLE = (
@@ -271,13 +257,13 @@ def klein_complex():
 
 def test_klein_style_integral():
     c = klein_complex()
-    h0 = homology_int(c, 0)
-    h1 = homology_int(c, 1)
+    h0 = homology_results(c, 0, 0)[0]
+    h1 = homology_results(c, 0, 1)[1]
     assert h0.group == FinAbGroup.free(1)
     assert h1.group == FinAbGroup(1, (2,))
     assert h1.group.render() == "Z ⊕ Z/2"
-    assert homology_group(c, 0) == h0.group
-    assert homology_group(c, 1) == h1.group
+    assert homology_groups(c, 0, 0)[0] == h0.group
+    assert homology_groups(c, 0, 1)[1] == h1.group
 
 
 @pytest.mark.parametrize(
@@ -306,8 +292,8 @@ def test_torsion_only_frozen():
             IntegerMatrix.from_rows([[0, 0], [3, 6]]),
         ],
     )
-    assert homology_int(c, 0).group == FinAbGroup(1, (2,))
-    assert homology_int(c, 1).group == FinAbGroup(0, (3,))
+    assert homology_results(c, 0, 0)[0].group == FinAbGroup(1, (2,))
+    assert homology_results(c, 0, 1)[1].group == FinAbGroup(0, (3,))
 
 
 def test_mod_zero_falls_back_to_integral():
@@ -324,7 +310,7 @@ def test_homology_int_representatives(seed):
     c, expected = random_disguised(seed)
     rng = random.Random(10_000 + seed)
     for n in range(c.max_degree):
-        res = homology_int(c, n)
+        res = homology_results(c, 0, n)[n]
         assert res.group == expected[n]
         assert res.degree == n and res.modulus == 0
         assert res.presentation.group() == res.group
@@ -363,7 +349,7 @@ def test_class_coords_rejects_non_cycles_and_bad_shapes():
             IntegerMatrix.from_rows([[0]]),
         ],
     )
-    res = homology_int(c, 1)
+    res = homology_results(c, 0, 1)[1]
     assert res.group.is_trivial()
     with pytest.raises(ValueError, match="not a cycle"):
         res.class_coords([1])
@@ -384,13 +370,13 @@ def test_class_coords_rejects_non_cycles_and_bad_shapes():
 def test_degree_bounds():
     c = klein_complex()
     with pytest.raises(ValueError, match="negative degree"):
-        homology_int(c, -1)
+        homology_results(c, 0, -1)[-1]
     with pytest.raises(ValueError, match="degree exceeds trusted truncation"):
-        homology_int(c, 2)
+        homology_results(c, 0, 2)[2]
     with pytest.raises(ValueError, match="degree exceeds trusted truncation"):
         homology_mod(c, 3, 2)
     with pytest.raises(ValueError, match="degree exceeds trusted truncation"):
-        homology_group(c, 2)
+        homology_groups(c, 0, 2)[2]
     with pytest.raises(ValueError, match="negative modulus"):
         homology_mod(c, -1, 0)
 
@@ -399,8 +385,8 @@ def test_integral_routes_agree_on_random_complexes():
     for seed in range(25):
         c, expected = random_disguised(seed, depth=3)
         for n in range(c.max_degree):
-            assert homology_group(c, n) == expected[n]
-            assert homology_int(c, n).group == expected[n]
+            assert homology_groups(c, 0, n)[n] == expected[n]
+            assert homology_results(c, 0, n)[n].group == expected[n]
 
 
 # -- mod-q homology vs the enumeration oracle ----------------------------------------
@@ -417,7 +403,7 @@ def _oracle_check(c, q, n):
     assert res.group.rank == 0
     assert res.group.order() == order
     assert sorted(res.group.primary_decomposition()) == powers
-    assert homology_group(c, n, q) == res.group
+    assert homology_groups(c, q, n)[n] == res.group
     return res
 
 
@@ -467,7 +453,7 @@ def test_representatives_on_the_corpus(name_and_groupoid):
     rng = random.Random(name)
     for q in (0, 2, 4, 6):
         for n in range(3):
-            res = homology_int(c, n) if q == 0 else homology_mod(c, q, n)
+            res = homology_results(c, 0, n)[n] if q == 0 else homology_mod(c, q, n)
             k = len(res.cycle_reps)
             following = c.boundaries[n + 1]
             for i, rep in enumerate(res.cycle_reps):
@@ -489,18 +475,18 @@ def test_cone_route_matches_homology_mod_on_the_corpus(name_and_groupoid):
     c = moore_complex(g, 3)
     for q in range(1, 13):
         for n in range(3):
-            assert homology_group(c, n, q) == homology_mod(c, q, n).group, (name, q, n)
-    assert homology_group(c, 1, 0) == homology_int(c, 1).group
+            assert homology_groups(c, q, n)[n] == homology_mod(c, q, n).group, (name, q, n)
+    assert homology_groups(c, 0, 1)[1] == homology_results(c, 0, 1)[1].group
 
 
 def test_cone_route_errors():
     c = klein_complex()
     with pytest.raises(ValueError, match="negative modulus"):
-        homology_group(c, 0, -1)
+        homology_groups(c, -1, 0)[0]
     with pytest.raises(ValueError, match="negative degree"):
-        homology_group(c, -1, 2)
+        homology_groups(c, 2, -1)[-1]
     with pytest.raises(ValueError, match="degree exceeds trusted truncation"):
-        homology_group(c, 2, 2)
+        homology_groups(c, 2, 2)[2]
     # boundaries corrupted after validation: 2 * 3 = 6 != 0 gives the cone an extra rank
     over_z = FreeChainComplex(
         [1, 1, 1],
@@ -508,7 +494,7 @@ def test_cone_route_errors():
     )
     over_z.boundaries[2] = IntegerMatrix.from_rows([[3]])
     with pytest.raises(ValueError) as excinfo:
-        homology_group(over_z, 1, 4)
+        homology_groups(over_z, 4, 1)[1]
     assert str(excinfo.value) == (
         "boundary square nonzero: the cone of 4 in degree 1 has rank 2, not dims[1] = 1"
     )
@@ -520,16 +506,16 @@ def test_cone_free_rank_check_raises_under_optimize_flag():
     program = "\n".join(
         [
             "import sys",
-            "from groupoid_homology import IntegerMatrix, homology_group,"
+            "from groupoid_homology import IntegerMatrix, homology_groups,"
             " moore_complex, one_object_cyclic",
             "if not sys.flags.optimize:",
             "    raise SystemExit('child is not optimized')",
             "c = moore_complex(one_object_cyclic(3), 3)",
-            "print(homology_group(c, 2, 4))",
+            "print(homology_groups(c, 4, 2)[2])",
             "rows = [c.boundaries[3].row(i) for i in range(c.boundaries[3].rows)]",
             "rows[0][0] += 1",
             "c.boundaries[3] = IntegerMatrix.from_rows(rows)",
-            "print(homology_group(c, 2, 4))",
+            "print(homology_groups(c, 4, 2)[2])",
         ]
     )
     proc = subprocess.run(
@@ -554,21 +540,21 @@ def test_cone_clearing_does_not_mask_a_corrupted_cleared_row(monkeypatch):
         matrix_module, "_reduce", lambda m, skip, defer: cleared.append(skip) or real_reduce(m, skip, defer)
     )
     c = moore_complex(one_object_cyclic(3), 3)
-    homology_group(c, 2, 4)
+    homology_groups(c, 4, 2)[2]
     skipped = {i - c.dims[1] for i in cleared[2] if i >= c.dims[1]}
     assert skipped
     program = "\n".join(
         [
             "import sys",
-            "from groupoid_homology import homology_group, moore_complex, one_object_cyclic",
+            "from groupoid_homology import homology_groups, moore_complex, one_object_cyclic",
             "if not sys.flags.optimize:",
             "    raise SystemExit('child is not optimized')",
             "c = moore_complex(one_object_cyclic(3), 3)",
-            "print(homology_group(c, 2, 4))",
+            "print(homology_groups(c, 4, 2)[2])",
             f"row = c.boundaries[3]._dicts[{min(skipped)}]",
             "row[min(row)] += 1",
             "try:",
-            "    homology_group(c, 2, 4)",
+            "    homology_groups(c, 4, 2)[2]",
             "except ValueError as e:",
             "    print(e)",
         ]
@@ -698,7 +684,7 @@ def test_sweep_matches_oracles_on_relabelled_corpus(name_and_groupoid):
         c = moore_complex(relabelled(g, seed), 3)
         swept = sweep_invariant_factors(c.boundaries[1:])
         assert swept == [_oracle_factors(b) for b in c.boundaries[1:]], (name, seed)
-        assert homology_groups(c) == [homology_int(c, n).group for n in range(3)], (name, seed)
+        assert homology_groups(c) == [homology_results(c, 0, n)[n].group for n in range(3)], (name, seed)
 
 
 @pytest.mark.parametrize("name_and_groupoid", corpus(), ids=[n for n, _ in corpus()])
@@ -713,33 +699,6 @@ def test_sweep_matches_oracles_on_cones(name_and_groupoid):
         swept = sweep_invariant_factors(cones)
         assert swept == [_oracle_factors(f) for f in cones], (name, q)
         assert [len(f) for f in swept] == c.dims[:3], (name, q)
-
-
-# -- direct sums ---------------------------------------------------------------------
-
-
-def test_shift_sum_dims_and_homology():
-    ca, ea = random_disguised(101, depth=2)
-    cb, eb = random_disguised(102, depth=2)
-    total = shift_sum([ca, cb])
-    assert total.dims == [a + b for a, b in zip(ca.dims, cb.dims)]
-    for n in range(total.max_degree):
-        assert homology_group(total, n) == direct_sum([ea[n], eb[n]])
-        assert homology_mod(total, 4, n).group == direct_sum(
-            [homology_mod(ca, 4, n).group, homology_mod(cb, 4, n).group]
-        )
-
-
-def test_shift_sum_single_and_labels():
-    c = klein_complex()
-    assert shift_sum([c]).dims == c.dims
-
-
-def test_shift_sum_errors():
-    with pytest.raises(ValueError, match="empty direct sum of complexes"):
-        shift_sum([])
-    with pytest.raises(ValueError, match="mixed truncation depth"):
-        shift_sum([klein_complex(), FreeChainComplex.zero_boundaries([1, 1])])
 
 
 # -- serialization -------------------------------------------------------------------
@@ -758,7 +717,7 @@ def test_json_roundtrip_plain():
     assert back.dims == c.dims
     assert all(x == y for x, y in zip(back.boundaries, c.boundaries))
     for n in range(c.max_degree):
-        assert homology_group(back, n) == expected[n]
+        assert homology_groups(back, 0, n)[n] == expected[n]
 
 
 def test_from_json_shape_error():

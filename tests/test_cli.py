@@ -13,6 +13,7 @@ independent oracles; here they pin the exact rendered text.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -25,7 +26,7 @@ import pytest
 
 import groupoid_homology
 from groupoid_homology.abelian import FinAbGroup
-from groupoid_homology.chains import FreeChainComplex, homology_group
+from groupoid_homology.chains import FreeChainComplex, homology_groups
 from groupoid_homology.cli import build_parser, main
 from groupoid_homology.groupoids import (
     FiniteGroupoid,
@@ -262,7 +263,7 @@ def test_homology_dump_complex(tmp_path):
     reference = moore_complex(one_object_cyclic(3), 2)
     assert loaded.dims == reference.dims
     assert loaded.boundaries == reference.boundaries
-    assert homology_group(loaded, 1) == FinAbGroup.cyclic(3)
+    assert homology_groups(loaded, 0, 1)[1] == FinAbGroup.cyclic(3)
 
 
 def test_dump_complex_bytes_are_pinned(tmp_path):
@@ -363,6 +364,36 @@ def test_missing_input_file():
     code, _, err = run_cli(["homology", "-i", "/nowhere/missing.json"])
     assert code == 1
     assert err == "error: input file not found: /nowhere/missing.json\n"
+
+
+@pytest.mark.parametrize("case", ["json", "dump-complex", "gen-out", "input-directory"])
+def test_os_error_on_a_path_is_an_error_line(tmp_path, case):
+    # an unwritable output or an unreadable input gives one `error:` line and
+    # exit 1, never a traceback; the JSON error report still goes to a
+    # writable --json
+    path = gen_file(tmp_path, "cyclic:3", "c3.json")
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    report_path = str(tmp_path / "report.json")
+    not_found = os.strerror(errno.ENOENT)
+    argv, message = {
+        "json": (["homology", "-i", path, "-N", "2", "--json", missing],
+                 f"cannot write {missing}: {not_found}"),
+        "dump-complex": (["homology", "-i", path, "-N", "2", "--dump-complex", missing,
+                          "--json", report_path], f"cannot write {missing}: {not_found}"),
+        "gen-out": (["gen", "cyclic:3", "-o", missing, "--json", report_path],
+                    f"cannot write {missing}: {not_found}"),
+        "input-directory": (["homology", "-i", str(tmp_path), "--json", report_path],
+                            f"cannot read {tmp_path}: {os.strerror(errno.EISDIR)}"),
+    }[case]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (1, f"error: {message}\n")
+    if case == "json":  # the table is printed before the report is written
+        assert out.splitlines() == [f"homology of {path} with coefficients Z, degrees 0..1",
+                                    "  H_0 = Z", "  H_1 = Z/3"]
+    else:
+        assert out == ""
+        with open(report_path, encoding="utf-8") as fh:
+            assert json.load(fh) == {"error": message, "ok": False}
 
 
 def test_invalid_input_json(tmp_path):
@@ -628,6 +659,13 @@ def test_mv_unit_index_errors(tmp_path):
     code, _, err = run_cli(["mv", "-i", path, "--u1", "x", "--u2", "0,1,2"])
     assert code == 1
     assert err == "error: --u1: cannot parse unit index 'x'\n"
+    # a repeated index is refused, as a unit listed twice in a groupoid file is
+    code, _, err = run_cli(["mv", "-i", path, "--u1", "0,0", "--u2", "1,2"])
+    assert code == 1
+    assert err == "error: --u1: unit index 0 listed twice\n"
+    code, _, err = run_cli(["mv", "-i", path, "--u1", "0", "--u2", "1,2,1"])
+    assert code == 1
+    assert err == "error: --u2: unit index 1 listed twice\n"
 
 
 def test_mv_cover_error(tmp_path):

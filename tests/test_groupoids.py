@@ -8,6 +8,7 @@ identities and pushforward properties, checked exhaustively on small nerves.
 """
 
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -21,10 +22,8 @@ from groupoid_homology import (
     IntegerMatrix,
     action,
     disjoint_union,
-    homology_group,
-    homology_int,
+    homology_groups,
     homology_mod,
-    is_saturated,
     moore_complex,
     one_object_cyclic,
     orbits,
@@ -473,9 +472,9 @@ def test_face_table_fault_raises_under_optimize_flag(setup, fault):
 
 def test_unit_groupoid_homology():
     c = moore_complex(units(1), 5)
-    assert homology_group(c, 0) == FinAbGroup.free(1)
+    assert homology_groups(c, 0, 0)[0] == FinAbGroup.free(1)
     for n in range(1, 5):
-        assert homology_group(c, n).is_trivial()
+        assert homology_groups(c, 0, n)[n].is_trivial()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 13])
@@ -484,7 +483,7 @@ def test_cyclic_homology_matches_periodic_resolution(m):
     c = moore_complex(one_object_cyclic(m), depth)
     for n in range(depth):
         rank, torsion = oracles.cyclic_homology_int(m, n)
-        assert homology_group(c, n) == FinAbGroup.from_cyclic_orders(list(torsion) + [0] * rank)
+        assert homology_groups(c, 0, n)[n] == FinAbGroup.from_cyclic_orders(list(torsion) + [0] * rank)
 
 
 @pytest.mark.parametrize("m,q", [(2, 2), (2, 4), (3, 3), (4, 2), (6, 4)])
@@ -501,17 +500,17 @@ def test_cyclic_homology_mod_matches_oracle(m, q):
 def test_pair_groupoid_is_contractible(k):
     # the pair groupoid collapses to a point
     c = moore_complex(pair(k), 3)
-    assert homology_group(c, 0) == FinAbGroup.free(1)
-    assert homology_group(c, 1).is_trivial()
-    assert homology_group(c, 2).is_trivial()
+    assert homology_groups(c, 0, 0)[0] == FinAbGroup.free(1)
+    assert homology_groups(c, 0, 1)[1].is_trivial()
+    assert homology_groups(c, 0, 2)[2].is_trivial()
 
 
 def test_free_action_collapses_to_quotient():
     # Z/2 swapping two points acts freely: same homology as a single point
     c = moore_complex(action(2, [1, 0]), 3)
-    assert homology_group(c, 0) == FinAbGroup.free(1)
-    assert homology_group(c, 1).is_trivial()
-    assert homology_group(c, 2).is_trivial()
+    assert homology_groups(c, 0, 0)[0] == FinAbGroup.free(1)
+    assert homology_groups(c, 0, 1)[1].is_trivial()
+    assert homology_groups(c, 0, 2)[2].is_trivial()
 
 
 def test_action_with_stabilizer_matches_isotropy():
@@ -519,7 +518,7 @@ def test_action_with_stabilizer_matches_isotropy():
     c = moore_complex(action(4, [1, 0]), 4)
     for n in range(4):
         rank, torsion = oracles.cyclic_homology_int(2, n)
-        assert homology_group(c, n) == FinAbGroup.from_cyclic_orders(list(torsion) + [0] * rank)
+        assert homology_groups(c, 0, n)[n] == FinAbGroup.from_cyclic_orders(list(torsion) + [0] * rank)
 
 
 def test_h0_counts_orbits():
@@ -533,7 +532,7 @@ def test_h0_counts_orbits():
         disjoint_union(units(2), one_object_cyclic(3)),
     ):
         c = moore_complex(g, 2)
-        assert homology_group(c, 0) == FinAbGroup.free(len(orbits(g)))
+        assert homology_groups(c, 0, 0)[0] == FinAbGroup.free(len(orbits(g)))
 
 
 def test_union_homology_is_direct_sum():
@@ -541,8 +540,8 @@ def test_union_homology_is_direct_sum():
     cu = moore_complex(disjoint_union(a, b), 3)
     ca, cb = moore_complex(a, 3), moore_complex(b, 3)
     for n in range(3):
-        expected = homology_group(ca, n).direct_sum(homology_group(cb, n))
-        assert homology_group(cu, n) == expected
+        expected = homology_groups(ca, 0, n)[n].direct_sum(homology_groups(cb, 0, n)[n])
+        assert homology_groups(cu, 0, n)[n] == expected
 
 
 # -- orbits, saturation, reduction ---------------------------------------------------
@@ -562,12 +561,12 @@ def test_saturation():
     g = pair(2)  # units 0 and 3 joined by arrows 1 and 2
     w = saturation_witness(g, {0})
     assert w in (1, 2)
-    assert not is_saturated(g, {0})
-    assert is_saturated(g, {0, 3})
-    assert is_saturated(g, set())
-    assert is_saturated(g, g.units)
+    assert saturation_witness(g, {0}) is not None
+    assert saturation_witness(g, {0, 3}) is None
+    assert saturation_witness(g, set()) is None
+    assert saturation_witness(g, g.units) is None
     with pytest.raises(ValueError, match="unit subset contains non-unit 1"):
-        is_saturated(g, {1})
+        saturation_witness(g, {1})
 
 
 def test_reduction_extracts_summand():
@@ -596,7 +595,7 @@ def test_reduction_homology_of_non_saturated_subset():
     r = reduction(g, {0})
     assert r.arrows == 1
     c = moore_complex(r, 2)
-    assert homology_group(c, 0) == FinAbGroup.free(1)
+    assert homology_groups(c, 0, 0)[0] == FinAbGroup.free(1)
     with pytest.raises(ValueError, match="unit subset contains non-unit"):
         reduction(g, {0, 1})
 
@@ -619,7 +618,8 @@ def test_json_roundtrip(g):
 def test_save_load_roundtrip(tmp_path):
     g = disjoint_union(pair(2), one_object_cyclic(2))
     path = tmp_path / "g.json"
-    g.save(str(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(g.to_json(), fh)
     assert FiniteGroupoid.load(str(path)) == g
 
 

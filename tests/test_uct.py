@@ -20,8 +20,8 @@ from groupoid_homology import (
     cantor_obstruction,
     decompose_step_function,
     disjoint_union,
-    homology_group,
-    homology_int,
+    homology_groups,
+    homology_results,
     coefficient_homology,
     mod_reduction_check,
     moore_complex,
@@ -52,8 +52,8 @@ def test_integral_routes_agree_on_corpus(name, g):
     c = moore_complex(g, 3)
     direct = coefficient_homology(c, FinAbGroup.free(1))
     for n in range(3):
-        group = homology_group(c, n)
-        assert group == homology_int(c, n).group
+        group = homology_groups(c, 0, n)[n]
+        assert group == homology_results(c, 0, n)[n].group
         assert group == direct[n]
 
 
@@ -121,8 +121,8 @@ def test_assemble_coefficient_with_rank():
 
 def test_splitting_on_klein_style_complex():
     c = klein_complex()
-    h0 = homology_int(c, 0).group
-    h1 = homology_int(c, 1).group
+    h0 = homology_results(c, 0, 0)[0].group
+    h1 = homology_results(c, 0, 1)[1].group
     a = FinAbGroup(2, (2,))  # Z^2 + Z/2
     _, _, assembled = uct_assemble(h1, h0, a)
     assert assembled == coefficient_homology(c, a)[1]
