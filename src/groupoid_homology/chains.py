@@ -40,7 +40,7 @@ class FreeChainComplex:
     `boundaries[n]` maps degree n to degree n-1 and has shape
     dims[n-1] x dims[n]; `boundaries[0]` is the 0 x dims[0] zero map.  Every
     boundary is an `IntegerMatrix`, whose row dicts store no zero, and
-    ∂∘∂ = 0 is checked on construction by a sparse product.
+    ∂∘∂ = 0 is checked on construction by a sparse product (`_trusted` skips it).
     The complex is over Z: Z/q homology comes from it through the mapping
     cone of q (`homology_groups`) or [∂ | qI] (`homology_results`).
     """
@@ -56,10 +56,10 @@ class FreeChainComplex:
     def _trusted(cls, dims: Sequence[int], boundaries: Sequence[IntegerMatrix]) -> "FreeChainComplex":
         """A complex whose ∂∘∂ = 0 the caller proves: the shapes are checked, the square is not.
 
-        For `mv._subcomplexes`: a piece C(G|U) is the sub-block of the checked
-        ambient complex on basis positions that `_subcomplexes` checks are
-        closed under faces, so each piece's ∂ is the ambient ∂ restricted to
-        a subcomplex and ∂∘∂ = 0 on it is the ambient square restricted.
+        For `groupoids.moore_complex`, which checks its face tables' simplicial identities
+        and each ∂_n's column sums, and for `mv._subcomplexes`: a piece C(G|U) is the
+        sub-block of the checked ambient complex on positions that `_subcomplexes` checks
+        are closed under faces, so its ∂∘∂ = 0 is the ambient square restricted.
         """
         complex_ = cls.__new__(cls)
         complex_.dims = list(dims)

@@ -130,6 +130,8 @@ def load_groupoid(path: str) -> FiniteGroupoid:
         raise ValueError(f"cannot read {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"input file {path} is not valid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"input file {path} is not UTF-8: {e}") from None
 
 
 def _render(group: FinAbGroup, args: argparse.Namespace) -> str:

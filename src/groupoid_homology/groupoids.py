@@ -15,7 +15,8 @@ every face off integer face tables of the level below, so no tuple is built.
 from __future__ import annotations
 
 import json
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .abelian import _json_ints, _json_list, _json_object
@@ -31,10 +32,10 @@ from .matrix import IntegerMatrix
 # (`homology_groups`, integral and Z/q, so `homology` with any coefficients and
 # `uct`) reduces copies of the sparse rows that clearing does not skip, with no
 # transform.  On the nerves measured those copies hold no more entries than
-# the boundaries (`homology cyclic:60 -N 3`: 1.1-1.5 s and 96 MB peak, of
-# which `moore_complex` takes 57 MB; at the budget's edge, `homology cyclic:99
-# -N 3`: 5.0-6.1 s and 442 MB, of which `moore_complex` takes 229 MB; medians
-# of tools/ladder.py runs, Python 3.11 on 2 shared vCPUs), so the budget
+# the boundaries (`homology cyclic:60 -N 3`: 0.63 s and 99 MB peak, of
+# which `moore_complex` takes 58 MB; at the budget's edge, `homology cyclic:99
+# -N 3`: 3.5-3.6 s and 448 MB, of which `moore_complex` takes 233 MB; min and
+# median of a tools/ladder.py run, Python 3.11 on 2 shared vCPUs), so the budget
 # bounds that route's memory too; a reduced row can still fill in principle.
 # The Mayer-Vietoris short exact sequence is sparse as well: its pieces are
 # sub-blocks of the ambient complex, so the budget, checked once on the ambient
@@ -359,6 +360,47 @@ def _alternating_sum(rows: int, cols: int, columns: Iterable[tuple[int, ...]]) -
     return b
 
 
+_BLOCK = 1 << 12  # face tuples checked and assembled at a time, so the top level is never stored
+
+
+def _checked_columns(below: list, faces: list) -> Iterator[tuple[int, ...]]:
+    """The columns (d_0 x, ..., d_n x) of one level's face tables, yielded a
+    block at a time once `_check_identities` holds on the block."""
+    tables, start = [iter(f) for f in faces], 0
+    while (block := [list(islice(t, _BLOCK)) for t in tables])[0]:
+        _check_identities(below, block, start)
+        yield from zip(*block)
+        start += len(block[0])
+
+
+def _check_identities(below: list, block: list[list[int]], start: int) -> None:
+    """Raise unless d_i d_j = d_{j-1} d_i for i < j on `block`, the faces of basis
+    elements start, start + 1, ... of degree n = len(block) - 1, with `below` the face
+    tables of degree n - 1.  These identities give ∂∘∂ = 0 (May, 1967)."""
+    n = len(block) - 1
+    faces = [itemgetter(*f) for f in block]  # faces[j](table) reads table at every d_j x
+    for j in range(1, n + 1):
+        for i in range(j):
+            if faces[j](below[i]) != faces[i](below[j - 1]):
+                x = start + next(k for k, (u, v) in enumerate(zip(block[j], block[i]))
+                                 if below[i][u] != below[j - 1][v])
+                raise ValueError(f"simplicial identity d_{i} d_{j} = d_{j - 1} d_{i} fails at degree {n}, "
+                                 f"basis element {x}")
+
+
+def _check_column_sums(n: int, b: IntegerMatrix) -> None:
+    """Raise unless every column of ∂_n sums to 1 - (n mod 2), the sum of (-1)^i
+    over its n + 1 faces; an entry with a flipped sign moves its column's sum by ±2."""
+    sums = [0] * b.cols
+    for r in b._dicts:
+        for x, v in r.items():
+            sums[x] += v
+    expected = 1 - n % 2
+    if sums.count(expected) != b.cols:
+        x = next(x for x, s in enumerate(sums) if s != expected)
+        raise ValueError(f"boundary {n} column {x} sums to {sums[x]}, expected {expected}")
+
+
 def moore_complex(
     g: FiniteGroupoid,
     max_degree: int,
@@ -377,6 +419,9 @@ def moore_complex(
     where d_{n-1} p is p's prefix (at n = 2, d_0 x = a and d_1 x = last p ∘ a).
     Only the level below's tables are kept, and the top level's faces are
     never stored.
+
+    ∂∘∂ = 0 is proved by no matrix product but by `_checked_columns` and
+    `_check_column_sums`, so the complex is built by `FreeChainComplex._trusted`.
 
     Each boundary is an `IntegerMatrix` over Z: a column holds at most n+1
     entries, and an entry that cancels is not stored.  The total
@@ -414,12 +459,14 @@ def moore_complex(
                 for face in faces[:-1]
             ]
             inner.append(keep(off[f] + rank[c] for f, b in zip(faces[-1], last) for c in composed[b]))
-        faces = [*inner, keep(p for p, ks in enumerate(kids) for _ in ks)]
-        boundaries.append(_alternating_sum(dims[n - 1], dims[n], zip(*faces)))
+        below, faces = faces, [*inner, keep(p for p, ks in enumerate(kids) for _ in ks)]
+        boundaries.append(_alternating_sum(dims[n - 1], dims[n], _checked_columns(below, faces)))
         if n < max_degree:
             last = faces[0] if n == 2 else [a for ks in kids for a in ks]
             off = list(accumulate(map(len, kids), initial=0))
-    return FreeChainComplex(dims, boundaries)
+    for n in range(1, max_degree + 1):
+        _check_column_sums(n, boundaries[n])
+    return FreeChainComplex._trusted(dims, boundaries)
 
 
 def _positions(g: FiniteGroupoid, max_degree: int, members: Sequence[int]) -> list[list[int]]:

@@ -159,18 +159,23 @@ def test_every_public_def_has_a_caller_in_src():
 def test_benchmark_tracer_wraps_the_matrix_product(monkeypatch):
     # perfbench/tracing.py wraps IntegerMatrix.__dict__["matmul"] as
     # `matrix.matmul`, so the class keeps that name and defines matmul itself;
-    # the constructor's two ∂∘∂ products then show up as two traced calls
+    # the public constructor's two ∂∘∂ products then show up as two traced
+    # calls; moore_complex checks ∂∘∂ = 0 on its face tables and makes none
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import tracing
 
     tracer = tracing.Tracer("groupoid_homology")
     tracer.install()
     try:
-        moore_complex(one_object_cyclic(4), 3)
+        c = groupoid_homology.moore_complex(one_object_cyclic(4), 3)  # the traced binding
+        first = len(tracer.spans)
+        FreeChainComplex(c.dims, c.boundaries)
     finally:
         tracer.uninstall()
     _, calls = tracer.self_times(0)
-    assert calls["matrix.matmul"] == 2
+    _, checked = tracer.self_times(first)
+    assert calls["groupoids.moore_complex"] == 1
+    assert checked["matrix.matmul"] == calls["matrix.matmul"] == 2
 
 
 def test_benchmark_tracer_sees_the_mayer_vietoris_layers(monkeypatch, tmp_path):

@@ -420,13 +420,15 @@ def _cyclic2_with(**fields):
         (_cyclic2_with(source=[0.7, 0]), "'source'"),
         (_cyclic2_with(arrows=True), "'arrows'"),
         (_cyclic2_with(units=[0, 0]), "unit 0 listed twice"),
+        (b"\xff{}", "bad.json is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0"),
     ],
-    ids=["not-object", "missing-key", "not-a-list", "float-entry", "bool-arrows", "duplicate-unit"],
+    ids=["not-object", "missing-key", "not-a-list", "float-entry", "bool-arrows", "duplicate-unit",
+         "not-utf8"],
 )
 def test_malformed_groupoid_file_is_an_error(tmp_path, payload, key):
     path = str(tmp_path / "bad.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    with open(path, "wb") as fh:
+        fh.write(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     report_path = str(tmp_path / "report.json")
     code, out, err = run_cli(["homology", "-i", path, "-N", "2", "--json", report_path])
     assert code == 1
