@@ -29,18 +29,15 @@ from .matrix import IntegerMatrix
 # most n+1 entries per degree-n basis element, so it also bounds the boundary
 # entries (sum of (n+1) * dims[n]) and their memory; the face tables of one
 # level at a time hold n+1 entries per basis element.  The iso-type route
-# (`homology_groups`, integral and Z/q, so `homology` with any coefficients and
-# `uct`) reduces copies of the sparse rows that clearing does not skip, with no
-# transform.  On the nerves measured those copies hold no more entries than
-# the boundaries (`homology cyclic:60 -N 3`: 0.63 s and 99 MB peak, of
-# which `moore_complex` takes 58 MB; at the budget's edge, `homology cyclic:99
-# -N 3`: 3.5-3.6 s and 448 MB, of which `moore_complex` takes 233 MB; min and
-# median of a tools/ladder.py run, Python 3.11 on 2 shared vCPUs), so the budget
-# bounds that route's memory too; a reduced row can still fill in principle.
-# The Mayer-Vietoris short exact sequence is sparse as well: its pieces are
-# sub-blocks of the ambient complex, so the budget, checked once on the ambient
-# nerve, bounds them too, and its maps act on chains through lists of the
-# pieces' positions, which are checked as sets.  The
+# (`homology_groups`, so `homology` with any coefficients and `uct`) reduces
+# the boundaries' own rows, copying a row only before changing it, with no
+# transform; on the nerves measured it adds nothing to the build's peak
+# (`homology cyclic:60 -N 3`: 0.46 s and 59 MB; at the budget's edge,
+# `homology cyclic:99 -N 3`: 1.9-2.0 s and 234 MB, the peak of `moore_complex`;
+# min and median of a tools/ladder.py run, Python 3.11 on 2 shared vCPUs), so
+# the budget bounds its memory too, though a changed row can fill in principle.
+# The Mayer-Vietoris pieces are sub-blocks of the ambient complex, so the
+# budget, checked once on the ambient nerve, bounds them too.  The
 # representatives of `homology_results` (for MV and the mod-q reduction check)
 # come from a column reduction of the sparse boundaries that records its column
 # operations; its columns and records can fill, which the budget does not
@@ -134,13 +131,18 @@ class FiniteGroupoid:
                 or self.compose[(ginv, g)] != self.source[g]
             ):
                 raise ValueError(f"inverse law violated at arrow {g}")
-        for (g, h) in self.compose:
-            for e in range(k):
-                if self.source[h] == self.range_[e]:
-                    left = self.compose[(self.compose[(g, h)], e)]
-                    right = self.compose[(g, self.compose[(h, e)])]
-                    if left != right:
-                        raise ValueError(f"associativity violated at arrows ({g}, {h}, {e})")
+        into: dict[int, list[int]] = {u: [] for u in self.units}
+        times: list[dict[int, int]] = [{} for _ in range(k)]  # times[x][e] = x∘e
+        for e in range(k):
+            into[self.range_[e]].append(e)
+        for (x, e), xe in self.compose.items():
+            times[x][e] = xe
+        for (g, h), gh in self.compose.items():  # (gh)e = g(he) for every e into source h
+            es = into[self.source[h]]
+            left = list(map(times[gh].__getitem__, es))
+            if left != list(map(times[g].__getitem__, map(times[h].__getitem__, es))):
+                e = next(e for e in es if times[gh][e] != times[g][times[h][e]])
+                raise ValueError(f"associativity violated at arrows ({g}, {h}, {e})")
 
     # -- basic queries -----------------------------------------------------
 

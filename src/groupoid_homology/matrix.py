@@ -5,15 +5,15 @@ machine-word moduli.  There is one matrix type: `IntegerMatrix` keeps one
 {column: value} dict per row, with no zero stored, for chain-complex
 boundaries, transforms and homomorphisms alike, and its `matmul` costs
 O(nonzero pairs) multiply-adds.  `sweep_invariant_factors` factors a chain
-of matrices with zero products in one row reduction of copies of those row
-dicts with clearing (its docstring gives the pivot rule, the Euclid step,
-the clearing condition and the Schur remainder), and reads only the
-diagonal of `smith_normal_form` on a small remainder: the one pivot loop, on
-dense row copies, which tracks U and U⁻¹ only when asked (by `HomologyResult`).
+of matrices with zero products in one row reduction of those row dicts with
+clearing (its docstring gives the pivot rule, the Euclid step, the clearing
+condition and the Schur remainder), and reads only the diagonal of
+`smith_normal_form` on a small remainder: the one pivot loop, on dense row
+copies, which tracks U and U⁻¹ only when asked (by `HomologyResult`).
 `reduce_columns` is the one integer column echelon (Euclid at equal lows,
-optionally recording the column operations): its pivots are a basis of the
-lattice the columns generate, and `echelon_coordinates` back-substitutes a
-vector over them, which decides lattice membership.
+optionally recording the column operations, copy-on-write): its pivots are
+a basis of the lattice the columns generate, and `echelon_coordinates`
+back-substitutes a vector over them, which decides lattice membership.
 """
 
 from __future__ import annotations
@@ -326,20 +326,20 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
 def sweep_invariant_factors(ms: Sequence[IntegerMatrix]) -> list[list[int]]:
     """`invariant_factors` of each of m_0, m_1, ..., whose products m_k @ m_{k+1} are 0.
 
-    One row reduction in cochain order: `reduce_columns` on copies of the
-    sparse row dicts, read as columns, so a row's low is its largest column
-    index and equal non-unit lows run Euclid.  The non-unit rows are then
-    reduced by the unit-low rows A on A's lows, largest first: [[A, B], [0, C]]
-    with A unimodular is equivalent to I ⊕ C.  A +-1 left in C is pivoted on
-    the sparse rows too, so only the rest of C goes to `smith_normal_form`.
+    One row reduction in cochain order: `reduce_columns` on the sparse row
+    dicts (copy-on-write), read as columns, so a row's low is its largest
+    column index and equal non-unit lows run Euclid.  Copies of the non-unit
+    rows are then reduced by the unit-low rows A on A's lows, largest first:
+    [[A, B], [0, C]] with A unimodular is equivalent to I ⊕ C.  A +-1 left in
+    C is pivoted on the sparse rows too; the rest of C goes to `smith_normal_form`.
 
     Clearing: a reduced row R = x·m_k with unit low j may replace row j of
     m_{k+1} by R·m_{k+1} = 0, a row operation unitriangular in the order of
     the lows, so the rows of m_{k+1} at m_k's unit lows are skipped.  It is
     valid only because the product is exactly zero: the caller vouches for
     it.  At a non-unit low a the operation has determinant a, so that row
-    stays; a times it lies in the span of the others, so it goes straight to
-    the Schur step instead of walking the whole echelon.
+    stays; a times it lies in the span of the others, so it skips the echelon
+    and goes to the Schur step, or nowhere when every pivot is a unit (`_reduce`).
 
     >>> d1 = IntegerMatrix.from_rows([[-1, -1, 0], [1, 1, 0]])
     >>> sweep_invariant_factors([d1, IntegerMatrix.from_rows([[2], [-2], [0]])])
@@ -356,15 +356,22 @@ def sweep_invariant_factors(ms: Sequence[IntegerMatrix]) -> list[list[int]]:
 
 
 def _reduce(m: IntegerMatrix, cleared: set[int], deferred: set[int]) -> tuple[set, set, list[int]]:
-    """Unit lows, non-unit lows and invariant factors of m; `deferred` rows go to the Schur step."""
+    """Unit lows, non-unit lows and invariant factors of m; `deferred` rows go to the Schur step.
+
+    m's row dicts are reduced uncopied.  With every pivot a unit, the deferred
+    rows add nothing: a skipped row j is, up to a factor, a Z-combination of
+    rows below j (m_{k-1}·m_k = 0), so by induction on j every row of m lies in
+    the Q-span V of the rows not skipped; unit pivots span the saturated
+    V ∩ Zⁿ, which so holds every row of m, and the factors are 1 × rank.
+    """
     skip = cleared | deferred
-    rows = [r if i in skip else dict(r) for i, r in enumerate(m._dicts)]
+    rows = list(m._dicts)
     pivots, _ = reduce_columns(rows, skip=skip)
     units = {j: rows[k] for j, k in pivots.items() if rows[k][j] in (1, -1)}
     factors = [1] * len(units)
-    rest = [rows[k] for j, k in pivots.items() if j not in units]
-    rest += [dict(m._dicts[i]) for i in sorted(deferred - cleared) if m._dicts[i]]
+    rest = [dict(rows[k]) for j, k in pivots.items() if j not in units]
     if rest:
+        rest += [dict(m._dicts[i]) for i in sorted(deferred - cleared) if m._dicts[i]]
         # a unit row only holds columns up to its low, so largest first clears them all
         order = sorted(units, reverse=True)
         for r in rest:
@@ -402,7 +409,7 @@ def _sub(r: dict[int, int], p: dict[int, int], c: int) -> None:
 def reduce_columns(
     cols: list[dict[int, int]], records: list[dict[int, int]] | None = None, skip: Container[int] = ()
 ) -> tuple[dict[int, int], list[int]]:
-    """Integer column echelon of sparse {row: value} columns, in place.
+    """Integer column echelon of sparse {row: value} columns, copy-on-write.
 
     Returns {low: position of its pivot column} and the positions of the
     columns that became zero.  A column's low is its largest row index.  A
@@ -411,9 +418,11 @@ def reduce_columns(
     pivot column goes on.  Every step is a unimodular column operation, done
     to `records` too: from records[k] = e_k the zero columns' records are a
     kernel basis.  Positions in `skip` are left out (the caller vouches).
+    No input dict changes: cols[k] and records[k] are copied at their first change.
     """
     pivots: dict[int, int] = {}
     zeros = []
+    given = list(cols)
     for k in range(len(cols)):
         if k in skip:
             continue
@@ -427,6 +436,10 @@ def reduce_columns(
             pc = cols[p]
             f = c[j] // pc[j]
             if f:
+                if c is given[k]:  # asked at every change: a Euclid swap changes k
+                    cols[k] = c = dict(c)
+                    if records is not None:
+                        records[k] = dict(records[k])
                 _sub(c, pc, f)
                 if records is not None:
                     _sub(records[k], records[p], f)

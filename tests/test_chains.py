@@ -701,6 +701,27 @@ def test_sweep_matches_oracles_on_cones(name_and_groupoid):
         assert [len(f) for f in swept] == c.dims[:3], (name, q)
 
 
+@pytest.mark.parametrize("name_and_groupoid", corpus(), ids=[n for n, _ in corpus()])
+def test_homology_leaves_the_boundaries_as_they_were(name_and_groupoid):
+    # the sweep and the recorded reduction read the boundary rows uncopied and
+    # copy a row only before changing it, so nothing they are given changes
+    name, g = name_and_groupoid
+    for seed in (1, 2):
+        c = moore_complex(relabelled(g, seed), 3)
+        fresh = moore_complex(relabelled(g, seed), 3).boundaries
+        for q in (0, 2, 4, 6):
+            homology_groups(c, q)
+            assert c.boundaries == fresh, (name, seed, q)
+        for q in (0, 4):
+            results = homology_results(c, q)
+            assert c.boundaries == fresh, (name, seed, q)
+            for h in results:
+                reps = [list(rep) for rep in h.cycle_reps]
+                for rep in reps:
+                    h.class_coords(rep)
+                assert reps == h.cycle_reps, (name, seed, q)
+
+
 # -- serialization -------------------------------------------------------------------
 
 

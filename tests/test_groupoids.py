@@ -137,6 +137,46 @@ def test_associativity_error():
         FiniteGroupoid(**data)
 
 
+def _first_associativity_failure(k, source, range_, compose):
+    """The reference witness: the first (g, h, e), in compose order and ascending e, with (gh)e != g(he)."""
+    for (g, h) in compose:
+        for e in range(k):
+            if source[h] == range_[e]:
+                if compose[(compose[(g, h)], e)] != compose[(g, compose[(h, e)])]:
+                    return f"associativity violated at arrows ({g}, {h}, {e})"
+    return None
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_associativity_witness_matches_the_triple_loop(seed):
+    # one composite of two non-units, not mutually inverse, moved to another
+    # arrow with the same endpoints: only associativity can fail, and the
+    # table check names the same first triple as the loop
+    rng = random.Random(seed)
+    corrupted = 0
+    for name, g in corpus():
+        unit_set = set(g.units)
+        candidates = [
+            ((a, b), x)
+            for (a, b), ab in g.compose.items()
+            if a not in unit_set and b not in unit_set and g.inverse[a] != b
+            for x in range(g.arrows)
+            if x != ab and g.source[x] == g.source[b] and g.range_[x] == g.range_[a]
+        ]
+        if not candidates:
+            continue
+        pair_, x = rng.choice(candidates)
+        compose = dict(g.compose)
+        compose[pair_] = x
+        expected = _first_associativity_failure(g.arrows, g.source, g.range_, compose)
+        assert expected is not None, (name, pair_, x)
+        with pytest.raises(ValueError) as err:
+            FiniteGroupoid(g.arrows, g.units, g.source, g.range_, g.inverse, compose)
+        assert str(err.value) == expected, name
+        corrupted += 1
+    assert corrupted >= 5
+
+
 # -- presets -------------------------------------------------------------------------
 
 

@@ -278,7 +278,8 @@ def test_invariant_factors_sparse_path(name, monkeypatch):
 @pytest.mark.parametrize("name", SPARSE_PATH_CASES)
 def test_invariant_factors_sparse_twin(name):
     # the row dicts are read in place, with no converted twin: the reduction
-    # works on copies, so the input is left as it was and factors the same twice
+    # copies a row only just before changing it, so the input is left as it
+    # was and factors the same twice
     m = SPARSE_PATH_CASES[name]
     before = raw_rows(m)
     expected = oracles.smith_diag_by_elimination(before)
@@ -291,8 +292,8 @@ def test_invariant_factors_sparse_twin(name):
 
 def test_sweep_clears_and_defers(monkeypatch):
     # d1·d2 = d2·d3 = 0; d1's unit low 1 clears row 1 of d2, d2's unit low 0
-    # clears row 0 of d3, and d2's non-unit low 2 sends row 2 of d3, which
-    # reduces to zero, to the Schur step: a 1 x 0 remainder
+    # clears row 0 of d3, and d2's non-unit low 2 defers row 2 of d3; every
+    # pivot of d3 is a unit, so that row is left out and d3 needs no Smith form
     d1 = IntegerMatrix.from_rows([[-1, -1, 0], [1, 1, 0]])
     d2 = IntegerMatrix.from_rows([[1, 0, 0], [-1, 0, 0], [0, 2, 2]])
     d3 = IntegerMatrix.from_rows([[0], [1], [-1]])
@@ -304,10 +305,19 @@ def test_sweep_clears_and_defers(monkeypatch):
 
     monkeypatch.setattr(matrix_module, "smith_normal_form", recording_smith)
     assert sweep_invariant_factors([d1, d2, d3]) == [[1], [1, 2], [1]]
-    assert remainders == [(1, 2), (1, 0)]
+    assert remainders == [(1, 2)]
     assert sweep_invariant_factors([]) == []
     with pytest.raises(ValueError, match="shape mismatch: matrix 1 has 2 rows, not 3"):
         sweep_invariant_factors([d1, IntegerMatrix(2, 2)])
+
+
+def test_sweep_keeps_deferred_rows_at_a_non_unit_pivot():
+    # m0's only low is 1 with pivot 2, so m1's row 1 is deferred; m1's own
+    # pivot -2 is not a unit, and only that row brings its factor down to 1
+    m0 = IntegerMatrix.from_rows([[1, 2]])
+    m1 = IntegerMatrix.from_rows([[-2], [1]])
+    assert m0.matmul(m1).is_zero()
+    assert sweep_invariant_factors([m0, m1]) == [[1], [1]]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -325,6 +335,25 @@ def test_sweep_on_random_zero_product_pairs(seed):
     for m, factors in zip((a, b), swept):
         assert factors == oracles.smith_diag_by_elimination(raw_rows(m)) == invariant_factors(m)
         assert len(factors) == oracles.rank_over_q(raw_rows(m))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reduce_columns_changes_no_input_dict(seed):
+    # copy-on-write: the dicts handed in keep their entries, Euclid swaps
+    # included, and the results are read off the lists
+    rng = random.Random(7000 + seed)
+    m = random_matrix(rng, max_side=7, spread=4)
+    cols = [sparse_column(m.column(j)) for j in range(m.cols)]
+    records = [{k: 1} for k in range(m.cols)]
+    given_cols, given_records = list(cols), list(records)
+    before = [dict(c) for c in cols]
+    pivots, zeros = reduce_columns(cols, records)
+    assert given_cols == before and given_records == [{k: 1} for k in range(m.cols)]
+    for k in zeros:
+        assert not cols[k]
+        assert not any(m.mul_vector([records[k].get(j, 0) for j in range(m.cols)]))
+    assert len(pivots) + len(zeros) == m.cols
+    assert len(pivots) == oracles.rank_over_q(raw_rows(m))
 
 
 # -- kernels, solving, lattices ---------------------------------------------------
