@@ -22,6 +22,7 @@ from .groupoids import (
     action,
     disjoint_union,
     moore_complex,
+    nerve_dims,
     one_object_cyclic,
     pair,
     units,
@@ -39,7 +40,7 @@ from .sft import (
     probe_schedule,
     sft_matrix_homology,
 )
-from .uct import coefficient_homology, uct_assemble, uct_verify
+from .uct import isotropy_homology, uct_assemble, uct_verify
 
 
 # -- shared plumbing ---------------------------------------------------------
@@ -200,10 +201,11 @@ def cmd_homology(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     n_max = check_max_degree(args.max_degree)
     budget = resolve_budget(args)
     coefficients = parse_coefficients(args.coeff)
-    complex_ = moore_complex(g, n_max, budget=budget)
+    dims = nerve_dims(g, n_max, budget)  # the full nerve, whatever route the iso types take
     if args.dump_complex:
+        complex_ = moore_complex(g, n_max, budget=budget)
         _write_text(args.dump_complex, json.dumps(complex_.to_json(), indent=2, sort_keys=True) + "\n")
-    groups = coefficient_homology(complex_, coefficients)
+    [groups] = isotropy_homology(g, n_max, budget, coefficients)
     lines = [
         f"homology of {args.input} with coefficients {coefficients.render()}, "
         f"degrees 0..{n_max - 1}"
@@ -213,7 +215,7 @@ def cmd_homology(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         "input": args.input,
         "coefficients": coefficients.to_json(),
         "max_degree": n_max,
-        "dims": list(complex_.dims),
+        "dims": dims,
         "homology": [
             {"degree": n, "group": groups[n].to_json(), "rendered": groups[n].render()}
             for n in range(n_max)

@@ -25,7 +25,7 @@ from .matrix import IntegerMatrix
 
 # The nerve budget: basis elements over all degrees, checked on level sizes
 # counted from the arrow tables, up to the first degree over it, before any
-# table is built (`_level_sizes`).  Boundaries are stored sparse, with at
+# table is built (`nerve_dims`).  Boundaries are stored sparse, with at
 # most n+1 entries per degree-n basis element, so it also bounds the boundary
 # entries (sum of (n+1) * dims[n]) and their memory; the face tables of one
 # level at a time hold n+1 entries per basis element.  The iso-type route
@@ -36,6 +36,7 @@ from .matrix import IntegerMatrix
 # `homology cyclic:99 -N 3`: 1.9-2.0 s and 234 MB, the peak of `moore_complex`;
 # min and median of a tools/ladder.py run, Python 3.11 on 2 shared vCPUs), so
 # the budget bounds its memory too, though a changed row can fill in principle.
+# It runs on the complexes of `isotropy_groups`, no larger than the full nerve.
 # The Mayer-Vietoris pieces are sub-blocks of the ambient complex, so the
 # budget, checked once on the ambient nerve, bounds them too.  The
 # representatives of `homology_results` (for MV and the mod-q reduction check)
@@ -115,10 +116,12 @@ class FiniteGroupoid:
                 raise ValueError(f"composition defined for non-composable pair ({g}, {h})")
             if self.source[gh] != self.source[h] or self.range_[gh] != self.range_[g]:
                 raise ValueError(f"composition endpoints wrong at pair ({g}, {h})")
-        for g in range(k):
-            for h in range(k):
-                if self.source[g] == self.range_[h] and (g, h) not in self.compose:
-                    raise ValueError(f"composition missing for composable pair ({g}, {h})")
+        into: dict[int, list[int]] = {u: [] for u in self.units}  # arrows by range, ascending
+        for e in range(k):
+            into[self.range_[e]].append(e)
+        if len(self.compose) != sum(len(into[s]) for s in self.source):  # it holds composable pairs only
+            g, h = next((g, h) for g in range(k) for h in into[self.source[g]] if (g, h) not in self.compose)
+            raise ValueError(f"composition missing for composable pair ({g}, {h})")
         for g in range(k):
             if self.compose[(self.range_[g], g)] != g or self.compose[(g, self.source[g])] != g:
                 raise ValueError(f"unit law violated at arrow {g}")
@@ -131,10 +134,7 @@ class FiniteGroupoid:
                 or self.compose[(ginv, g)] != self.source[g]
             ):
                 raise ValueError(f"inverse law violated at arrow {g}")
-        into: dict[int, list[int]] = {u: [] for u in self.units}
         times: list[dict[int, int]] = [{} for _ in range(k)]  # times[x][e] = x∘e
-        for e in range(k):
-            into[self.range_[e]].append(e)
         for (x, e), xe in self.compose.items():
             times[x][e] = xe
         for (g, h), gh in self.compose.items():  # (gh)e = g(he) for every e into source h
@@ -403,6 +403,19 @@ def _check_column_sums(n: int, b: IntegerMatrix) -> None:
         raise ValueError(f"boundary {n} column {x} sums to {sums[x]}, expected {expected}")
 
 
+def nerve_dims(g: FiniteGroupoid, max_degree: int, budget: int | None = DEFAULT_BUDGET) -> list[int]:
+    """The nerve's level sizes in degrees 0..max_degree, counted by `_level_sizes`
+    before any table is built, and refused at the first degree where their sum is over `budget`."""
+    if max_degree < 1:
+        raise ValueError("max degree must be >= 1")
+    dims = [len(g.units)]
+    for degree, size in enumerate(_level_sizes(g, max_degree), start=1):
+        dims.append(size)
+        if budget is not None and sum(dims) > budget:
+            raise ValueError(f"nerve budget exceeded at degree {degree}")
+    return dims
+
+
 def moore_complex(
     g: FiniteGroupoid,
     max_degree: int,
@@ -428,16 +441,10 @@ def moore_complex(
     Each boundary is an `IntegerMatrix` over Z: a column holds at most n+1
     entries, and an entry that cancels is not stored.  The total
     number of basis elements across degrees is capped by `budget`, checked
-    on counted sizes before any table is built, so the boundaries hold at
-    most sum((n+1) * dims[n]) entries and the budget bounds their memory.
+    on counted sizes before any table is built (`nerve_dims`), so the boundaries
+    hold at most sum((n+1) * dims[n]) entries and the budget bounds their memory.
     """
-    if max_degree < 1:
-        raise ValueError("max degree must be >= 1")
-    dims = [len(g.units)]
-    for degree, size in enumerate(_level_sizes(g, max_degree), start=1):
-        dims.append(size)
-        if budget is not None and sum(dims) > budget:
-            raise ValueError(f"nerve budget exceeded at degree {degree}")
+    dims = nerve_dims(g, max_degree, budget)
     unit = {u: i for i, u in enumerate(g.units)}
     into = [g.arrows_into(s) for s in g.source]  # the arrows that can follow b, by rank
     faces = [[unit[s] for s in g.source], [unit[r] for r in g.range_]]
@@ -529,7 +536,7 @@ def saturation_witness(g: FiniteGroupoid, members: Iterable[int]) -> int | None:
 
 
 def reduction(g: FiniteGroupoid, members: Iterable[int]) -> FiniteGroupoid:
-    """The subgroupoid of arrows with both endpoints in the unit subset.
+    """The subgroupoid G|U of arrows with both ends in U; on one unit, its isotropy group.
 
     Kept arrows are renumbered in ascending order, so its nerve lists the
     ambient tuples that lie in the subset, in the ambient's lex order.
@@ -553,3 +560,20 @@ def reduction(g: FiniteGroupoid, members: Iterable[int]) -> FiniteGroupoid:
         [new_index[g.inverse[a]] for a in kept],
         compose,
     )
+
+
+def isotropy_groups(g: FiniteGroupoid) -> list[FiniteGroupoid]:
+    """The isotropy group H at each orbit's least unit v0, in `orbits` order.
+
+    For each unit v of an orbit pick an arrow γ_v: v0 -> v (γ_{v0} = v0).  The
+    functor r(a) = γ_{range a}⁻¹·a·γ_{source a} onto H and the inclusion i of H
+    are an equivalence (r∘i = id, and γ: i∘r => id is natural), and nerves of
+    equivalent groupoids are homotopy equivalent, so H_*(g; A) is the direct
+    sum of the groups' H_*(H; A) for every coefficient group A (Crainic-Moerdijk
+    2000; Matui 2012).  In degree n an orbit on k units has k^{n+1} times as many
+    tuples as H.  When every orbit is one unit, g already is the disjoint union
+    of its isotropy groups and comes back as `[g]`: no copy, no second validation."""
+    classes = orbits(g)
+    if len(classes) == len(g.units):
+        return [g]
+    return [reduction(g, orbit[:1]) for orbit in classes]

@@ -56,8 +56,8 @@ class MvDecomposition:
     """A validated two-set cover of the units and the sets' intersection.
 
     The restricted groupoids are not built: `MvChainSes` reads the nerve of
-    each G|U off the ambient nerve, and `groupoids.reduction` builds one
-    when a caller needs it.
+    each G|U off the ambient nerve.  `groupoids.reduction` builds G|U
+    only for the isotropy groups of `homology` and `uct`.
     """
 
     __slots__ = ("ambient", "u1", "u2", "u12")

@@ -25,7 +25,7 @@ from .abelian import (
     FinAbGroup, GroupHom, PresentedGroup, direct_sum, middle_homology, tensor, tor1,
 )
 from .chains import FreeChainComplex, homology_groups, homology_mod, homology_results
-from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, moore_complex
+from .groupoids import DEFAULT_BUDGET, FiniteGroupoid, isotropy_groups, moore_complex, nerve_dims
 
 
 @dataclass
@@ -83,16 +83,25 @@ def coefficient_homology(complex_: FreeChainComplex, coefficients: FinAbGroup) -
     return [direct_sum([s[n] for s in sweeps]) for n in range(complex_.max_degree)]
 
 
+def isotropy_homology(groupoid: FiniteGroupoid, max_degree: int, budget: int | None,
+                      *coefficient_groups: FinAbGroup) -> list[list[FinAbGroup]]:
+    """Per coefficient group, `coefficient_homology` of the groupoid as the degree-wise
+    direct sum over `isotropy_groups`, one Moore complex each.  The caller checks the
+    budget on the full nerve (`nerve_dims`), no smaller than these nerves together."""
+    by_group = [[coefficient_homology(c, a) for a in coefficient_groups]
+                for c in (moore_complex(h, max_degree, budget=budget) for h in isotropy_groups(groupoid))]
+    return [[direct_sum(degree) for degree in zip(*sums)] for sums in zip(*by_group)]
+
+
 def uct_verify(
     groupoid: FiniteGroupoid,
     coefficients: FinAbGroup,
     max_degree: int,
     budget: int | None = DEFAULT_BUDGET,
 ) -> list[UctReport]:
-    """Universal-coefficient comparison for every trusted degree 0..N-1."""
-    complex_ = moore_complex(groupoid, max_degree, budget=budget)
-    integral = homology_groups(complex_)
-    direct = coefficient_homology(complex_, coefficients)
+    """Universal-coefficient comparison for every trusted degree 0..N-1, on `isotropy_homology`."""
+    nerve_dims(groupoid, max_degree, budget)  # the budget counts the full nerve
+    integral, direct = isotropy_homology(groupoid, max_degree, budget, FinAbGroup.free(1), coefficients)
     reports = []
     for n in range(max_degree):
         below = integral[n - 1] if n >= 1 else FinAbGroup.trivial()

@@ -310,6 +310,24 @@ def test_budget_flag_exceeded(tmp_path):
     assert report == {"error": "nerve budget exceeded at degree 2", "ok": False}
 
 
+@pytest.mark.parametrize("command", ["homology", "uct"])
+def test_budget_counts_the_full_nerve_not_the_isotropy_nerve(tmp_path, command):
+    # pair:10 is one orbit with trivial isotropy, a nerve of one tuple per
+    # degree, but its own nerve has 1111110 basis elements in degrees 0..5:
+    # -N 5 is over the default budget and refused; -N 4 reports the full dims
+    path = gen_file(tmp_path, "pair:10", "p10.json")
+    report_path = str(tmp_path / "report.json")
+    code, out, err = run_cli([command, "-i", path, "-N", "5", "--json", report_path])
+    assert (code, out, err) == (1, "", "error: nerve budget exceeded at degree 5\n")
+    with open(report_path, encoding="utf-8") as fh:
+        assert json.load(fh) == {"error": "nerve budget exceeded at degree 5", "ok": False}
+    code, _, err = run_cli([command, "-i", path, "-N", "4", "--json", report_path])
+    assert (code, err) == (0, "")
+    if command == "homology":
+        with open(report_path, encoding="utf-8") as fh:
+            assert json.load(fh)["dims"] == [10, 100, 1000, 10000, 100000]
+
+
 def test_budget_refuses_huge_max_degree(tmp_path):
     # the default budget is reached at degree 7 (8**7 > 10**6); a far larger
     # -N must give the same refusal, not count every level it names first

@@ -34,12 +34,14 @@ from groupoid_homology import (
 )
 
 from groupoid_homology import groupoids
-from groupoid_homology.groupoids import _level_sizes
+from groupoid_homology.abelian import direct_sum
+from groupoid_homology.groupoids import _level_sizes, isotropy_groups
+from groupoid_homology.uct import isotropy_homology
 
 import oracles
 from test_acceptance import corpus
 from test_chains import relabelled
-from test_cli import child_env
+from test_cli import child_env, gen_file, run_cli
 
 
 def cyclic_data(m):
@@ -101,6 +103,20 @@ def test_composition_missing_error():
     del data["compose"][(1, 1)]
     with pytest.raises(ValueError, match=r"composition missing for composable pair \(1, 1\)"):
         FiniteGroupoid(**data)
+
+
+def test_composition_missing_names_the_first_pair():
+    # two composable pairs of pair(2) missing, from a table listed in
+    # descending order: the witness is the first missing pair with g
+    # ascending, then h ascending, not the first in the table's order
+    g = pair(2)
+    compose = dict(sorted(g.compose.items(), reverse=True))
+    del compose[(2, 1)], compose[(1, 3)]
+    with pytest.raises(ValueError, match=r"composition missing for composable pair \(1, 3\)"):
+        FiniteGroupoid(4, g.units, g.source, g.range_, g.inverse, compose)
+    del compose[(1, 2)]  # the same g, a smaller h
+    with pytest.raises(ValueError, match=r"composition missing for composable pair \(1, 2\)"):
+        FiniteGroupoid(4, g.units, g.source, g.range_, g.inverse, compose)
 
 
 def test_composition_non_composable_error():
@@ -669,6 +685,104 @@ def test_reduction_homology_of_non_saturated_subset():
     assert homology_groups(c, 0, 0)[0] == FinAbGroup.free(1)
     with pytest.raises(ValueError, match="unit subset contains non-unit"):
         reduction(g, {0, 1})
+
+
+# -- isotropy groups: iso types per orbit (Morita reduction) ------------------------
+
+# coefficient groups as the moduli of their cyclic summands, 0 for Z
+COEFFICIENT_MODULI = [(0,), (2,), (4,), (6,), (0, 4)]
+
+
+def _coefficients(moduli) -> FinAbGroup:
+    return direct_sum([FinAbGroup.cyclic(q) if q else FinAbGroup.free(1) for q in moduli])
+
+
+def _oracle_homology(g, top: int, q: int) -> list:
+    """H_0..H_top of g's nerve from the oracles' tuple boundaries alone: invariant
+    factors by elimination for q = 0, enumeration over Z/q for q >= 2, and None in
+    a degree with more than 10**5 chains over Z/q."""
+    dims = [len(oracles.nerve_tuples(g, n)) for n in range(top + 2)]
+    bounds = [[]]
+    for n in range(1, top + 2):
+        rows = [[0] * dims[n] for _ in range(dims[n - 1])]
+        for (r, x), v in oracles.moore_boundary(g, n).items():
+            rows[r][x] = v
+        bounds.append(rows)
+    if q:
+        return [None if q ** dims[n] > 10**5 else FinAbGroup.from_cyclic_orders(
+                    oracles.enumerate_mod_homology(bounds[n], bounds[n + 1], dims[n], q)[0])
+                for n in range(top + 1)]
+    factors = [[]] + [oracles.smith_diag_by_elimination(b) for b in bounds[1:]]
+    return [FinAbGroup.from_cyclic_orders([d for d in factors[n + 1] if d > 1]
+                                          + [0] * (dims[n] - len(factors[n]) - len(factors[n + 1])))
+            for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("name_and_groupoid", corpus(), ids=[n for n, _ in corpus()])
+def test_isotropy_route_matches_full_complex_and_oracles(name_and_groupoid):
+    # on relabelled inputs the per-orbit iso types equal those of the full
+    # Moore complex group for group, and the oracles' wherever they enumerate
+    name, g = name_and_groupoid
+    oracle = {q: _oracle_homology(g, 2, q) for q in (0, 2, 4, 6)}
+    for seed in (1, 2):
+        h = relabelled(g, seed)
+        full = {q: homology_groups(moore_complex(h, 3), q) for q in (0, 2, 4, 6)}
+        for moduli in COEFFICIENT_MODULI:
+            [groups] = isotropy_homology(h, 3, None, _coefficients(moduli))
+            for n in range(3):
+                assert groups[n] == direct_sum([full[q][n] for q in moduli]), (name, seed, moduli, n)
+                parts = [oracle[q][n] for q in moduli]
+                if None not in parts:
+                    assert groups[n] == direct_sum(parts), (name, seed, moduli, n)
+
+
+def test_isotropy_groups_of_a_three_orbit_union():
+    # cyclic:6 ⊔ pair:3 ⊔ action:6 through three swaps: orbits with isotropy
+    # Z/6, trivial (three units), then three of two units each with stabilizer Z/3
+    g = disjoint_union(disjoint_union(one_object_cyclic(6), pair(3)), action(6, [1, 0, 3, 2, 5, 4]))
+    groups = isotropy_groups(g)
+    assert [(h.arrows, len(h.units)) for h in groups] == [(6, 1), (1, 1), (3, 1), (3, 1), (3, 1)]
+    assert groups[0] == one_object_cyclic(6)
+    for seed in (0, 1, 2):
+        h = relabelled(g, seed) if seed else g
+        full = {q: homology_groups(moore_complex(h, 4), q) for q in (0, 2, 4, 6)}
+        for moduli in COEFFICIENT_MODULI:
+            [got] = isotropy_homology(h, 4, None, _coefficients(moduli))
+            for n in range(4):
+                assert got[n] == direct_sum([full[q][n] for q in moduli]), (seed, moduli, n)
+                orders = []
+                for m in (6, 1, 3, 3, 3):
+                    for q in moduli:
+                        rank, torsion = (oracles.cyclic_homology_mod(m, q, n) if q
+                                         else oracles.cyclic_homology_int(m, n))
+                        orders += list(torsion) + [0] * rank
+                assert got[n] == FinAbGroup.from_cyclic_orders(orders), (seed, moduli, n)
+
+
+def test_one_unit_orbits_take_no_reduction_and_one_validation(tmp_path, monkeypatch):
+    # a one-unit groupoid and a union of one-unit orbits already are the disjoint
+    # union of their isotropy groups: `homology` and `uct` validate each once, on load
+    c3, c2 = gen_file(tmp_path, "cyclic:3", "c3.json"), gen_file(tmp_path, "cyclic:2", "c2.json")
+    inputs = [gen_file(tmp_path, "cyclic:4", "c4.json"), gen_file(tmp_path, f"union:{c3},{c2}", "u.json")]
+    for path in inputs:
+        g = FiniteGroupoid.load(path)
+        assert isotropy_groups(g)[0] is g and len(isotropy_groups(g)) == 1
+    validated, reduced = [], []
+    real = FiniteGroupoid.validate
+
+    def counted(self):
+        validated.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FiniteGroupoid, "validate", counted)
+    monkeypatch.setattr(groupoids, "reduction", lambda g, members: reduced.append(members))
+    for path in inputs:
+        for command in ("homology", "uct"):
+            validated.clear()
+            code, out, err = run_cli([command, "-i", path, "-N", "3", "--coeff", "z+z/4"])
+            assert (code, err) == (0, ""), (path, command)
+            assert len(validated) == 1, (path, command)
+    assert reduced == []
 
 
 # -- serialization -------------------------------------------------------------------

@@ -19,7 +19,9 @@ two and its last two orbits, so the intersection is the pair groupoid; the
 cyclic:30 one puts the representatives (the lattice stage of
 `homology_results`, then a Smith form and U⁻¹ product per part and degree)
 on a 27000-column top boundary, reduced once, in the ambient complex.  `homology pair:8 -N 4` is a multi-unit orbit whose answer is a
-point.
+point, and `uct pair:10 -N 4 --coeff z/4` one whose full nerve has 111110
+basis elements, under the default budget, while both sides of the check
+are computed on its trivial isotropy group.
 `homology cyclic:99 -N 3` has 980200 basis elements, the largest cyclic
 nerve under the default budget of 10^6.  The last rung is over the default
 nerve budget and must be refused with exit 1 and the CLI's budget message,
@@ -52,6 +54,7 @@ INPUTS = {
     "cyclic-60": "cyclic:60", "cyclic-99": "cyclic:99", "pair-3": "pair:3",
     "mv-union": "union:cyclic-12.json,pair-3.json,cyclic-8.json",
     "mv-union-30": "union:cyclic-30.json,pair-3.json,cyclic-8.json", "pair-8": "pair:8",
+    "pair-10": "pair:10",
     "cyclic-16": "cyclic:16", "cyclic-20": "cyclic:20", "pair-4": "pair:4",
     "mv-union-large": "union:cyclic-20.json,pair-4.json,cyclic-16.json",
 }
@@ -67,6 +70,7 @@ RUNGS = [
     ("homology pair:8 -N 4", ["homology", "-N", "4"], "pair-8", 0, ""),
     ("homology cyclic:8 -N 4 --coeff z/4", ["homology", "-N", "4", "--coeff", "z/4"], "cyclic-8", 0, ""),
     ("uct cyclic:30 -N 3 --coeff z/4", ["uct", "-N", "3", "--coeff", "z/4"], "cyclic-30", 0, ""),
+    ("uct pair:10 -N 4 --coeff z/4", ["uct", "-N", "4", "--coeff", "z/4"], "pair-10", 0, ""),
     ("mv cyclic:12 + pair:3 + cyclic:8 -N 3", ["mv", "-N", "3", *MV_COVER], "mv-union", 0, ""),
     ("mv cyclic:30 + pair:3 + cyclic:8 -N 3", ["mv", "-N", "3", *MV_COVER], "mv-union-30", 0, ""),
     ("mv cyclic:20 + pair:4 + cyclic:16 -N 3", ["mv", "-N", "3", *MV_COVER_LARGE], "mv-union-large", 0, ""),
