@@ -280,9 +280,16 @@ def tor1(g: FinAbGroup, a: FinAbGroup) -> FinAbGroup:
 def direct_sum(groups: Sequence[FinAbGroup]) -> FinAbGroup:
     """Direct sum of finitely many iso types (empty sum is trivial).
 
+    A group is immutable, so a sum of one is that group, not a copy:
+
     >>> direct_sum([FinAbGroup.cyclic(2), FinAbGroup.cyclic(3)])
     FinAbGroup(rank=0, torsion=(6,))
+    >>> z6 = FinAbGroup.cyclic(6)
+    >>> direct_sum([z6]) is z6
+    True
     """
+    if len(groups) == 1:
+        return groups[0]
     rank = sum(g.rank for g in groups)
     torsion: list[int] = []
     for g in groups:

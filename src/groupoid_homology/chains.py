@@ -57,9 +57,7 @@ class FreeChainComplex:
         """A complex whose ∂∘∂ = 0 the caller proves: the shapes are checked, the square is not.
 
         For `groupoids.moore_complex`, which checks its face tables' simplicial identities
-        and each ∂_n's column sums, and for `mv._subcomplexes`: a piece C(G|U) is the
-        sub-block of the checked ambient complex on positions that `_subcomplexes` checks
-        are closed under faces, so its ∂∘∂ = 0 is the ambient square restricted.
+        and each ∂_n's column sums.
         """
         complex_ = cls.__new__(cls)
         complex_.dims = list(dims)

@@ -24,6 +24,7 @@ from .groupoids import (
     moore_complex,
     nerve_dims,
     one_object_cyclic,
+    orbits,
     pair,
     units,
 )
@@ -40,7 +41,7 @@ from .sft import (
     probe_schedule,
     sft_matrix_homology,
 )
-from .uct import isotropy_homology, uct_assemble, uct_verify
+from .uct import coefficient_homology, isotropy_homology, uct_assemble, uct_verify
 
 
 # -- shared plumbing ---------------------------------------------------------
@@ -205,7 +206,10 @@ def cmd_homology(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     if args.dump_complex:
         complex_ = moore_complex(g, n_max, budget=budget)
         _write_text(args.dump_complex, json.dumps(complex_.to_json(), indent=2, sort_keys=True) + "\n")
-    [groups] = isotropy_homology(g, n_max, budget, coefficients)
+    if args.dump_complex and len(orbits(g)) == len(g.units):  # `isotropy_groups(g)` is [g]
+        groups = coefficient_homology(complex_, coefficients)
+    else:
+        [groups] = isotropy_homology(g, n_max, budget, coefficients)
     lines = [
         f"homology of {args.input} with coefficients {coefficients.render()}, "
         f"degrees 0..{n_max - 1}"
@@ -275,15 +279,15 @@ def cmd_mv(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     for i, (label, group) in enumerate(verdicts, start=1):
         verdict_by_label[i] = "exact" if group.is_trivial() else f"NOT EXACT ({_render(group, args)})"
 
-    # connecting-map verification: boundary membership and lift independence
+    # connecting-map verification: boundary membership and lift independence,
+    # on the canonical zig-zags that built δ and one randomized lift each
     ses = les.ses
     rng = random.Random(args.seed)
     connecting_checks = 0
     connecting_failures = []
     for n in range(n_max):
         total = ses.homology("total", n)
-        for z in total.cycle_reps:
-            canonical = ses.connecting(n, z)
+        for z, canonical in zip(total.cycle_reps, les.connecting[n]):
             alternative = ses.connecting(n, z, rng=rng)
             connecting_checks += 1
             if not canonical.is_boundary:

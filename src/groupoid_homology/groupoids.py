@@ -37,9 +37,9 @@ from .matrix import IntegerMatrix
 # min and median of a tools/ladder.py run, Python 3.11 on 2 shared vCPUs), so
 # the budget bounds its memory too, though a changed row can fill in principle.
 # It runs on the complexes of `isotropy_groups`, no larger than the full nerve.
-# The Mayer-Vietoris pieces are sub-blocks of the ambient complex, so the
-# budget, checked once on the ambient nerve, bounds them too.  The
-# representatives of `homology_results` (for MV and the mod-q reduction check)
+# A Mayer-Vietoris piece is a list of positions in the ambient complex and its
+# chains are ambient chains, so the budget, checked once on the ambient nerve,
+# bounds them too.  The representatives of `homology_results` (for MV and the mod-q reduction check)
 # come from a column reduction of the sparse boundaries that records its column
 # operations; its columns and records can fill, which the budget does not
 # bound, and only a small Smith form of B's coordinates is dense.

@@ -74,21 +74,29 @@ def coefficient_homology(complex_: FreeChainComplex, coefficients: FinAbGroup) -
 
     Decomposes A = Z^r ⊕ ⊕ Z/d and sums H_n(;Z)^r with the mod-d homologies,
     each the invariant factors of the mapping cone of d on the complex, one
-    sweep per summand; this is a chain-level computation, not the
+    sweep per distinct modulus; this is a chain-level computation, not the
     universal-coefficient formula, so it is fair to cross-validate the latter
     against it.
     """
-    integral = [homology_groups(complex_)] if coefficients.rank else []
-    sweeps = integral * coefficients.rank + [homology_groups(complex_, d) for d in coefficients.torsion]
-    return [direct_sum([s[n] for s in sweeps]) for n in range(complex_.max_degree)]
+    return _coefficient_sums(complex_, [coefficients])[0]
+
+
+def _coefficient_sums(complex_: FreeChainComplex,
+                      coefficient_groups: Sequence[FinAbGroup]) -> list[list[FinAbGroup]]:
+    """`coefficient_homology` for each group, with one sweep per modulus that any group
+    needs (0 for a free summand)."""
+    moduli = [[0] * a.rank + list(a.torsion) for a in coefficient_groups]
+    sweeps = {q: homology_groups(complex_, q) for q in sorted(set().union(*moduli))}
+    return [[direct_sum([sweeps[q][n] for q in qs]) for n in range(complex_.max_degree)] for qs in moduli]
 
 
 def isotropy_homology(groupoid: FiniteGroupoid, max_degree: int, budget: int | None,
                       *coefficient_groups: FinAbGroup) -> list[list[FinAbGroup]]:
     """Per coefficient group, `coefficient_homology` of the groupoid as the degree-wise
-    direct sum over `isotropy_groups`, one Moore complex each.  The caller checks the
-    budget on the full nerve (`nerve_dims`), no smaller than these nerves together."""
-    by_group = [[coefficient_homology(c, a) for a in coefficient_groups]
+    direct sum over `isotropy_groups`, one Moore complex each, swept once per modulus.
+    The caller checks the budget on the full nerve (`nerve_dims`), no smaller than these
+    nerves together."""
+    by_group = [_coefficient_sums(c, coefficient_groups)
                 for c in (moore_complex(h, max_degree, budget=budget) for h in isotropy_groups(groupoid))]
     return [[direct_sum(degree) for degree in zip(*sums)] for sums in zip(*by_group)]
 

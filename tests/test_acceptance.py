@@ -210,9 +210,7 @@ def test_criterion_05_mv_chain_exactness(capsys):
         for name, g, u1, u2 in covers:
             ses = chain_ses(decompose(g, u1, u2), 3)
             for n in range(4):
-                dim12 = ses.complex12.dims[n]
-                dim1 = ses.complex1.dims[n]
-                dim2 = ses.complex2.dims[n]
+                dim1, dim2, dim12 = map(len, ses.positions[n])
                 dim_total = ses.total_complex.dims[n]
                 alpha, beta = mv_matrices(ses, n)
                 assert dim1 + dim2 == dim_total + dim12, (name, n)

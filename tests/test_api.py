@@ -75,8 +75,11 @@ def test_public_names_resolve_and_removed_helpers_are_gone():
         assert not hasattr(groupoid_homology.FreeChainComplex, attr)
     # the Mayer–Vietoris maps act on chains through position lists: no α/β
     # matrices, no index table of their own, no cycle lifts or bounding chains
-    for attr in ("intersection_to_piece1", "cycle_lift", "_build_degree"):
+    # a piece's chains are ambient chains: no piece complexes, no index lists
+    for attr in ("intersection_to_piece1", "cycle_lift", "_build_degree",
+                 "overlap", "complex1", "complex2", "complex12"):
         assert not hasattr(MvChainSes, attr)
+    assert not hasattr(groupoid_homology.mv, "_subcomplexes")
     assert inspect.isfunction(MvChainSes.to_pieces) and inspect.isfunction(MvChainSes.to_total)
     assert not hasattr(ConnectingResult, "is_zero_class")
     for attr in ("bounding_chain", "_fillers", "_image"):

@@ -282,6 +282,34 @@ def test_dump_complex_bytes_are_pinned(tmp_path):
     assert again.encode("utf-8") == raw
 
 
+def test_dump_complex_of_one_unit_orbits_builds_one_moore_complex(tmp_path, monkeypatch):
+    # when every orbit is one unit the isotropy route would sweep the very
+    # complex that was dumped, so the iso types are read off it; a multi-unit
+    # orbit still takes its isotropy group
+    from groupoid_homology import cli as cli_module, uct as uct_module
+
+    c3, c2 = gen_file(tmp_path, "cyclic:3", "c3.json"), gen_file(tmp_path, "cyclic:2", "c2.json")
+    cases = [(gen_file(tmp_path, "cyclic:4", "c4.json"), 1),
+             (gen_file(tmp_path, f"union:{c3},{c2}", "u.json"), 1),
+             (gen_file(tmp_path, "pair:3", "p3.json"), 2)]
+    plain = {path: run_cli(["homology", "-i", path, "-N", "3", "--coeff", "z+z/4"]) for path, _ in cases}
+    built = []
+    real = cli_module.moore_complex
+
+    def counting(g, *args, **kwargs):
+        built.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "moore_complex", counting)
+    monkeypatch.setattr(uct_module, "moore_complex", counting)
+    for path, calls in cases:
+        built.clear()
+        dump = str(tmp_path / "complex.json")
+        argv = ["homology", "-i", path, "-N", "3", "--coeff", "z+z/4", "--dump-complex", dump]
+        assert run_cli(argv) == plain[path]
+        assert len(built) == calls, path
+
+
 def test_homology_union_input(tmp_path):
     f1 = gen_file(tmp_path, "cyclic:2", "c2.json")
     f2 = gen_file(tmp_path, "units:2", "u2.json")
@@ -660,6 +688,27 @@ def test_mv_primary_rendering(tmp_path):
     # only the rendering changes
     _, plain, _ = run_cli(argv)
     assert out.replace("Z/2 ⊕ Z/3", "Z/6") == plain
+
+
+def test_mv_reuses_the_canonical_connecting_maps(tmp_path, monkeypatch):
+    # the long exact sequence's canonical zig-zags are the ones checked: each
+    # total cycle gets one canonical and one randomized lift, not two canonical
+    from groupoid_homology.mv import MvChainSes
+
+    lifts = []
+    real = MvChainSes.connecting
+
+    def counting(self, n, cycle, rng=None):
+        lifts.append(rng is None)
+        return real(self, n, cycle, rng=rng)
+
+    monkeypatch.setattr(MvChainSes, "connecting", counting)
+    path = torsion_cover_file(tmp_path)
+    code, out, _ = run_cli(["mv", "-i", path, "-N", "3", "--u1", "0,1", "--u2", "1,2"])
+    assert code == 0
+    checks = int(out.splitlines()[-2].split()[2])
+    assert out.splitlines()[-2] == f"connecting checks: {checks} cycles verified"
+    assert checks > 0 and lifts.count(True) == lifts.count(False) == checks
 
 
 def test_mv_seed_does_not_change_output(tmp_path):

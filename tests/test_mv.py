@@ -7,6 +7,10 @@ Exactness is asserted two independent ways: literally at the chain level
 oracles in `oracles.py`) and at the homology level (defect groups of the assembled
 sequence, cross-checked by element-by-element enumeration on finite nodes).
 Boundary claims of the connecting map are checked by oracle lattice membership.
+A chain of a piece is an ambient chain that vanishes off the piece's
+positions; `restrict` and `extend` convert to and from the coordinates of
+the piece's own complex, `moore_complex(reduction(g, U))`, whose basis is in
+`_positions` order.
 """
 
 import random
@@ -57,6 +61,19 @@ def mv_matrices(ses, n):
     alpha, beta = oracles.mv_maps(pos1, pos2, pos12, ses.total_complex.dims[n])
     return (IntegerMatrix.from_rows(alpha, cols=len(pos12)),
             IntegerMatrix.from_rows(beta, cols=len(pos1) + len(pos2)))
+
+
+def restrict(chain, pos):
+    """An ambient chain's coordinates at a piece's positions."""
+    return [chain[p] for p in pos]
+
+
+def extend(x, pos, dim):
+    """A piece's coordinates as the ambient chain that vanishes off its positions."""
+    out = [0] * dim
+    for p, v in zip(pos, x):
+        out[p] = v
+    return out
 
 
 def block_diag(a, b):
@@ -114,7 +131,8 @@ def _relabelled_covers():
 
 
 def test_decompose_pieces_and_intersection():
-    # each piece is the Moore complex of the reduction by its unit set, built
+    # each piece is the subcomplex of the ambient one on its positions, and
+    # that is the Moore complex of the reduction by its unit set, built
     # independently
     cases = [(name, g, u1, u2, decompose(g, u1, u2)) for name, g, u1, u2 in COVERS]
     cases += [(name, g, u1, u2, decompose(g, u1, u2)) for name, g, u1, u2 in _relabelled_covers()]
@@ -131,10 +149,14 @@ def test_decompose_pieces_and_intersection():
         assert d.u1 == tuple(sorted(u1)) and d.u2 == tuple(sorted(u2)), name
         assert set(d.u12) == set(u1) & set(u2), name
         ses = chain_ses(d, 3)
-        for piece, members in ((ses.complex1, d.u1), (ses.complex2, d.u2), (ses.complex12, d.u12)):
+        for k, members in enumerate((d.u1, d.u2, d.u12)):
             expected = moore_complex(reduction(g, members), 3)
-            assert piece.dims == expected.dims, (name, members)
-            assert piece.boundaries == expected.boundaries, (name, members)
+            pos = [lists[k] for lists in ses.positions]
+            assert [len(p) for p in pos] == expected.dims, (name, members)
+            for n in range(1, 4):
+                rows = raw_rows(ses.total_complex.boundaries[n])
+                block = [restrict(rows[r], pos[n]) for r in pos[n - 1]]
+                assert block == raw_rows(expected.boundaries[n]), (name, members, n)
 
 
 def test_positions_match_oracle_tuples():
@@ -170,8 +192,8 @@ def test_verify_refuses_positions_not_closed_under_faces(monkeypatch):
     monkeypatch.setattr(mv_module, "_positions", leaky)
     with pytest.raises(AssertionError, match="positions not closed under faces in degree 2"):
         chain_ses(d, 2)
-    # the pieces' ∂∘∂ is not re-checked, so under `python -O` this verdict
-    # rests on `_subcomplexes`'s closure raise alone
+    # no piece complex is built or squared, so under `python -O` this verdict
+    # rests on `_verify`'s closure raise alone
     program = "\n".join(
         [
             "import sys",
@@ -252,9 +274,8 @@ def test_chain_ses_exactness(name, g, u1, u2):
     d = decompose(g, u1, u2)
     ses = chain_ses(d, 3)
     for n in range(4):
-        dim12 = ses.complex12.dims[n]
-        dim1 = ses.complex1.dims[n]
-        dim2 = ses.complex2.dims[n]
+        pos1, pos2, pos12 = ses.positions[n]
+        dim1, dim2, dim12 = len(pos1), len(pos2), len(pos12)
         dim_total = ses.total_complex.dims[n]
         alpha, beta = mv_matrices(ses, n)
         assert alpha.rows == dim1 + dim2 and alpha.cols == dim12
@@ -268,13 +289,16 @@ def test_chain_ses_exactness(name, g, u1, u2):
         assert invariant_factors(beta) == [1] * dim_total
         # the exactness statement itself: ker(beta) = im(alpha) as lattices
         assert kernel_equals_image(beta, alpha)
-        # the sequence's maps on chains are these matrices
+        # the sequence's maps on chains are these matrices, on ambient chains
+        # that vanish off the pieces
         rng = random.Random(n)
         x = [rng.randint(-3, 3) for _ in range(dim12)]
-        y1, y2 = ses.to_pieces(n, x)
-        assert y1 + y2 == alpha.mul_vector(x)
+        y1, y2 = ses.to_pieces(n, extend(x, pos12, dim_total))
+        assert (y1, y2) == (extend(x, pos12, dim_total), extend([-v for v in x], pos12, dim_total))
+        assert restrict(y1, pos1) + restrict(y2, pos2) == alpha.mul_vector(x)
         y = [rng.randint(-3, 3) for _ in range(dim1 + dim2)]
-        assert ses.to_total(n, y[:dim1], y[dim1:]) == beta.mul_vector(y)
+        y1, y2 = extend(y[:dim1], pos1, dim_total), extend(y[dim1:], pos2, dim_total)
+        assert ses.to_total(n, y1, y2) == beta.mul_vector(y)
 
 
 @pytest.mark.parametrize("name,g,u1,u2", COVERS, ids=[c[0] for c in COVERS])
@@ -304,17 +328,23 @@ def test_invariant_factors_of_mv_matrices_match_oracles(name, g, u1, u2, monkeyp
 
 @pytest.mark.parametrize("name,g,u1,u2", COVERS[:3], ids=[c[0] for c in COVERS[:3]])
 def test_chain_maps_commute_with_boundaries(name, g, u1, u2):
+    # ∂α = α∂ and ∂β = β∂ with the ambient ∂, on every basis chain of the
+    # pieces; the maps' support checks also see ∂ keep each piece's chains on it
     d = decompose(g, u1, u2)
     ses = chain_ses(d, 3)
     for n in range(1, 4):
-        d_pieces_n = block_diag(ses.complex1.boundaries[n], ses.complex2.boundaries[n])
-        (alpha, beta), (alpha_below, beta_below) = mv_matrices(ses, n), mv_matrices(ses, n - 1)
-        left = d_pieces_n.matmul(alpha)
-        right = alpha_below.matmul(ses.complex12.boundaries[n])
-        assert left == right
-        left = ses.total_complex.boundaries[n].matmul(beta)
-        right = beta_below.matmul(d_pieces_n)
-        assert left == right
+        boundary, dim = ses.total_complex.boundaries[n], ses.total_complex.dims[n]
+        zero = [0] * dim
+        pos1, pos2, pos12 = ses.positions[n]
+        for p in pos12:
+            x = extend([1], [p], dim)
+            y1, y2 = ses.to_pieces(n, x)
+            assert ses.to_pieces(n - 1, boundary.mul_vector(x)) == (
+                boundary.mul_vector(y1), boundary.mul_vector(y2))
+        pairs = [(extend([1], [p], dim), zero) for p in pos1] + [(zero, extend([1], [p], dim)) for p in pos2]
+        for y1, y2 in pairs:
+            assert boundary.mul_vector(ses.to_total(n, y1, y2)) == ses.to_total(
+                n - 1, boundary.mul_vector(y1), boundary.mul_vector(y2))
 
 
 def test_beta_degree_zero_shape():
@@ -337,7 +367,7 @@ def test_overlapping_cover_is_exact():
         alpha, beta = mv_matrices(ses, n)
         assert kernel_equals_image(beta, alpha)
         # intersection piece coincides with the ambient complex
-        assert ses.complex12.dims[n] == ses.total_complex.dims[n]
+        assert ses.positions[n][2] == list(range(ses.total_complex.dims[n]))
 
 
 def test_empty_second_piece_gives_isomorphism():
@@ -345,8 +375,7 @@ def test_empty_second_piece_gives_isomorphism():
     d = decompose(g, list(g.units), [])
     ses = chain_ses(d, 3)
     for n in range(4):
-        assert ses.complex2.dims[n] == 0
-        assert ses.complex12.dims[n] == 0
+        assert ses.positions[n][1:] == ([], [])
         assert invariant_factors(mv_matrices(ses, n)[1]) == [1] * ses.total_complex.dims[n]
     for n in range(3):
         assert ses.homology("piece1", n).group == ses.homology("total", n).group
@@ -364,17 +393,38 @@ def test_lift_projects_back(name, g, u1, u2):
     rng_chain = random.Random(hash(name) & 0xFFFF)
     for n in range(3):
         chain = [rng_chain.randint(-3, 3) for _ in range(ses.total_complex.dims[n])]
+        pos1, pos2, pos12 = ses.positions[n]
         _, beta = mv_matrices(ses, n)
-        for rng in (None, random.Random(1), random.Random(2)):
+        for seed in (None, 1, 2):
+            rng = None if seed is None else random.Random(seed)
             y1, y2 = ses.lift(n, chain, rng=rng)
             assert ses.to_total(n, y1, y2) == chain
-            assert beta.mul_vector(y1 + y2) == chain
-    with pytest.raises(ValueError, match="shape mismatch: chain length does not match ambient"):
-        ses.lift(0, [0] * (ses.total_complex.dims[0] + 1))
-    with pytest.raises(ValueError, match="shape mismatch: chain length does not match intersection"):
-        ses.to_pieces(0, [0] * (ses.complex12.dims[0] + 1))
-    with pytest.raises(ValueError, match="shape mismatch: chain lengths do not match piece"):
-        ses.to_total(0, [0] * ses.complex1.dims[0], [0] * (ses.complex2.dims[0] + 1))
+            if seed is not None:  # the U12 splits are drawn in increasing position order
+                draws = random.Random(seed)
+                assert restrict(y1, pos12) == [draws.randint(-3, 3) for _ in pos12]
+            assert y1 == extend(restrict(y1, pos1), pos1, len(chain))
+            assert y2 == extend(restrict(y2, pos2), pos2, len(chain))
+            assert beta.mul_vector(restrict(y1, pos1) + restrict(y2, pos2)) == chain
+    # a chain of the wrong length, or one that does not vanish off the piece
+    # it is handed as, is refused
+    dims = ses.total_complex.dims
+    for call in (lambda: ses.lift(0, [0] * (dims[0] + 1)),
+                 lambda: ses.to_pieces(0, [0] * (dims[0] + 1)),
+                 lambda: ses.to_total(0, [0] * dims[0], [0] * (dims[0] + 1))):
+        with pytest.raises(ValueError, match="shape mismatch: chain length does not match ambient dimension"):
+            call()
+    pos1, pos2, pos12 = ses.positions[1]
+    only1 = min(set(pos1) - set(pos2))
+    only2 = min(set(pos2) - set(pos1))
+    with pytest.raises(ValueError, match=f"support mismatch: chain nonzero at position {only1}, "
+                                         "outside U12 in degree 1"):
+        ses.to_pieces(1, extend([1], [only1], dims[1]))
+    with pytest.raises(ValueError, match=f"support mismatch: chain nonzero at position {only2}, "
+                                         "outside U1 in degree 1"):
+        ses.to_total(1, extend([1], [only2], dims[1]), [0] * dims[1])
+    with pytest.raises(ValueError, match=f"support mismatch: chain nonzero at position {only1}, "
+                                         "outside U2 in degree 1"):
+        ses.to_total(1, [0] * dims[1], extend([1], [only1], dims[1]))
 
 
 def test_randomized_lift_differs_but_projects():
@@ -383,11 +433,12 @@ def test_randomized_lift_differs_but_projects():
     d = decompose(g, u1, u2)
     ses = chain_ses(d, 2)
     chain = [1] * ses.total_complex.dims[1]
+    pos1, pos2, _ = ses.positions[1]
     y1, y2 = ses.lift(1, chain)
-    seen = {tuple(y1 + y2)}
+    seen = {tuple(restrict(y1, pos1) + restrict(y2, pos2))}
     for seed in range(8):
         y1, y2 = ses.lift(1, chain, rng=random.Random(seed))
-        seen.add(tuple(y1 + y2))
+        seen.add(tuple(restrict(y1, pos1) + restrict(y2, pos2)))
     assert len(seen) > 1
     _, beta = mv_matrices(ses, 1)
     assert all(beta.mul_vector(list(v)) == chain for v in seen)
@@ -425,18 +476,22 @@ def test_connecting_degree_zero_is_trivial():
 def test_connecting_on_homology_generators(name, g, u1, u2):
     d = decompose(g, u1, u2)
     ses = chain_ses(d, 3)
+    piece12 = moore_complex(reduction(g, d.u12), 3)
     for n in range(1, 3):
         h_total = ses.homology("total", n)
         h_below = ses.homology("piece12", n - 1)
+        pos12 = ses.positions[n - 1][2]
         for z in h_total.cycle_reps:
             result = ses.connecting(n, z)
             assert result.degree == n
             # witness is an intersection chain whose image is the lift boundary;
             # its class coordinates match the intersection homology's own accounting
+            assert result.witness == extend(restrict(result.witness, pos12), pos12, len(result.witness))
             assert result.coords == h_below.class_coords(result.witness)
-            # boundary claim is the literal lattice membership
+            # boundary claim is the literal lattice membership, in the
+            # intersection's own complex
             assert result.is_boundary == oracles.lattice_contains(
-                raw_rows(ses.complex12.boundaries[n]), [result.witness]
+                raw_rows(piece12.boundaries[n]), [restrict(result.witness, pos12)]
             )
             # ... and reads as a zero class
             assert result.is_boundary == all(c == 0 for c in result.coords)
@@ -467,7 +522,7 @@ def test_connecting_map_vanishes_on_saturated_covers(name, g, u1, u2):
     ses = chain_ses(d, 3)
     for n in range(1, 3):
         for z in ses.homology("total", n).cycle_reps:
-            assert ses.connecting(n, z).witness == [0] * ses.complex12.dims[n - 1]
+            assert ses.connecting(n, z).witness == [0] * ses.total_complex.dims[n - 1]
             for seed in (5, 6):
                 result = ses.connecting(n, z, rng=random.Random(seed))
                 assert result.is_boundary and all(c == 0 for c in result.coords)
@@ -478,9 +533,9 @@ def test_connecting_map_vanishes_on_saturated_covers(name, g, u1, u2):
 
 def _zero_intersection_homology(ses):
     """Fault injection: the intersection's cached homology, swapped for that of
-    a complex with the same dims and zero boundaries, where no nonzero chain
+    a complex with the ambient dims and zero boundaries, where no nonzero chain
     bounds."""
-    dims = ses.complex12.dims
+    dims = ses.total_complex.dims
     zeros = [IntegerMatrix(dims[n - 1] if n else 0, dims[n]) for n in range(len(dims))]
     zeroed = FreeChainComplex(dims, zeros)
     for n in range(ses.max_degree):
@@ -697,20 +752,28 @@ def _corpus_union_covers(seed):
 
 @pytest.mark.parametrize("seed", (1, 2))
 def test_piece_results_equal_the_direct_route(seed):
-    # each part's result, read off the one ambient reduction, equals the one
-    # `homology_results` gives on that part's complex: same group, orders,
-    # representatives and class coordinates of random cycles
+    # each part's result, read off the one ambient reduction with no
+    # re-indexing, equals the one `homology_results` gives on the part's own
+    # complex, the Moore complex of the reduction by its unit set, whose basis
+    # is in `_positions` order: same group and orders, representatives that
+    # vanish off the positions and are the direct ones on them, and the same
+    # class coordinates of random cycles
     rng = random.Random(seed)
-    for name, g, u1, u2 in _corpus_union_covers(seed):
-        ses = chain_ses(decompose(g, u1, u2), 3)
-        for part, complex_ in (("total", ses.total_complex), ("piece1", ses.complex1),
-                               ("piece2", ses.complex2), ("piece12", ses.complex12)):
-            direct = homology_results(complex_)
-            for n, expected in enumerate(direct):
+    covers = _corpus_union_covers(seed) + [c for c in _relabelled_covers() if c[0].endswith(f"-{seed}")]
+    for name, g, u1, u2 in covers:
+        d = decompose(g, u1, u2)
+        ses = chain_ses(d, 3)
+        dims = ses.total_complex.dims
+        parts = [("total", ses.total_complex, [list(range(dim)) for dim in dims])]
+        for k, members in enumerate((d.u1, d.u2, d.u12)):
+            pos = [lists[k] for lists in ses.positions]
+            parts.append((("piece1", "piece2", "piece12")[k], moore_complex(reduction(g, members), 3), pos))
+        for part, complex_, pos in parts:
+            for n, expected in enumerate(homology_results(complex_)):
                 h = ses.homology(part, n)
                 assert h.group == expected.group, (name, part, n)
                 assert h.presentation.orders == expected.presentation.orders, (name, part, n)
-                assert h.cycle_reps == expected.cycle_reps, (name, part, n)
+                assert [extend(z, pos[n], dims[n]) for z in expected.cycle_reps] == h.cycle_reps, (name, part, n)
                 for _ in range(3):
                     # a random combination of the representatives plus a boundary
                     coeffs = [rng.randint(-4, 4) for _ in expected.cycle_reps]
@@ -719,7 +782,7 @@ def test_piece_results_equal_the_direct_route(seed):
                     for c, rep in zip(coeffs, expected.cycle_reps):
                         cycle = [x + c * y for x, y in zip(cycle, rep)]
                     coords = expected.class_coords(cycle)
-                    assert h.class_coords(cycle) == coords, (name, part, n)
+                    assert h.class_coords(extend(cycle, pos[n], dims[n])) == coords, (name, part, n)
                     orders = expected.presentation.orders
                     assert coords == tuple(c % d if d else c for c, d in zip(coeffs, orders))
 
@@ -791,7 +854,7 @@ def test_split_raise_survives_optimize_flag():
 
 
 def test_chain_ses_builds_one_moore_complex(monkeypatch, tmp_path):
-    # the pieces are sub-blocks of the ambient complex, so only the ambient
+    # the pieces are subcomplexes of the ambient complex, so only the ambient
     # nerve is enumerated and only it is checked against the budget
     built = []
 
@@ -815,12 +878,10 @@ def test_chain_ses_builds_one_moore_complex(monkeypatch, tmp_path):
 
 
 def _checks_after(*corruption: str) -> subprocess.CompletedProcess:
-    """Run `_verify`, then rebuild the three pieces with `_subcomplexes`, under
-    `python -O` once the statements `corruption` have edited the degree 0..2
-    sequence `ses` of a three-orbit cover."""
+    """Run the statements `corruption` on the degree 0..2 sequence `ses` of a
+    three-orbit cover, then `_verify`, under `python -O`."""
     program = "\n".join(
         [
-            "import groupoid_homology.mv as mv",
             "from groupoid_homology import chain_ses, decompose, disjoint_union,"
             " one_object_cyclic, orbits, units",
             "g = disjoint_union(disjoint_union(one_object_cyclic(2), units(1)),"
@@ -829,7 +890,6 @@ def _checks_after(*corruption: str) -> subprocess.CompletedProcess:
             "ses = chain_ses(decompose(g, o[0] + o[1], o[1] + o[2]), 2)",
             *corruption,
             "ses._verify()",
-            "mv._subcomplexes(ses.total_complex, list(zip(*ses.positions)))",
         ]
     )
     return subprocess.run(
@@ -852,39 +912,51 @@ def test_verify_raises_under_optimize_flag():
 # Each corruption keeps the earlier checks passing, so it reaches one given raise;
 # each id names the property of α and β, or of ∂ over the cover, that the
 # corruption breaks.  In degree 1 the lists are U1 = [0, 1, 2], U2 = [2, 3, 4, 5]
-# and U12 = [2], at index 2 of U1 and 0 of U2; ambient column 0 of ∂_2 is a
-# U1 ∖ U2 tuple and column 4 the U12 tuple.  block-diagonal gives tuple 0 the
-# U12 face 2, which only the U2 rows' check sees.
+# and U12 = [2]; ambient column 0 of ∂_2 is a U1 ∖ U2 tuple and column 4 the
+# U12 tuple.  block-diagonal gives tuple 0 the U12 face 2, which only the U2
+# rows' check sees.  composite, split and lift edit the lists after
+# construction and apply a map at once, before `_verify` runs again: the maps'
+# own support checks must catch that α(x) = (x, -x) leaves a piece, that x
+# leaves U12, and that a lift loses part of its chain.
 VERIFY_FAULTS = [
     pytest.param(
-        ["ses.overlap[1][1][0] = 1"],
-        "U12 indices miss the U12 positions in degree 1",
+        ["ses.positions[1][2][0] = 1", "ses.to_total(1, *ses.to_pieces(1, [0, 1, 0, 0, 0, 0]))"],
+        "ValueError: support mismatch: chain nonzero at position 1, outside U2 in degree 1",
         id="composite",
     ),
     pytest.param(
-        ["pos1, pos2, pos12 = ses.positions[1]", "pos12.append(2)", "ses.overlap[1][0].append(2)",
-         "ses.overlap[1][1].append(0)"],
-        "U12 positions not increasing in degree 1",
+        ["ses.positions[1][2].clear()", "ses.to_pieces(1, [0, 0, 1, 0, 0, 0])"],
+        "ValueError: support mismatch: chain nonzero at position 2, outside U12 in degree 1",
         id="split",
     ),
     pytest.param(
+        ["ses.positions[1][1].remove(3)", "ses.lift(1, [0, 0, 0, 1, 0, 0])"],
+        "AssertionError: lift failed to project back to the chain",
+        id="lift",
+    ),
+    pytest.param(
+        ["ses.positions[1][2].append(2)"],
+        "AssertionError: U12 positions not increasing in degree 1",
+        id="increasing",
+    ),
+    pytest.param(
         ["ses.positions[1][0].append(3)"],
-        "U1 ∩ U2 is not U12 in degree 1",
+        "AssertionError: U1 ∩ U2 is not U12 in degree 1",
         id="rank",
     ),
     pytest.param(
         ["ses.total_complex.boundaries[2]._dicts[0][4] = 1"],
-        "positions not closed under faces in degree 2: face 0 outside",
+        "AssertionError: positions not closed under faces in degree 2: face 0 outside",
         id="intersection-square",
     ),
     pytest.param(
         ["ses.total_complex.boundaries[2]._dicts[3][0] = 1"],
-        "positions not closed under faces in degree 2: face 3 outside",
+        "AssertionError: positions not closed under faces in degree 2: face 3 outside",
         id="sum-square",
     ),
     pytest.param(
         ["ses.total_complex.boundaries[2]._dicts[2][0] = 1"],
-        "complement not closed under faces in degree 2: tuple 0 outside has a face inside",
+        "AssertionError: complement not closed under faces in degree 2: tuple 0 outside has a face inside",
         id="block-diagonal",
     ),
 ]
@@ -894,13 +966,13 @@ VERIFY_FAULTS = [
 def test_verify_fault_reaches_its_raise_under_optimize_flag(corruption, message):
     proc = _checks_after(*corruption)
     assert proc.returncode != 0
-    assert f"AssertionError: {message}" in proc.stderr
+    assert message in proc.stderr, proc.stderr
 
 
 def test_connecting_raise_survives_optimize_flag():
     # a randomized lift of the zero cycle puts r and -r on the U12 tuple of
-    # degree 2, so the witness of degree 1 is r; read at a wrong U1 index it
-    # is 0, and to_pieces no longer reproduces the boundary of the lift
+    # degree 2, so the witness of degree 1 is r at the U12 position 2; once
+    # that position is struck from the U12 list, the witness leaves U12
     program = "\n".join(
         [
             "import random",
@@ -912,7 +984,7 @@ def test_connecting_raise_survives_optimize_flag():
             "ses = chain_ses(decompose(g, o[0] + o[1], o[1] + o[2]), 2)",
             "zero = [0] * ses.total_complex.dims[2]",
             "print(ses.connecting(2, zero, rng=random.Random(0)).witness)",
-            "ses.overlap[1][0][0] = 0",
+            "ses.positions[1][2].clear()",
             "ses.connecting(2, zero, rng=random.Random(0))",
         ]
     )
@@ -923,5 +995,5 @@ def test_connecting_raise_survives_optimize_flag():
         timeout=120,
         env=child_env(),
     )
-    assert proc.returncode != 0 and proc.stdout == "[3]\n"
+    assert proc.returncode != 0 and proc.stdout == "[0, 0, 3, 0, 0, 0]\n"
     assert "AssertionError: boundary of the lift is not an intersection chain" in proc.stderr

@@ -76,6 +76,22 @@ def test_coefficient_homology_builds_no_homology_result(monkeypatch):
     assert all(r.match for r in uct_verify(one_object_cyclic(4), FinAbGroup.cyclic(6), 3))
 
 
+def test_uct_verify_sweeps_each_modulus_once(monkeypatch):
+    # the integral row and the free summand of Z ⊕ Z/4 share one integral
+    # sweep; a repeated invariant factor is swept once too
+    moduli = []
+    real = uct.homology_groups
+    monkeypatch.setattr(uct, "homology_groups", lambda c, q=0, top=None: moduli.append(q) or real(c, q, top))
+    reports = uct_verify(one_object_cyclic(4), FinAbGroup(1, [4]), 3)
+    assert moduli == [0, 4]
+    assert all(r.match for r in reports)
+    assert [r.direct for r in reports] == [FinAbGroup(1, [4]), FinAbGroup(0, [4, 4]), FinAbGroup(0, [4])]
+    moduli.clear()
+    assert coefficient_homology(moore_complex(one_object_cyclic(6), 3), FinAbGroup(0, [2, 2])) == [
+        FinAbGroup(0, [2, 2]), FinAbGroup(0, [2, 2]), FinAbGroup(0, [2, 2])]
+    assert moduli == [2]
+
+
 # -- uct_assemble frozen arithmetic ---------------------------------------------------
 
 

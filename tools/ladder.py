@@ -13,12 +13,15 @@ each side it reports the min and the median of the wall times and of the
 peak RSS, since single runs on a shared host spread by 20-40%.  The inputs are written once, by the first side's
 `groupoid-homology gen`, into a temporary directory that is every child's
 working directory, so every side reads the same files by the same name.
-The three `mv` rungs cover a three-orbit union, cyclic:12 ⊔ pair:3 ⊔ cyclic:8,
+The first three `mv` rungs cover a three-orbit union, cyclic:12 ⊔ pair:3 ⊔ cyclic:8,
 cyclic:30 ⊔ pair:3 ⊔ cyclic:8 and cyclic:20 ⊔ pair:4 ⊔ cyclic:16, by its first
 two and its last two orbits, so the intersection is the pair groupoid; the
 cyclic:30 one puts the representatives (the lattice stage of
 `homology_results`, then a Smith form and U⁻¹ product per part and degree)
-on a 27000-column top boundary, reduced once, in the ambient complex.  `homology pair:8 -N 4` is a multi-unit orbit whose answer is a
+on a 27000-column top boundary, reduced once, in the ambient complex.
+`mv cyclic:60 + cyclic:2 -N 3`, covered by both orbits and by the cyclic:2
+one, puts them on a 216008-column top boundary.  `homology pair:8 -N 4` is a
+multi-unit orbit whose answer is a
 point, and `uct pair:10 -N 4 --coeff z/4` one whose full nerve has 111110
 basis elements, under the default budget, while both sides of the check
 are computed on its trivial isotropy group.
@@ -57,10 +60,12 @@ INPUTS = {
     "pair-10": "pair:10",
     "cyclic-16": "cyclic:16", "cyclic-20": "cyclic:20", "pair-4": "pair:4",
     "mv-union-large": "union:cyclic-20.json,pair-4.json,cyclic-16.json",
+    "cyclic-2": "cyclic:2", "mv-union-60": "union:cyclic-60.json,cyclic-2.json",
 }
 REFUSED = "error: nerve budget exceeded at degree"
 MV_COVER = ["--u1", "0,1,2,3", "--u2", "1,2,3,4"]  # unit positions: cyclic:12 (or 30) is 0, cyclic:8 is 4
 MV_COVER_LARGE = ["--u1", "0,1,2,3,4", "--u2", "1,2,3,4,5"]  # cyclic:20 is 0, cyclic:16 is 5
+MV_COVER_60 = ["--u1", "0,1", "--u2", "1"]  # cyclic:60 is 0, cyclic:2 is 1
 # (name, CLI arguments after `-i <input>`, input stem, expected exit code, expected stderr start)
 RUNGS = [
     ("homology cyclic:30 -N 3", ["homology", "-N", "3"], "cyclic-30", 0, ""),
@@ -74,6 +79,7 @@ RUNGS = [
     ("mv cyclic:12 + pair:3 + cyclic:8 -N 3", ["mv", "-N", "3", *MV_COVER], "mv-union", 0, ""),
     ("mv cyclic:30 + pair:3 + cyclic:8 -N 3", ["mv", "-N", "3", *MV_COVER], "mv-union-30", 0, ""),
     ("mv cyclic:20 + pair:4 + cyclic:16 -N 3", ["mv", "-N", "3", *MV_COVER_LARGE], "mv-union-large", 0, ""),
+    ("mv cyclic:60 + cyclic:2 -N 3", ["mv", "-N", "3", *MV_COVER_60], "mv-union-60", 0, ""),
     ("homology cyclic:60 -N 4 (over budget)", ["homology", "-N", "4"], "cyclic-60", 1, REFUSED),
 ]
 
