@@ -11,6 +11,7 @@ and tables only need iso types.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .matrix import IntegerMatrix, invariant_factors, sweep_invariant_factors
@@ -30,40 +31,32 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _normalize_torsion(coefficients: Iterable[int]) -> tuple[int, ...]:
-    """Invariant factors of a direct sum of cyclic groups of the given orders.
+def _normalize_torsion(orders: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors of the direct sum of Z/c over the given orders (each >= 2).
 
-    Orders must be >= 2 (callers strip 0 and 1 first).  Standard recombination:
-    split each order into prime powers, then zip the per-prime exponent lists
-    from the largest down, so the last factor absorbs the largest power of
-    every prime.
+    By Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b), with no factoring: each order
+    skips the slots of a largest-first chain that it divides (by bisection)
+    and goes in above a slot that divides it; any other slot takes the lcm
+    and hands down the gcd, a proper divisor.
 
-    >>> _normalize_torsion([2, 3])
-    (6,)
-    >>> _normalize_torsion([4, 6])
-    (2, 12)
-    >>> _normalize_torsion([])
-    ()
+    >>> _normalize_torsion([2, 3]), _normalize_torsion([4, 6]), _normalize_torsion([])
+    ((6,), (2, 12), ())
     """
-    by_prime: dict[int, list[int]] = {}
-    for c in coefficients:
+    chain: list[int] = []  # each entry divides the one before
+    for c in orders:
         if c < 2:
             raise ValueError("torsion coefficients must be >= 2")
-        for p, e in _factorize(c).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    width = max(len(v) for v in by_prime.values())
-    factors = []
-    for slot in range(width):  # slot 0 takes the largest exponents
-        d = 1
-        for p, exps in by_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if slot < len(exps_sorted):
-                d *= p ** exps_sorted[slot]
-        factors.append(d)
-    factors.reverse()  # ascending divisibility chain
-    return tuple(factors)
+        i = 0
+        while c > 1:
+            i = bisect_left(chain, True, i, key=lambda d: d % c != 0)
+            if i == len(chain) or c % chain[i] == 0:
+                chain.insert(i, c)
+                break
+            g = math.gcd(chain[i], c)
+            chain[i], c = chain[i] // g * c, g
+            i += 1
+    chain.reverse()  # ascending divisibility chain
+    return tuple(chain)
 
 
 # Strict JSON reading, shared by every `from_json`: each check raises
@@ -157,12 +150,16 @@ class FinAbGroup:
     @classmethod
     def from_json(cls, data: dict) -> "FinAbGroup":
         """Strict inverse of `to_json`: a non-object, a missing key, a
-        non-list or a non-int entry raises ValueError naming the key."""
+        non-list or a non-int entry, or a torsion list that is not already an
+        invariant-factor chain raises ValueError naming the key."""
         _json_object("group", data, ("rank", "torsion"))
         rank = data["rank"]
         if type(rank) is not int:
             raise ValueError(f"'rank' must be an integer, got {rank!r}")
-        return cls(rank, _json_ints("torsion", data["torsion"]))
+        torsion = _json_ints("torsion", data["torsion"])
+        if _normalize_torsion(c for c in torsion if c > 1) != tuple(torsion):
+            raise ValueError(f"'torsion' must be an invariant-factor chain, got {torsion!r}")
+        return cls(rank, torsion)
 
     # -- structure ---------------------------------------------------------
 

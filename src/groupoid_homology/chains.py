@@ -193,8 +193,8 @@ class HomologyResult:
         x = echelon_coordinates(self._basis, self._sparse(chain))
         if x is None:
             raise ValueError("not a cycle")
-        y = (sum(u * x.get(low, 0) for low, u in uw.items()) for uw in self._uw)
-        return tuple(c % d if d else c for c, d in zip(y, self.presentation.orders))
+        return self.presentation.canonical_form(
+            [sum(u * x.get(low, 0) for low, u in uw.items()) for uw in self._uw])
 
     def same_class(self, chain_a: Sequence[int], chain_b: Sequence[int]) -> bool:
         return self.class_coords(chain_a) == self.class_coords(chain_b)

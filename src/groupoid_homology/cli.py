@@ -204,6 +204,10 @@ def cmd_homology(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     coefficients = parse_coefficients(args.coeff)
     dims = nerve_dims(g, n_max, budget)  # the full nerve, whatever route the iso types take
     if args.dump_complex:
+        entries = sum(a * b for a, b in zip(dims, dims[1:]))  # the dump writes every boundary dense
+        if entries > budget:
+            raise ValueError(
+                f"--dump-complex would write {entries} boundary entries, over the budget of {budget}")
         complex_ = moore_complex(g, n_max, budget=budget)
         _write_text(args.dump_complex, json.dumps(complex_.to_json(), indent=2, sort_keys=True) + "\n")
     if args.dump_complex and len(orbits(g)) == len(g.units):  # `isotropy_groups(g)` is [g]

@@ -23,26 +23,10 @@ from .abelian import _json_ints, _json_list, _json_object
 from .chains import FreeChainComplex
 from .matrix import IntegerMatrix
 
-# The nerve budget: basis elements over all degrees, checked on level sizes
-# counted from the arrow tables, up to the first degree over it, before any
-# table is built (`nerve_dims`).  Boundaries are stored sparse, with at
-# most n+1 entries per degree-n basis element, so it also bounds the boundary
-# entries (sum of (n+1) * dims[n]) and their memory; the face tables of one
-# level at a time hold n+1 entries per basis element.  The iso-type route
-# (`homology_groups`, so `homology` with any coefficients and `uct`) reduces
-# the boundaries' own rows, copying a row only before changing it, with no
-# transform; on the nerves measured it adds nothing to the build's peak
-# (`homology cyclic:60 -N 3`: 0.46 s and 59 MB; at the budget's edge,
-# `homology cyclic:99 -N 3`: 1.9-2.0 s and 234 MB, the peak of `moore_complex`;
-# min and median of a tools/ladder.py run, Python 3.11 on 2 shared vCPUs), so
-# the budget bounds its memory too, though a changed row can fill in principle.
-# It runs on the complexes of `isotropy_groups`, no larger than the full nerve.
-# A Mayer-Vietoris piece is a list of positions in the ambient complex and its
-# chains are ambient chains, so the budget, checked once on the ambient nerve,
-# bounds them too.  The representatives of `homology_results` (for MV and the mod-q reduction check)
-# come from a column reduction of the sparse boundaries that records its column
-# operations; its columns and records can fill, which the budget does not
-# bound, and only a small Smith form of B's coordinates is dense.
+# The nerve budget: the most basis elements, over all degrees, that a nerve may
+# have.  `nerve_dims` checks it on level sizes counted from the arrow tables,
+# before any table is built, so a boundary (at most n+1 entries per degree-n
+# basis element) and a level's face tables are bounded with it.
 DEFAULT_BUDGET = 10**6
 
 
@@ -79,7 +63,6 @@ class FiniteGroupoid:
         self.range_ = tuple(range_)
         self.inverse = tuple(inverse)
         self.compose = dict(compose)
-        self._by_range: dict[int, list[int]] | None = None
         self.validate()
 
     # -- validation --------------------------------------------------------
@@ -119,6 +102,7 @@ class FiniteGroupoid:
         into: dict[int, list[int]] = {u: [] for u in self.units}  # arrows by range, ascending
         for e in range(k):
             into[self.range_[e]].append(e)
+        self._by_range = into
         if len(self.compose) != sum(len(into[s]) for s in self.source):  # it holds composable pairs only
             g, h = next((g, h) for g in range(k) for h in into[self.source[g]] if (g, h) not in self.compose)
             raise ValueError(f"composition missing for composable pair ({g}, {h})")
@@ -147,12 +131,7 @@ class FiniteGroupoid:
     # -- basic queries -----------------------------------------------------
 
     def arrows_into(self, u: int) -> list[int]:
-        """Arrows with range u, ascending (memoized; drives nerve extension)."""
-        if self._by_range is None:
-            table: dict[int, list[int]] = {v: [] for v in self.units}
-            for g in range(self.arrows):
-                table[self.range_[g]].append(g)
-            self._by_range = table
+        """Arrows with range u, ascending (the table `validate` builds)."""
         return self._by_range[u]
 
     def __eq__(self, other) -> bool:

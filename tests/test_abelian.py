@@ -4,6 +4,7 @@ import doctest
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -102,6 +103,38 @@ def test_normalization_is_canonical(seed):
     assert FinAbGroup.from_cyclic_orders(split) == a
 
 
+BIG_PRIMES = (1000000000039, 1000000000061, 1000000000063)  # primes above 10^12
+
+
+def test_normalization_matches_smith_of_the_diagonal():
+    # the gcd/lcm chain against the oracle's elimination on diag(orders); the
+    # big primes and their products are out of reach of trial division
+    rng = random.Random(27)
+    big = [*BIG_PRIMES, BIG_PRIMES[0] * BIG_PRIMES[1], BIG_PRIMES[2] * 6, BIG_PRIMES[1] ** 2]
+    for _ in range(2000):
+        orders = [rng.choice(big) if rng.random() < 0.15 else rng.randint(2, 60)
+                  for _ in range(rng.randint(0, 7))]
+        orders += rng.sample(orders, rng.randint(0, len(orders)))  # repeats
+        diagonal = [[d if i == j else 0 for j in range(len(orders))] for i, d in enumerate(orders)]
+        expected = tuple(d for d in oracles.smith_diag_by_elimination(diagonal) if d != 1)
+        assert groupoid_homology.abelian._normalize_torsion(orders) == expected, orders
+
+
+@pytest.mark.parametrize(
+    "orders,expected",
+    [([2] * 10**4, (2,) * 10**4), ([2, 3] * 5000, (6,) * 5000),
+     ([2**k for k in range(1, 200)] * 20, tuple(2**k for k in range(1, 200) for _ in range(20)))],
+    ids=["2s", "2s-and-3s", "powers-of-2"],
+)
+def test_normalization_of_many_orders_is_fast(orders, expected):
+    # each order skips the slots it divides by bisection and drops in above a
+    # slot that divides it, so repeats cost near-linear time
+    start = time.perf_counter()
+    g = FinAbGroup(0, orders)
+    assert time.perf_counter() - start < 0.2
+    assert g.torsion == expected
+
+
 def test_render_frozen():
     assert FinAbGroup.trivial().render() == "0"
     assert FinAbGroup.free(1).render() == "Z"
@@ -131,6 +164,8 @@ def test_json_roundtrip():
         ({"rank": 0, "torsion": [2.0]}, "'torsion' entries must be integers"),
         ({"rank": 0, "torsion": [True]}, "'torsion' entries must be integers"),
         ({"rank": 0, "torsion": ["6"]}, "'torsion' entries must be integers"),
+        ({"rank": 0, "torsion": [2, 3]}, "'torsion' must be an invariant-factor chain"),
+        ({"rank": 0, "torsion": [6, 2]}, "'torsion' must be an invariant-factor chain"),
     ],
 )
 def test_from_json_rejects_without_coercing(data, message):

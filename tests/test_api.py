@@ -93,7 +93,6 @@ def test_public_names_resolve_and_removed_helpers_are_gone():
 
 # public names that nothing in src/ calls, each kept for a reason of its own
 KEEP = {
-    "abelian.PresentedGroup.canonical_form": "element equality in a presentation, the rule class_coords applies",
     "uct.mod_reduction_check": "the UCT maps of ROADMAP item 5 call it",
     "uct.cantor_obstruction": "the Cantor demonstration, acceptance criterion 10",
     "uct.CantorReport.all_widths_positive": "the Cantor demonstration, acceptance criterion 10",

@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,58 @@ def test_dump_complex_of_one_unit_orbits_builds_one_moore_complex(tmp_path, monk
         argv = ["homology", "-i", path, "-N", "3", "--coeff", "z+z/4", "--dump-complex", dump]
         assert run_cli(argv) == plain[path]
         assert len(built) == calls, path
+
+
+def test_dump_complex_over_the_budget_is_refused_before_the_build(tmp_path):
+    # the dump writes every boundary dense: cyclic:99 -N 3 is under the nerve
+    # budget but its dump would hold 9510870897 entries
+    path = gen_file(tmp_path, "cyclic:99", "c99.json")
+    dump, report = tmp_path / "complex.json", tmp_path / "report.json"
+    argv = ["homology", "-i", path, "-N", "3", "--dump-complex", str(dump), "--json", str(report)]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 0.6
+    assert (code, out) == (1, "")
+    assert err == "error: --dump-complex would write 9510870897 boundary entries, over the budget of 1000000\n"
+    assert not dump.exists()
+    assert json.loads(report.read_text(encoding="utf-8"))["ok"] is False
+    small = gen_file(tmp_path, "cyclic:4", "c4.json")
+    assert run_cli(["homology", "-i", small, "-N", "3", "--dump-complex", str(dump)])[0] == 0
+    assert json.loads(dump.read_text(encoding="utf-8"))["dims"] == [1, 4, 16, 64]
+
+
+def test_only_primary_rendering_factors_integers(tmp_path, monkeypatch):
+    # invariant factors come from gcds and lcms; only --primary needs primes
+    from groupoid_homology import abelian
+
+    real = abelian._factorize
+    path, cover = gen_file(tmp_path, "cyclic:12", "c12.json"), torsion_cover_file(tmp_path)
+    runs = [["homology", "-i", path, "-N", "3", "--coeff", "z+z/4+z/6"],
+            ["uct", "-i", path, "-N", "3", "--coeff", "z^2+z/8"],
+            ["mv", "-i", cover, "-N", "3", "--u1", "0,1", "--u2", "1,2"]]
+    plain = [run_cli(argv) for argv in runs]
+    assert all(code == 0 for code, _, _ in plain)
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(abelian, "_factorize", refuse)
+    assert [run_cli(argv) for argv in runs] == plain
+    factored = []
+    monkeypatch.setattr(abelian, "_factorize", lambda n: factored.append(n) or real(n))
+    code, out, _ = run_cli(runs[0] + ["--primary"])
+    assert code == 0 and "Z/4 ⊕ Z/3" in out and 12 in factored
+
+
+def test_homology_with_a_40_digit_prime_modulus_is_fast(tmp_path):
+    # trial division would never finish on this modulus
+    p = 10**39 + 3
+    path = gen_file(tmp_path, "cyclic:4", "c4.json")
+    start = time.perf_counter()
+    code, out, _ = run_cli(["homology", "-i", path, "-N", "3", "--coeff", f"z/{p}"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[1:] == [f"  H_0 = Z/{p}", "  H_1 = 0", "  H_2 = 0"]
 
 
 def test_homology_union_input(tmp_path):

@@ -431,6 +431,20 @@ def test_moore_complex_budget_uses_fresh_counts():
         moore_complex(g, 3, budget=20)
 
 
+def test_arrows_into_reads_the_table_validate_builds():
+    g = disjoint_union(pair(3), one_object_cyclic(4))
+    for u in g.units:
+        assert g.arrows_into(u) == [a for a in range(g.arrows) if g.range_[a] == u]
+        assert g.arrows_into(u) is g._by_range[u]
+
+
+def _spy_arrows_into(monkeypatch) -> list[int]:
+    """Record the units that `arrows_into` is asked about: the nerve's first face table reads it."""
+    read, real = [], FiniteGroupoid.arrows_into
+    monkeypatch.setattr(FiniteGroupoid, "arrows_into", lambda g, u: read.append(u) or real(g, u))
+    return read
+
+
 def test_over_budget_nerve_builds_no_level(monkeypatch):
     # pair(3): level sizes 3, 9, 27, 81; the budget is checked on counted
     # sizes, so a refusal builds no table and no boundary, not even one that fits
@@ -442,10 +456,11 @@ def test_over_budget_nerve_builds_no_level(monkeypatch):
 
     original = groupoids._alternating_sum
     monkeypatch.setattr(groupoids, "_alternating_sum", counted)
+    read = _spy_arrows_into(monkeypatch)
     g = pair(3)
     with pytest.raises(ValueError, match="nerve budget exceeded at degree 2"):
         moore_complex(g, 3, budget=20)
-    assert built == [] and g._by_range is None
+    assert built == [] and read == []
     moore_complex(g, 1)
     assert built == [9]
     with pytest.raises(ValueError, match="nerve budget exceeded at degree 3"):
@@ -465,11 +480,12 @@ def test_budget_stops_counting_at_first_degree_over_it(monkeypatch):
             yield size
 
     monkeypatch.setattr(groupoids, "_level_sizes", counted)
+    read = _spy_arrows_into(monkeypatch)
     g = pair(2)
     with pytest.raises(ValueError, match="nerve budget exceeded at degree 5"):
         moore_complex(g, 10**5, budget=100)
     assert drawn == [4, 8, 16, 32, 64]
-    assert g._by_range is None
+    assert read == []
 
 
 # Faults in the face tables, injected into a child under `python -O`.  Each
