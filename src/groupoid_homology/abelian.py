@@ -412,6 +412,10 @@ class GroupHom:
     def from_columns(cls, source: PresentedGroup, target: PresentedGroup,
                      cols: Sequence[Sequence[int]]) -> "GroupHom":
         """The map sending source generator j to the element cols[j] of `target`."""
+        for j, col in enumerate(cols):
+            if len(col) != target.generators:
+                raise ValueError(f"shape mismatch: column {j} has {len(col)} entries "
+                                 f"for {target.generators} target generators")
         rows = [[col[i] for col in cols] for i in range(target.generators)]
         return cls(source, target, IntegerMatrix.from_rows(rows, cols=len(cols)))
 

@@ -13,8 +13,8 @@ enlarged image B = im(∂_{n+1}) + qZ, with q = 0 for integral homology.
 (`_lattices`), one recorded column reduction of each [∂_n | qI] with
 clearing, yields a basis of K and an echelon basis of B per degree; then
 `HomologyResult` puts K's basis in echelon form, so coordinates come by
-back-substitution, and one small Smith form of B's coordinates gives the
-presentation.  `mv` runs the lattice stage once on the ambient complex and
+back-substitution, and one small sparse Smith form of B's coordinates gives
+the presentation.  `mv` runs the lattice stage once on the ambient complex and
 reads each piece's lattices off it.  `homology_groups` is the sparse route
 to iso types alone, integral or Z/q: one `sweep_invariant_factors` over ∂_1,
 ∂_2, ... or over the mapping cone of q.
@@ -134,9 +134,10 @@ class HomologyResult:
     B, as the lattice stage `_lattices` gives them.  K's basis is put in
     echelon form too, so a chain's coordinates come by back-substitution, and
     a chain that does not reduce to zero is not a cycle.  B's coordinates
-    that are a unit vector only delete a generator; the rest go to one small
-    Smith form with U and U⁻¹ (`rows=True`), which gives the diagonal
-    presentation (invariant factors 1 dropped).
+    that are a unit vector only delete a generator; the rest, one row dict
+    per remaining generator, go to one small Smith form with U and U⁻¹
+    (`rows=True`), which gives the diagonal presentation (invariant factors
+    1 dropped).
 
     `cycle_reps[i]` is an integer chain whose class is the i-th generator of
     `presentation`; `class_coords` expresses any further cycle over those
@@ -159,9 +160,13 @@ class HomologyResult:
         units = {low for x in coords if len(x) == 1 for low, v in x.items() if v in (1, -1)}
         rest = [low for low in sorted(self._basis) if low not in units]
         others = [x for x in coords if not x.keys() <= units]
+        relations = {low: {} for low in rest}  # row `low` of B's coordinates, off the unit lows
+        for k, x in enumerate(others):
+            for low, v in x.items():
+                if low in relations:
+                    relations[low][k] = v
         diag, u, uinv = smith_normal_form(
-            IntegerMatrix.from_rows([[x.get(low, 0) for x in others] for low in rest], cols=len(others)),
-            rows=True,
+            IntegerMatrix._wrap(len(rest), len(others), list(relations.values())), rows=True
         )
         orders = diag + [0] * (len(rest) - len(diag))
         kept = [i for i, d in enumerate(orders) if d != 1]

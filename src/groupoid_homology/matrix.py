@@ -8,8 +8,9 @@ O(nonzero pairs) multiply-adds.  `sweep_invariant_factors` factors a chain
 of matrices with zero products in one row reduction of those row dicts with
 clearing (its docstring gives the pivot rule, the Euclid step, the clearing
 condition and the Schur remainder), and reads only the diagonal of
-`smith_normal_form` on a small remainder: the one pivot loop, on dense row
-copies, which tracks U and U⁻¹ only when asked (by `HomologyResult`).
+`smith_normal_form` on the remainder's row dicts: the one Smith pivot loop,
+on private copies of the row dicts, which tracks U and U⁻¹ only when asked
+(by `HomologyResult`).
 `reduce_columns` is the one integer column echelon (Euclid at equal lows,
 optionally recording the column operations, copy-on-write): its pivots are
 a basis of the lattice the columns generate, and `echelon_coordinates`
@@ -196,115 +197,94 @@ def smith_normal_form(
 
     `diag` is the diagonal of U·M·V, length min(m.rows, m.cols): a divisibility
     chain d_1 | d_2 | ... with any zeros trailing.  U and U⁻¹ are None unless
-    `rows` is true; V is never kept.  The loop runs on private dense row copies.
+    `rows` is true; V is never kept.  The loop runs on private copies of the
+    row dicts, so zeros cost nothing and rows that share no column stay
+    apart.  Step t moves a smallest |entry| (a +-1 first, ties to the first
+    row and column) to (t, t), runs Euclid on its column by row operations
+    and on its row by column operations, and pulls in a row with an entry
+    the pivot does not divide.  Column operations come only once column t is
+    clear, so they change row t alone.
     """
-    nrows, ncols = m.rows, m.cols
-    a = [m.row(i) for i in range(nrows)]
-    Uit = None
-    if rows:
-        # row operations act on [M | U] in one go, and U⁻¹ is kept transposed
-        # so that it changes by row operations too; the loops stay inside M
-        Uit = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-        a = [row + u for row, u in zip(a, Uit)]
+    nrows, n = m.rows, min(m.rows, m.cols)
+    a = [dict(d) for d in m._dicts]
+    # U's rows and the columns of U⁻¹ (as the rows of w) change along with a's rows
+    u = [{i: 1} for i in range(nrows)] if rows else None
+    w = [{i: 1} for i in range(nrows)] if rows else None
+    mats = (a, u, w) if rows else (a,)
 
     def row_sub(i: int, p: int, q: int) -> None:  # row i -= q * row p
-        a[i] = [x - q * y for x, y in zip(a[i], a[p])]
-        if Uit is not None:
-            Uit[p] = [x + q * y for x, y in zip(Uit[p], Uit[i])]
+        _sub(a[i], a[p], q)
+        if rows:
+            _sub(u[i], u[p], q)
+            _sub(w[p], w[i], -q)
 
     def row_swap(i: int, p: int) -> None:
-        a[i], a[p] = a[p], a[i]
-        if Uit is not None:
-            Uit[i], Uit[p] = Uit[p], Uit[i]
+        for x in mats:
+            x[i], x[p] = x[p], x[i]
 
-    def row_neg(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        if Uit is not None:
-            Uit[i] = [-x for x in Uit[i]]
+    def col_swap(t: int, j: int) -> None:  # rows above t hold neither column
+        for r in a[t:]:
+            x, y = r.pop(t, 0), r.pop(j, 0)
+            if x:
+                r[j] = x
+            if y:
+                r[t] = y
 
-    def col_sub(j: int, p: int, q: int) -> None:  # col j -= q * col p
-        for row in a:
-            row[j] -= q * row[p]
-
-    def col_swap(j: int, p: int) -> None:
-        for row in a:
-            row[j], row[p] = row[p], row[j]
-
-    n = min(nrows, ncols)
-    t = 0
-    while t < n:
-        # smallest nonzero absolute value in the trailing submatrix
-        piv = None
-        best = 0
+    diag = []
+    for t in range(n):
+        # rows t.. hold no entry left of column t
+        best, pi = 0, None
         for i in range(t, nrows):
-            ri = a[i]
-            for j in range(t, ncols):
-                v = ri[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if piv is None or av < best:
-                        best = av
-                        piv = (i, j)
-                        if av == 1:
-                            break
-            if piv is not None and best == 1:
-                break
-        if piv is None:
+            if a[i]:
+                v = min(map(abs, a[i].values()))
+                if pi is None or v < best:
+                    best, pi = v, i
+                    if v == 1:
+                        break
+        if pi is None:
             break
-        pi, pj = piv
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
+        row_swap(t, pi)
+        col_swap(t, min(j for j, v in a[t].items() if v == best or v == -best))
         while True:
-            dirty = False
-            for i in range(nrows):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
+            p = a[t][t]
+            for i in range(t + 1, nrows):
+                x = a[i].get(t)
+                if x:
+                    q = x // p
                     if q:
                         row_sub(i, t, q)
-                    if a[i][t]:  # nonzero remainder beats the pivot
+                    if t in a[i]:  # nonzero remainder beats the pivot
                         row_swap(t, i)
-                        dirty = True
                         break
-            if dirty:
-                continue
-            for j in range(ncols):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        col_sub(j, t, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # row t and column t are clear; enforce the divisibility chain
-            p = a[t][t]
-            if p in (1, -1):  # a unit divides every entry
-                break
-            bad = None
-            for i in range(t + 1, nrows):
-                ri = a[i]
-                for j in range(t + 1, ncols):
-                    if ri[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
+            else:  # column t is clear: Euclid on row t
+                if p in (1, -1):  # a unit clears its row and divides every entry
+                    a[t] = {t: p}
                     break
-            if bad is None:
-                break
-            row_sub(t, bad, -1)  # pull the offending row into play
+                r = a[t]
+                for j in sorted(r):
+                    if j != t:
+                        if r[j] % p:
+                            r[j] %= p
+                            col_swap(t, j)
+                            break
+                        del r[j]
+                else:  # row t is clear too; enforce the divisibility chain
+                    bad = next((i for i in range(t + 1, nrows) if any(v % p for v in a[i].values())), None)
+                    if bad is None:
+                        break
+                    row_sub(t, bad, -1)  # pull the offending row into play
         if a[t][t] < 0:
-            row_neg(t)
-        t += 1
-
-    diag = [a[i][i] for i in range(n)]
+            for x in mats:
+                x[t] = {k: -v for k, v in x[t].items()}
+        diag.append(a[t][t])
+    diag += [0] * (n - len(diag))
     if not rows:
         return diag, None, None
-    return (diag, IntegerMatrix.from_rows([r[ncols:] for r in a], cols=nrows),
-            IntegerMatrix.from_rows(list(zip(*Uit)), cols=nrows))
+    uinv: list[dict[int, int]] = [{} for _ in range(nrows)]
+    for i, col in enumerate(w):
+        for k, v in col.items():
+            uinv[k][i] = v
+    return diag, IntegerMatrix._wrap(nrows, nrows, u), IntegerMatrix._wrap(nrows, nrows, uinv)
 
 
 def invariant_factors(m: IntegerMatrix) -> list[int]:
@@ -330,8 +310,8 @@ def sweep_invariant_factors(ms: Sequence[IntegerMatrix]) -> list[list[int]]:
     dicts (copy-on-write), read as columns, so a row's low is its largest
     column index and equal non-unit lows run Euclid.  Copies of the non-unit
     rows are then reduced by the unit-low rows A on A's lows, largest first:
-    [[A, B], [0, C]] with A unimodular is equivalent to I ⊕ C.  A +-1 left in
-    C is pivoted on the sparse rows too; the rest of C goes to `smith_normal_form`.
+    [[A, B], [0, C]] with A unimodular is equivalent to I ⊕ C, and C's row
+    dicts go to `smith_normal_form` as they are, which takes a +-1 first.
 
     Clearing: a reduced row R = x·m_k with unit low j may replace row j of
     m_{k+1} by R·m_{k+1} = 0, a row operation unitriangular in the order of
@@ -358,9 +338,10 @@ def sweep_invariant_factors(ms: Sequence[IntegerMatrix]) -> list[list[int]]:
 def _reduce(m: IntegerMatrix, cleared: set[int], deferred: set[int]) -> tuple[set, set, list[int]]:
     """Unit lows, non-unit lows and invariant factors of m; `deferred` rows go to the Schur step.
 
-    m's row dicts are reduced uncopied.  With every pivot a unit, the deferred
-    rows add nothing: a skipped row j is, up to a factor, a Z-combination of
-    rows below j (m_{k-1}·m_k = 0), so by induction on j every row of m lies in
+    m's row dicts are reduced uncopied, and the Schur remainder keeps m's
+    column indices and width.  With every pivot a unit, the deferred rows add
+    nothing: a skipped row j is, up to a factor, a Z-combination of rows
+    below j (m_{k-1}·m_k = 0), so by induction on j every row of m lies in
     the Q-span V of the rows not skipped; unit pivots span the saturated
     V ∩ Zⁿ, which so holds every row of m, and the factors are 1 × rank.
     """
@@ -379,20 +360,7 @@ def _reduce(m: IntegerMatrix, cleared: set[int], deferred: set[int]) -> tuple[se
                 if j in r:
                     p = units[j]
                     _sub(r, p, r[j] * p[j])
-        while True:  # a +-1 left in the remainder is one more unit pivot, taken on the sparse rows
-            hit = next(((k, j) for k, r in enumerate(rest) for j, v in r.items() if v in (1, -1)), None)
-            if hit is None:
-                break
-            p, j = rest.pop(hit[0]), hit[1]
-            for r in rest:
-                if j in r:
-                    _sub(r, p, r[j] * p[j])
-            factors.append(1)
-    if rest:
-        live = {j: k for k, j in enumerate(sorted({j for r in rest for j in r}))}
-        remainder = [{live[j]: v for j, v in r.items()} for r in rest]
-        remainder = IntegerMatrix._wrap(len(rest), len(live), remainder)
-        factors += [d for d in smith_normal_form(remainder)[0] if d]
+        factors += [d for d in smith_normal_form(IntegerMatrix._wrap(len(rest), m.cols, rest))[0] if d]
     return set(units), pivots.keys() - units.keys(), factors
 
 

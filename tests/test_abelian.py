@@ -319,6 +319,17 @@ def test_group_hom_validation():
     assert not GroupHom(z, z2, IntegerMatrix.from_rows([[1]])).is_zero()
 
 
+def test_group_hom_from_columns_checks_column_lengths():
+    z, z4 = PresentedGroup.free(1), PresentedGroup.cyclic(4)
+    assert GroupHom.from_columns(z, z4, [[2]]).matrix == IntegerMatrix.from_rows([[2]])
+    # a longer column was cut to the target's generators, a shorter one hit an IndexError
+    for bad, length in (([[1, 7, 9]], 3), ([[]], 0)):
+        with pytest.raises(ValueError, match=f"shape mismatch: column 0 has {length} entries for 1 target generators"):
+            GroupHom.from_columns(z, z4, bad)
+    with pytest.raises(ValueError, match="shape mismatch: column 1 has 1 entries for 0 target generators"):
+        GroupHom.from_columns(PresentedGroup.free(2), PresentedGroup.trivial(), [[], [0]])
+
+
 def test_group_hom_entrywise_checks():
     # a free, an order-1 and an order-6 source generator into Z/4 ⊕ Z
     source = PresentedGroup.from_diagonal([0, 1, 6])

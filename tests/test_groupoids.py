@@ -12,6 +12,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -645,6 +646,24 @@ def test_union_homology_is_direct_sum():
     for n in range(3):
         expected = homology_groups(ca, 0, n)[n].direct_sum(homology_groups(cb, 0, n)[n])
         assert homology_groups(cu, 0, n)[n] == expected
+
+
+@pytest.mark.parametrize("copies", [20, 40])
+def test_homology_of_many_one_unit_orbits(tmp_path, copies):
+    # each orbit sends one non-unit row to one Smith form; the row dicts
+    # share no column, so 200 orbits stay well inside a second
+    g = one_object_cyclic(2)
+    for i in range(1, 5 * copies):
+        g = disjoint_union(g, one_object_cyclic(2 + i % 5))
+    path = str(tmp_path / "orbits.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(relabelled(g, 1).to_json(), fh)
+    start = time.perf_counter()
+    code, out, _ = run_cli(["homology", "-i", path, "-N", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    torsion = ["Z/60"] * copies + ["Z/6"] * copies + ["Z/2"] * copies
+    assert out.splitlines()[1:] == [f"  H_0 = Z^{5 * copies}", "  H_1 = " + " ⊕ ".join(torsion)]
 
 
 # -- orbits, saturation, reduction ---------------------------------------------------

@@ -157,7 +157,7 @@ def test_invariant_factors_match_smith(seed):
     m = random_matrix(rng, max_side=8, spread=20)
     fast = invariant_factors(m)
     assert fast == smith_normal_form(m)[0]
-    # independent of smith_normal_form, which also reduces the dense remainder
+    # independent of smith_normal_form, which also reduces the sweep's remainder
     assert fast == oracles.smith_diag_by_elimination(raw_rows(m))
     assert len(fast) == oracles.rank_over_q(raw_rows(m))
 
@@ -211,7 +211,7 @@ SPARSE_PATH_CASES = {
     # row 0 holds no unit until the pivot on row 1 turns its 3 into a 1
     "gains-unit": IntegerMatrix.from_rows([[2, 3, 0, 0], [1, 1, 0, 0], [0, 0, 2, 4]]),
     # row 2's low holds a 2; the Schur step by the unit rows 0 and 1 leaves
-    # (-1, 2) on columns 0 and 3, whose unit is pivoted on the sparse rows
+    # (-1, 2) on columns 0 and 3, whose unit the Smith form takes first
     "same-length": IntegerMatrix.from_rows([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 2]]),
     **{f"permutation-{n}": IntegerMatrix.from_rows(signed_permutation_rows(n)) for n in (1, 7, 20)},
     "unitriangular": IntegerMatrix.from_rows(unitriangular_rows(12)),
@@ -220,8 +220,8 @@ SPARSE_PATH_CASES = {
     ),
     "no-units": IntegerMatrix.from_rows([[2, 4, 0, 6], [0, 6, -2, 0], [4, 0, 0, 8], [0, 0, 2, -2]]),
     # equal non-unit lows 4 and 6: Euclid leaves 2, which takes the low, and
-    # the old pivot row reduces to (3, 0); the unit pivot pass on the
-    # remainder takes the -1 of (-1, 2) and leaves (6)
+    # the old pivot row reduces to (3, 0); the Smith form of the remainder
+    # takes the -1 of (-1, 2) first and leaves (6)
     "equal-nonunit-lows": IntegerMatrix.from_rows([[1, 4], [0, 6]]),
     # lows 3 then 2 (and their negatives): the quotient 2 // 3 is 0, so the
     # row is unchanged and takes the low as it is
@@ -229,7 +229,7 @@ SPARSE_PATH_CASES = {
     "quotient-zero-negative": IntegerMatrix.from_rows([[5, -3], [7, -2]]),
     "quotient-zero-mixed": IntegerMatrix.from_rows([[0, 0, 3], [1, 0, 2], [0, 1, 3]]),
     # row 1's low holds a 2, but the unit row 0 turns its 1 into the remainder
-    # (-1, 2), whose unit the pivot pass on the remainder takes
+    # (-1, 2), whose unit the Smith form of the remainder takes
     "schur-step": IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 2]]),
     # the unit row 0 turns row 1 into (0, 0, 4): factors (1, 4), where the
     # gcd of row 1 as given would give 2
@@ -240,19 +240,35 @@ SPARSE_PATH_CASES = {
     "empty-0x4": IntegerMatrix(0, 4),
     "empty-4x0": IntegerMatrix(4, 0),
 }
-# shape of the dense remainder handed to smith_normal_form, None if none is
+SMITH_INPUTS = {**{f"random-{s}": random_matrix(random.Random(1000 + s)) for s in range(60)}, **SPARSE_PATH_CASES}
+
+
+@pytest.mark.parametrize("rows", [False, True])
+@pytest.mark.parametrize("name", SMITH_INPUTS)
+def test_smith_leaves_its_input_unchanged(name, rows):
+    # the pivot loop runs on private copies of the row dicts
+    m = SMITH_INPUTS[name]
+    given = list(m._dicts)
+    before = [dict(d) for d in given]
+    diag = smith_normal_form(m, rows=rows)[0]
+    assert m._dicts == before and all(d is g for d, g in zip(m._dicts, given))
+    assert smith_normal_form(m, rows=rows)[0] == diag
+
+
+# shape of the row-dict remainder handed to smith_normal_form: the non-unit
+# rows after the Schur step, at the matrix's full width; None if none is
 DENSE_REMAINDER = {
-    "gains-unit": (1, 2),
-    "same-length": None,
+    "gains-unit": (1, 4),
+    "same-length": (1, 4),
     "permutation-1": None,
     "permutation-7": None,
     "permutation-20": None,
     "identity-over-zero": None,
     "no-units": (4, 4),
-    "equal-nonunit-lows": (1, 1),
-    "schur-step": None,
-    "schur-needed": (1, 1),
-    "schur-chain": None,
+    "equal-nonunit-lows": (2, 2),
+    "schur-step": (1, 3),
+    "schur-needed": (1, 3),
+    "schur-chain": (1, 4),
     "zero-3x5": None,
     "empty-0x4": None,
     "empty-4x0": None,
@@ -264,9 +280,9 @@ def test_invariant_factors_sparse_path(name, monkeypatch):
     m = SPARSE_PATH_CASES[name]
     remainders = []
 
-    def recording_smith(dense, **kwargs):
-        remainders.append((dense.rows, dense.cols))
-        return smith_normal_form(dense, **kwargs)
+    def recording_smith(remainder, **kwargs):
+        remainders.append((remainder.rows, remainder.cols))
+        return smith_normal_form(remainder, **kwargs)
 
     monkeypatch.setattr(matrix_module, "smith_normal_form", recording_smith)
     assert invariant_factors(m) == oracles.smith_diag_by_elimination(raw_rows(m))
@@ -299,13 +315,13 @@ def test_sweep_clears_and_defers(monkeypatch):
     d3 = IntegerMatrix.from_rows([[0], [1], [-1]])
     remainders = []
 
-    def recording_smith(dense, **kwargs):
-        remainders.append((dense.rows, dense.cols))
-        return smith_normal_form(dense, **kwargs)
+    def recording_smith(remainder, **kwargs):
+        remainders.append((remainder.rows, remainder.cols))
+        return smith_normal_form(remainder, **kwargs)
 
     monkeypatch.setattr(matrix_module, "smith_normal_form", recording_smith)
     assert sweep_invariant_factors([d1, d2, d3]) == [[1], [1, 2], [1]]
-    assert remainders == [(1, 2)]
+    assert remainders == [(1, 3)]
     assert sweep_invariant_factors([]) == []
     with pytest.raises(ValueError, match="shape mismatch: matrix 1 has 2 rows, not 3"):
         sweep_invariant_factors([d1, IntegerMatrix(2, 2)])

@@ -26,13 +26,13 @@ point, and `uct pair:10 -N 4 --coeff z/4` one whose full nerve has 111110
 basis elements, under the default budget, while both sides of the check
 are computed on its trivial isotropy group.
 `homology cyclic:99 -N 3` has 980200 basis elements, the largest cyclic
-nerve under the default budget of 10^6.  The 100-orbit rung is a union of
-twenty copies each of cyclic:2 to cyclic:6: every orbit is one unit, so it is
-swept as one complex, and each orbit hands one non-unit row to one dense
-Smith form.  The last rung is over the default
-nerve budget and must be refused with exit 1 and the CLI's budget message,
-so a crash (say a MemoryError under the limit, also exit 1) does not pass
-for a refusal.  A rung whose exit code or stderr start is not the expected
+nerve under the default budget of 10^6.  The 100- and 200-orbit rungs are
+unions of twenty and forty copies each of cyclic:2 to cyclic:6: every orbit
+is one unit, so it is swept as one complex, and each orbit hands one
+non-unit row to one Smith form, whose rows share no column.  The last rung
+is over the default nerve budget and must be refused with exit 1 and the
+CLI's budget message, so a crash (say a MemoryError under the limit, also
+exit 1) does not pass for a refusal.  A rung whose exit code or stderr start is not the expected
 one in some run, or whose stdout or stderr differs between runs or sides,
 is flagged in the report and makes the tool exit 1.
 """
@@ -66,6 +66,7 @@ INPUTS = {
     "cyclic-2": "cyclic:2", "mv-union-60": "union:cyclic-60.json,cyclic-2.json",
     "cyclic-3": "cyclic:3", "cyclic-4": "cyclic:4", "cyclic-5": "cyclic:5", "cyclic-6": "cyclic:6",
     "union-100": "union:" + ",".join(f"cyclic-{2 + i % 5}.json" for i in range(100)),
+    "union-200": "union:" + ",".join(f"cyclic-{2 + i % 5}.json" for i in range(200)),
 }
 REFUSED = "error: nerve budget exceeded at degree"
 MV_COVER = ["--u1", "0,1,2,3", "--u2", "1,2,3,4"]  # unit positions: cyclic:12 (or 30) is 0, cyclic:8 is 4
@@ -86,6 +87,7 @@ RUNGS = [
     ("mv cyclic:20 + pair:4 + cyclic:16 -N 3", ["mv", "-N", "3", *MV_COVER_LARGE], "mv-union-large", 0, ""),
     ("mv cyclic:60 + cyclic:2 -N 3", ["mv", "-N", "3", *MV_COVER_60], "mv-union-60", 0, ""),
     ("homology 100 orbits cyclic:2..6 -N 2", ["homology", "-N", "2"], "union-100", 0, ""),
+    ("homology 200 orbits cyclic:2..6 -N 2", ["homology", "-N", "2"], "union-200", 0, ""),
     ("homology cyclic:60 -N 4 (over budget)", ["homology", "-N", "4"], "cyclic-60", 1, REFUSED),
 ]
 
