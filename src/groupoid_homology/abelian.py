@@ -11,10 +11,9 @@ and tables only need iso types.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from .matrix import IntegerMatrix, invariant_factors, sweep_invariant_factors
+from .matrix import IntegerMatrix, _normalize_torsion, invariant_factors, sweep_invariant_factors
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -29,34 +28,6 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def _normalize_torsion(orders: Iterable[int]) -> tuple[int, ...]:
-    """Invariant factors of the direct sum of Z/c over the given orders (each >= 2).
-
-    By Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b), with no factoring: each order
-    skips the slots of a largest-first chain that it divides (by bisection)
-    and goes in above a slot that divides it; any other slot takes the lcm
-    and hands down the gcd, a proper divisor.
-
-    >>> _normalize_torsion([2, 3]), _normalize_torsion([4, 6]), _normalize_torsion([])
-    ((6,), (2, 12), ())
-    """
-    chain: list[int] = []  # each entry divides the one before
-    for c in orders:
-        if c < 2:
-            raise ValueError("torsion coefficients must be >= 2")
-        i = 0
-        while c > 1:
-            i = bisect_left(chain, True, i, key=lambda d: d % c != 0)
-            if i == len(chain) or c % chain[i] == 0:
-                chain.insert(i, c)
-                break
-            g = math.gcd(chain[i], c)
-            chain[i], c = chain[i] // g * c, g
-            i += 1
-    chain.reverse()  # ascending divisibility chain
-    return tuple(chain)
 
 
 # Strict JSON reading, shared by every `from_json`: each check raises
@@ -302,15 +273,14 @@ def _in_relations(order: int, x: int) -> bool:
 class PresentedGroup:
     """Diagonal presentation: the direct sum of Z/orders[i], one per generator.
 
-    Order 0 is a free generator and order 1 a generator equal to zero.
-    Unlike :class:`FinAbGroup` this carries actual elements (integer vectors
-    of length `generators`), so homology classes and maps can live here.
+    Order 0 is a free generator and order 1 a generator equal to zero; the
+    orders need not form a divisibility chain (`group` normalizes).  Unlike
+    :class:`FinAbGroup` this carries actual elements (integer vectors of
+    length `generators`), so homology classes and maps can live here.
 
-    >>> p = PresentedGroup.from_diagonal([2, 0, 3])
+    >>> p = PresentedGroup([2, 0, 3])
     >>> p.group(), p.canonical_form([3, -1, 7])
     (FinAbGroup(rank=1, torsion=(6,)), (1, -1, 1))
-    >>> p.relations.entries  # read-only: one column per nonzero order
-    [2, 0, 0, 0, 0, 3]
     """
 
     __slots__ = ("orders",)
@@ -322,34 +292,12 @@ class PresentedGroup:
         self.orders = orders
 
     @classmethod
-    def free(cls, rank: int) -> "PresentedGroup":
-        return cls((0,) * rank)
-
-    @classmethod
     def trivial(cls) -> "PresentedGroup":
         return cls()
-
-    @classmethod
-    def cyclic(cls, q: int) -> "PresentedGroup":
-        return cls((q,))
-
-    @classmethod
-    def from_diagonal(cls, orders: Sequence[int]) -> "PresentedGroup":
-        """One generator per listed order q (0 meaning a free generator)."""
-        return cls(orders)
 
     @property
     def generators(self) -> int:
         return len(self.orders)
-
-    @property
-    def relations(self) -> IntegerMatrix:
-        """The generators x r relation matrix, one column q·e_i per order q != 0."""
-        cols = [j for j, q in enumerate(self.orders) if q]
-        rel = IntegerMatrix(self.generators, len(cols))
-        for c, j in enumerate(cols):
-            rel._dicts[j][c] = self.orders[j]
-        return rel
 
     def group(self) -> FinAbGroup:
         """Iso type of the presented group."""
@@ -431,20 +379,32 @@ class GroupHom:
         return f"GroupHom({self.source.generators} -> {self.target.generators})"
 
 
+def _with_relations(m: IntegerMatrix, orders: Sequence[int]) -> IntegerMatrix:
+    """[m | R]: m followed by one column q·e_i per nonzero order q = orders[i]."""
+    rows = [dict(r) for r in m._dicts]
+    cols = m.cols
+    for r, q in zip(rows, orders):
+        if q:
+            r[cols] = q
+            cols += 1
+    return IntegerMatrix._wrap(m.rows, cols, rows)
+
+
 def middle_homology(f: GroupHom, g: GroupHom) -> FinAbGroup:
     """Iso type of ker(g)/im(f) at the node f.target = g.source.
 
-    With T and M the relation matrices of g.target and of the node, this is
-    H_1 of the free complex with d1 = [g | T] and d2 = [f | M ; -T⁻¹·g·(f | M)].
-    T has full column rank, so ker d1 projects isomorphically onto
+    With T and M the diagonal relation matrices of g.target's and of the
+    node's orders (one column q·e_i per nonzero order q), this is H_1 of the
+    free complex with d1 = [g | T] and d2 = [f | M ; -T⁻¹·g·(f | M)].  T has
+    full column rank, so ker d1 projects isomorphically onto
     ker g = {x : g·x in col-span T}, and d2's columns are the lifts of im f
     and of the node's relations.  H_1 is read off invariant factors as in
     `chains.homology_groups`.  A column of g·f outside col-span T (an inexact
     quotient, or a nonzero entry in a free row) means g·f is not zero.
 
-    >>> Z, Z4 = PresentedGroup.free(1), PresentedGroup.cyclic(4)
+    >>> Z, Z4 = PresentedGroup([0]), PresentedGroup([4])
     >>> two = GroupHom(Z, Z, IntegerMatrix.from_rows([[2]]))
-    >>> quot = GroupHom(Z, PresentedGroup.cyclic(2), IntegerMatrix.from_rows([[1]]))
+    >>> quot = GroupHom(Z, PresentedGroup([2]), IntegerMatrix.from_rows([[1]]))
     >>> middle_homology(two, quot).is_trivial()
     True
     >>> middle_homology(GroupHom(Z, Z4, IntegerMatrix.from_rows([[2]])),
@@ -453,15 +413,15 @@ def middle_homology(f: GroupHom, g: GroupHom) -> FinAbGroup:
     """
     if f.target != g.source:
         raise ValueError("mismatched node")
-    image = IntegerMatrix.hstack([f.matrix, g.source.relations])
+    image = _with_relations(f.matrix, g.source.orders)
     lower = []
     for t, row in zip(g.target.orders, g.matrix.matmul(image)._dicts):
         if not all(_in_relations(t, x) for x in row.values()):
             raise ValueError("composite nonzero")
         if t:
             lower.append({j: -x // t for j, x in row.items()})
-    d1 = IntegerMatrix.hstack([g.matrix, g.target.relations])
-    d2 = IntegerMatrix.vstack([image, IntegerMatrix._wrap(len(lower), image.cols, lower)])
+    d1 = _with_relations(g.matrix, g.target.orders)
+    d2 = IntegerMatrix._wrap(image.rows + len(lower), image.cols, image._dicts + lower)
     image_factors, factors = sweep_invariant_factors([d1, d2])  # d1·d2 = 0, checked above
     free = d1.cols - len(image_factors) - len(factors)
     return FinAbGroup(free, [d for d in factors if d >= 2])

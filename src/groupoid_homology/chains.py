@@ -13,11 +13,12 @@ enlarged image B = im(∂_{n+1}) + qZ, with q = 0 for integral homology.
 (`_lattices`), one recorded column reduction of each [∂_n | qI] with
 clearing, yields a basis of K and an echelon basis of B per degree; then
 `HomologyResult` puts K's basis in echelon form, so coordinates come by
-back-substitution, and one small sparse Smith form of B's coordinates gives
-the presentation.  `mv` runs the lattice stage once on the ambient complex and
-reads each piece's lattices off it.  `homology_groups` is the sparse route
-to iso types alone, integral or Z/q: one `sweep_invariant_factors` over ∂_1,
-∂_2, ... or over the mapping cone of q.
+back-substitution, and one small sparse diagonal form of B's coordinates
+(`smith_normal_form`) gives the presentation.  `mv` runs the lattice stage
+once on the ambient complex and reads each piece's lattices off it.
+`homology_groups` is the sparse route to iso types alone, integral or Z/q:
+one `sweep_invariant_factors` over ∂_1, ∂_2, ... or over the mapping cone
+of q.
 """
 
 from __future__ import annotations
@@ -135,9 +136,11 @@ class HomologyResult:
     echelon form too, so a chain's coordinates come by back-substitution, and
     a chain that does not reduce to zero is not a cycle.  B's coordinates
     that are a unit vector only delete a generator; the rest, one row dict
-    per remaining generator, go to one small Smith form with U and U⁻¹
-    (`rows=True`), which gives the diagonal presentation (invariant factors
-    1 dropped).
+    per remaining generator, go to one small `smith_normal_form` with U and U⁻¹
+    (`rows=True`), whose diagonal is the presentation as it stands, orders 1
+    dropped: not a divisibility chain, so classes of different orbits stay
+    on generators of their own (Z/2 ⊕ Z/3, not one Z/6), and the maps of
+    the Mayer–Vietoris sequence stay sparse.
 
     `cycle_reps[i]` is an integer chain whose class is the i-th generator of
     `presentation`; `class_coords` expresses any further cycle over those
@@ -171,7 +174,7 @@ class HomologyResult:
         orders = diag + [0] * (len(rest) - len(diag))
         kept = [i for i, d in enumerate(orders) if d != 1]
         self._uw = [{rest[k]: c for k, c in u._dicts[i].items()} for i in kept]
-        self.presentation = PresentedGroup.from_diagonal([orders[i] for i in kept])
+        self.presentation = PresentedGroup([orders[i] for i in kept])
         self.group = FinAbGroup.from_cyclic_orders(self.presentation.orders)
         reps = {i: [0] * dims[n] for i in kept}  # column i of (K's basis at `rest`) · U⁻¹
         for low, row in zip(rest, uinv._dicts):

@@ -161,10 +161,7 @@ def parse_preset(text: str) -> FiniteGroupoid:
             paths = [p for p in rest.split(",") if p]
             if len(paths) < 2:
                 raise ValueError(f"cannot parse preset '{text}': union needs two files")
-            out = load_groupoid(paths[0])
-            for p in paths[1:]:
-                out = disjoint_union(out, load_groupoid(p))
-            return out
+            return disjoint_union(*map(load_groupoid, paths))
     except ValueError as e:
         if "cannot parse" in str(e) or "input file" in str(e):
             raise

@@ -8,9 +8,12 @@ O(nonzero pairs) multiply-adds.  `sweep_invariant_factors` factors a chain
 of matrices with zero products in one row reduction of those row dicts with
 clearing (its docstring gives the pivot rule, the Euclid step, the clearing
 condition and the Schur remainder), and reads only the diagonal of
-`smith_normal_form` on the remainder's row dicts: the one Smith pivot loop,
-on private copies of the row dicts, which tracks U and U⁻¹ only when asked
-(by `HomologyResult`).
+`smith_normal_form` on the remainder's row dicts: the one pivot loop, on
+private copies of the row dicts, which diagonalizes without forcing a
+divisibility chain and tracks U and U⁻¹ only when asked (by
+`HomologyResult`, whose presentations stay diagonal).  `_normalize_torsion`
+is the one chain normal form, by gcds and lcms: the sweep applies it to the
+remainder's diagonal, and `abelian.FinAbGroup` to every group.
 `reduce_columns` is the one integer column echelon (Euclid at equal lows,
 optionally recording the column operations, copy-on-write): its pivots are
 a basis of the lattice the columns generate, and `echelon_coordinates`
@@ -19,8 +22,10 @@ back-substitutes a vector over them, which decides lattice membership.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from itertools import compress
-from typing import Container, Sequence
+from typing import Container, Iterable, Sequence
 
 
 class IntegerMatrix:
@@ -29,8 +34,7 @@ class IntegerMatrix:
     Zeros are never stored, so a Moore boundary costs at most n+1 entries per
     column, and `nnz`, `is_zero` and `==` read the dicts alone; `row` and
     `column` return dense lists.  `matmul` costs O(nonzero pairs)
-    multiply-adds, and `hstack` and `vstack` lay blocks side by side or on
-    top of each other.  Treated as immutable by convention: no public method
+    multiply-adds.  Treated as immutable by convention: no public method
     mutates `self`.
 
     >>> m = IntegerMatrix.from_rows([[1, 0, -1], [0, 0, 2]])
@@ -86,35 +90,6 @@ class IntegerMatrix:
         m.cols = cols
         m._dicts = row_dicts
         return m
-
-    # -- block assembly ----------------------------------------------------
-
-    @staticmethod
-    def hstack(blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
-        blocks = list(blocks)
-        if not blocks:
-            raise ValueError("hstack of no blocks")
-        r = blocks[0].rows
-        if any(b.rows != r for b in blocks):
-            raise ValueError("shape mismatch: hstack row counts differ")
-        row_dicts: list[dict[int, int]] = [{} for _ in range(r)]
-        cols = 0
-        for b in blocks:
-            for out, d in zip(row_dicts, b._dicts):
-                out.update((cols + j, v) for j, v in d.items())
-            cols += b.cols
-        return IntegerMatrix._wrap(r, cols, row_dicts)
-
-    @staticmethod
-    def vstack(blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
-        blocks = list(blocks)
-        if not blocks:
-            raise ValueError("vstack of no blocks")
-        c = blocks[0].cols
-        if any(b.cols != c for b in blocks):
-            raise ValueError("shape mismatch: vstack column counts differ")
-        row_dicts = [dict(d) for b in blocks for d in b._dicts]
-        return IntegerMatrix._wrap(len(row_dicts), c, row_dicts)
 
     # -- reading -----------------------------------------------------------
 
@@ -193,17 +168,21 @@ def _nonzero(row: Sequence[int]) -> dict[int, int]:
 def smith_normal_form(
     m: IntegerMatrix, *, rows: bool = False
 ) -> tuple[list[int], IntegerMatrix | None, IntegerMatrix | None]:
-    """(diag, U, U⁻¹): Smith normal form by smallest-|pivot| selection with full reduction.
+    """(diag, U, U⁻¹): a diagonal form U·M·V by smallest-|pivot| selection.
 
-    `diag` is the diagonal of U·M·V, length min(m.rows, m.cols): a divisibility
-    chain d_1 | d_2 | ... with any zeros trailing.  U and U⁻¹ are None unless
-    `rows` is true; V is never kept.  The loop runs on private copies of the
-    row dicts, so zeros cost nothing and rows that share no column stay
-    apart.  Step t moves a smallest |entry| (a +-1 first, ties to the first
-    row and column) to (t, t), runs Euclid on its column by row operations
-    and on its row by column operations, and pulls in a row with an entry
-    the pivot does not divide.  Column operations come only once column t is
-    clear, so they change row t alone.
+    `diag` is the diagonal of U·M·V, length min(m.rows, m.cols), nonzero
+    entries first and zeros trailing; it need not be a divisibility chain
+    (`_normalize_torsion` of its entries >= 2 gives the invariant factors).
+    U and U⁻¹ are None unless `rows` is true; V is never kept.  The loop runs
+    on private copies of the row dicts, so zeros cost nothing and rows that
+    share no column stay apart.  Step t moves a smallest |entry| (a +-1
+    first, ties to the first row and column) to (t, t), and runs Euclid on
+    its column by row operations and on its row by column operations.
+    Column operations come only once column t is clear, so they change row t
+    alone.
+
+    >>> smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]]))[0]  # Z/2 ⊕ Z/3 stays apart
+    [2, 3]
     """
     nrows, n = m.rows, min(m.rows, m.cols)
     a = [dict(d) for d in m._dicts]
@@ -268,11 +247,8 @@ def smith_normal_form(
                             col_swap(t, j)
                             break
                         del r[j]
-                else:  # row t is clear too; enforce the divisibility chain
-                    bad = next((i for i in range(t + 1, nrows) if any(v % p for v in a[i].values())), None)
-                    if bad is None:
-                        break
-                    row_sub(t, bad, -1)  # pull the offending row into play
+                else:  # row t is clear too
+                    break
         if a[t][t] < 0:
             for x in mats:
                 x[t] = {k: -v for k, v in x[t].items()}
@@ -285,6 +261,36 @@ def smith_normal_form(
         for k, v in col.items():
             uinv[k][i] = v
     return diag, IntegerMatrix._wrap(nrows, nrows, u), IntegerMatrix._wrap(nrows, nrows, uinv)
+
+
+def _normalize_torsion(orders: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors of the direct sum of Z/c over the given orders (each >= 2).
+
+    The one divisibility-chain normal form: `_reduce` applies it to the
+    diagonal of `smith_normal_form`, and `abelian.FinAbGroup` to every group.
+    By Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b), with no factoring: each order
+    skips the slots of a largest-first chain that it divides (by bisection)
+    and goes in above a slot that divides it; any other slot takes the lcm
+    and hands down the gcd, a proper divisor.
+
+    >>> _normalize_torsion([2, 3]), _normalize_torsion([4, 6]), _normalize_torsion([])
+    ((6,), (2, 12), ())
+    """
+    chain: list[int] = []  # each entry divides the one before
+    for c in orders:
+        if c < 2:
+            raise ValueError("torsion coefficients must be >= 2")
+        i = 0
+        while c > 1:
+            i = bisect_left(chain, True, i, key=lambda d: d % c != 0)
+            if i == len(chain) or c % chain[i] == 0:
+                chain.insert(i, c)
+                break
+            g = math.gcd(chain[i], c)
+            chain[i], c = chain[i] // g * c, g
+            i += 1
+    chain.reverse()  # ascending divisibility chain
+    return tuple(chain)
 
 
 def invariant_factors(m: IntegerMatrix) -> list[int]:
@@ -311,7 +317,8 @@ def sweep_invariant_factors(ms: Sequence[IntegerMatrix]) -> list[list[int]]:
     column index and equal non-unit lows run Euclid.  Copies of the non-unit
     rows are then reduced by the unit-low rows A on A's lows, largest first:
     [[A, B], [0, C]] with A unimodular is equivalent to I ⊕ C, and C's row
-    dicts go to `smith_normal_form` as they are, which takes a +-1 first.
+    dicts go to `smith_normal_form` as they are, which takes a +-1 first;
+    `_normalize_torsion` turns its diagonal into an ascending chain.
 
     Clearing: a reduced row R = x·m_k with unit low j may replace row j of
     m_{k+1} by R·m_{k+1} = 0, a row operation unitriangular in the order of
@@ -339,11 +346,14 @@ def _reduce(m: IntegerMatrix, cleared: set[int], deferred: set[int]) -> tuple[se
     """Unit lows, non-unit lows and invariant factors of m; `deferred` rows go to the Schur step.
 
     m's row dicts are reduced uncopied, and the Schur remainder keeps m's
-    column indices and width.  With every pivot a unit, the deferred rows add
-    nothing: a skipped row j is, up to a factor, a Z-combination of rows
-    below j (m_{k-1}·m_k = 0), so by induction on j every row of m lies in
-    the Q-span V of the rows not skipped; unit pivots span the saturated
-    V ∩ Zⁿ, which so holds every row of m, and the factors are 1 × rank.
+    column indices and width.  Its diagonal form need not be a chain, so its
+    entries >= 2 go through `_normalize_torsion`, padded in front with ones
+    to the rank: a diagonal [2, 3] gives [1, 6].  With every pivot a unit,
+    the deferred rows add nothing: a skipped row j is, up to a factor, a
+    Z-combination of rows below j (m_{k-1}·m_k = 0), so by induction on j
+    every row of m lies in the Q-span V of the rows not skipped; unit pivots
+    span the saturated V ∩ Zⁿ, which so holds every row of m, and the
+    factors are 1 × rank.
     """
     skip = cleared | deferred
     rows = list(m._dicts)
@@ -360,7 +370,9 @@ def _reduce(m: IntegerMatrix, cleared: set[int], deferred: set[int]) -> tuple[se
                 if j in r:
                     p = units[j]
                     _sub(r, p, r[j] * p[j])
-        factors += [d for d in smith_normal_form(IntegerMatrix._wrap(len(rest), m.cols, rest))[0] if d]
+        diag = [d for d in smith_normal_form(IntegerMatrix._wrap(len(rest), m.cols, rest))[0] if d]
+        torsion = _normalize_torsion(d for d in diag if d > 1)
+        factors += [1] * (len(diag) - len(torsion)) + list(torsion)
     return set(units), pivots.keys() - units.keys(), factors
 
 

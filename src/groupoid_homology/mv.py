@@ -372,7 +372,7 @@ def long_exact_sequence(
     h1 = [ses.homology("piece1", n) for n in range(top + 1)]
     h2 = [ses.homology("piece2", n) for n in range(top + 1)]
     ht = [ses.homology("total", n) for n in range(top + 1)]
-    pair_nodes = [PresentedGroup.from_diagonal(h1[n].presentation.orders + h2[n].presentation.orders)
+    pair_nodes = [PresentedGroup(h1[n].presentation.orders + h2[n].presentation.orders)
                   for n in range(top + 1)]
     trivial_node = PresentedGroup.trivial()
     connecting = [[ses.connecting(n, z) for z in ht[n].cycle_reps] for n in range(top + 1)]

@@ -181,7 +181,7 @@ def mod_reduction_check(
         if modular.class_coords(scaled) != coords:
             raise ValueError(f"reduction map image mismatch: mod-q shift moved the class of {z}")
         images.append(coords)
-    source = PresentedGroup.from_diagonal([math.gcd(d, q) for d in integral.presentation.orders])
+    source = PresentedGroup([math.gcd(d, q) for d in integral.presentation.orders])
     try:
         kappa = GroupHom.from_columns(source, modular.presentation, images)
     except ValueError:

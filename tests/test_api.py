@@ -33,10 +33,10 @@ REMOVED = ("kernel_basis", "in_column_lattice", "same_column_lattice", "solve_co
 REMOVED_METHODS = {
     FreeChainComplex: ("zero_boundaries",),
     GroupHom: ("compose",),
-    PresentedGroup: ("elements", "is_zero_element"),
+    PresentedGroup: ("elements", "is_zero_element", "relations", "from_diagonal", "free", "cyclic"),
     FinAbGroup: ("exponent", "summands", "__add__"),
     FiniteGroupoid: ("save",),
-    IntegerMatrix: ("block_diag",),
+    IntegerMatrix: ("block_diag", "hstack", "vstack"),
 }
 # the dense twin's bridges and arithmetic, deleted with it; the one matrix
 # type stores sparse rows and multiplies with `matmul` alone
@@ -109,29 +109,33 @@ def _uncalled_public_defs(src: Path) -> list[str]:
     A function is named by a load of its name in its own module or in one
     that imports it from there; a method by an attribute call `x.name(...)`,
     or any `x.name` for a property, so a data attribute that shares the name
-    of a method does not count as a caller.
+    of a method does not count as a caller.  Nor does `Other.name` with
+    `Other` a different class defined in `src`: `FinAbGroup.free(...)` does
+    not call `PresentedGroup.free`.
     """
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))
              if p.name != "__init__.py"}
     calls = {node.func for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Call)}
+    classes = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
     uncalled = []
     for module, tree in trees.items():
         defs = []
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defs.append((node.name, node, False))
+                defs.append((node.name, node, None))
             elif isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{f.name}", f, True) for f in node.body if isinstance(f, ast.FunctionDef)]
-        for qualname, fn, method in defs:
+                defs += [(f"{node.name}.{f.name}", f, node.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+        for qualname, fn, owner in defs:
             if fn.name.startswith("_"):
                 continue
             prop = any(isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list)
             named = False
             for other, other_tree in trees.items():
-                if method:
+                if owner:
                     uses = (n for n in ast.walk(other_tree) if isinstance(n, ast.Attribute)
-                            and n.attr == fn.name and (prop or n in calls))
+                            and n.attr == fn.name and (prop or n in calls)
+                            and not (isinstance(n.value, ast.Name) and n.value.id in classes - {owner}))
                 elif other == module or any(
                     isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == module
                     and any(alias.name == fn.name for alias in n.names) for n in other_tree.body

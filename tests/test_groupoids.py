@@ -258,6 +258,29 @@ def test_disjoint_union_structure():
     assert (1, 2) not in g.compose
 
 
+def test_disjoint_union_of_many_equals_the_pairwise_fold():
+    parts = [g for _, g in corpus()]
+    for k in (1, 2, 3, len(parts)):
+        for start in range(len(parts) - k + 1):
+            chunk = parts[start:start + k]
+            fold = chunk[0]
+            for g in chunk[1:]:
+                fold = disjoint_union(fold, g)
+            assert disjoint_union(*chunk) == fold, (k, start)
+    with pytest.raises(ValueError, match="disjoint union of no groupoids"):
+        disjoint_union()
+
+
+def test_disjoint_union_of_400_parts_is_one_build():
+    # a fold builds and validates a groupoid of the whole union so far per
+    # part, quadratic in the parts; one call builds one
+    parts = [one_object_cyclic(2 + i % 5) for i in range(400)]
+    start = time.perf_counter()
+    g = disjoint_union(*parts)
+    assert time.perf_counter() - start < 0.5
+    assert (g.arrows, len(g.units)) == (1600, 400)
+
+
 # -- nerve and faces -----------------------------------------------------------------
 #
 # The package numbers the nerve without building tuples; the oracle lists the
@@ -652,9 +675,7 @@ def test_union_homology_is_direct_sum():
 def test_homology_of_many_one_unit_orbits(tmp_path, copies):
     # each orbit sends one non-unit row to one Smith form; the row dicts
     # share no column, so 200 orbits stay well inside a second
-    g = one_object_cyclic(2)
-    for i in range(1, 5 * copies):
-        g = disjoint_union(g, one_object_cyclic(2 + i % 5))
+    g = disjoint_union(*(one_object_cyclic(2 + i % 5) for i in range(5 * copies)))
     path = str(tmp_path / "orbits.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(relabelled(g, 1).to_json(), fh)

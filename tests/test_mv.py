@@ -13,10 +13,12 @@ the piece's own complex, `moore_complex(reduction(g, U))`, whose basis is in
 `_positions` order.
 """
 
+import json
 import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -45,6 +47,7 @@ import groupoid_homology.mv as mv_module
 from groupoid_homology.mv import MvChainSes, MvDecomposition
 
 import oracles
+from test_abelian import relation_matrix
 from test_cli import child_env, gen_file, run_cli
 from test_matrix import raw_rows
 
@@ -78,9 +81,9 @@ def extend(x, pos, dim):
 
 def block_diag(a, b):
     """[[a, 0], [0, b]]: the two pieces' maps side by side."""
-    return IntegerMatrix.vstack(
-        [IntegerMatrix.hstack([a, IntegerMatrix(a.rows, b.cols)]),
-         IntegerMatrix.hstack([IntegerMatrix(b.rows, a.cols), b])]
+    return IntegerMatrix.from_rows(
+        [row + [0] * b.cols for row in raw_rows(a)] + [[0] * a.cols + row for row in raw_rows(b)],
+        cols=a.cols + b.cols,
     )
 
 
@@ -607,9 +610,9 @@ def test_les_exactness_by_enumeration():
         orders = [h.order() for h in groups]
         if any(o is None or o > 10**4 for o in orders):
             continue
-        rel_a = les.nodes[i - 1][1].relations
-        rel_m = les.nodes[i][1].relations
-        rel_t = les.nodes[i + 1][1].relations
+        rel_a = relation_matrix(les.nodes[i - 1][1])
+        rel_m = relation_matrix(les.nodes[i][1])
+        rel_t = relation_matrix(les.nodes[i + 1][1])
         f = les.arrows[i - 1].matrix
         h = les.arrows[i].matrix
         assert oracles.exactness_by_enumeration(
@@ -647,6 +650,40 @@ def test_les_beta_surjects_onto_h0():
     assert les.nodes[-2][0] == "H_0(G)"
     assert beta0.target.generators == len(orbits(g))
     assert invariant_factors(beta0.matrix) == [1] * beta0.target.generators
+
+
+def test_les_on_many_one_unit_orbits(tmp_path):
+    # nine copies each of cyclic:2..6, U1 the first 27 unit positions and U2
+    # the last 27: the presentations keep each orbit's class on a generator
+    # of its own (no Z/2 ⊕ Z/3 fused into one Z/6), so the maps stay sparse
+    # and middle_homology's Smith forms stay small
+    from test_chains import relabelled  # test_chains imports this module via test_acceptance
+
+    g = relabelled(disjoint_union(*(one_object_cyclic(2 + i % 5) for i in range(45))), 1)
+    path, report = tmp_path / "orbits.json", tmp_path / "mv.json"
+    path.write_text(json.dumps(g.to_json()), encoding="utf-8")
+    u1, u2 = list(range(27)), list(range(18, 45))
+    start = time.perf_counter()
+    code, out, err = run_cli(["mv", "-i", str(path), "-N", "3", "--u1", ",".join(map(str, u1)),
+                              "--u2", ",".join(map(str, u2)), "--json", str(report)])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "") and out.endswith("all nodes exact: true\n")
+    assert elapsed < 0.5
+    # per orbit of order m: H_0 = Z, H_1 = Z/m, H_2 = 0
+    order = {u: g.source.count(u) for u in g.units}
+
+    def closed(positions, n):
+        us = [g.units[p] for p in positions]
+        return [FinAbGroup(len(us)), FinAbGroup(0, [order[u] for u in us]), FinAbGroup()][n]
+
+    u12 = sorted(set(u1) & set(u2))
+    expected = []
+    for n in range(2, -1, -1):
+        expected += [closed(u12, n), closed(u1, n).direct_sum(closed(u2, n)), closed(range(45), n)]
+    expected.append(FinAbGroup())
+    data = json.loads(report.read_text(encoding="utf-8"))
+    assert [FinAbGroup.from_json(node["group"]) for node in data["nodes"]] == expected
+    assert all(e["exact"] for e in data["exactness"]) and data["ok"]
 
 
 # -- consistency with orbit decomposition ---------------------------------------------

@@ -29,7 +29,11 @@ are computed on its trivial isotropy group.
 nerve under the default budget of 10^6.  The 100- and 200-orbit rungs are
 unions of twenty and forty copies each of cyclic:2 to cyclic:6: every orbit
 is one unit, so it is swept as one complex, and each orbit hands one
-non-unit row to one Smith form, whose rows share no column.  The last rung
+non-unit row to one Smith form, whose rows share no column.  `mv` on
+forty-five such orbits, nine copies each, relabelled at seed 1 (`relabel`,
+after the `gen` inputs) and covered by the first 27 and the last 27 unit
+positions, puts one generator per orbit into every node of the long exact
+sequence.  The last rung
 is over the default nerve budget and must be refused with exit 1 and the
 CLI's budget message, so a crash (say a MemoryError under the limit, also
 exit 1) does not pass for a refusal.  A rung whose exit code or stderr start is not the expected
@@ -44,6 +48,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -67,11 +72,15 @@ INPUTS = {
     "cyclic-3": "cyclic:3", "cyclic-4": "cyclic:4", "cyclic-5": "cyclic:5", "cyclic-6": "cyclic:6",
     "union-100": "union:" + ",".join(f"cyclic-{2 + i % 5}.json" for i in range(100)),
     "union-200": "union:" + ",".join(f"cyclic-{2 + i % 5}.json" for i in range(200)),
+    "union-45": "union:" + ",".join(f"cyclic-{2 + i % 5}.json" for i in range(45)),
 }
+# relabelled input stem -> (input stem, seed), written after INPUTS
+RELABELLED = {"union-45-seed-1": ("union-45", 1)}
 REFUSED = "error: nerve budget exceeded at degree"
 MV_COVER = ["--u1", "0,1,2,3", "--u2", "1,2,3,4"]  # unit positions: cyclic:12 (or 30) is 0, cyclic:8 is 4
 MV_COVER_LARGE = ["--u1", "0,1,2,3,4", "--u2", "1,2,3,4,5"]  # cyclic:20 is 0, cyclic:16 is 5
 MV_COVER_60 = ["--u1", "0,1", "--u2", "1"]  # cyclic:60 is 0, cyclic:2 is 1
+MV_COVER_45 = ["--u1", ",".join(map(str, range(27))), "--u2", ",".join(map(str, range(18, 45)))]
 # (name, CLI arguments after `-i <input>`, input stem, expected exit code, expected stderr start)
 RUNGS = [
     ("homology cyclic:30 -N 3", ["homology", "-N", "3"], "cyclic-30", 0, ""),
@@ -86,10 +95,25 @@ RUNGS = [
     ("mv cyclic:30 + pair:3 + cyclic:8 -N 3", ["mv", "-N", "3", *MV_COVER], "mv-union-30", 0, ""),
     ("mv cyclic:20 + pair:4 + cyclic:16 -N 3", ["mv", "-N", "3", *MV_COVER_LARGE], "mv-union-large", 0, ""),
     ("mv cyclic:60 + cyclic:2 -N 3", ["mv", "-N", "3", *MV_COVER_60], "mv-union-60", 0, ""),
+    ("mv 45 orbits cyclic:2..6 -N 3", ["mv", "-N", "3", *MV_COVER_45], "union-45-seed-1", 0, ""),
     ("homology 100 orbits cyclic:2..6 -N 2", ["homology", "-N", "2"], "union-100", 0, ""),
     ("homology 200 orbits cyclic:2..6 -N 2", ["homology", "-N", "2"], "union-200", 0, ""),
     ("homology cyclic:60 -N 4 (over budget)", ["homology", "-N", "4"], "cyclic-60", 1, REFUSED),
 ]
+
+
+def relabel(data: dict, seed: int) -> dict:
+    """The groupoid file `data` with its arrows renumbered by a seeded permutation."""
+    new = list(range(data["arrows"]))
+    random.Random(seed).shuffle(new)
+    out = {"arrows": data["arrows"], "units": sorted(new[u] for u in data["units"])}
+    for key in ("source", "range", "inverse"):
+        values = [0] * data["arrows"]
+        for a, b in enumerate(data[key]):
+            values[new[a]] = new[b]
+        out[key] = values
+    out["compose"] = sorted([new[x] for x in t] for t in data["compose"])
+    return out
 
 
 def _limit() -> None:
@@ -159,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         for stem, preset in INPUTS.items():  # relative paths, so stdout does not name the directory
             if run(first, ["gen", preset, "-o", f"{stem}.json"], tmp)["exit"]:
                 parser.error(f"gen {preset} failed")
+        for stem, (base, seed) in RELABELLED.items():
+            data = json.loads((Path(tmp) / f"{base}.json").read_text(encoding="utf-8"))
+            (Path(tmp) / f"{stem}.json").write_text(json.dumps(relabel(data, seed)), encoding="utf-8")
         for name, cli_args, stem, expect, expect_err in RUNGS:
             argv_ = [cli_args[0], "-i", f"{stem}.json", *cli_args[1:]]
             runs = {side: [] for side in sides}
